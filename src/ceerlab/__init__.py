@@ -7,7 +7,6 @@ from .pairing import pair, unpair
 from .ceers import (
     CeerTable,
     FunctionalStub,
-    InseparabilityWitness,
     PartialityError,
     ReductionFn,
     ReductionReport,

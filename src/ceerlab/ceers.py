@@ -6,6 +6,13 @@ equivalence closure of the pairs visible at any given stage.  Tables are
 the common currency of the package: joins, products and pullbacks all
 produce fresh tables, and the construction runners enumerate into them.
 
+The closure lives in one union-by-size forest without path compression.
+Each node records the stage at which it was attached under another; since
+pairs arrive in stage order, those stamps never decrease going up a path,
+and the forest at stage s is the current one cut at every edge stamped
+after s.  Queries at past stages are therefore climbs, not replays, and
+nothing is cached between calls.
+
 Equality of two indices is a positive, stage-monotone fact.  Inequality
 never is: a pair that is unrelated at stage s may become related later,
 so nothing in this module ever reports a negative fact as conclusive.
@@ -15,7 +22,6 @@ tuple.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -29,7 +35,6 @@ __all__ = [
     "ReductionFn",
     "FunctionalStub",
     "ReductionReport",
-    "InseparabilityWitness",
     "uniform_join",
     "product",
     "pullback",
@@ -111,8 +116,9 @@ class CeerTable:
             raise ValueError("bound must be nonnegative")
         self.bound = bound
         self._pairs: list[tuple[int, int, int]] = []
-        self._stages: list[int] = []  # distinct stages carrying pairs, ascending
-        self._roots_cache: dict[int, tuple[int, ...]] = {}
+        self._parent = list(range(bound))
+        self._size = [1] * bound
+        self._stamp = [0] * bound  # stage at which a non-root was attached
 
     # -- construction ------------------------------------------------
 
@@ -130,10 +136,7 @@ class CeerTable:
         return table
 
     def copy(self) -> "CeerTable":
-        other = CeerTable(self.bound)
-        other._pairs = list(self._pairs)
-        other._stages = list(self._stages)
-        return other
+        return CeerTable.from_pairs(self._pairs, self.bound)
 
     def _check_index(self, n: int) -> None:
         if not (0 <= n < self.bound):
@@ -148,11 +151,14 @@ class CeerTable:
                 f"pair at stage {stage} after stage {self._pairs[-1][2]}"
             )
         self._pairs.append((a, b, stage))
-        if not self._stages or self._stages[-1] != stage:
-            self._stages.append(stage)
-        stale = [k for k in self._roots_cache if k >= stage]
-        for k in stale:
-            del self._roots_cache[k]
+        # no stamp exceeds `stage`, so these climbs reach the current roots
+        ra, rb = self._top(a, stage), self._top(b, stage)
+        if ra != rb:
+            if self._size[ra] < self._size[rb]:
+                ra, rb = rb, ra
+            self._parent[rb] = ra
+            self._stamp[rb] = stage
+            self._size[ra] += self._size[rb]
         return self
 
     # -- queries -----------------------------------------------------
@@ -166,72 +172,58 @@ class CeerTable:
         return self._pairs[-1][2] if self._pairs else 0
 
     def stages(self) -> tuple[int, ...]:
-        return tuple(self._stages)
+        return tuple(dict.fromkeys(s for _, _, s in self._pairs))
+
+    def _top(self, x: int, stage: int) -> int:
+        """Root of x's tree in the forest as it stood at `stage`."""
+        parent, stamp = self._parent, self._stamp
+        while parent[x] != x and stamp[x] <= stage:
+            x = parent[x]
+        return x
 
     def roots_at(self, stage: int) -> tuple[int, ...]:
         """Canonical partition snapshot: roots_at(s)[i] = min of i's class."""
-        i = bisect_right(self._stages, stage)
-        key = self._stages[i - 1] if i else -1
-        cached = self._roots_cache.get(key)
-        if cached is not None:
-            return cached
-        parent = list(range(self.bound))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b, s in self._pairs:
-            if s > key:
-                break
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
         least: dict[int, int] = {}
-        roots = [0] * self.bound
-        for n in range(self.bound):
-            r = find(n)
-            if r not in least:
-                least[r] = n
-            roots[n] = least[r]
-        snapshot = tuple(roots)
-        self._roots_cache[key] = snapshot
-        return snapshot
+        return tuple(
+            least.setdefault(self._top(n, stage), n) for n in range(self.bound)
+        )
 
     def related(self, a: int, b: int, stage: int) -> bool:
         self._check_index(a)
         self._check_index(b)
-        if a == b:
-            return True
-        roots = self.roots_at(stage)
-        return roots[a] == roots[b]
+        return a == b or self._top(a, stage) == self._top(b, stage)
 
     def first_related_stage(self, a: int, b: int) -> int | None:
-        """Least recorded stage at which a and b are related, None if never."""
+        """Least recorded stage at which a and b are related, None if never.
+
+        That is the largest stamp on the tree path from a to b; stamps grow
+        going up, so on each side it is the stamp of the last edge climbed.
+        """
         self._check_index(a)
         self._check_index(b)
         if a == b:
             return 0
-        if not self._stages or not self.related(a, b, self._stages[-1]):
-            return None
-        lo, hi = 0, len(self._stages) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.related(a, b, self._stages[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        return self._stages[lo]
+        parent, stamp = self._parent, self._stamp
+        above_a: dict[int, int] = {}  # ancestor of a -> largest stamp up to it
+        x, last = a, 0
+        while True:
+            above_a[x] = last
+            if parent[x] == x:
+                break
+            x, last = parent[x], stamp[x]
+        x, last = b, 0
+        while x not in above_a:
+            if parent[x] == x:
+                return None
+            x, last = parent[x], stamp[x]
+        return max(last, above_a[x])
 
     def classes_at(self, stage: int) -> list[list[int]]:
         """Partition at a stage as sorted class lists, sorted by least member."""
-        roots = self.roots_at(stage)
         buckets: dict[int, list[int]] = {}
-        for n in range(self.bound):
-            buckets.setdefault(roots[n], []).append(n)
-        return [buckets[r] for r in sorted(buckets)]
+        for n, r in enumerate(self.roots_at(stage)):
+            buckets.setdefault(r, []).append(n)
+        return list(buckets.values())
 
     # -- serialization -----------------------------------------------
 
@@ -342,19 +334,6 @@ class FunctionalStub:
         return self.use
 
 
-@dataclass(frozen=True)
-class InseparabilityWitness:
-    """Data contract for a uniform inseparability certificate.
-
-    witness(a, b, i, j) names an index whose halting behaviour separates
-    the (a,b)-class pair from the (i,j)-th candidate separating set.  The
-    package records the shape only; nothing here certifies the property.
-    """
-
-    witness: Callable[[int, int, int, int], int]
-    description: str = ""
-
-
 @dataclass
 class ReductionReport:
     """Outcome of checking f: E -> R below a bound.
@@ -434,50 +413,48 @@ def product(
     bound_left: int | None = None,
     bound_right: int | None = None,
 ) -> CeerTable:
-    """Product relation: <a1,b1> ~ <a2,b2> iff a1 ~ a2 on the left and b1 ~ b2 on the right."""
+    """Product relation: <a1,b1> ~ <a2,b2> iff a1 ~ a2 on the left and b1 ~ b2 on the right.
+
+    The result holds one pair per class merge: at each stage every code is
+    paired with the first code sharing its pair of class keys, unless the
+    two are already related.
+    """
     bl = left.bound if bound_left is None else min(bound_left, left.bound)
     br = right.bound if bound_right is None else min(bound_right, right.bound)
     if bl == 0 or br == 0:
         return CeerTable(0)
-    bound = pair(bl - 1, br - 1) + 1
-    out = CeerTable(bound)
-    stages = sorted(set(left.stages()) | set(right.stages()) | {0})
-    emitted: set[tuple[int, int]] = set()
-    codes = [(a, b, pair(a, b)) for a in range(bl) for b in range(br)]
-    for s in stages:
+    out = CeerTable(pair(bl - 1, br - 1) + 1)
+    for s in sorted(set(left.stages()) | set(right.stages()) | {0}):
         rl = left.roots_at(s)
         rr = right.roots_at(s)
-        for i, (a1, b1, c1) in enumerate(codes):
-            for a2, b2, c2 in codes[i + 1 :]:
-                if (c1, c2) in emitted:
-                    continue
-                if rl[a1] == rl[a2] and rr[b1] == rr[b2]:
-                    out.assert_pair(c1, c2, s)
-                    emitted.add((c1, c2))
+        first: dict[tuple[int, int], int] = {}
+        for a in range(bl):
+            for b in range(br):
+                c = pair(a, b)
+                c0 = first.setdefault((rl[a], rr[b]), c)
+                if not out.related(c0, c, s):
+                    out.assert_pair(c0, c, s)
     return out
 
 
 def pullback(f: ReductionFn, target: CeerTable, bound: int | None = None) -> CeerTable:
-    """Relation induced on [0, bound) by i ~ j iff f(i) ~ f(j) in target."""
+    """Relation induced on [0, bound) by i ~ j iff f(i) ~ f(j) in target.
+
+    Like product, the result holds one pair per class merge.
+    """
     if bound is None:
         bound = f.totality_bound
-    for n in range(bound):
-        if n not in f.table:
-            raise PartialityError(f"reduction function diverges on argument {n}")
+    images = [f(n) for n in range(bound)]
+    for fi in images:
+        target._check_index(fi)
     out = CeerTable(bound)
-    stages = sorted(set(target.stages()) | {0})
-    emitted: set[tuple[int, int]] = set()
-    for s in stages:
+    for s in sorted(set(target.stages()) | {0}):
         roots = target.roots_at(s)
-        for i in range(bound):
-            fi = f(i)
-            target._check_index(fi)
-            for j in range(i + 1, bound):
-                if (i, j) in emitted:
-                    continue
-                if roots[fi] == roots[f(j)]:
-                    out.assert_pair(i, j, s)
-                    emitted.add((i, j))
+        first: dict[int, int] = {}
+        for i, fi in enumerate(images):
+            j = first.setdefault(roots[fi], i)
+            if not out.related(j, i, s):
+                out.assert_pair(j, i, s)
     return out
 
 

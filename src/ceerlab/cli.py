@@ -35,7 +35,7 @@ from .groups import (
     validate_relation_stream,
 )
 from .indexset import SugResult
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, parse_epsilon
 from .sigma3 import Sigma3Result
 from .star import StarResult, level_letters, level_words_equal_at
 
@@ -127,9 +127,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if args.epsilon is not None:
         try:
-            overrides["epsilon"] = Fraction(args.epsilon)
-        except (ValueError, ZeroDivisionError):
-            print(f"error: bad epsilon {args.epsilon!r}", file=sys.stderr)
+            overrides["epsilon"] = parse_epsilon(args.epsilon)
+        except ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
         result = scenario.run(overrides)

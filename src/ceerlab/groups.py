@@ -28,7 +28,6 @@ __all__ = [
     "word_to_exponents",
     "CyclicFactor",
     "StagedAbelianFactor",
-    "CeerModuleFactor",
     "FreeProduct",
     "FreeProductWord",
     "fp_reduce",
@@ -168,45 +167,6 @@ class StagedAbelianFactor:
         return not self.canon(elem)
 
 
-class CeerModuleFactor:
-    """A CeerModuleGroup frozen at one stage, as a factor group.
-
-    Elements are words over the g_k: any iterable of indices or
-    (index, exponent) pairs; only parity per ceer class survives.
-    """
-
-    def __init__(self, group: "CeerModuleGroup", stage: int):
-        self.group = group
-        self.stage = stage
-
-    def identity(self) -> tuple:
-        return ()
-
-    def canon(self, elem) -> frozenset[int]:
-        return z2_module_wp(self.group, _as_module_word(elem), self.stage)
-
-    def mul(self, a, b) -> tuple:
-        return tuple(_as_module_word(a)) + tuple(_as_module_word(b))
-
-    def inv(self, a) -> tuple:
-        return tuple(_as_module_word(a))
-
-    def is_identity(self, elem) -> bool:
-        return not self.canon(elem)
-
-
-def _as_module_word(elem) -> list[tuple[int, int]]:
-    if isinstance(elem, frozenset):
-        return [(k, 1) for k in sorted(elem)]
-    out = []
-    for item in elem:
-        if isinstance(item, tuple):
-            out.append(item)
-        else:
-            out.append((item, 1))
-    return out
-
-
 # -- free products ------------------------------------------------------------
 
 
@@ -333,11 +293,14 @@ class CeerModuleGroup:
     ceer: CeerTable
 
     def class_rep(self, k: int, stage: int) -> int:
-        if k < 0:
-            raise ValueError("generator index must be nonnegative")
-        if k < self.ceer.bound:
-            return self.ceer.roots_at(stage)[k]
-        return k
+        return _class_rep(self.ceer.roots_at(stage), k)
+
+
+def _class_rep(roots: Sequence[int], k: int) -> int:
+    """Least member of k's class, given the roots_at snapshot of the ceer."""
+    if k < 0:
+        raise ValueError("generator index must be nonnegative")
+    return roots[k] if k < len(roots) else k
 
 
 def z2_module_wp(
@@ -350,10 +313,11 @@ def z2_module_wp(
     The word is the identity iff the set is empty.  Monotone in stage:
     classes only merge, so canonical sets only coarsen toward empty.
     """
+    roots = group.ceer.roots_at(stage)
     parity: dict[int, int] = {}
     for item in word:
         k, exp = item if isinstance(item, tuple) else (item, 1)
-        rep = group.class_rep(k, stage)
+        rep = _class_rep(roots, k)
         parity[rep] = parity.get(rep, 0) ^ (exp & 1)
     return frozenset(rep for rep, odd in parity.items() if odd)
 

@@ -149,6 +149,17 @@ _INT_PARAMS = {"stages", "maxdeg", "modulus", "unit_exponent", "base",
                "levels", "ubound", "coded_bound"}
 
 
+def parse_epsilon(text: str) -> Fraction:
+    """The sparsity parameter: a rational in (0, 1]."""
+    try:
+        epsilon = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ScenarioError(f"bad epsilon {text!r}") from None
+    if not 0 < epsilon <= 1:
+        raise ScenarioError(f"bad epsilon {text!r}: must lie in (0, 1]")
+    return epsilon
+
+
 def _coerce_params(params: dict[str, str]) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for key, value in params.items():
@@ -159,10 +170,7 @@ def _coerce_params(params: dict[str, str]) -> dict[str, Any]:
                 raise ScenarioError(f"parameter {key} must be an integer, "
                                     f"got {value!r}") from None
         elif key == "epsilon":
-            try:
-                out[key] = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise ScenarioError(f"bad epsilon {value!r}") from None
+            out[key] = parse_epsilon(value)
         else:
             out[key] = value
     return out

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -123,6 +124,57 @@ def test_related_matches_closure_oracle():
                     assert t.related(a, b, s) == oracle.related(a, b, s)
 
 
+def oracle_roots(oracle: StagedClosure, stage: int) -> list[int]:
+    """Least member of each index's oracle class at the stage."""
+    return [next(m for m in range(oracle.bound) if oracle.related(n, m, stage))
+            for n in range(oracle.bound)]
+
+
+def test_interleaved_writes_and_reads_match_oracle():
+    # Reads at earlier, equal and later stages between writes, with
+    # repeated stages so that a write can land at a stage already read.
+    rng = random.Random(23)
+    for trial in range(60):
+        bound = rng.randint(1, 12)
+        t = CeerTable(bound=bound)
+        stage = 0
+        for _ in range(rng.randint(0, 16)):
+            stage += rng.randint(0, 3)
+            t.assert_pair(rng.randrange(bound), rng.randrange(bound), stage)
+            oracle = closure_of(t)
+            for s in (rng.randint(0, stage), stage, stage + rng.randint(1, 3)):
+                roots = oracle_roots(oracle, s)
+                assert t.roots_at(s) == tuple(roots), (trial, s)
+                classes: dict[int, list[int]] = {}
+                for n, r in enumerate(roots):
+                    classes.setdefault(r, []).append(n)
+                assert t.classes_at(s) == [classes[r] for r in sorted(classes)]
+                for a in range(bound):
+                    for b in range(bound):
+                        assert t.related(a, b, s) == oracle.related(a, b, s)
+            a, b = rng.randrange(bound), rng.randrange(bound)
+            expected = 0 if a == b else next(
+                (s for s in t.stages() if oracle.related(a, b, s)), None)
+            assert t.first_related_stage(a, b) == expected, (trial, a, b)
+
+
+def test_cold_reads_keep_no_per_stage_memory():
+    rng = random.Random(31)
+    bound = 20_000
+    t = CeerTable(bound=bound)
+    for k in range(2000):
+        t.assert_pair(rng.randrange(bound), rng.randrange(bound), k // 5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for s in range(0, 400, 2):
+            t.related(rng.randrange(bound), rng.randrange(bound), s)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1 << 20
+
+
 def test_dump_load_round_trip():
     rng = random.Random(3)
     t = random_table(rng, bound=10, n_pairs=8, max_stage=20)
@@ -218,6 +270,18 @@ def test_pullback_is_reduction():
         report = verify_reduction(fn, pulled, target, 12, pulled.last_stage)
         assert report.ok
         assert not report.unaligned_so_far
+
+
+def test_product_and_pullback_emit_one_pair_per_merge():
+    rng = random.Random(29)
+    for trial in range(8):
+        left = random_table(rng, bound=6, n_pairs=6, max_stage=9)
+        right = random_table(rng, bound=6, n_pairs=6, max_stage=9)
+        target = random_table(rng, bound=8, n_pairs=6, max_stage=12)
+        fn = ReductionFn({n: (rng.randrange(8), 0) for n in range(12)}, 12)
+        for out in (product(left, right), pullback(fn, target)):
+            merges = out.bound - len(out.classes_at(out.last_stage))
+            assert len(out.pairs) == merges, (trial, out)
 
 
 def test_pullback_partiality():

@@ -90,6 +90,25 @@ def test_run_bad_epsilon(tiny_scenario, capsys):
     assert "bad epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["flag", "scenario"])
+@pytest.mark.parametrize("epsilon", ["3/2", "0", "-1/4"])
+def test_run_epsilon_out_of_range(epsilon, route, tmp_path, capsys):
+    scenario, flags = shipped("dark-ring-basic.txt"), [f"--epsilon={epsilon}"]
+    if route == "scenario":
+        text = open(scenario).read()
+        assert "\nepsilon = 1/4\n" in text
+        scenario, flags = str(tmp_path / "dark.txt"), []
+        open(scenario, "w").write(
+            text.replace("\nepsilon = 1/4\n", f"\nepsilon = {epsilon}\n"))
+    out = tmp_path / "dark.jsonl"
+    rc = main(["run", scenario, *flags, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"bad epsilon {epsilon!r}: must lie in (0, 1]" in err
+    assert not out.exists()
+
+
 def test_run_reports_audit_failure_with_exit_one(tmp_path, capsys):
     out = str(tmp_path / "dark.jsonl")
     rc = main([
