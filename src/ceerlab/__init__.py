@@ -32,11 +32,9 @@ from .algebra import (
     decode_padded,
     gs_audit,
     homogeneous_components,
-    ideal_degree_basis,
     member,
     monomial_to_unit_word,
     pad_presentation,
-    poly_mul,
     quotient_dim,
     quotient_reduce,
     unit_inverse_poly,

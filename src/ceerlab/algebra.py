@@ -3,11 +3,19 @@
 Monomials are words in x and y packed into (degree, code) with the first
 letter in the most significant bit, so that numeric code order is
 lexicographic order with x < y and the degree-k monomials enumerate as
-codes 0 .. 2^k - 1.  A two-sided ideal generated by homogeneous elements
-is represented degree by degree through row-reduced spanning sets of the
-shifted generators u*h*v; bases are cached per degree and extended
-incrementally when generators arrive, so adding a degree-d generator
-only touches degrees >= d.
+codes 0 .. 2^k - 1.
+
+A two-sided ideal generated by homogeneous elements is held as its
+noncommutative Groebner basis (Bergman's diamond lemma), truncated at the
+highest degree a query has needed so far and completed lazily, degree by
+degree.  Words of one degree are ordered by code with the smaller code
+leading; the order is multiplicative, so the leading words of each slice
+are the pivots of its echelon form, and rewriting a polynomial smallest
+term first gives its unique normal form on the standard words (those
+holding no leading word as a factor).  Membership is a zero normal form,
+quotient dimensions count standard words, and first_nonmember finds the
+least word with a nonzero normal form.  A generator that arrives at or
+below the completed degree drops the basis from its degree up.
 
 Everything here works below an explicit degree horizon (maxdeg); asking
 past the horizon raises rather than silently answering on a truncation.
@@ -16,8 +24,10 @@ The Golod-Shafarevich audit is carried out in exact rational arithmetic.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -26,10 +36,8 @@ __all__ = [
     "Monomial",
     "MONOMIAL_ONE",
     "Poly",
-    "poly_mul",
     "homogeneous_components",
     "HomogeneousIdeal",
-    "ideal_degree_basis",
     "member",
     "quotient_dim",
     "quotient_reduce",
@@ -286,10 +294,6 @@ class Poly:
         return cls(p, out)
 
 
-def poly_mul(u: Poly, v: Poly) -> Poly:
-    return u * v
-
-
 def homogeneous_components(f: Poly) -> dict[int, Poly]:
     return f.homogeneous_components()
 
@@ -297,56 +301,18 @@ def homogeneous_components(f: Poly) -> dict[int, Poly]:
 # -- ideal machinery ----------------------------------------------------
 
 
-class _DegreeBasis:
-    """Row-reduced span of one homogeneous slice, rows as sparse dicts.
-
-    The pivot of a row is its least code; stored rows never contain an
-    older pivot, so reducing a vector by repeatedly cancelling its least
-    pivot code terminates and yields the unique normal form supported on
-    non-pivot codes.
-    """
-
-    __slots__ = ("p", "rows")
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: dict[int, dict[int, int]] = {}
-
-    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        vec = {c: v % self.p for c, v in vec.items() if v % self.p}
-        while True:
-            hits = vec.keys() & self.rows.keys()
-            if not hits:
-                return vec
-            c = min(hits)
-            coef = vec[c]
-            for code, rc in self.rows[c].items():
-                nv = (vec.get(code, 0) - coef * rc) % self.p
-                if nv:
-                    vec[code] = nv
-                else:
-                    vec.pop(code, None)
-        # unreachable
-
-    def insert(self, vec: dict[int, int]) -> bool:
-        r = self.reduce(vec)
-        if not r:
-            return False
-        piv = min(r)
-        inv = pow(r[piv], -1, self.p)
-        self.rows[piv] = {c: (v * inv) % self.p for c, v in r.items()}
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 class HomogeneousIdeal:
     """Two-sided ideal of F generated by homogeneous elements.
 
     Generators may have any degree; queries are served only up to maxdeg
     (the degree horizon) and raise HorizonError beyond it.
+
+    The ideal is held as its Groebner basis completed up to degree _done:
+    _rows[d] maps the leading code of each monic degree-d row to its tail,
+    stored negated as (code, coefficient) pairs, so a word holding the
+    leading word as a factor rewrites to the tail shifted into place.  One
+    Aho-Corasick automaton over all leading words (_delta, with _out naming
+    the row whose leading word ends at a state) serves the factor test.
     """
 
     def __init__(self, p: int = 2, maxdeg: int = 16, generators: Iterable[Poly] = ()):
@@ -357,8 +323,10 @@ class HomogeneousIdeal:
         self.p = p
         self.maxdeg = maxdeg
         self._gens: list[Poly] = []
-        self._bases: dict[int, _DegreeBasis] = {}
-        self._folded: dict[int, int] = {}
+        self._gen_vecs: dict[int, list[dict[int, int]]] = {}
+        self._rows: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+        self._done = -1
+        self._build_automaton()
         for g in generators:
             self.add_generator(g)
 
@@ -386,70 +354,203 @@ class HomogeneousIdeal:
         if not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
         self._gens.append(g)
+        d = g.degree()
+        self._gen_vecs.setdefault(d, []).append({m.code: c for m, c in g.coeffs.items()})
+        if d <= self._done:
+            # rows from degree d up may be stale: complete again from there
+            for k in range(d, self._done + 1):
+                self._rows.pop(k, None)
+            self._done = d - 1
+            self._build_automaton()
 
     def has_monomial_generator(self, m: Monomial) -> bool:
         target = Poly.monomial(m, self.p)
         return any(g == target for g in self._gens)
 
-    def _basis(self, k: int) -> _DegreeBasis:
+    # -- completion -------------------------------------------------------
+
+    def _complete(self, k: int) -> None:
+        """Extend the basis degree by degree until it is complete up to k."""
         if k > self.maxdeg:
             raise HorizonError(f"degree {k} beyond horizon {self.maxdeg}")
         if k < 0:
             raise ValueError("degree must be nonnegative")
-        basis = self._bases.get(k)
-        if basis is None:
-            basis = self._bases[k] = _DegreeBasis(self.p)
-        start = self._folded.get(k, 0)
-        if start < len(self._gens):
-            for g in self._gens[start:]:
-                d = g.degree()
-                if d > k:
-                    continue
-                for a in range(k - d + 1):
-                    b = k - d - a
-                    for ucode in range(1 << a):
-                        u = Monomial(a, ucode)
-                        shifted = {
-                            (u * m): c for m, c in g.coeffs.items()
-                        }
-                        for vcode in range(1 << b):
-                            v = Monomial(b, vcode)
-                            vec = {
-                                ((m * v).code): c for m, c in shifted.items()
-                            }
-                            basis.insert(vec)
-            self._folded[k] = len(self._gens)
-        return basis
+        while self._done < k:
+            d = self._done + 1
+            rows: dict[int, tuple[tuple[int, int], ...]] = {}
+            for vec in self._gen_vecs.get(d, []) + self._overlaps(d):
+                vec = {c: v % self.p for c, v in vec.items() if v % self.p}
+                r = self._nf(vec, d, top=rows)
+                if r:
+                    lead = min(r)
+                    scale = -pow(r.pop(lead), -1, self.p)
+                    rows[lead] = tuple((c, v * scale % self.p) for c, v in r.items())
+            self._done = d
+            if rows:
+                self._rows[d] = rows
+                self._build_automaton()
 
-    def degree_basis(self, k: int) -> list[Poly]:
-        """Echelon basis of the degree-k slice, rows sorted by pivot."""
-        basis = self._basis(k)
+    def _overlaps(self, d: int) -> list[dict[int, int]]:
+        """S-polynomials of degree d.
+
+        They come only from overlaps: a proper suffix of leading word A
+        equal to a proper prefix of leading word B, with A*r2 = r1*B of
+        degree d, giving S = f_A*r2 - r1*f_B.  The leading words contain
+        none of one another, so there are no inclusions to resolve.
+        """
+        rows = [(a, lead, tail) for a, by_lead in self._rows.items()
+                for lead, tail in by_lead.items()]
         out = []
-        for piv in sorted(basis.rows):
-            row = basis.rows[piv]
-            out.append(Poly(self.p, {Monomial(k, c): v for c, v in row.items()}))
+        for a, lead_a, tail_a in rows:
+            for b, lead_b, tail_b in rows:
+                o = a + b - d
+                if not 0 < o < min(a, b):
+                    continue
+                if lead_a & ((1 << o) - 1) != lead_b >> (b - o):
+                    continue
+                r1 = lead_a >> o
+                w2 = b - o
+                r2 = lead_b & ((1 << w2) - 1)
+                vec: dict[int, int] = {}
+                for c, v in tail_a:
+                    key = (c << w2) | r2
+                    vec[key] = vec.get(key, 0) - v
+                for c, v in tail_b:
+                    key = (r1 << b) | c
+                    vec[key] = vec.get(key, 0) + v
+                out.append(vec)
         return out
 
+    def _build_automaton(self) -> None:
+        """Aho-Corasick automaton over the leading words, letters MSB first."""
+        child = [[0, 0]]
+        out: list[tuple[int, tuple[tuple[int, int], ...]] | None] = [None]
+        for length, by_lead in self._rows.items():
+            for lead, tail in by_lead.items():
+                s = 0
+                for j in range(length - 1, -1, -1):
+                    b = (lead >> j) & 1
+                    if not child[s][b]:
+                        child[s][b] = len(child)
+                        child.append([0, 0])
+                        out.append(None)
+                    s = child[s][b]
+                out[s] = (length, tail)
+        delta = [0] * (2 * len(child))
+        fail = [0] * len(child)
+        queue = deque([0])
+        while queue:
+            s = queue.popleft()
+            for b in (0, 1):
+                t = child[s][b]
+                if t:
+                    fail[t] = delta[2 * fail[s] + b] if s else 0
+                    if out[t] is None:
+                        # leading words contain none of one another, so at
+                        # most one of them ends at any state
+                        out[t] = out[fail[t]]
+                    delta[2 * s + b] = t
+                    queue.append(t)
+                else:
+                    delta[2 * s + b] = delta[2 * fail[s] + b] if s else 0
+        self._delta = delta
+        self._out = out
+
+    # -- rewriting --------------------------------------------------------
+
+    def _nf(self, vec: dict[int, int], k: int, stop: bool = False,
+            top: Mapping[int, tuple[tuple[int, int], ...]] | None = None
+            ) -> dict[int, int]:
+        """Normal form of a degree-k vector of code -> coefficient.
+
+        vec holds nonzero coefficients reduced mod p and is rewritten in
+        place.  The smallest reducible code is rewritten first; a rewrite
+        only brings in larger codes, so one pass leaves the unique
+        combination of standard words congruent to vec.  With stop, return
+        as soon as a standard term is sure to survive (a partial, nonzero
+        result).  top holds the degree-k rows of a completion in progress.
+        """
+        p = self.p
+        heap = list(vec)
+        heapify(heap)
+        delta, out = self._delta, self._out
+        while heap:
+            c = heappop(heap)
+            coef = vec.get(c)
+            if coef is None:
+                continue
+            if top and c in top:
+                length, tail, shift = k, top[c], 0
+            else:
+                r, shift, state = out[0], k, 0
+                while r is None and shift:
+                    shift -= 1
+                    state = delta[(state << 1) | ((c >> shift) & 1)]
+                    r = out[state]
+                if r is None:
+                    if stop:
+                        return {c: coef}
+                    continue
+                length, tail = r
+            del vec[c]
+            head = (c >> (shift + length)) << (shift + length)
+            low = c & ((1 << shift) - 1)
+            for tc, tv in tail:
+                key = head | (tc << shift) | low
+                nv = (vec.get(key, 0) + coef * tv) % p
+                if not nv:
+                    del vec[key]
+                else:
+                    if key not in vec:
+                        heappush(heap, key)
+                    vec[key] = nv
+        return vec
+
+    @staticmethod
+    def _components(f: Poly) -> dict[int, dict[int, int]]:
+        """f's homogeneous components as code -> coefficient maps."""
+        comps: dict[int, dict[int, int]] = {}
+        for m, c in f.coeffs.items():
+            comp = comps.get(m.deg)
+            if comp is None:
+                comp = comps[m.deg] = {}
+            comp[m.code] = c
+        return comps
+
+    # -- queries ----------------------------------------------------------
+
     def reduce_component(self, f: Poly, k: int) -> Poly:
-        vec = {m.code: c for m, c in f.coeffs.items()}
-        red = self._basis(k).reduce(vec)
+        self._complete(k)
+        red = self._nf({m.code: c for m, c in f.coeffs.items()}, k)
         return Poly(self.p, {Monomial(k, c): v for c, v in red.items()})
 
     def member(self, f: Poly) -> bool:
         if f.p != self.p:
             raise ValueError(f"modulus mismatch: {f.p} vs {self.p}")
-        d = f.degree()
-        if d is None:
+        comps = self._components(f)
+        if not comps:
             return True
-        if d > self.maxdeg:
-            raise HorizonError(f"degree {d} beyond horizon {self.maxdeg}")
-        for k, comp in f.homogeneous_components().items():
-            if not self.reduce_component(comp, k).is_zero():
+        d = max(comps)
+        if d > self._done:
+            self._complete(d)
+        for k, vec in comps.items():
+            if self._nf(vec, k, stop=True):
                 return False
         return True
 
     def quotient_dim(self, k: int) -> int:
-        return (1 << k) - self._basis(k).rank
+        """Number of standard words of degree k, counted through the automaton."""
+        self._complete(k)
+        delta, out = self._delta, self._out
+        counts = {0: 1} if out[0] is None else {}
+        for _ in range(k):
+            nxt: dict[int, int] = {}
+            for s, n in counts.items():
+                for t in (delta[2 * s], delta[2 * s + 1]):
+                    if out[t] is None:
+                        nxt[t] = nxt.get(t, 0) + n
+            counts = nxt
+        return sum(counts.values())
 
     def quotient_reduce(self, f: Poly, horizon: int | None = None) -> Poly:
         """Canonical representative of f in F/(I + F_{>horizon})."""
@@ -457,16 +558,41 @@ class HomogeneousIdeal:
             horizon = self.maxdeg
         if horizon > self.maxdeg:
             raise HorizonError(f"degree {horizon} beyond horizon {self.maxdeg}")
-        out = Poly.zero(self.p)
-        for k, comp in f.homogeneous_components().items():
-            if k > horizon:
-                continue
-            out = out + self.reduce_component(comp, k)
-        return out
+        comps = {k: vec for k, vec in self._components(f).items() if k <= horizon}
+        if comps:
+            self._complete(max(comps))
+        out = {}
+        for k, vec in comps.items():
+            for c, v in self._nf(vec, k).items():
+                out[Monomial(k, c)] = v
+        return Poly(self.p, out)
 
+    def first_nonmember(self, k: int) -> Monomial | None:
+        """The degree-k monomial of least code outside the ideal, or None.
 
-def ideal_degree_basis(ideal: HomogeneousIdeal, k: int) -> list[Poly]:
-    return ideal.degree_basis(k)
+        Outside means a nonzero normal form, which a word may have without
+        being standard: in (x^11 + x^10 y), x^11 leads yet reduces to
+        -x^10 y.  A word holding the leading word of a monomial row is a
+        member together with every word sharing its prefix through that
+        occurrence, so the walk skips that whole block of codes.
+        """
+        self._complete(k)
+        delta, out = self._delta, self._out
+        code, end = 0, 1 << k
+        while code < end:
+            # the earliest-ending occurrence of a monomial row, if any
+            r, shift, state = out[0], k, 0
+            while (r is None or r[1]) and shift:
+                shift -= 1
+                state = delta[(state << 1) | ((code >> shift) & 1)]
+                r = out[state]
+            if r is not None and not r[1]:
+                code = ((code >> shift) + 1) << shift
+            elif self._nf({code: 1}, k, stop=True):
+                return Monomial(k, code)
+            else:
+                code += 1
+        return None
 
 
 def member(ideal: HomogeneousIdeal, f: Poly) -> bool:

@@ -22,6 +22,7 @@ tuple.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -62,6 +63,7 @@ class StageSet:
 
     def __init__(self, entries: Iterable[tuple[Any, int]] = ()):
         self._entries: list[tuple[Any, int]] = []
+        self._stages: list[int] = []  # parallel to _entries, for bisect
         for value, stage in entries:
             self.add(value, stage)
 
@@ -72,21 +74,23 @@ class StageSet:
         return cls((value, stage) for _, (value, stage) in ordered)
 
     def add(self, value: Any, stage: int) -> None:
-        if self._entries and stage < self._entries[-1][1]:
+        if self._stages and stage < self._stages[-1]:
             raise StageRegressionError(
-                f"entry at stage {stage} after stage {self._entries[-1][1]}"
+                f"entry at stage {stage} after stage {self._stages[-1]}"
             )
         self._entries.append((value, stage))
+        self._stages.append(stage)
 
     def entries(self) -> tuple[tuple[Any, int], ...]:
         return tuple(self._entries)
 
+    def __getitem__(self, i: int) -> tuple[Any, int]:
+        return self._entries[i]
+
     def at_stage(self, stage: int) -> list[Any]:
         seen = set()
         out = []
-        for value, s in self._entries:
-            if s > stage:
-                break
+        for value, _ in self._entries[:bisect_right(self._stages, stage)]:
             if value not in seen:
                 seen.add(value)
                 out.append(value)
@@ -94,12 +98,7 @@ class StageSet:
 
     def count_at(self, stage: int) -> int:
         """Number of raw entries (including repeats) visible by stage."""
-        n = 0
-        for _, s in self._entries:
-            if s > stage:
-                break
-            n += 1
-        return n
+        return bisect_right(self._stages, stage)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -35,13 +35,16 @@ from .groups import (
     validate_relation_stream,
 )
 from .indexset import SugResult
-from .scenario import ScenarioError, load_scenario, parse_epsilon
+from .scenario import ScenarioError, check_maxdeg, load_scenario, parse_epsilon
 from .sigma3 import Sigma3Result
 from .star import StarResult, level_letters, level_words_equal_at
 
 __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
 
 SUITES = ("triangularity", "level-census", "vi-vs-U", "membership")
+
+# A table costs memory linear in its bound: about 70 MB peak RSS at the ceiling.
+PROBE_BOUND_CEILING = 1_000_000
 
 _STAR_LOGS = ("star-universal",)
 _DARK_LOGS = ("dark-ring", "dark-group")
@@ -125,12 +128,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         "modulus": args.modulus,
         "unit_exponent": args.unit_exponent,
     }
-    if args.epsilon is not None:
-        try:
+    try:
+        if args.epsilon is not None:
             overrides["epsilon"] = parse_epsilon(args.epsilon)
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        if args.maxdeg is not None:
+            check_maxdeg(args.maxdeg)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         result = scenario.run(overrides)
     except (ScenarioError, ValueError) as exc:
@@ -466,6 +471,10 @@ def _parse_map(text: str) -> ReductionFn:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
+    if args.bound is not None and args.bound > PROBE_BOUND_CEILING:
+        print(f"error: --bound {args.bound} exceeds the ceiling "
+              f"{PROBE_BOUND_CEILING}", file=sys.stderr)
+        return 2
     try:
         table = _load_table(args.dump, args.bound)
     except (OSError, ValueError, KeyError) as exc:

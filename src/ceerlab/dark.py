@@ -74,15 +74,6 @@ class _DarkState:
             )
         return k
 
-    def first_nonmember_monomial(self, k: int) -> Monomial:
-        for code in range(1 << k):
-            m = Monomial(k, code)
-            if not self.ideal.reduce_component(Poly.monomial(m, self.ideal.p), k).is_zero():
-                return m
-        raise RuntimeError(
-            f"no monomial of degree {k} survives the ideal; relation budget was broken"
-        )
-
 
 class _LightReq(Requirement):
     """Bank one fresh surviving monomial per trigger entry; protect its degree."""
@@ -107,7 +98,11 @@ class _LightReq(Requirement):
     def act(self, stage: int) -> dict[str, Any]:
         self.consumed += 1
         k = self.state.fresh_degree()
-        m = self.state.first_nonmember_monomial(k)
+        m = self.state.ideal.first_nonmember(k)
+        if m is None:
+            raise RuntimeError(
+                f"no monomial of degree {k} survives the ideal; relation budget was broken"
+            )
         self.protected.append(k)
         self.state.max_used_degree = max(self.state.max_used_degree, k)
         if self.state.mode == "group":
@@ -166,11 +161,10 @@ class _CollapseReq(Requirement):
             self._found = None
         if self._found is not None:
             return True
-        entries = self.column.entries()
         avail = self.column.count_at(stage)
         while self._scanned < avail:
             idx = self._scanned
-            poly = entries[idx][0]
+            poly = self.column[idx][0]
             self._scanned += 1
             canon = self.state.ideal.quotient_reduce(poly, k_s)
             prev = self._canon_seen.get(canon)
@@ -183,9 +177,8 @@ class _CollapseReq(Requirement):
 
     def act(self, stage: int) -> dict[str, Any]:
         i, j, k_s = self._found
-        entries = self.column.entries()
-        f = entries[i][0]
-        g = entries[j][0]
+        f = self.column[i][0]
+        g = self.column[j][0]
         diff = f - g
         added: list[Poly] = []
         for d, comp in diff.homogeneous_components().items():

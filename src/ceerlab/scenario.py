@@ -149,6 +149,18 @@ _INT_PARAMS = {"stages", "maxdeg", "modulus", "unit_exponent", "base",
                "levels", "ubound", "coded_bound"}
 
 
+# The degree horizon's ceiling: a work budget on banking degrees, word codes
+# and the per-stage growth audit, all of which grow with the horizon.
+MAXDEG_CEILING = 64
+
+
+def check_maxdeg(maxdeg: int) -> None:
+    """The degree horizon must be an integer in [0, MAXDEG_CEILING]."""
+    if not 0 <= maxdeg <= MAXDEG_CEILING:
+        raise ScenarioError(
+            f"bad maxdeg {maxdeg}: must lie in [0, {MAXDEG_CEILING}]")
+
+
 def parse_epsilon(text: str) -> Fraction:
     """The sparsity parameter: a rational in (0, 1]."""
     try:
@@ -169,6 +181,8 @@ def _coerce_params(params: dict[str, str]) -> dict[str, Any]:
             except ValueError:
                 raise ScenarioError(f"parameter {key} must be an integer, "
                                     f"got {value!r}") from None
+            if key == "maxdeg":
+                check_maxdeg(out[key])
         elif key == "epsilon":
             out[key] = parse_epsilon(value)
         else:

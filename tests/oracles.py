@@ -1,10 +1,11 @@
 """Independent reference computations used by the test suite.
 
 Everything here recomputes expected answers from definitions, using
-different algorithms than the package (dense linear algebra instead of
-sparse echelon bases, full-closure scans instead of incremental
-union-find, repeated-scan word reduction instead of a single stack
-pass).  Tests compare package output against these.
+different algorithms than the package (dense linear algebra and sparse
+per-degree slice echelons instead of a truncated Groebner basis,
+full-closure scans instead of incremental union-find, repeated-scan word
+reduction instead of a single stack pass).  Tests compare package output
+against these.
 """
 from __future__ import annotations
 
@@ -115,6 +116,75 @@ def span_member(poly, generators, p: int) -> bool:
         if not _in_span(vec, _row_reduce(rows, p), p):
             return False
     return True
+
+
+# -- sparse slice echelons (the ideal kernel before the Groebner basis) ---------
+
+
+class SliceEchelon:
+    """Row-reduced span of one homogeneous slice, rows as sparse dicts.
+
+    The pivot of a row is its least code; stored rows never contain an
+    older pivot, so reducing a vector by repeatedly cancelling its least
+    pivot code terminates and yields the unique normal form supported on
+    non-pivot codes.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: dict[int, dict[int, int]] = {}
+
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
+        vec = {c: v % self.p for c, v in vec.items() if v % self.p}
+        while True:
+            hits = vec.keys() & self.rows.keys()
+            if not hits:
+                return vec
+            c = min(hits)
+            coef = vec[c]
+            for code, rc in self.rows[c].items():
+                nv = (vec.get(code, 0) - coef * rc) % self.p
+                if nv:
+                    vec[code] = nv
+                else:
+                    vec.pop(code, None)
+
+    def insert(self, vec: dict[int, int]) -> bool:
+        r = self.reduce(vec)
+        if not r:
+            return False
+        piv = min(r)
+        inv = pow(r[piv], -1, self.p)
+        self.rows[piv] = {c: (v * inv) % self.p for c, v in r.items()}
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def first_nonmember(self, k: int) -> tuple[int, int] | None:
+        """The least degree-k code whose reduction is nonzero, as (deg, code)."""
+        for code in range(1 << k):
+            if self.reduce({code: 1}):
+                return k, code
+        return None
+
+
+def slice_echelon(generators, p: int, k: int) -> SliceEchelon:
+    """The degree-k slice of the two-sided ideal: every shift u*g*v inserted."""
+    basis = SliceEchelon(p)
+    for g in generators:
+        terms = poly_terms(g)
+        d = next(iter(terms))[0]
+        if d > k:
+            continue
+        for left in range(k - d + 1):
+            right = k - d - left
+            for lm in all_monomials(left):
+                for rm in all_monomials(right):
+                    basis.insert({mono_mul(mono_mul(lm, m), rm)[1]: c
+                                  for m, c in terms.items()})
+    return basis
 
 
 # -- brute-force staged equivalence queries ------------------------------------

@@ -20,7 +20,7 @@ from ceerlab.algebra import (
     unit_word_to_poly,
 )
 
-from oracles import gs_bound, mono_mul, span_member
+from oracles import gs_bound, mono_mul, slice_echelon, span_member
 
 
 def random_homogeneous(rng: random.Random, deg: int, p: int) -> Poly:
@@ -250,6 +250,89 @@ def test_quotient_dim_with_single_relator():
     assert ideal.quotient_dim(2) == 3
     # degree 3: shifts x*r, y*r, r*x, r*y are linearly independent
     assert ideal.quotient_dim(3) == 8 - 4
+
+
+def sparse_homogeneous(rng: random.Random, deg: int, p: int, terms: int) -> Poly:
+    return Poly(p, {Monomial(deg, rng.randrange(1 << deg)): rng.randrange(1, p)
+                    for _ in range(terms)})
+
+
+def test_kernel_matches_slice_echelon_oracle_randomized():
+    """Normal forms, membership, quotient dimensions and first nonmembers
+    against the per-degree slice echelons, with generators interleaved
+    between queries.  Every round of queries ends at the horizon, so each
+    later generator arrives below a degree already completed."""
+    rng = random.Random(67)
+    maxdeg = 7
+    seen = {"member": 0, "nonmember": 0, "nonstandard_nonmember": 0}
+    for p in (2, 3, 5, 7):
+        for _ in range(20):
+            ideal = HomogeneousIdeal(p=p, maxdeg=maxdeg)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                g = sparse_homogeneous(rng, rng.randint(2, 5), p, rng.randint(1, 3))
+                ideal.add_generator(g)
+                gens.append(g)
+                for k in rng.sample(range(maxdeg), 2) + [maxdeg]:
+                    oracle = slice_echelon(gens, p, k)
+                    assert ideal.quotient_dim(k) == (1 << k) - oracle.rank
+                    first = ideal.first_nonmember(k)
+                    expect = oracle.first_nonmember(k)
+                    assert (first and (first.deg, first.code)) == expect
+                    if first is not None and first.code in oracle.rows:
+                        seen["nonstandard_nonmember"] += 1
+                    queries = [sparse_homogeneous(rng, k, p, rng.randint(1, 4))
+                               for _ in range(3)]
+                    # members by construction: a two-sided multiple of a generator
+                    g = rng.choice(gens)
+                    if g.degree() <= k:
+                        a = rng.randint(0, k - g.degree())
+                        b = k - g.degree() - a
+                        u = Poly.monomial(Monomial(a, rng.randrange(1 << a)), p)
+                        v = Poly.monomial(Monomial(b, rng.randrange(1 << b)), p)
+                        queries.append(u * g * v)
+                    for f in queries:
+                        nf = oracle.reduce({m.code: c for m, c in f.coeffs.items()})
+                        want = Poly(p, {Monomial(k, c): v for c, v in nf.items()})
+                        assert ideal.quotient_reduce(f) == want
+                        assert ideal.reduce_component(f, k) == want
+                        assert ideal.member(f) == (not nf)
+                        if k <= 5:
+                            assert span_member(f, gens, p) == (not nf)
+                        seen["nonmember" if nf else "member"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_first_nonmember_is_not_the_least_standard_word():
+    # x^11 leads x^11 + x^10 y, yet its normal form -x^10 y is nonzero
+    x11 = Poly.monomial(Monomial.from_word("x" * 11), 3)
+    x10y = Poly.monomial(Monomial.from_word("x" * 10 + "y"), 3)
+    ideal = HomogeneousIdeal(p=3, maxdeg=11, generators=[x11 + x10y])
+    assert ideal.first_nonmember(11) == Monomial.from_word("x" * 11)
+    ideal.add_generator(x11)
+    assert ideal.first_nonmember(11) == Monomial.from_word("x" * 9 + "yx")
+
+
+def test_first_nonmember_and_dim_at_degree_forty():
+    # 2^40 words: only skipping whole blocks of members and counting
+    # through the automaton make this fast
+    ideal = HomogeneousIdeal(p=2, maxdeg=40,
+                             generators=unit_ideal(13, 2).generators)
+    assert ideal.first_nonmember(40) == Monomial.from_word(
+        ("x" * 12 + "y") * 3 + "x")
+    # words with no run of 13 equal letters: two first letters times the
+    # compositions of 40 into parts of at most 12
+    compositions = [1] + [0] * 40
+    for n in range(1, 41):
+        compositions[n] = sum(compositions[n - i] for i in range(1, min(n, 12) + 1))
+    assert ideal.quotient_dim(40) == 2 * compositions[40]
+
+
+def test_first_nonmember_none_when_the_slice_dies():
+    ideal = HomogeneousIdeal(p=2, maxdeg=3, generators=[Poly.x(2), Poly.y(2)])
+    assert ideal.first_nonmember(1) is None
+    assert ideal.first_nonmember(3) is None
+    assert ideal.first_nonmember(0) == Monomial(0, 0)
 
 
 # -- Golod-Shafarevich audit ------------------------------------------------

@@ -109,6 +109,24 @@ def test_run_epsilon_out_of_range(epsilon, route, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["flag", "scenario"])
+@pytest.mark.parametrize("maxdeg", ["65", "1000000", "-1"])
+def test_run_maxdeg_above_ceiling(maxdeg, route, tmp_path, capsys):
+    scenario, flags = shipped("dark-group-basic.txt"), ["--maxdeg", maxdeg]
+    if route == "scenario":
+        text = open(scenario).read()
+        assert "\nmaxdeg = 26\n" in text
+        scenario, flags = str(tmp_path / "dark.txt"), []
+        open(scenario, "w").write(
+            text.replace("\nmaxdeg = 26\n", f"\nmaxdeg = {maxdeg}\n"))
+    out = tmp_path / "dark.jsonl"
+    rc = main(["run", scenario, *flags, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad maxdeg {maxdeg}: must lie in [0, 64]\n"
+    assert not out.exists()
+
+
 def test_run_reports_audit_failure_with_exit_one(tmp_path, capsys):
     out = str(tmp_path / "dark.jsonl")
     rc = main([
@@ -303,6 +321,16 @@ def test_probe_missing_dump(tmp_path, capsys):
     rc = main(["probe", "related", str(tmp_path / "no.jsonl"), "0", "1"])
     assert rc == 2
     assert "cannot read dump" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", [["related", "0", "1"], ["classes"],
+                                 ["pullback", "--map", "0:0"]])
+def test_probe_bound_above_ceiling(sub, dumps, capsys):
+    left, _ = dumps
+    rc = main(["probe", sub[0], left, "--bound", "1000001", *sub[1:]])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --bound 1000001 exceeds the ceiling 1000000\n")
 
 
 def test_probe_empty_map(dumps, capsys):

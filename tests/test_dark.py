@@ -1,10 +1,12 @@
 """Dark quotient constructions: banking, collapse, audit, injury."""
+import json
 from fractions import Fraction
 
 import pytest
 
 from ceerlab.algebra import HorizonError, Monomial, Poly
 from ceerlab.ceers import StageSet
+from ceerlab.cli import main
 from ceerlab.dark import run_dark_group, run_dark_ring
 
 
@@ -238,3 +240,42 @@ def test_collapse_strategy_acts_exactly_once():
     col = StageSet([(y, 1), (y, 1), (y, 2), (y, 3)])
     res = run_dark_ring({}, {0: col}, stages=5, maxdeg=16)
     assert len(res.log.records_for(requirement="D0")) == 1
+
+
+SCALE_GROUP = """\
+construction = dark-group
+stages = 300
+maxdeg = 32
+modulus = 2
+unit_exponent = 13
+epsilon = 1/4
+
+[ucolumn 0]
+mode = steady
+period = 10
+start = 1
+count = 17
+
+[wcolumn 0]
+150: yyyyyyyyyyyyyxyxxyxyxyxyxyxyxy
+160: yyyyyyyyyyyyyyxyyxyxyxyxyxyxyx
+"""
+
+
+def test_dark_group_at_maxdeg_32(tmp_path, capsys):
+    """A dark-group run far past where per-degree slices could be built:
+    17 bankings up to degree 31 and a collapse relator of degree 30."""
+    path = tmp_path / "scale.txt"
+    path.write_text(SCALE_GROUP)
+    first, second = tmp_path / "a.log.jsonl", tmp_path / "b.log.jsonl"
+    assert main(["run", str(path), "--out", str(first)]) == 0
+    assert main(["run", str(path), "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    records = [json.loads(line) for line in first.read_text().splitlines()[1:]]
+    assert [r["relator_degrees"] for r in records
+            if r["action"] == "collapse-pair"] == [[30]]
+    banked = [r["degree"] for r in records if r["action"] == "enumerate-witness"]
+    assert len(banked) == 17 and max(banked) == 31
+    capsys.readouterr()
+    assert main(["verify", str(first), "membership"]) == 0
+    assert "suite membership: PASS" in capsys.readouterr().out
