@@ -31,12 +31,8 @@ from .algebra import (
     Poly,
     decode_padded,
     gs_audit,
-    homogeneous_components,
-    member,
     monomial_to_unit_word,
     pad_presentation,
-    quotient_dim,
-    quotient_reduce,
     unit_inverse_poly,
     unit_word_to_poly,
 )
@@ -54,7 +50,6 @@ from .groups import (
     finite_genset_translate,
     fp_reduce,
     ga_wp,
-    parse_word,
     staged_abelian_wp,
     star_z2_to_star_h,
     validate_relation_stream,

@@ -36,11 +36,7 @@ __all__ = [
     "Monomial",
     "MONOMIAL_ONE",
     "Poly",
-    "homogeneous_components",
     "HomogeneousIdeal",
-    "member",
-    "quotient_dim",
-    "quotient_reduce",
     "GSBudget",
     "GSAuditResult",
     "gs_audit",
@@ -292,10 +288,6 @@ class Poly:
             m = Monomial.from_word("".join(letters))
             out[m] = out.get(m, 0) + sign * coeff
         return cls(p, out)
-
-
-def homogeneous_components(f: Poly) -> dict[int, Poly]:
-    return f.homogeneous_components()
 
 
 # -- ideal machinery ----------------------------------------------------
@@ -593,20 +585,6 @@ class HomogeneousIdeal:
             else:
                 code += 1
         return None
-
-
-def member(ideal: HomogeneousIdeal, f: Poly) -> bool:
-    return ideal.member(f)
-
-
-def quotient_dim(ideal: HomogeneousIdeal, k: int) -> int:
-    return ideal.quotient_dim(k)
-
-
-def quotient_reduce(
-    ideal: HomogeneousIdeal, f: Poly, horizon: int | None = None
-) -> Poly:
-    return ideal.quotient_reduce(f, horizon)
 
 
 # -- Golod-Shafarevich audit ---------------------------------------------

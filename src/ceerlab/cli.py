@@ -16,7 +16,8 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from .algebra import GSBudget, HomogeneousIdeal, Monomial, Poly, gs_audit
+from . import replay
+from .algebra import Monomial, Poly
 from .ceers import (
     CeerTable,
     PartialityError,
@@ -27,17 +28,13 @@ from .ceers import (
     uniform_join,
     verify_reduction,
 )
-from .dark import DarkRunResult
+from .dark import DarkRunResult, growth_audit
 from .engine import RunLog
-from .groups import (
-    StagedPresentation,
-    TriangularityError,
-    validate_relation_stream,
-)
+from .groups import TriangularityError, validate_relation_stream
 from .indexset import SugResult
 from .scenario import ScenarioError, check_maxdeg, load_scenario, parse_epsilon
 from .sigma3 import Sigma3Result
-from .star import StarResult, level_letters, level_words_equal_at
+from .star import StarResult, census_at, level_words_equal_at
 
 __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
 
@@ -156,35 +153,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _collect_relators(stream: list, obj: dict[str, Any]) -> None:
-    stage = obj["stage"]
-    for rel in obj.get("relators", ()):
-        rhs = tuple((int(i), int(e)) for i, e in rel["rhs"])
-        stream.append((int(rel["lhs"]), rhs, stage))
-    for srv in obj.get("served", ()):
-        for rel in srv.get("relators", ()):
-            rhs = tuple((int(i), int(e)) for i, e in rel["rhs"])
-            stream.append((int(rel["lhs"]), rhs, stage))
-
-
-def _relator_streams(log: RunLog) -> dict[str, list]:
-    """Relation streams keyed by presentation (slot id, or 'main')."""
-    streams: dict[str, list] = {}
-    if log.header.get("construction") == "sug-indexset":
-        for rec in log.records:
-            slot = rec.details.get("slot")
-            if slot is None:
-                continue
-            target = streams.setdefault(slot, [])
-            for inner in rec.details.get("inner", ()):
-                _collect_relators(target, inner)
-    else:
-        target = streams.setdefault("main", [])
-        for rec in log.records:
-            _collect_relators(target, rec.to_obj())
-    return streams
-
-
 def _want_constructions(log: RunLog, allowed: tuple[str, ...],
                         suite: str) -> str | None:
     construction = log.header.get("construction", "<missing>")
@@ -201,7 +169,7 @@ def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
         log, ("star-universal", "sug-indexset"), "triangularity")
     if err:
         return False, [f"error: {err}"]
-    streams = _relator_streams(log)
+    streams = replay.relator_streams(log)
     total = sum(len(s) for s in streams.values())
     if total == 0:
         return True, ["warning: no relators in log; triangularity passes "
@@ -219,67 +187,29 @@ def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _universal_from_header(params: dict[str, Any]) -> CeerTable:
-    table = CeerTable(bound=params["universal_bound"])
-    for a, b, s in params["universal"]:
-        table.assert_pair(a, b, s)
-    return table
-
-
-def _census_checkpoints(log: RunLog, stages: int) -> list[int]:
-    pts = {0, stages}
-    pts.update(rec.stage for rec in log.records)
-    return sorted(pts)
-
-
 def _suite_level_census(log: RunLog) -> tuple[bool, list[str]]:
     err = _want_constructions(log, _STAR_LOGS, "level-census")
     if err:
         return False, [f"error: {err}"]
     params = log.header["params"]
-    base, levels, stages = params["base"], params["levels"], params["stages"]
-    uni = _universal_from_header(params)
+    base, levels = params["base"], params["levels"]
+    uni = replay.universal_table(params)
     if not log.records:
         return True, ["warning: empty log; census passes vacuously"]
-    status: dict[int, str] = {}
-    lines: list[str] = []
+    try:
+        pres = replay.star_presentation(log)
+    except (TriangularityError, StageRegressionError) as exc:
+        return False, [f"relation stream rejected: {exc}"]
     ok = True
-
-    def apply(obj: dict[str, Any]) -> None:
-        if obj["action"] == "init-level":
-            for g in level_letters(base, obj["level"]):
-                status[g] = "level"
-        for key, st in (("freed", "free"), ("collapsed", "collapsed"),
-                        ("determined", "determined")):
-            for g in obj.get(key, ()):
-                status[g] = st
-        for rel in obj.get("relators", ()):
-            if obj["action"] == "init-level":
-                status[rel["lhs"]] = "determined"
-        for srv in obj.get("served", ()):
-            for rel in srv.get("relators", ()):
-                status[rel["lhs"]] = "collapsed"
-
+    lines: list[str] = []
     checks = 0
-    records = list(log.records)
-    idx = 0
-    for point in _census_checkpoints(log, stages):
-        while idx < len(records) and records[idx].stage <= point:
-            apply(records[idx].to_obj())
-            idx += 1
-        top = min(levels, uni.bound - 1)
+    points = replay.census_checkpoints(log)
+    for point in points:
         for j in range(levels + 1):
-            least = j
-            if j <= top:
-                for i in range(j):
-                    if uni.related(i, j, point):
-                        least = i
-                        break
-            if least != j:
-                continue
-            count = sum(
-                1 for g in level_letters(base, j) if status.get(g) == "level"
-            )
+            if j < uni.bound and any(uni.related(i, j, point)
+                                     for i in range(j)):
+                continue  # a lower level heads j's class
+            count = census_at(pres, base, j, point)["level"]
             checks += 1
             if count <= base ** j:
                 ok = False
@@ -287,8 +217,7 @@ def _suite_level_census(log: RunLog) -> tuple[bool, list[str]]:
                     f"stage {point}: level {j} holds {count} active "
                     f"generators, needs > {base ** j}"
                 )
-    lines.append(f"{checks} census checks at "
-                 f"{len(_census_checkpoints(log, stages))} checkpoints"
+    lines.append(f"{checks} census checks at {len(points)} checkpoints"
                  + ("" if ok else "; FAILURES above"))
     return ok, lines
 
@@ -298,20 +227,18 @@ def _suite_vi_vs_u(log: RunLog) -> tuple[bool, list[str]]:
     if err:
         return False, [f"error: {err}"]
     params = log.header["params"]
-    base, levels, stages = params["base"], params["levels"], params["stages"]
-    uni = _universal_from_header(params)
+    base, levels = params["base"], params["levels"]
+    uni = replay.universal_table(params)
     if not log.records:
         return True, ["warning: empty log; equivalence suite passes vacuously"]
-    pres = StagedPresentation(ngens=base ** (levels + 1))
     try:
-        for lhs, rhs, stage in _relator_streams(log)["main"]:
-            pres.add_relation(lhs, rhs, stage)
+        pres = replay.star_presentation(log)
     except (TriangularityError, StageRegressionError) as exc:
         return False, [f"relation stream rejected: {exc}"]
     ok = True
     lines: list[str] = []
     checks = 0
-    for point in _census_checkpoints(log, stages):
+    for point in replay.census_checkpoints(log):
         for i in range(levels + 1):
             for j in range(i + 1, levels + 1):
                 eq = level_words_equal_at(pres, base, i, j, point)
@@ -335,9 +262,7 @@ def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
         return False, [f"error: {err}"]
     params = log.header["params"]
     p = params["modulus"]
-    maxdeg = params["maxdeg"]
     epsilon = Fraction(params["epsilon"])
-    ideal = HomogeneousIdeal(p=p, maxdeg=maxdeg)
     protections: dict[str, list[int]] = {}
     witnesses: list[tuple[str, str]] = []
     ok = True
@@ -345,24 +270,9 @@ def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
     if not log.records:
         return True, ["warning: empty log; membership suite passes vacuously"]
 
-    def audit_now(stage: int) -> None:
-        nonlocal ok
-        budget = GSBudget.from_ideal(ideal, epsilon)
-        top = max([maxdeg, 2] + [d for d in budget.counts])
-        verdict = gs_audit(budget, top)
-        if not verdict.ok:
-            ok = False
-            lines.append(
-                f"stage {stage}: growth audit fails at degree "
-                f"{verdict.failed_degree} (count {verdict.count})"
-            )
-
-    for rec in log.records:
-        obj = rec.to_obj()
-        if rec.action == "seed-ideal":
-            for text in obj["relators"]:
-                ideal.add_generator(Poly.parse(text, p))
-        elif rec.action == "enumerate-witness":
+    for rec, ideal in replay.dark_steps(log):
+        obj = rec.details
+        if rec.action == "enumerate-witness":
             poly = Poly.monomial(Monomial.from_word(obj["monomial"]), p)
             if ideal.member(poly):
                 ok = False
@@ -384,14 +294,13 @@ def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
                     f"stage {rec.stage}: {rec.requirement} floor {floor} "
                     f"below protected degree {ceiling}"
                 )
-            for text, deg in zip(obj["relators"], obj["relator_degrees"]):
+            for deg in obj["relator_degrees"]:
                 if deg <= floor or (ceiling and deg <= ceiling):
                     ok = False
                     lines.append(
                         f"stage {rec.stage}: relator of degree {deg} violates "
                         f"floor {floor} / protections {ceiling}"
                     )
-                ideal.add_generator(Poly.parse(text, p))
             witnesses.append((obj["f"], obj["g"]))
         elif rec.action == "gs-failure":
             ok = False
@@ -399,7 +308,13 @@ def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
                          "failure")
         for name in obj.get("reinitialized", ()):
             protections.pop(name, None)
-        audit_now(rec.stage)
+        verdict = growth_audit(ideal, epsilon)
+        if not verdict.ok:
+            ok = False
+            lines.append(
+                f"stage {rec.stage}: growth audit fails at degree "
+                f"{verdict.failed_degree} (count {verdict.count})"
+            )
 
     for f_text, g_text in witnesses:
         diff = Poly.parse(f_text, p) - Poly.parse(g_text, p)
@@ -453,8 +368,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _load_table(path: str, bound: int | None) -> CeerTable:
+    """A dump as a table; the bound its largest index implies must not pass
+    the ceiling, checked before the table is allocated."""
     with open(path) as fh:
-        return CeerTable.load(fh, bound=bound)
+        rows = [json.loads(line) for line in fh if line.strip()]
+    # stable sort by stage; tolerates hand-made files
+    pairs = sorted(((r["a"], r["b"], r["s"]) for r in rows), key=lambda t: t[2])
+    top = max((max(a, b) for a, b, _ in pairs), default=0)
+    if top >= PROBE_BOUND_CEILING:
+        raise ValueError(f"index {top} implies a bound above the ceiling "
+                         f"{PROBE_BOUND_CEILING}")
+    return CeerTable.from_pairs(pairs, top + 1 if bound is None else bound)
 
 
 def _parse_map(text: str) -> ReductionFn:
@@ -463,8 +387,12 @@ def _parse_map(text: str) -> ReductionFn:
         chunk = chunk.strip()
         if not chunk:
             continue
-        n_text, v_text = chunk.split(":")
-        table[int(n_text)] = (int(v_text), 0)
+        n, v = map(int, chunk.split(":"))
+        for x in (n, v):
+            if x >= PROBE_BOUND_CEILING:
+                raise ValueError(f"--map value {x} implies a bound above the "
+                                 f"ceiling {PROBE_BOUND_CEILING}")
+        table[n] = (v, 0)
     if not table:
         raise ValueError("empty map")
     return ReductionFn(table, max(table) + 1)
@@ -477,7 +405,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         return 2
     try:
         table = _load_table(args.dump, args.bound)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         print(f"error: cannot read dump: {exc}", file=sys.stderr)
         return 2
     stage = args.stage if args.stage is not None else table.last_stage
@@ -513,7 +441,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
             report = verify_reduction(fn, table, target, bound, stage)
             print(report.summary())
             return 0 if report.ok else 1
-    except (ValueError, PartialityError, OSError, IndexError) as exc:
+    except (ValueError, PartialityError, OSError, IndexError, KeyError,
+            TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"error: unknown probe subcommand {args.subcommand!r}",
@@ -591,6 +520,3 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     return args.func(args)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

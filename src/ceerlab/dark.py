@@ -28,12 +28,12 @@ from .algebra import (
 from .ceers import StageSet
 from .engine import ConstructionRun, PriorityEngine, Requirement, RunLog
 
-__all__ = ["DarkRunResult", "run_dark_ring", "run_dark_group"]
+__all__ = ["DarkRunResult", "run_dark_ring", "run_dark_group", "growth_audit"]
 
 
 @dataclass
 class DarkRunResult(ConstructionRun):
-    ideal: HomogeneousIdeal = None
+    ideal: HomogeneousIdeal
     transversals: dict[int, list[dict[str, Any]]] = field(default_factory=dict)
     protected: dict[int, list[int]] = field(default_factory=dict)
     witnesses: dict[int, dict[str, Any]] = field(default_factory=dict)
@@ -209,7 +209,8 @@ class _CollapseReq(Requirement):
         pass
 
 
-def _audit(ideal: HomogeneousIdeal, epsilon: Fraction):
+def growth_audit(ideal: HomogeneousIdeal, epsilon: Fraction):
+    """The Golod-Shafarevich audit of the ideal's listed generators."""
     budget = GSBudget.from_ideal(ideal, epsilon)
     top = max([ideal.maxdeg, 2] + list(budget.counts))
     return gs_audit(budget, top)
@@ -252,10 +253,10 @@ def _run_dark(
             state.max_used_degree = max(state.max_used_degree, unit_exponent)
         log.add(0, "init", "init", "seed-ideal", relators=[str(s) for s in seeds])
 
-    def audit_or_abort(stage: int) -> bool:
-        verdict = _audit(ideal, epsilon)
+    def audit_fails(stage: int) -> bool:
+        verdict = growth_audit(ideal, epsilon)
         if verdict.ok:
-            return True
+            return False
         detail = {
             "degree": verdict.failed_degree,
             "count": verdict.count,
@@ -266,9 +267,9 @@ def _run_dark(
             detail["reason"] = verdict.reason
         log.add(stage, "audit", "audit", "gs-failure", **detail)
         result.gs_failure = {"stage": stage, **detail}
-        return False
+        return True
 
-    if not audit_or_abort(0):
+    if audit_fails(0):
         return result
 
     top = max(list(u_columns) + list(w_columns), default=-1)
@@ -276,12 +277,7 @@ def _run_dark(
     for idx in range(top + 1):
         reqs.append(_LightReq(idx, u_columns.get(idx), state, result))
         reqs.append(_CollapseReq(idx, w_columns.get(idx), state, result))
-    engine = PriorityEngine(reqs, log)
-
-    for s in range(1, stages + 1):
-        engine.run_stage(s)
-        if not audit_or_abort(s):
-            break
+    PriorityEngine(reqs, log).run(stages, after_stage=audit_fails)
     return result
 
 

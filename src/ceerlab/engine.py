@@ -175,13 +175,13 @@ class PriorityEngine:
     def run(
         self,
         stages: int,
-        start: int = 1,
-        after_stage: Callable[[int], None] | None = None,
+        after_stage: Callable[[int], bool | None] | None = None,
     ) -> None:
-        for s in range(start, stages + 1):
+        """Run stages 1..stages; stop early once after_stage returns true."""
+        for s in range(1, stages + 1):
             self.run_stage(s)
-            if after_stage is not None:
-                after_stage(s)
+            if after_stage is not None and after_stage(s):
+                return
 
 
 @dataclass

@@ -15,7 +15,6 @@ yet provably trivial".
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -23,9 +22,6 @@ from .ceers import CeerTable, ReductionFn, StageRegressionError, StageSet
 
 __all__ = [
     "TriangularityError",
-    "parse_word",
-    "format_word",
-    "word_to_exponents",
     "CyclicFactor",
     "StagedAbelianFactor",
     "FreeProduct",
@@ -48,48 +44,6 @@ __all__ = [
 
 class TriangularityError(ValueError):
     """A relation stream broke the x_j = w(x_{<j}) discipline."""
-
-
-# -- word token syntax -------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"^([a-zA-Z]+?)(\d+)?(?:\^(-?\d+))?$")
-
-
-def parse_word(text: str) -> list[tuple[str, int | None, int]]:
-    """Parse whitespace-separated tokens like "x3", "x3^-1", "a"."""
-    out = []
-    for tok in text.split():
-        m = _TOKEN_RE.match(tok)
-        if not m:
-            raise ValueError(f"bad word token {tok!r}")
-        letter, idx, exp = m.groups()
-        out.append((letter, int(idx) if idx is not None else None,
-                    int(exp) if exp is not None else 1))
-    return out
-
-
-def format_word(tokens: Iterable[tuple[str, int | None, int]]) -> str:
-    parts = []
-    for letter, idx, exp in tokens:
-        t = letter if idx is None else f"{letter}{idx}"
-        if exp != 1:
-            t += f"^{exp}"
-        parts.append(t)
-    return " ".join(parts)
-
-
-def word_to_exponents(
-    tokens: Iterable[tuple[str, int | None, int]], letter: str = "x"
-) -> dict[int, int]:
-    """Collapse an abelian word's tokens into a sparse exponent vector."""
-    vec: dict[int, int] = {}
-    for name, idx, exp in tokens:
-        if name != letter or idx is None:
-            raise ValueError(f"expected {letter}<index> tokens, got {name!r}")
-        vec[idx] = vec.get(idx, 0) + exp
-        if vec[idx] == 0:
-            del vec[idx]
-    return vec
 
 
 def _to_vec(w: Any) -> dict[int, int]:
@@ -344,17 +298,6 @@ class Relation:
     lhs: int
     rhs: tuple[tuple[int, int], ...]
     stage: int
-    shape: int
-
-    @staticmethod
-    def classify(rhs: tuple[tuple[int, int], ...]) -> int:
-        if not rhs:
-            return 1
-        if len(rhs) == 1 and rhs[0][1] == 1:
-            return 2
-        if len(rhs) == 1 and rhs[0][1] == -1:
-            return 3
-        return 4
 
 
 class StagedPresentation:
@@ -403,7 +346,7 @@ class StagedPresentation:
             raise StageRegressionError(
                 f"relation stage {stage} below last stage {self._last_stage}"
             )
-        rel = Relation(lhs, rhs_t, stage, Relation.classify(rhs_t))
+        rel = Relation(lhs, rhs_t, stage)
         self.relations.append(rel)
         self._by_lhs[lhs] = rel
         self._last_stage = stage
@@ -428,12 +371,6 @@ class StagedPresentation:
 
     def lhs_relation(self, j: int) -> Relation | None:
         return self._by_lhs.get(j)
-
-    def is_lhs(self, j: int) -> bool:
-        return j in self._by_lhs
-
-    def relations_at(self, stage: int) -> list[Relation]:
-        return [r for r in self.relations if r.stage <= stage]
 
     @property
     def last_stage(self) -> int:

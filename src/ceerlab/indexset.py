@@ -46,11 +46,11 @@ class SumFunctionalStub:
 
 @dataclass
 class SugResult(ConstructionRun):
+    coded_universal: CeerTable
     group_slots: dict[str, StarConstruction] = field(default_factory=dict)
     table_slots: dict[str, CeerTable] = field(default_factory=dict)
     assignments: dict[str, str] = field(default_factory=dict)
     restraints: dict[int, tuple[str, ...] | None] = field(default_factory=dict)
-    coded_universal: CeerTable = None
 
 
 class _SlotState:

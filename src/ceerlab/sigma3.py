@@ -22,8 +22,8 @@ __all__ = ["Sigma3Result", "run_sigma3_ceer"]
 
 @dataclass
 class Sigma3Result(ConstructionRun):
-    table: CeerTable = None
-    universal: CeerTable = None
+    table: CeerTable
+    universal: CeerTable
     columns: dict[int, int] = field(default_factory=dict)
     restraints: dict[int, int | None] = field(default_factory=dict)
 

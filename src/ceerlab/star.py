@@ -404,23 +404,16 @@ class _DiagReq(Requirement):
 
 @dataclass
 class StarResult(ConstructionRun):
-    presentation: StagedPresentation = None
-    table: CeerTable = None
-    universal: CeerTable = None
+    presentation: StagedPresentation
+    table: CeerTable
+    universal: CeerTable
     base: int = 10
     levels: int = 1
     collapsed_levels: set[int] = field(default_factory=set)
     free_generators: set[int] = field(default_factory=set)
 
-    def level_word(self, level: int, stage: int) -> FreeProductWord:
-        return _level_word(_ambient(self.presentation, stage),
-                           self.base, level)
-
-    def level_words_equal(self, i: int, j: int, stage: int) -> bool:
-        return level_words_equal_at(self.presentation, self.base, i, j, stage)
-
     def census(self, level: int, stage: int) -> dict[str, int]:
-        return _census(self.presentation, self.base, level, stage)
+        return census_at(self.presentation, self.base, level, stage)
 
 
 def _ambient(pres: StagedPresentation, stage: int) -> FreeProduct:
@@ -447,11 +440,18 @@ def level_words_equal_at(pres: StagedPresentation, base: int, i: int, j: int,
     return (wi.inverse() * wj).reduce().is_identity()
 
 
-def _census(pres: StagedPresentation, base: int, level: int,
-            stage: int) -> dict[str, int]:
+def census_at(pres: StagedPresentation, base: int, level: int,
+              stage: int) -> dict[str, int]:
+    """Status head-count for one level of a presentation at a stage.
+
+    A letter with no status yet (its level was never laid out) is not
+    counted.
+    """
     counts = {"level": 0, "free": 0, "determined": 0, "collapsed": 0}
     for idx in level_letters(base, level):
-        counts[pres.status_at(idx, stage)] += 1
+        status = pres.status_at(idx, stage)
+        if status is not None:
+            counts[status] += 1
     return counts
 
 
@@ -459,8 +459,8 @@ def level_census(run: "StarResult | StarConstruction", level: int,
                  stage: int) -> dict[str, int]:
     """Status head-count for one level at a stage."""
     if isinstance(run, StarConstruction):
-        return _census(run.state.pres, run.base, level, stage)
-    return _census(run.presentation, run.base, level, stage)
+        return census_at(run.state.pres, run.base, level, stage)
+    return census_at(run.presentation, run.base, level, stage)
 
 
 def check_budget(base: int, levels: int) -> None:

@@ -21,9 +21,6 @@ from ceerlab.algebra import (
     Monomial,
     Poly,
     gs_audit,
-    member,
-    quotient_dim,
-    quotient_reduce,
     unit_inverse_poly,
     unit_word_to_poly,
 )
@@ -48,6 +45,7 @@ from ceerlab.groups import (
     z2_module_wp,
 )
 from ceerlab.scenario import load_scenario
+from ceerlab.star import level_words_equal_at
 
 from oracles import StagedClosure, gs_bound, join_related, product_related, span_member
 
@@ -127,7 +125,7 @@ def test_01_membership_matches_span_oracle(capfd):
             probes.append(_random_poly(rng, p, 6, terms=3))
             probes.append(_random_poly(rng, p, 8, terms=2))
             for f in probes:
-                assert member(ideal, f) == span_member(f, gens, p), (
+                assert ideal.member(f) == span_member(f, gens, p), (
                     f"disagreement on trial {trial}: {f}"
                 )
                 compared += 1
@@ -143,7 +141,7 @@ def test_02_slice_dimensions_exact(capfd):
     with criterion(capfd, 2, "free-algebra slice dimensions are exactly 2^k"):
         free = HomogeneousIdeal(p=2, maxdeg=12)
         for k in range(13):
-            assert quotient_dim(free, k) == 1 << k
+            assert free.quotient_dim(k) == 1 << k
         for n in (10, 13):
             gens = [
                 Poly.monomial(Monomial(n, 0), 2),
@@ -151,7 +149,7 @@ def test_02_slice_dimensions_exact(capfd):
             ]
             ideal = HomogeneousIdeal(p=2, maxdeg=n - 1, generators=gens)
             for k in range(n):
-                assert quotient_dim(ideal, k) == 1 << k
+                assert ideal.quotient_dim(k) == 1 << k
 
 
 # -- 3: relator budget audit ----------------------------------------------------
@@ -193,8 +191,8 @@ def test_04_unit_inverse_identity(capfd):
                     leftover = prod - Poly.one(p)
                     # exact in the free algebra: only the degree-n term survives
                     assert set(leftover.homogeneous_components()) <= {n}
-                    assert quotient_reduce(ideal, leftover).is_zero()
-                    assert quotient_reduce(ideal, prod) == Poly.one(p)
+                    assert ideal.quotient_reduce(leftover).is_zero()
+                    assert ideal.quotient_reduce(prod) == Poly.one(p)
 
 
 # -- 5: separator substitution biconditional -------------------------------------
@@ -259,7 +257,7 @@ def test_06_dark_ring_scenario(capfd):
         assert sorted(r.requirement for r in collapses) == ["D0", "D1"]
         assert sorted(result.witnesses) == [0, 1]
         for wit in result.witnesses.values():
-            assert member(result.ideal, wit["f"] - wit["g"])
+            assert result.ideal.member(wit["f"] - wit["g"])
         eps = Fraction(result.params["epsilon"])
         maxdeg = result.params["maxdeg"]
         for stage, counts in _replay_budget_counts(result).items():
@@ -333,10 +331,12 @@ def test_08_star_scenario(capfd):
 
         # (b) levels 0 and 1 carry one word exactly from the collapse stage on
         assert result.universal.pairs == ((0, 1, 5),)
-        equal_at = [s for s in range(stages + 1) if result.level_words_equal(0, 1, s)]
+        pres, base = result.presentation, result.base
+        equal_at = [s for s in range(stages + 1)
+                    if level_words_equal_at(pres, base, 0, 1, s)]
         assert equal_at == list(range(5, stages + 1))
-        assert not result.level_words_equal(0, 2, stages)
-        assert not result.level_words_equal(1, 2, stages)
+        assert not level_words_equal_at(pres, base, 0, 2, stages)
+        assert not level_words_equal_at(pres, base, 1, 2, stages)
 
         # (c) every level that still heads its class keeps > base**j live letters
         uni = result.universal

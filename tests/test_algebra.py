@@ -14,8 +14,6 @@ from ceerlab.algebra import (
     gs_audit,
     monomial_to_unit_word,
     pad_presentation,
-    quotient_dim,
-    quotient_reduce,
     unit_inverse_poly,
     unit_word_to_poly,
 )

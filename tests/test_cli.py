@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -228,6 +229,26 @@ def test_verify_catches_dropped_collapse(tmp_path, capsys):
     assert "suite vi-vs-U: FAIL" in out
 
 
+def test_verify_level_census_flags_a_thin_level(tmp_path, capsys):
+    rows = [json.loads(ln) for ln in
+            open(shipped("star-universal-basic.log.jsonl")).read().splitlines()]
+    assert rows[0]["params"]["base"] == 10
+    tie = next(o for o in rows if o.get("action") == "case-3c")
+    assert (tie["stage"], tie["level"], tie["determined"]) == (1, 2, [996, 997])
+    # level 2 keeps x100..x995 active after the tie-break; retire all but
+    # base**2 of them, which is one too few
+    tie["determined"] += list(range(100, 896))
+    path = tmp_path / "thin.jsonl"
+    path.write_text("\n".join(json.dumps(o) for o in rows) + "\n")
+    rc = main(["verify", str(path), "level-census"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert out[0] == "stage 1: level 2 holds 100 active generators, needs > 100"
+    assert "stage 500: level 2 holds 100 active generators, needs > 100" in out
+    assert out[-2:] == ["16 census checks at 6 checkpoints; FAILURES above",
+                        "suite level-census: FAIL"]
+
+
 def test_verify_catches_floor_violation(tmp_path, capsys):
     src = open(shipped("dark-ring-basic.log.jsonl")).read().splitlines()
     rows = [json.loads(ln) for ln in src]
@@ -331,6 +352,70 @@ def test_probe_bound_above_ceiling(sub, dumps, capsys):
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: --bound 1000001 exceeds the ceiling 1000000\n")
+
+
+def probe_peak(argv):
+    """Exit code and peak traced allocation (bytes) of one probe command."""
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        return rc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("index", [1_000_000, 2_000_000])
+@pytest.mark.parametrize("where", ["dump", "other"])
+def test_probe_dump_index_above_ceiling(index, where, dumps, tmp_path, capsys):
+    left, _ = dumps
+    big = tmp_path / "big.jsonl"
+    big.write_text(json.dumps({"a": 0, "b": index, "s": 1}) + "\n")
+    if where == "dump":
+        argv = ["probe", "related", str(big), "0", "1"]
+        prefix = "error: cannot read dump: "
+    else:
+        argv = ["probe", "product", left, str(big)]
+        prefix = "error: "
+    rc, peak = probe_peak(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"{prefix}index {index} implies a bound above the ceiling 1000000\n")
+    assert peak < 2_000_000  # nothing bound-sized was allocated
+
+
+@pytest.mark.parametrize("sub,fmap", [
+    ("verify-reduction", "0:3000000,1:0"),
+    ("verify-reduction", "1000000:0"),
+    ("pullback", "0:0,2000000:1"),
+])
+def test_probe_map_value_above_ceiling(sub, fmap, dumps, capsys):
+    left, right = dumps
+    argv = ["probe", sub, left] + ([right] if sub == "verify-reduction" else [])
+    rc, peak = probe_peak(argv + ["--map", fmap])
+    assert rc == 2
+    value = max(int(x) for x in re.split("[,:]", fmap))
+    assert capsys.readouterr().err == (
+        f"error: --map value {value} implies a bound above the ceiling "
+        "1000000\n")
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("text,argv,err", [
+    (None, ["related", "{left}", "0", "1", "--bound", "1"],
+     "error: cannot read dump: index 1 out of bound 1"),
+    ('{"a": "x", "b": 3, "s": 1}', ["related", "{bad}", "0", "1"],
+     "error: cannot read dump: "),
+    ('{"a": 0, "s": 1}', ["product", "{left}", "{bad}"], "error: 'b'"),
+], ids=["bound-below-index", "non-integer-index", "other-missing-key"])
+def test_probe_bad_dump_exits_two(text, argv, err, dumps, tmp_path, capsys):
+    left, _ = dumps
+    bad = tmp_path / "bad.jsonl"
+    if text is not None:
+        bad.write_text(text + "\n")
+    rc = main(["probe"] + [a.format(left=left, bad=bad) for a in argv])
+    assert rc == 2
+    out = capsys.readouterr().err
+    assert out.startswith(err) and out.count("\n") == 1, out
 
 
 def test_probe_empty_map(dumps, capsys):

@@ -15,41 +15,16 @@ from ceerlab.groups import (
     WordCoding,
     alternating_word,
     finite_genset_translate,
-    format_word,
     fp_reduce,
     ga_wp,
-    parse_word,
     staged_abelian_wp,
     star_z2_to_star_h,
     validate_relation_stream,
     word_problem_table,
-    word_to_exponents,
     z2_module_wp,
 )
 
 from oracles import scan_reduce
-
-
-# -- word text utilities -----------------------------------------------------
-
-
-def test_parse_format_round_trip():
-    text = "x3 x0^-2 a x7^5"
-    tokens = parse_word(text)
-    assert tokens == [("x", 3, 1), ("x", 0, -2), ("a", None, 1), ("x", 7, 5)]
-    assert format_word(tokens) == text
-
-
-def test_parse_word_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_word("x3^^2")
-
-
-def test_word_to_exponents():
-    vec = word_to_exponents(parse_word("x1 x2^3 x1^-1"))
-    assert vec == {2: 3}
-    with pytest.raises(ValueError):
-        word_to_exponents(parse_word("a"))
 
 
 # -- cyclic factors and free products -----------------------------------------

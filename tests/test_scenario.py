@@ -1,6 +1,7 @@
 """Scenario text format: grammar, coercion, stream modes, runner wiring."""
 import glob
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -339,3 +340,19 @@ def test_shipped_scenarios_parse():
         assert scn.construction in CONSTRUCTIONS
         seen.add(scn.construction)
     assert seen == set(CONSTRUCTIONS)
+
+
+def test_readme_example_parses_and_runs():
+    with open(os.path.join(SCENARIO_DIR, "..", "README.md")) as fh:
+        readme = fh.read()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    scn = parse_scenario(blocks[0])
+    assert scn.construction == "dark-ring"
+    assert [s.params for s in scn.sections_named("wcolumn")] == [
+        {"mode": "monomials", "rate": "32"}]
+    result = scn.run()
+    assert result.gs_failure is None
+    actions = [r.action for r in result.log.records]
+    assert actions.count("enumerate-witness") == 2
+    assert "collapse-pair" in actions

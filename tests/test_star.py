@@ -213,10 +213,10 @@ def test_shipped_timeline_base_ten():
     assert level_census(res, 2, 6) == {
         "level": 896, "free": 0, "determined": 4, "collapsed": 0,
     }
-    assert res.level_words_equal(0, 1, 5)
-    assert not res.level_words_equal(0, 1, 4)
-    assert not res.level_words_equal(0, 2, 6)
-    assert not res.level_words_equal(1, 2, 6)
+    assert level_words_equal_at(res.presentation, res.base, 0, 1, 5)
+    assert not level_words_equal_at(res.presentation, res.base, 0, 1, 4)
+    assert not level_words_equal_at(res.presentation, res.base, 0, 2, 6)
+    assert not level_words_equal_at(res.presentation, res.base, 1, 2, 6)
 
 
 def test_tie_break_strictly_shrinks_the_active_level():
