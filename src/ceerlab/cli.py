@@ -34,7 +34,7 @@ from .groups import TriangularityError, validate_relation_stream
 from .indexset import SugResult
 from .scenario import ScenarioError, check_maxdeg, load_scenario, parse_epsilon
 from .sigma3 import Sigma3Result
-from .star import StarResult, census_at, level_words_equal_at
+from .star import StarResult, census_at, check_size, level_normal_form
 
 __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
 
@@ -164,6 +164,20 @@ def _want_constructions(log: RunLog, allowed: tuple[str, ...],
     return None
 
 
+def _want_star_log(log: RunLog, suite: str) -> str | None:
+    """Why a log is no star log, or why its header's shape is too large;
+    checked before any level's letters are listed."""
+    err = _want_constructions(log, _STAR_LOGS, suite)
+    if err:
+        return err
+    params = log.header["params"]
+    try:
+        check_size(params["base"], params["levels"])
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
     err = _want_constructions(
         log, ("star-universal", "sug-indexset"), "triangularity")
@@ -188,7 +202,7 @@ def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
 
 
 def _suite_level_census(log: RunLog) -> tuple[bool, list[str]]:
-    err = _want_constructions(log, _STAR_LOGS, "level-census")
+    err = _want_star_log(log, "level-census")
     if err:
         return False, [f"error: {err}"]
     params = log.header["params"]
@@ -223,7 +237,7 @@ def _suite_level_census(log: RunLog) -> tuple[bool, list[str]]:
 
 
 def _suite_vi_vs_u(log: RunLog) -> tuple[bool, list[str]]:
-    err = _want_constructions(log, _STAR_LOGS, "vi-vs-U")
+    err = _want_star_log(log, "vi-vs-U")
     if err:
         return False, [f"error: {err}"]
     params = log.header["params"]
@@ -239,9 +253,11 @@ def _suite_vi_vs_u(log: RunLog) -> tuple[bool, list[str]]:
     lines: list[str] = []
     checks = 0
     for point in replay.census_checkpoints(log):
+        forms = [level_normal_form(pres, base, j, point)
+                 for j in range(levels + 1)]
         for i in range(levels + 1):
             for j in range(i + 1, levels + 1):
-                eq = level_words_equal_at(pres, base, i, j, point)
+                eq = forms[i] == forms[j]
                 rel = (max(i, j) < uni.bound) and uni.related(i, j, point)
                 checks += 1
                 if eq != rel:

@@ -100,12 +100,19 @@ class RunLog:
 
     @classmethod
     def loads(cls, text: str) -> "RunLog":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        objs = []
+        for n, ln in enumerate(text.splitlines(), start=1):
+            if ln.strip():
+                try:
+                    objs.append(json.loads(ln))
+                except RecursionError:
+                    raise ValueError(f"log line {n} nests too deeply") from None
+                if not isinstance(objs[-1], dict):
+                    raise ValueError(f"log line {n} is not a JSON object")
+        if not objs:
             raise ValueError("empty log")
-        log = cls(json.loads(lines[0]))
-        for ln in lines[1:]:
-            log.records.append(ActionRecord.from_obj(json.loads(ln)))
+        log = cls(objs[0])
+        log.records.extend(ActionRecord.from_obj(obj) for obj in objs[1:])
         return log
 
     @classmethod

@@ -16,6 +16,7 @@ yet provably trivial".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .ceers import CeerTable, ReductionFn, StageRegressionError, StageSet
@@ -47,7 +48,7 @@ class TriangularityError(ValueError):
 
 
 def _to_vec(w: Any) -> dict[int, int]:
-    if isinstance(w, Mapping):
+    if isinstance(w, dict):
         items = w.items()
     else:
         items = w
@@ -180,19 +181,21 @@ class FreeProductWord:
 def fp_reduce(w: FreeProductWord) -> FreeProductWord:
     """Normal form: canonical syllables, no identities, tags alternating.
 
-    A word equals the factor-product identity iff the result is empty.
+    Each syllable, merged with its left neighbour when they share a tag,
+    is canonicalised once; a factor's canonical form is falsy exactly at
+    its identity.  Normal forms are unique, so two words are equal iff
+    their normal forms are, and a word is the identity iff its normal
+    form is empty.
     """
     prod = w.product
     stack: list[tuple[str, Any]] = []
     for tag, elem in w.syllables:
         factor = prod.factor(tag)
         if stack and stack[-1][0] == tag:
-            merged = factor.mul(stack[-1][1], elem)
-            stack.pop()
-            if not factor.is_identity(merged):
-                stack.append((tag, factor.canon(merged)))
-        elif not factor.is_identity(elem):
-            stack.append((tag, factor.canon(elem)))
+            elem = factor.mul(stack.pop()[1], elem)
+        canon = factor.canon(elem)
+        if canon:
+            stack.append((tag, canon))
     return FreeProductWord(prod, tuple(stack))
 
 
@@ -432,9 +435,12 @@ def staged_abelian_wp(
 ) -> tuple[tuple[int, int], ...]:
     """Canonical exponent vector of w in the stage-s group.
 
-    Substitutes defining relations highest index first; triangularity
-    makes this terminate, and the surviving support contains no stage-s
-    left-hand sides, so equal words have identical canonical vectors.
+    Substitutes defining relations highest index first, popping a max-heap
+    of the support's stage-s left-hand sides.  Right-hand sides mention
+    only smaller indices, so once x_j is popped nothing can bring it back:
+    each generator is substituted at most once.  The surviving support
+    contains no stage-s left-hand sides, so equal words have identical
+    canonical vectors.
     """
     vec = _to_vec(w)
     for idx in vec:
@@ -442,20 +448,25 @@ def staged_abelian_wp(
             raise ValueError(f"word mentions unmaterialized generator x{idx}")
         if idx < 0:
             raise ValueError("generator index must be nonnegative")
-    while True:
-        pending = [
-            j
-            for j in vec
-            if (rel := pres.lhs_relation(j)) is not None and rel.stage <= stage
-        ]
-        if not pending:
-            return tuple(sorted(vec.items()))
-        j = max(pending)
-        exp = vec.pop(j)
-        for i, ri in pres.lhs_relation(j).rhs:
-            vec[i] = vec.get(i, 0) + exp * ri
-            if vec[i] == 0:
+    by_lhs = pres._by_lhs
+    heap = [-j for j in vec
+            if (rel := by_lhs.get(j)) is not None and rel.stage <= stage]
+    heapify(heap)
+    while heap:
+        j = -heappop(heap)
+        exp = vec.pop(j, 0)
+        if not exp:
+            continue  # cancelled, or a second entry for a popped index
+        for i, ri in by_lhs[j].rhs:
+            old = vec.get(i, 0)
+            vec[i] = old + exp * ri
+            if not vec[i]:
                 del vec[i]
+            elif not old:  # x_i enters the support
+                rel = by_lhs.get(i)
+                if rel is not None and rel.stage <= stage:
+                    heappush(heap, -i)
+    return tuple(sorted(vec.items()))
 
 
 # -- word codings and translations ---------------------------------------------

@@ -37,7 +37,7 @@ from .dark import run_dark_group, run_dark_ring
 from .engine import ConstructionRun
 from .indexset import SumFunctionalStub, run_sug_indexset
 from .sigma3 import run_sigma3_ceer
-from .star import PhiEntry, run_star_universal
+from .star import PhiEntry, check_size, run_star_universal
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
 
@@ -429,6 +429,7 @@ def _run_star(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
     stages = params.get("stages", 500)
     base = params.get("base", 10)
     levels = params.get("levels", 2)
+    check_size(base, levels)
     uni_sec = scn.section("universal")
     bound = max(levels + 1, _max_pair_index(uni_sec) + 1)
     universal = _pair_table(uni_sec, bound, "universal")
@@ -449,6 +450,7 @@ def _run_sug(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
     t_params = template.params if template is not None else {}
     star_base = int(t_params.get("base", 6))
     star_levels = int(t_params.get("levels", 1))
+    check_size(star_base, star_levels)
     star_sec = scn.section("star-universal")
     star_bound = max(star_levels + 1, _max_pair_index(star_sec) + 1)
     star_universal = _pair_table(star_sec, star_bound, "star-universal")

@@ -130,12 +130,13 @@ class _StarState:
         """
         free = []
         top = -1
+        active = {g for gens in self.current.values() for g in gens}
         for idx, _ in word:
             if idx in self.free_gens:
                 free.append(idx)
                 continue
             lvl = self.pres.level.get(idx)
-            if lvl is None or idx not in self.current.get(lvl, ()):
+            if lvl is None or idx not in active:
                 raise RuntimeError(
                     f"canonical word mentions retired generator x{idx}"
                 )
@@ -278,12 +279,6 @@ class _DiagReq(Requirement):
 
     # -- case helpers ---------------------------------------------------
 
-    def _exponent(self, word: Word, gen: int) -> int:
-        for idx, e in word:
-            if idx == gen:
-                return e
-        return 0
-
     def _free_pair_block(self, level: int, word: Word,
                          parity: int) -> tuple[list[int], bool] | None:
         """Find the 4-generator block for case 3a (parity 0) / 3b (1).
@@ -294,9 +289,10 @@ class _DiagReq(Requirement):
         """
         gens = self.state.current[level]
         side = [g for g in gens if g % 2 == parity]
+        exps = dict(word)
         hit = None
         for t in range(len(side) - 1):
-            if self._exponent(word, side[t]) != self._exponent(word, side[t + 1]):
+            if exps.get(side[t], 0) != exps.get(side[t + 1], 0):
                 hit = t
                 break
         if hit is None:
@@ -431,13 +427,21 @@ def _level_word(product: FreeProduct, base: int, level: int) -> FreeProductWord:
     return FreeProductWord(product, tuple(syllables))
 
 
+def level_normal_form(pres: StagedPresentation, base: int, level: int,
+                      stage: int) -> tuple[tuple[str, Any], ...]:
+    """The normal form of a level's word in G * (Z/2Z) at a stage.
+
+    Free-product normal forms with canonical syllables are unique, so two
+    level words are equal exactly when these tuples are.
+    """
+    return _level_word(_ambient(pres, stage), base, level).reduce().syllables
+
+
 def level_words_equal_at(pres: StagedPresentation, base: int, i: int, j: int,
                          stage: int) -> bool:
     """Whether levels i and j carry the same word in G * (Z/2Z) at a stage."""
-    product = _ambient(pres, stage)
-    wi = _level_word(product, base, i)
-    wj = _level_word(product, base, j)
-    return (wi.inverse() * wj).reduce().is_identity()
+    return (level_normal_form(pres, base, i, stage)
+            == level_normal_form(pres, base, j, stage))
 
 
 def census_at(pres: StagedPresentation, base: int, level: int,
@@ -461,6 +465,32 @@ def level_census(run: "StarResult | StarConstruction", level: int,
     if isinstance(run, StarConstruction):
         return census_at(run.state.pres, run.base, level, stage)
     return census_at(run.presentation, run.base, level, stage)
+
+
+# Ceiling on a presentation's base ** (levels + 1) generators.  Laying out
+# the levels, a census and the level words each take time and memory linear
+# in that count; levels 3 at base 10 hold 10,000 generators.
+GENERATOR_CEILING = 100_000
+
+
+def check_size(base: int, levels: int) -> None:
+    """Reject a shape whose base ** (levels + 1) generators pass the ceiling.
+
+    The count is multiplied up level by level and stops at the ceiling, so
+    a huge `levels` costs a handful of steps.
+    """
+    if base < 2:
+        raise ValueError("base must be an even integer >= 2")
+    count = base
+    for _ in range(levels):
+        if count > GENERATOR_CEILING:
+            break
+        count *= base
+    if count > GENERATOR_CEILING:
+        raise ValueError(
+            f"base {base} and levels {levels} need base ** (levels + 1) "
+            f"generators, above the ceiling {GENERATOR_CEILING}"
+        )
 
 
 def check_budget(base: int, levels: int) -> None:
@@ -490,6 +520,7 @@ class StarConstruction:
                  name: str = "star-universal"):
         if base < 2 or base % 2:
             raise ValueError("base must be an even integer >= 2")
+        check_size(base, levels)
         check_budget(base, levels)
         self.base = base
         self.levels = levels

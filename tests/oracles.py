@@ -4,7 +4,8 @@ Everything here recomputes expected answers from definitions, using
 different algorithms than the package (dense linear algebra and sparse
 per-degree slice echelons instead of a truncated Groebner basis,
 full-closure scans instead of incremental union-find, repeated-scan word
-reduction instead of a single stack pass).  Tests compare package output
+reduction instead of a single stack pass, a dense substitution matrix
+instead of sparse highest-index-first rewriting).  Tests compare package output
 against these.
 """
 from __future__ import annotations
@@ -268,6 +269,36 @@ def scan_reduce(syllables: list[tuple[str, object]], identities: dict,
                 changed = True
                 break
     return word
+
+
+# -- staged abelian word problem by a dense substitution matrix ---------------
+
+
+def staged_wp_dense(relations, ngens: int, word, stage: int) -> tuple[tuple[int, int], ...]:
+    """Canonical exponent vector of a word in a staged abelian presentation.
+
+    relations holds (lhs, rhs, stage) triples.  Column lhs of the matrix is
+    the rhs vector of every relation in force at `stage`; every other
+    column is the unit vector.  Applying the matrix substitutes all those
+    left-hand sides at once, so the word is multiplied by it until the
+    vector stops changing (off the surviving generators the matrix is
+    nilpotent, because right-hand sides only mention smaller indices).
+    Entries are Python integers (object arrays), so nothing wraps.
+    """
+    sub = np.eye(ngens, dtype=object)
+    for lhs, rhs, s in relations:
+        if s <= stage:
+            sub[:, lhs] = 0
+            for i, e in rhs:
+                sub[i, lhs] += e
+    vec = np.zeros(ngens, dtype=object)
+    for i, e in word:
+        vec[i] += e
+    while True:
+        nxt = sub @ vec
+        if np.array_equal(nxt, vec):
+            return tuple((int(i), int(vec[i])) for i in np.flatnonzero(vec))
+        vec = nxt
 
 
 # -- growth-series budget, recomputed exactly ----------------------------------

@@ -41,6 +41,16 @@ def shipped(name):
     return os.path.join(SCENARIOS, name)
 
 
+def peak_of(argv):
+    """Exit code and peak traced allocation (bytes) of one command."""
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        return rc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # -- run -----------------------------------------------------------------
 
 
@@ -128,6 +138,41 @@ def test_run_maxdeg_above_ceiling(maxdeg, route, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["flag", "scenario", "sug-template",
+                                   "level-census", "vi-vs-U"])
+@pytest.mark.parametrize("levels", [6, 10 ** 9])
+def test_star_shape_above_ceiling(levels, route, tmp_path, capsys):
+    out = tmp_path / "star.jsonl"
+    base = 10
+    if route == "flag":
+        argv = ["run", shipped("star-universal-basic.txt"),
+                "--levels", str(levels), "--out", str(out)]
+    elif route in ("scenario", "sug-template"):
+        name, line = {"scenario": ("star-universal-basic.txt", "levels = 2"),
+                      "sug-template": ("sug-basic.txt", "levels = 1")}[route]
+        text = open(shipped(name)).read()
+        assert text.count(f"\n{line}\n") == 1
+        path = tmp_path / name
+        path.write_text(text.replace(f"\n{line}\n", f"\nlevels = {levels}\n"))
+        argv = ["run", str(path), "--out", str(out)]
+        base = 10 if route == "scenario" else 6
+    else:
+        rows = open(shipped("star-universal-basic.log.jsonl")).readlines()
+        header = json.loads(rows[0])
+        header["params"]["levels"] = levels
+        path = tmp_path / "edited.jsonl"
+        path.write_text(json.dumps(header) + "\n" + "".join(rows[1:]))
+        argv = ["verify", str(path), route]
+    rc, peak = peak_of(argv)
+    assert rc == 2
+    msg = (f"error: base {base} and levels {levels} need base ** (levels + 1) "
+           "generators, above the ceiling 100000\n")
+    got = capsys.readouterr()
+    assert (got.err if argv[0] == "run" else got.out) == msg
+    assert peak < 2_000_000  # no level's letters were listed
+    assert not out.exists()
+
+
 def test_run_reports_audit_failure_with_exit_one(tmp_path, capsys):
     out = str(tmp_path / "dark.jsonl")
     rc = main([
@@ -159,6 +204,38 @@ def test_verify_shipped_logs_pass(log, suite, capsys):
     assert f"suite {suite}: PASS" in out
 
 
+# stdout and exit code of each suite, captured before the level words were
+# compared as normal forms; a kernel change must not move a verdict line
+PINNED_VERIFY = [
+    ("star-universal-basic.log.jsonl", "vi-vs-U", 0,
+     "18 word/table comparisons\nsuite vi-vs-U: PASS\n"),
+    ("star-universal-basic.log.jsonl", "level-census", 0,
+     "16 census checks at 6 checkpoints\nsuite level-census: PASS\n"),
+    ("sug-basic.log.jsonl", "vi-vs-U", 2,
+     "error: suite 'vi-vs-U' applies to star-universal logs, "
+     "got 'sug-indexset'\n"),
+    ("sug-basic.log.jsonl", "level-census", 2,
+     "error: suite 'level-census' applies to star-universal logs, "
+     "got 'sug-indexset'\n"),
+    ("no-collapse", "vi-vs-U", 1,
+     "stage 500: level words 0,1 differ but universal table says related\n"
+     "15 word/table comparisons; FAILURES above\nsuite vi-vs-U: FAIL\n"),
+]
+
+
+@pytest.mark.parametrize("log,suite,rc,out", PINNED_VERIFY)
+def test_verify_output_is_pinned(log, suite, rc, out, tmp_path, capsys):
+    if log == "no-collapse":  # the shipped star log without its collapse
+        src = open(shipped("star-universal-basic.log.jsonl")).readlines()
+        path = tmp_path / "no-collapse.jsonl"
+        path.write_text("".join(ln for ln in src
+                                if '"collapse-level"' not in ln))
+    else:
+        path = shipped(log)
+    assert main(["verify", str(path), suite]) == rc
+    assert capsys.readouterr() == (out, "")
+
+
 def test_verify_unknown_suite(capsys):
     rc = main(["verify", shipped("star-universal-basic.log.jsonl"), "magic"])
     assert rc == 2
@@ -186,6 +263,19 @@ def test_verify_malformed_log(tmp_path, capsys):
     rc = main(["verify", str(path), "level-census"])
     assert rc == 2
     assert "malformed log" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,err", [
+    ("[1]\n", "log line 1 is not a JSON object"),
+    ('{"construction":"star-universal","params":{}}\n\n[1,2]\n',
+     "log line 3 is not a JSON object"),
+    ("[" * 100_000 + "]" * 100_000 + "\n", "log line 1 nests too deeply"),
+], ids=["array-header", "array-record", "deep-array"])
+def test_verify_json_array_log(text, err, tmp_path, capsys):
+    path = tmp_path / "array.jsonl"
+    path.write_text(text)
+    assert main(["verify", str(path), "vi-vs-U"]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read log: {err}\n")
 
 
 def test_verify_empty_log_passes_vacuously(tmp_path, capsys):
@@ -354,16 +444,6 @@ def test_probe_bound_above_ceiling(sub, dumps, capsys):
         "error: --bound 1000001 exceeds the ceiling 1000000\n")
 
 
-def probe_peak(argv):
-    """Exit code and peak traced allocation (bytes) of one probe command."""
-    tracemalloc.start()
-    try:
-        rc = main(argv)
-        return rc, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("index", [1_000_000, 2_000_000])
 @pytest.mark.parametrize("where", ["dump", "other"])
 def test_probe_dump_index_above_ceiling(index, where, dumps, tmp_path, capsys):
@@ -376,7 +456,7 @@ def test_probe_dump_index_above_ceiling(index, where, dumps, tmp_path, capsys):
     else:
         argv = ["probe", "product", left, str(big)]
         prefix = "error: "
-    rc, peak = probe_peak(argv)
+    rc, peak = peak_of(argv)
     assert rc == 2
     assert capsys.readouterr().err == (
         f"{prefix}index {index} implies a bound above the ceiling 1000000\n")
@@ -391,7 +471,7 @@ def test_probe_dump_index_above_ceiling(index, where, dumps, tmp_path, capsys):
 def test_probe_map_value_above_ceiling(sub, fmap, dumps, capsys):
     left, right = dumps
     argv = ["probe", sub, left] + ([right] if sub == "verify-reduction" else [])
-    rc, peak = probe_peak(argv + ["--map", fmap])
+    rc, peak = peak_of(argv + ["--map", fmap])
     assert rc == 2
     value = max(int(x) for x in re.split("[,:]", fmap))
     assert capsys.readouterr().err == (

@@ -24,7 +24,7 @@ from ceerlab.groups import (
     z2_module_wp,
 )
 
-from oracles import scan_reduce
+from oracles import scan_reduce, staged_wp_dense
 
 
 # -- cyclic factors and free products -----------------------------------------
@@ -239,6 +239,30 @@ def test_staged_abelian_wp_unique_normal_form():
             for idx, _ in w:
                 rel = pres.lhs_relation(idx)
                 assert rel is None or rel.stage > stage
+
+
+def test_staged_abelian_wp_matches_dense_oracle_randomized():
+    rng = random.Random(8)
+    for trial in range(300):
+        ngens = rng.randint(1, 24)
+        pres = StagedPresentation(ngens=ngens)
+        stage = 0
+        for lhs in rng.sample(range(ngens), rng.randint(0, ngens)):
+            rhs = [(i, rng.choice((-2, -1, 1, 1, 2)))
+                   for i in rng.choices(range(lhs), k=min(lhs, rng.randint(0, 3)))]
+            stage += rng.choice((0, 0, 1, 2))
+            pres.add_relation(lhs, rhs, stage)
+        rels = [(r.lhs, r.rhs, r.stage) for r in pres.relations]
+        for _ in range(8):
+            word = [(rng.randrange(ngens), rng.randint(-3, 3))
+                    for _ in range(rng.randint(0, 12))]
+            s = rng.randint(0, stage + 1)
+            want = staged_wp_dense(rels, ngens, word, s)
+            assert staged_abelian_wp(pres, word, s) == want, (trial, word, s)
+            vec: dict[int, int] = {}
+            for i, e in word:
+                vec[i] = vec.get(i, 0) + e
+            assert staged_abelian_wp(pres, vec, s) == want
 
 
 def test_staged_abelian_factor_in_free_product():

@@ -1,11 +1,24 @@
 """Level-word construction: init layout, case dispatch, collapses, budget."""
+import os
+
 import pytest
 
+from ceerlab import replay
 from ceerlab.ceers import CeerTable
+from ceerlab.engine import RunLog
+from ceerlab.groups import (
+    CyclicFactor,
+    FreeProduct,
+    FreeProductWord,
+    StagedAbelianFactor,
+    fp_reduce,
+)
+from ceerlab.scenario import load_scenario, parse_scenario
 from ceerlab.star import (
     BudgetError,
     PhiEntry,
     StarConstruction,
+    check_size,
     level_census,
     level_letters,
     level_words_equal_at,
@@ -56,6 +69,16 @@ def test_initialize_and_step_guards():
     with pytest.raises(RuntimeError):
         con.initialize()
     assert con.step() is None
+
+
+def test_generator_ceiling():
+    check_size(10, 4)  # 100,000 generators: at the ceiling
+    check_size(2, 15)
+    for base, levels in [(10, 5), (2, 16), (100_002, 0), (10, 10 ** 12)]:
+        with pytest.raises(ValueError, match="above the ceiling 100000"):
+            check_size(base, levels)
+    with pytest.raises(ValueError, match="base must be"):
+        check_size(1, 10 ** 12)
 
 
 def test_parameter_validation():
@@ -258,3 +281,74 @@ def test_log_header_and_determinism():
     params = res.log.header["params"]
     assert params["base"] == 6 and params["levels"] == 1
     assert params["universal"] == [[0, 1, 4]]
+
+
+def _old_level_words_equal(pres, base, i, j, stage):
+    """Level words i and j compared as fp_reduce(wi^-1 * wj) == 1."""
+    product = FreeProduct({"G": StagedAbelianFactor(pres, stage),
+                           "A": CyclicFactor(2)})
+
+    def level_word(level):
+        sylls = []
+        for idx in level_letters(base, level):
+            sylls += [("A", 1), ("G", ((idx, 1),))]
+        return FreeProductWord(product, tuple(sylls))
+
+    return fp_reduce(level_word(i).inverse() * level_word(j)).is_identity()
+
+
+@pytest.mark.parametrize("overrides", [None, {"levels": 3, "base": 6}],
+                         ids=["shipped", "levels-3-base-6"])
+def test_level_words_equal_at_matches_the_joined_word(overrides):
+    scenarios = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    if overrides is None:
+        log = RunLog.load(os.path.join(scenarios,
+                                       "star-universal-basic.log.jsonl"))
+    else:
+        scn = load_scenario(os.path.join(scenarios, "star-universal-basic.txt"))
+        log = scn.run(overrides).log
+    params = log.header["params"]
+    base, levels = params["base"], params["levels"]
+    pres = replay.star_presentation(log)
+    verdicts = set()
+    for s in replay.census_checkpoints(log):
+        for i in range(levels + 1):
+            for j in range(i, levels + 1):
+                eq = level_words_equal_at(pres, base, i, j, s)
+                assert eq == _old_level_words_equal(pres, base, i, j, s), (s, i, j)
+                verdicts.add((i == j, eq))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+LONG_PHI = """\
+construction = star-universal
+stages = 40
+base = 10
+levels = 3
+
+[universal]
+5: 0 1
+
+[phi 0]
+0: 0 xrange:1000:9998 x10
+1: 0
+
+[phi 1]
+0..60/even: 0 x10
+1..59/odd: 0
+"""
+
+
+def test_long_phi_word_at_levels_three():
+    """An 8,999-letter witness word over level 3: the case analysis scans
+    its exponents once per parity, not once per generator."""
+    res = parse_scenario(LONG_PHI).run()
+    moves = [(r.stage, r.requirement, r.action)
+             for r in res.log.records if r.requirement != "init"]
+    assert moves == [(1, "R0", "case-3c"), (2, "R0", "case-3a"),
+                     (3, "R1", "case-1"), (5, "U", "collapse-level")]
+    assert res.log.records[4].details["determined"] == [9996, 9997]
+    assert level_census(res, 3, 40) == {
+        "level": 8996, "free": 0, "determined": 4, "collapsed": 0,
+    }
+    assert parse_scenario(LONG_PHI).run().log.dumps() == res.log.dumps()
