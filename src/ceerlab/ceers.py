@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .pairing import pair
@@ -56,14 +57,17 @@ class PartialityError(ValueError):
 class StageSet:
     """A set of values enumerated over stages.
 
-    Entries are (value, stage) in enumeration order with nondecreasing
+    Entry i is (value, stage) in enumeration order with nondecreasing
     stages; at_stage(s) returns the values visible by stage s, still in
-    enumeration order and deduplicated.
+    enumeration order and deduplicated.  Values and stages are two parallel
+    sequences: lists for a set built entry by entry, and sequences that
+    compute item i when it is indexed for a ``generated`` one, which holds
+    O(1) state whatever its length.
     """
 
     def __init__(self, entries: Iterable[tuple[Any, int]] = ()):
-        self._entries: list[tuple[Any, int]] = []
-        self._stages: list[int] = []  # parallel to _entries, for bisect
+        self._values: Sequence[Any] = []
+        self._stages: Sequence[int] = []
         for value, stage in entries:
             self.add(value, stage)
 
@@ -73,24 +77,35 @@ class StageSet:
         ordered = sorted(enumerate(rows), key=lambda t: (t[1][1], t[0]))
         return cls((value, stage) for _, (value, stage) in ordered)
 
+    @classmethod
+    def generated(cls, values: Sequence[Any], n: int, start: int = 0,
+                  period: int = 1, rate: int = 1) -> "StageSet":
+        """The read-only set of the n entries (values[i], start + (i // rate)
+        * period); values must compute its items on demand too.  period and
+        rate must be at least 1."""
+        out = cls()
+        out._values = values
+        out._stages = _StageProgression(max(n, 0), start, period, rate)
+        return out
+
     def add(self, value: Any, stage: int) -> None:
         if self._stages and stage < self._stages[-1]:
             raise StageRegressionError(
                 f"entry at stage {stage} after stage {self._stages[-1]}"
             )
-        self._entries.append((value, stage))
+        self._values.append(value)
         self._stages.append(stage)
 
     def entries(self) -> tuple[tuple[Any, int], ...]:
-        return tuple(self._entries)
+        return tuple(zip(self._values, self._stages))
 
     def __getitem__(self, i: int) -> tuple[Any, int]:
-        return self._entries[i]
+        return self._values[i], self._stages[i]
 
     def at_stage(self, stage: int) -> list[Any]:
         seen = set()
         out = []
-        for value, _ in self._entries[:bisect_right(self._stages, stage)]:
+        for value in islice(self._values, self.count_at(stage)):
             if value not in seen:
                 seen.add(value)
                 out.append(value)
@@ -98,13 +113,43 @@ class StageSet:
 
     def count_at(self, stage: int) -> int:
         """Number of raw entries (including repeats) visible by stage."""
-        return bisect_right(self._stages, stage)
+        if isinstance(self._stages, list):
+            return bisect_right(self._stages, stage)
+        return self._stages.count_upto(stage)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._stages)
 
     def __repr__(self) -> str:
-        return f"StageSet({self._entries!r})"
+        return f"StageSet(values={self._values!r}, stages={self._stages!r})"
+
+
+class _StageProgression:
+    """The stages start + (i // rate) * period of n entries, by arithmetic."""
+
+    __slots__ = ("n", "start", "period", "rate")
+
+    def __init__(self, n: int, start: int, period: int, rate: int):
+        self.n, self.start, self.period, self.rate = n, start, period, rate
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> int:
+        if i < 0:
+            i += self.n
+        if not 0 <= i < self.n:
+            raise IndexError("StageSet index out of range")
+        return self.start + (i // self.rate) * self.period
+
+    def count_upto(self, stage: int) -> int:
+        """The number of entries whose stage is at most stage."""
+        steps = (stage - self.start) // self.period + 1
+        return min(self.n, max(0, steps * self.rate))
+
+    def __repr__(self) -> str:
+        return (f"_StageProgression(n={self.n}, start={self.start}, "
+                f"period={self.period}, rate={self.rate})")
 
 
 class CeerTable:

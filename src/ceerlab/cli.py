@@ -386,8 +386,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _load_table(path: str, bound: int | None) -> CeerTable:
     """A dump as a table; the bound its largest index implies must not pass
     the ceiling, checked before the table is allocated."""
+    rows = []
     with open(path) as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+        for n, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    rows.append(json.loads(line))
+                except RecursionError:
+                    raise ValueError(f"dump line {n} nests too deeply") from None
     # stable sort by stage; tolerates hand-made files
     pairs = sorted(((r["a"], r["b"], r["s"]) for r in rows), key=lambda t: t[2])
     top = max((max(a, b) for a, b, _ in pairs), default=0)

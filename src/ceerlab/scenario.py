@@ -18,11 +18,14 @@ Row payloads are construction-specific: integers for number columns,
 polynomial text for ring columns, "a b" pairs for tables, and
 "converge tokens..." for function stubs keyed by argument specs such as
 `7`, `0..40`, or `0..40/even`.  Word tokens are `x12`, `x12^-3`, and
-`xrange:100:998` (half-open index range, exponent 1).
+`xrange:100:998` (half-open index range, exponent 1, ending at most at
+star.GENERATOR_CEILING).
 
 Stream sections support three modes: explicit rows, `steady`
 (arithmetic stage progression of the values 0,1,2,...), and
 `monomials` (all monomials in index order at a fixed per-stage rate).
+The last two are generated: entry i is computed when it is read, so such
+a column holds O(1) state however many entries it has.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from .dark import run_dark_group, run_dark_ring
 from .engine import ConstructionRun
 from .indexset import SumFunctionalStub, run_sug_indexset
 from .sigma3 import run_sigma3_ceer
-from .star import PhiEntry, check_size, run_star_universal
+from .star import GENERATOR_CEILING, PhiEntry, check_size, run_star_universal
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
 
@@ -216,13 +219,35 @@ def _int_stream(sec: _Section, stages: int) -> StageSet:
         count = int(sec.params.get("count", stages))
         if period < 1:
             raise ScenarioError("steady period must be >= 1", sec.line)
-        return StageSet((i, start + i * period) for i in range(count))
+        return StageSet.generated(range(count), count, start, period)
     raise ScenarioError(f"unknown stream mode {mode!r}", sec.line)
 
 
 def _monomial_by_index(idx: int) -> Monomial:
     deg = (idx + 1).bit_length() - 1
     return Monomial(deg, idx + 1 - (1 << deg))
+
+
+class _MonomialColumn:
+    """The first n monomials in index order, as polynomials built on demand."""
+
+    __slots__ = ("n", "p")
+
+    def __init__(self, n: int, p: int):
+        self.n, self.p = n, p
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> Poly:
+        if i < 0:
+            i += self.n
+        if not 0 <= i < self.n:
+            raise IndexError("monomial index out of range")
+        return Poly.monomial(_monomial_by_index(i), p=self.p)
+
+    def __repr__(self) -> str:
+        return f"_MonomialColumn(n={self.n}, p={self.p})"
 
 
 def _poly_stream(sec: _Section, stages: int, maxdeg: int, p: int) -> StageSet:
@@ -241,15 +266,10 @@ def _poly_stream(sec: _Section, stages: int, maxdeg: int, p: int) -> StageSet:
         rate = int(sec.params.get("rate", 1))
         if rate < 1:
             raise ScenarioError("monomial rate must be >= 1", sec.line)
-        entries = []
-        idx = 0
-        while idx // rate <= stages:
-            m = _monomial_by_index(idx)
-            if m.deg > maxdeg:
-                break
-            entries.append((Poly.monomial(m, p=p), idx // rate))
-            idx += 1
-        return StageSet(entries)
+        # entry i sits at stage i // rate; the stage budget and the degree
+        # horizon (2 ** (maxdeg + 1) - 1 monomials) both cut the column
+        n = max(0, min((stages + 1) * rate, (1 << (maxdeg + 1)) - 1))
+        return StageSet.generated(_MonomialColumn(n, p), n, rate=rate)
     raise ScenarioError(f"unknown stream mode {mode!r}", sec.line)
 
 
@@ -296,6 +316,10 @@ def _parse_word(tokens: list[str], lineno: int) -> tuple[tuple[int, int], ...]:
             exp = int(m.group(3) or 1)
             if hi < lo:
                 raise ScenarioError(f"empty range in {tok!r}", lineno)
+            if hi > GENERATOR_CEILING:
+                raise ScenarioError(
+                    f"range end {hi} in {tok!r} is above the generator "
+                    f"ceiling {GENERATOR_CEILING}", lineno)
             word.extend((k, exp) for k in range(lo, hi))
             continue
         raise ScenarioError(f"bad word token {tok!r}", lineno)

@@ -173,6 +173,37 @@ def test_star_shape_above_ceiling(levels, route, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_star_xrange_above_ceiling(tmp_path, capsys):
+    text = open(shipped("star-universal-basic.txt")).read()
+    assert text.count("xrange:100:998") == 1
+    path = tmp_path / "star.txt"
+    path.write_text(text.replace("xrange:100:998", "xrange:0:300000000"))
+    out = tmp_path / "star.jsonl"
+    rc, peak = peak_of(["run", str(path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: line 14: range end 300000000 in 'xrange:0:300000000' is "
+        "above the generator ceiling 100000\n")
+    assert peak < 2_000_000  # the range was not expanded
+    assert not out.exists()
+
+
+def test_run_dark_ring_with_huge_generated_columns(tmp_path, capsys):
+    text = open(shipped("dark-ring-basic.txt")).read()
+    rows = "[ucolumn 0]\n1: 0\n2: 1\n"
+    assert text.count(rows) == 1
+    path = tmp_path / "ring.txt"
+    path.write_text(text.replace(rows, "[ucolumn 0]\nmode = steady\n"
+                                 "period = 100\ncount = 100000000\n")
+                    .replace("rate = 32", "rate = 100000000"))
+    out = tmp_path / "ring.jsonl"
+    rc, peak = peak_of(["run", str(path), "--out", str(out)])
+    assert rc == 0
+    assert "L0: enumerate-witness@1 enumerate-witness@101" in (
+        capsys.readouterr().out)
+    assert peak < 2_000_000  # no column was listed
+
+
 def test_run_reports_audit_failure_with_exit_one(tmp_path, capsys):
     out = str(tmp_path / "dark.jsonl")
     rc = main([
@@ -486,7 +517,12 @@ def test_probe_map_value_above_ceiling(sub, fmap, dumps, capsys):
     ('{"a": "x", "b": 3, "s": 1}', ["related", "{bad}", "0", "1"],
      "error: cannot read dump: "),
     ('{"a": 0, "s": 1}', ["product", "{left}", "{bad}"], "error: 'b'"),
-], ids=["bound-below-index", "non-integer-index", "other-missing-key"])
+    ("[" * 100_000 + "]" * 100_000, ["related", "{bad}", "0", "1"],
+     "error: cannot read dump: dump line 1 nests too deeply\n"),
+    ("[" * 100_000 + "]" * 100_000, ["product", "{left}", "{bad}"],
+     "error: dump line 1 nests too deeply\n"),
+], ids=["bound-below-index", "non-integer-index", "other-missing-key",
+        "deep-array", "other-deep-array"])
 def test_probe_bad_dump_exits_two(text, argv, err, dumps, tmp_path, capsys):
     left, _ = dumps
     bad = tmp_path / "bad.jsonl"

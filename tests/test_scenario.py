@@ -1,7 +1,9 @@
 """Scenario text format: grammar, coercion, stream modes, runner wiring."""
+import bisect
 import glob
 import os
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -237,6 +239,110 @@ def test_monomial_stream_respects_maxdeg_and_rate():
     assert len(shorter.entries()) == 4
 
 
+def _eager_monomials(rate, stages, maxdeg, p):
+    """The monomial column as a list, built the way the scenario layer once
+    built it: every entry up front."""
+    from ceerlab.algebra import Monomial, Poly
+
+    entries = []
+    idx = 0
+    while idx // rate <= stages:
+        deg = (idx + 1).bit_length() - 1
+        m = Monomial(deg, idx + 1 - (1 << deg))
+        if m.deg > maxdeg:
+            break
+        entries.append((Poly.monomial(m, p=p), idx // rate))
+        idx += 1
+    return entries
+
+
+def _eager_steady(start, period, count):
+    return [(i, start + i * period) for i in range(count)]
+
+
+def _assert_column_is(col, ref, top_stage):
+    stages = [s for _, s in ref]
+    assert len(col) == len(ref)
+    for s in range(min(stages + [0]) - 2, top_stage + 3):
+        seen = bisect.bisect_right(stages, s)
+        assert col.count_at(s) == seen, s
+        assert col.at_stage(s) == list(dict.fromkeys(v for v, _ in ref[:seen]))
+    for i, entry in enumerate(ref):
+        assert col[i] == entry
+        assert col[i - len(ref)] == entry
+    for i in (len(ref), -len(ref) - 1):
+        with pytest.raises(IndexError):
+            col[i]
+    assert col.entries() == tuple(ref)
+    assert list(col) == ref
+
+
+@pytest.mark.parametrize("stages", [-1, 0, 1, 3, 9])
+@pytest.mark.parametrize("maxdeg", [0, 1, 2, 4])
+@pytest.mark.parametrize("rate", [1, 2, 3, 40])
+def test_monomial_column_matches_eager_builder(rate, maxdeg, stages):
+    from ceerlab.scenario import _poly_stream
+
+    scn = parse_scenario("construction = dark-ring\n[wcolumn 0]\n"
+                         f"mode = monomials\nrate = {rate}\n")
+    col = _poly_stream(scn.section("wcolumn", 0), stages, maxdeg, 3)
+    _assert_column_is(col, _eager_monomials(rate, stages, maxdeg, 3), stages)
+
+
+@pytest.mark.parametrize("stages", [-1, 0, 6])
+@pytest.mark.parametrize("count", [None, -2, 0, 1, 7])
+@pytest.mark.parametrize("period", [1, 2, 5])
+@pytest.mark.parametrize("start", [-3, 0, 1, 4])
+def test_steady_column_matches_eager_builder(start, period, count, stages):
+    from ceerlab.scenario import _int_stream
+
+    body = f"mode = steady\nperiod = {period}\nstart = {start}\n"
+    if count is not None:
+        body += f"count = {count}\n"
+    scn = parse_scenario(f"construction = sigma3\n[wcolumn 0]\n{body}")
+    col = _int_stream(scn.section("wcolumn", 0), stages)
+    n = stages if count is None else count
+    _assert_column_is(col, _eager_steady(start, period, n),
+                      start + max(n, 0) * period)
+
+
+def test_huge_generated_columns_hold_constant_state():
+    from ceerlab.scenario import _int_stream, _poly_stream
+
+    big = 10 ** 12
+    mono = parse_scenario("construction = dark-ring\n[wcolumn 0]\n"
+                          "mode = monomials\nrate = 3\n").section("wcolumn", 0)
+    steady = parse_scenario("construction = sigma3\n[wcolumn 0]\n"
+                            f"mode = steady\nperiod = 7\ncount = {big}\n"
+                            ).section("wcolumn", 0)
+    tracemalloc.start()
+    try:
+        cols = (_poly_stream(mono, big, 64, 2), _int_stream(steady, 5))
+        texts = [repr(c) for c in cols]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert all(len(t) < 200 for t in texts)
+    col, st = cols
+    assert col.count_at(-1) == 0
+    assert col.count_at(0) == 3
+    assert col.count_at(big) == col.count_at(10 ** 30) == 3 * (big + 1)
+    assert col[3 * big + 2][1] == big
+    assert col[-1] == col[3 * big + 2]
+    with pytest.raises(IndexError):
+        col[3 * (big + 1)]
+    # past the degree horizon of 64 the column stops, however many stages
+    wide = _poly_stream(mono, 10 ** 30, 64, 2)
+    assert wide.count_at(10 ** 30) == 2 ** 65 - 1
+    assert wide[-1][0].degree() == 64
+    assert st.count_at(0) == 0
+    assert st.count_at(1) == st.count_at(7) == 1
+    assert st.count_at(8) == 2
+    assert st.count_at(1 + 7 * (big - 1)) == st.count_at(10 ** 30) == big
+    assert st[big - 1] == (big - 1, 1 + 7 * (big - 1))
+
+
 def test_phi_words_and_argspecs():
     scn = parse_scenario(
         """
@@ -268,6 +374,8 @@ def test_phi_words_and_argspecs():
     [
         ("0: 0 y7", "bad word token"),
         ("0: 0 xrange:9:5", "empty range"),
+        ("0: 0 xrange:0:100001", "range end 100001 in 'xrange:0:100001' is "
+         "above the generator ceiling 100000"),
         ("0: zz x7", "bad converge stage"),
         ("q: 0", "bad argument spec"),
         ("7/even: 0", "parity filter needs a range"),
