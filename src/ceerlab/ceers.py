@@ -7,11 +7,17 @@ the common currency of the package: joins, products and pullbacks all
 produce fresh tables, and the construction runners enumerate into them.
 
 The closure lives in one union-by-size forest without path compression.
-Each node records the stage at which it was attached under another; since
-pairs arrive in stage order, those stamps never decrease going up a path,
-and the forest at stage s is the current one cut at every edge stamped
-after s.  Queries at past stages are therefore climbs, not replays, and
-nothing is cached between calls.
+Each node records the stage at which it was attached under another (a
+root's stamp is infinite); since pairs arrive in stage order, those stamps
+never decrease going up a path, and the forest at stage s is the current
+one cut at every edge stamped after s.  Queries at past stages are
+therefore climbs, not replays, and nothing is cached between calls.  The
+forest stores only the indices up to the largest one a pair names: any
+later index was never merged and is its own root, so a table's bound is
+checked, never allocated, and its memory follows its pairs.  `product`
+walks pairs too, asserting each factor pair against every index of the
+other factor; `roots_at`, `classes_at` and `pullback` take time linear in
+a bound, as their output does.
 
 Equality of two indices is a positive, stage-monotone fact.  Inequality
 never is: a pair that is unrelated at stage s may become related later,
@@ -21,10 +27,11 @@ tuple.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .pairing import pair
@@ -152,6 +159,9 @@ class _StageProgression:
                 f"period={self.period}, rate={self.rate})")
 
 
+_ROOT = float("inf")  # the stamp of a root: no stage reaches it
+
+
 class CeerTable:
     """Equivalence relation on [0, bound) enumerated stage by stage."""
 
@@ -160,15 +170,12 @@ class CeerTable:
             raise ValueError("bound must be nonnegative")
         self.bound = bound
         self._pairs: list[tuple[int, int, int]] = []
-        self._parent = list(range(bound))
-        self._size = [1] * bound
-        self._stamp = [0] * bound  # stage at which a non-root was attached
+        # indices up to the largest one a pair names; any later one is a root
+        self._parent: list[int] = []  # read only below an attached node
+        self._size: list[int] = []
+        self._stamp: list[float] = []  # stage at which x was attached, or _ROOT
 
     # -- construction ------------------------------------------------
-
-    @classmethod
-    def identity(cls, bound: int) -> "CeerTable":
-        return cls(bound)
 
     @classmethod
     def from_pairs(
@@ -195,6 +202,12 @@ class CeerTable:
                 f"pair at stage {stage} after stage {self._pairs[-1][2]}"
             )
         self._pairs.append((a, b, stage))
+        named = len(self._stamp)
+        if a >= named or b >= named:
+            grow = max(a, b) + 1 - named
+            self._parent.extend([0] * grow)
+            self._size.extend([1] * grow)
+            self._stamp.extend([_ROOT] * grow)
         # no stamp exceeds `stage`, so these climbs reach the current roots
         ra, rb = self._top(a, stage), self._top(b, stage)
         if ra != rb:
@@ -221,16 +234,21 @@ class CeerTable:
     def _top(self, x: int, stage: int) -> int:
         """Root of x's tree in the forest as it stood at `stage`."""
         parent, stamp = self._parent, self._stamp
-        while parent[x] != x and stamp[x] <= stage:
-            x = parent[x]
+        try:
+            while stamp[x] <= stage:
+                x = parent[x]
+        except IndexError:  # x is past every named index: its own root
+            pass
         return x
 
     def roots_at(self, stage: int) -> tuple[int, ...]:
         """Canonical partition snapshot: roots_at(s)[i] = min of i's class."""
         least: dict[int, int] = {}
-        return tuple(
-            least.setdefault(self._top(n, stage), n) for n in range(self.bound)
-        )
+        named = len(self._stamp)
+        return tuple(chain(
+            (least.setdefault(self._top(n, stage), n) for n in range(named)),
+            range(named, self.bound),
+        ))
 
     def related(self, a: int, b: int, stage: int) -> bool:
         self._check_index(a)
@@ -248,16 +266,18 @@ class CeerTable:
         if a == b:
             return 0
         parent, stamp = self._parent, self._stamp
+        if max(a, b) >= len(stamp):
+            return None  # an index no pair names stays a singleton
         above_a: dict[int, int] = {}  # ancestor of a -> largest stamp up to it
         x, last = a, 0
         while True:
             above_a[x] = last
-            if parent[x] == x:
+            if stamp[x] == _ROOT:
                 break
             x, last = parent[x], stamp[x]
         x, last = b, 0
         while x not in above_a:
-            if parent[x] == x:
+            if stamp[x] == _ROOT:
                 return None
             x, last = parent[x], stamp[x]
         return max(last, above_a[x])
@@ -330,18 +350,11 @@ class ReductionFn:
     def identity(cls, bound: int) -> "ReductionFn":
         return cls.from_callable(lambda n: n, bound)
 
-    @classmethod
-    def constant(cls, c: int, bound: int) -> "ReductionFn":
-        return cls.from_callable(lambda n: c, bound)
-
     def __call__(self, n: int) -> int:
         entry = self.table.get(n)
         if entry is None:
             raise PartialityError(f"reduction function diverges on argument {n}")
         return entry[0]
-
-    def defined_below(self, bound: int) -> bool:
-        return all(n in self.table for n in range(bound))
 
 
 @dataclass(frozen=True)
@@ -444,40 +457,26 @@ def uniform_join(
     return joined
 
 
-def column_of(joined_index: int) -> tuple[int, int]:
-    """Decode a join index back to (column, element)."""
-    from .pairing import unpair
-
-    return unpair(joined_index)
-
-
-def product(
-    left: CeerTable,
-    right: CeerTable,
-    bound_left: int | None = None,
-    bound_right: int | None = None,
-) -> CeerTable:
+def product(left: CeerTable, right: CeerTable) -> CeerTable:
     """Product relation: <a1,b1> ~ <a2,b2> iff a1 ~ a2 on the left and b1 ~ b2 on the right.
 
-    The result holds one pair per class merge: at each stage every code is
-    paired with the first code sharing its pair of class keys, unless the
-    two are already related.
+    The product is generated by <a1,b> ~ <a2,b> for each left pair and each
+    b below the right bound, and by <a,b1> ~ <a,b2> for each right pair and
+    each a below the left bound.  The factors' pairs are walked merged by
+    stage, and a generator is asserted only when the output does not yet
+    relate it, so the result holds one pair per class merge.
     """
-    bl = left.bound if bound_left is None else min(bound_left, left.bound)
-    br = right.bound if bound_right is None else min(bound_right, right.bound)
+    bl, br = left.bound, right.bound
     if bl == 0 or br == 0:
         return CeerTable(0)
     out = CeerTable(pair(bl - 1, br - 1) + 1)
-    for s in sorted(set(left.stages()) | set(right.stages()) | {0}):
-        rl = left.roots_at(s)
-        rr = right.roots_at(s)
-        first: dict[tuple[int, int], int] = {}
-        for a in range(bl):
-            for b in range(br):
-                c = pair(a, b)
-                c0 = first.setdefault((rl[a], rr[b]), c)
-                if not out.related(c0, c, s):
-                    out.assert_pair(c0, c, s)
+    sides = heapq.merge(((s, 0, a, b) for a, b, s in left.pairs),
+                        ((s, 1, a, b) for a, b, s in right.pairs))
+    for s, side, x, y in sides:
+        for k in range(bl if side else br):
+            c, d = (pair(k, x), pair(k, y)) if side else (pair(x, k), pair(y, k))
+            if not out.related(c, d, s):
+                out.assert_pair(c, d, s)
     return out
 
 

@@ -32,6 +32,7 @@ from .dark import DarkRunResult, growth_audit
 from .engine import RunLog
 from .groups import TriangularityError, validate_relation_stream
 from .indexset import SugResult
+from .pairing import pair
 from .scenario import ScenarioError, check_maxdeg, load_scenario, parse_epsilon
 from .sigma3 import Sigma3Result
 from .star import StarResult, census_at, check_size, level_normal_form
@@ -40,7 +41,8 @@ __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
 
 SUITES = ("triangularity", "level-census", "vi-vs-U", "membership")
 
-# A table costs memory linear in its bound: about 70 MB peak RSS at the ceiling.
+# A table costs memory linear in the largest index its pairs name: about
+# 50 MB peak RSS at the ceiling.
 PROBE_BOUND_CEILING = 1_000_000
 
 _STAR_LOGS = ("star-universal",)
@@ -420,6 +422,14 @@ def _parse_map(text: str) -> ReductionFn:
     return ReductionFn(table, max(table) + 1)
 
 
+def _check_output_bound(subcommand: str, bound: int) -> None:
+    """product and join build a table whose bound can pass the ceiling while
+    every input is under it; refuse it before anything is built."""
+    if bound > PROBE_BOUND_CEILING:
+        raise ValueError(f"{subcommand} output bound {bound} is above the "
+                         f"ceiling {PROBE_BOUND_CEILING}")
+
+
 def cmd_probe(args: argparse.Namespace) -> int:
     if args.bound is not None and args.bound > PROBE_BOUND_CEILING:
         print(f"error: --bound {args.bound} exceeds the ceiling "
@@ -441,10 +451,15 @@ def cmd_probe(args: argparse.Namespace) -> int:
             return 0
         if args.subcommand == "product":
             other = _load_table(args.other, None)
+            _check_output_bound("product", pair(max(table.bound - 1, 0),
+                                                max(other.bound - 1, 0)) + 1)
             sys.stdout.write(product(table, other).dumps())
             return 0
         if args.subcommand == "join":
             columns = [table] + [_load_table(p, None) for p in args.others]
+            _check_output_bound("join", max(
+                pair(j, max(col.bound - 1, 0)) + 1
+                for j, col in enumerate(columns)))
             sys.stdout.write(uniform_join(columns).dumps())
             return 0
         if args.subcommand == "pullback":

@@ -17,9 +17,9 @@ Format (see scenarios/ for complete shipped examples):
 Row payloads are construction-specific: integers for number columns,
 polynomial text for ring columns, "a b" pairs for tables, and
 "converge tokens..." for function stubs keyed by argument specs such as
-`7`, `0..40`, or `0..40/even`.  Word tokens are `x12`, `x12^-3`, and
-`xrange:100:998` (half-open index range, exponent 1, ending at most at
-star.GENERATOR_CEILING).
+`7`, `0..40`, or `0..40/even` (at most star.GENERATOR_CEILING arguments).
+Word tokens are `x12`, `x12^-3`, and `xrange:100:998` (half-open index
+range, exponent 1, ending at most at star.GENERATOR_CEILING).
 
 Stream sections support three modes: explicit rows, `steady`
 (arithmetic stage progression of the values 0,1,2,...), and
@@ -338,12 +338,16 @@ def _parse_args(spec: str, lineno: int) -> list[int]:
     hi = int(m.group(2))
     if hi < lo:
         raise ScenarioError(f"empty argument range {spec!r}", lineno)
-    args = list(range(lo, hi + 1))
-    if m.group(3) == "even":
-        args = [a for a in args if a % 2 == 0]
-    elif m.group(3) == "odd":
-        args = [a for a in args if a % 2 == 1]
-    return args
+    parity = {"even": 0, "odd": 1}.get(m.group(3))
+    if parity is None:
+        args = range(lo, hi + 1)
+    else:
+        args = range(lo + (lo - parity) % 2, hi + 1, 2)
+    if len(args) > GENERATOR_CEILING:
+        raise ScenarioError(
+            f"argument range {spec!r} holds {len(args)} arguments, above "
+            f"the generator ceiling {GENERATOR_CEILING}", lineno)
+    return list(args)
 
 
 def _phi_stub(sec: _Section) -> dict[int, PhiEntry]:

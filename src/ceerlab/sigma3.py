@@ -89,15 +89,17 @@ class _CodingReq(Requirement):
         self.result.columns[self.k] = self.join_column
         j = self.join_column
         uni = self.state.universal
+        table = self.state.table
+        # each assert merges two classes, so the count depends only on the
+        # two partitions, not on the order of the universal pairs
         copied = 0
-        for a in range(uni.bound):
-            for b in range(a + 1, uni.bound):
-                if not uni.related(a, b, stage):
-                    continue
-                ca, cb = pair(j, a), pair(j, b)
-                if not self.state.table.related(ca, cb, stage):
-                    self.state.table.assert_pair(ca, cb, stage)
-                    copied += 1
+        for a, b, s in uni.pairs:
+            if s > stage:
+                break
+            ca, cb = pair(j, a), pair(j, b)
+            if not table.related(ca, cb, stage):
+                table.assert_pair(ca, cb, stage)
+                copied += 1
         details["column"] = j
         details["pairs_copied"] = copied
         return details

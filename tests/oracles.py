@@ -219,6 +219,19 @@ class StagedClosure:
                     parent[rx] = ry
         return find(a) == find(b)
 
+    def classes(self, stage: int) -> list[list[int]]:
+        """The partition at a stage as sorted classes, sorted by least member."""
+        classes = [[n] for n in range(self.bound)]
+        where = list(range(self.bound))  # index -> its class's slot
+        for x, y, s in self.pairs:
+            if s <= stage and where[x] != where[y]:
+                keep, gone = sorted((where[x], where[y]))
+                for n in classes[gone]:
+                    where[n] = keep
+                classes[keep] += classes[gone]
+                classes[gone] = []
+        return sorted(sorted(c) for c in classes if c)
+
 
 def product_related(left: StagedClosure, right: StagedClosure,
                     n: int, m: int, stage: int) -> bool:

@@ -10,7 +10,6 @@ from ceerlab.ceers import (
     PartialityError,
     ReductionFn,
     StageSet,
-    column_of,
     darkness_probe,
     lightness_witness_check,
     product,
@@ -18,7 +17,7 @@ from ceerlab.ceers import (
     uniform_join,
     verify_reduction,
 )
-from ceerlab.pairing import pair
+from ceerlab.pairing import pair, unpair
 
 from oracles import (
     StagedClosure,
@@ -29,12 +28,14 @@ from oracles import (
 
 
 def random_table(rng: random.Random, bound: int, n_pairs: int,
-                 max_stage: int) -> CeerTable:
+                 max_stage: int, named: int | None = None) -> CeerTable:
+    """Random pairs among the indices below `named` (default: the bound)."""
     t = CeerTable(bound=bound)
+    named = bound if named is None else named
     stage = 0
     for _ in range(n_pairs):
         stage += rng.randint(0, max(1, max_stage // n_pairs))
-        t.assert_pair(rng.randrange(bound), rng.randrange(bound), stage)
+        t.assert_pair(rng.randrange(named), rng.randrange(named), stage)
     return t
 
 
@@ -175,6 +176,48 @@ def test_cold_reads_keep_no_per_stage_memory():
     assert grown < 1 << 20
 
 
+def test_huge_bound_stores_only_named_indices():
+    big = 10 ** 12
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = CeerTable(bound=big)
+        t.assert_pair(3, 7, 1)
+        t.assert_pair(7, 12, 4)
+        answers = [
+            t.related(3, 12, 4), t.related(3, 12, 3),
+            t.related(3, big // 2, 9), t.related(big - 1, big // 2, 9),
+            t.related(big - 1, big - 1, 0),
+            t.first_related_stage(3, 12), t.first_related_stage(12, big - 1),
+            t.first_related_stage(big - 1, big // 2),
+            t.first_related_stage(big - 1, big - 1),
+        ]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert answers == [True, False, False, False, True, 4, None, None, 0]
+    assert grown < 1 << 20
+    with pytest.raises(IndexError):
+        t.related(0, big, 0)
+
+
+def test_unnamed_top_indices_are_singletons_in_every_view():
+    rng = random.Random(41)
+    for trial in range(40):
+        bound = rng.randint(1, 14)
+        t = random_table(rng, bound, rng.randint(0, 8), 12,
+                         named=rng.randint(1, bound))
+        oracle = closure_of(t)
+        for s in sorted(set(t.stages()) | {0, 99}):
+            classes = oracle.classes(s)
+            assert t.classes_at(s) == classes, (trial, s)
+            roots = [0] * bound
+            for c in classes:
+                for n in c:
+                    roots[n] = c[0]
+            assert t.roots_at(s) == tuple(roots), (trial, s)
+
+
 def test_dump_load_round_trip():
     rng = random.Random(3)
     t = random_table(rng, bound=10, n_pairs=8, max_stage=20)
@@ -225,6 +268,47 @@ def test_product_matches_oracle():
                     ), (n, m, s)
 
 
+def product_per_stage(left: CeerTable, right: CeerTable) -> CeerTable:
+    """The product built code by code: at every stage, each code is paired
+    with the first code sharing its pair of class keys, unless the two are
+    already related.  The kernel walks the factors' pairs instead."""
+    bl, br = left.bound, right.bound
+    if bl == 0 or br == 0:
+        return CeerTable(0)
+    out = CeerTable(pair(bl - 1, br - 1) + 1)
+    for s in sorted(set(left.stages()) | set(right.stages()) | {0}):
+        rl, rr = left.roots_at(s), right.roots_at(s)
+        first: dict[tuple[int, int], int] = {}
+        for a in range(bl):
+            for b in range(br):
+                c = pair(a, b)
+                c0 = first.setdefault((rl[a], rr[b]), c)
+                if not out.related(c0, c, s):
+                    out.assert_pair(c0, c, s)
+    return out
+
+
+def test_product_relates_what_the_per_stage_product_relates():
+    rng = random.Random(43)
+    for trial in range(40):
+        # unequal bounds, and factors whose top indices no pair names
+        bl, br = rng.randint(0, 6), rng.randint(1, 6)
+        left = (random_table(rng, bl, rng.randint(0, 6), 9,
+                             named=rng.randint(1, bl)) if bl else CeerTable(0))
+        right = random_table(rng, br, rng.randint(0, 6), 9,
+                             named=rng.randint(1, br))
+        if rng.random() < 0.5:
+            left, right = right, left
+        new, old = product(left, right), product_per_stage(left, right)
+        assert new.bound == old.bound
+        assert len(new.pairs) == len(old.pairs), trial
+        new_closure = StagedClosure(new.pairs, new.bound)
+        old_closure = StagedClosure(old.pairs, old.bound)
+        for s in sorted(set(left.stages()) | set(right.stages()) | {0, 99}):
+            assert new_closure.classes(s) == old_closure.classes(s), (trial, s)
+            assert new.classes_at(s) == old.classes_at(s), (trial, s)
+
+
 def test_join_matches_oracle():
     rng = random.Random(13)
     for trial in range(8):
@@ -242,7 +326,7 @@ def test_join_matches_oracle():
 
 
 def test_join_column_decode():
-    assert column_of(pair(2, 7)) == (2, 7)
+    assert unpair(pair(2, 7)) == (2, 7)
 
 
 def test_pullback_matches_oracle():

@@ -14,6 +14,7 @@ import pytest
 import ceerlab
 from ceerlab.ceers import CeerTable
 from ceerlab.cli import main
+from ceerlab.engine import RunLog
 from ceerlab.pairing import pair
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -188,6 +189,36 @@ def test_star_xrange_above_ceiling(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_star_phi_argument_range_above_ceiling(tmp_path, capsys):
+    text = open(shipped("star-universal-basic.txt")).read()
+    assert text.count("1..59/odd: 0") == 1
+    path = tmp_path / "star.txt"
+    path.write_text(text.replace("1..59/odd: 0", "1..1999999/odd: 0"))
+    out = tmp_path / "star.jsonl"
+    rc, peak = peak_of(["run", str(path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: line 19: argument range '1..1999999/odd' holds 1000000 "
+        "arguments, above the generator ceiling 100000\n")
+    assert peak < 2_000_000  # the range was not expanded
+    assert not out.exists()
+
+
+def test_sigma3_with_huge_universal_bound(tmp_path, capsys):
+    text = open(shipped("sigma3-basic.txt")).read()
+    assert text.count("stages = 60\n") == 1
+    path = tmp_path / "sigma3.txt"
+    path.write_text(text.replace("stages = 60\n",
+                                 "stages = 60\nubound = 100000000000\n"))
+    out = tmp_path / "sigma3.jsonl"
+    rc, peak = peak_of(["run", str(path), "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert peak < 200_000_000  # nothing universal-bound-sized was built
+    params = RunLog.loads(out.read_text()).header["params"]
+    assert params["universal_bound"] == 10 ** 11
+
+
 def test_run_dark_ring_with_huge_generated_columns(tmp_path, capsys):
     text = open(shipped("dark-ring-basic.txt")).read()
     rows = "[ucolumn 0]\n1: 0\n2: 1\n"
@@ -265,6 +296,23 @@ def test_verify_output_is_pinned(log, suite, rc, out, tmp_path, capsys):
         path = shipped(log)
     assert main(["verify", str(path), suite]) == rc
     assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("suite", ["vi-vs-U", "level-census"])
+def test_star_suites_with_huge_universal_bound(suite, tmp_path, capsys):
+    log = shipped("star-universal-basic.log.jsonl")
+    head, rest = open(log).read().split("\n", 1)
+    header = json.loads(head)
+    header["params"]["universal_bound"] = 10 ** 11
+    path = tmp_path / "star.jsonl"
+    path.write_text(json.dumps(header) + "\n" + rest)
+    assert main(["verify", log, suite]) == 0
+    shipped_out = capsys.readouterr().out
+    rc, peak = peak_of(["verify", str(path), suite])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (shipped_out, "")
+    assert peak < 200_000_000  # nothing universal-bound-sized was built
 
 
 def test_verify_unknown_suite(capsys):
@@ -492,6 +540,22 @@ def test_probe_dump_index_above_ceiling(index, where, dumps, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"{prefix}index {index} implies a bound above the ceiling 1000000\n")
     assert peak < 2_000_000  # nothing bound-sized was allocated
+
+
+@pytest.mark.parametrize("sub,index,bound", [
+    ("product", 999_999, 1_999_998_000_001),
+    ("product", 3000, 18_006_001),
+    ("join", 999_999, 500_001_500_000),
+])
+def test_probe_output_bound_above_ceiling(sub, index, bound, tmp_path, capsys):
+    # every dump is under the ceiling; the table built from them is not
+    big = tmp_path / "big.jsonl"
+    big.write_text(json.dumps({"a": 0, "b": index, "s": 1}) + "\n")
+    rc, peak = peak_of(["probe", sub, str(big), str(big)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {sub} output bound {bound} is above the ceiling 1000000\n")
+    assert peak < 200_000_000  # only the two input tables were built
 
 
 @pytest.mark.parametrize("sub,fmap", [

@@ -380,6 +380,8 @@ def test_phi_words_and_argspecs():
         ("q: 0", "bad argument spec"),
         ("7/even: 0", "parity filter needs a range"),
         ("9..3: 0", "empty argument range"),
+        ("0..200000/even: 0", "argument range '0..200000/even' holds 100001 "
+         "arguments, above the generator ceiling 100000"),
         ("0..2: 0\n1: 0", "argument 1 defined twice"),
     ],
 )

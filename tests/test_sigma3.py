@@ -1,4 +1,6 @@
 """Column-coding construction: column choice, catch-up copying, restraints."""
+import random
+
 from ceerlab.ceers import CeerTable, FunctionalStub, StageSet
 from ceerlab.pairing import pair
 from ceerlab.sigma3 import run_sigma3_ceer
@@ -127,3 +129,61 @@ def test_shipped_style_walk_respects_growing_restraint():
     assert cols == sorted(set(cols))
     assert all(pair(j, 0) > 9 for j in cols[1:])
     assert res.columns[1] == cols[-1]
+
+
+def copy_by_scan(table, uni, j, stage):
+    """The column copy as a scan of every universal pair (a, b), a < b,
+    related at the stage; the construction walks the universal pairs
+    instead.  Returns the number of pairs it asserts."""
+    copied = 0
+    for a in range(uni.bound):
+        for b in range(a + 1, uni.bound):
+            if not uni.related(a, b, stage):
+                continue
+            ca, cb = pair(j, a), pair(j, b)
+            if not table.related(ca, cb, stage):
+                table.assert_pair(ca, cb, stage)
+                copied += 1
+    return copied
+
+
+def test_copy_counts_and_columns_match_a_scan_of_every_pair():
+    rng = random.Random(53)
+    for trial in range(30):
+        ubound = rng.randint(1, 9)
+        uni = CeerTable(bound=ubound)
+        stage = 0
+        for _ in range(rng.randint(0, 10)):
+            stage += rng.randint(0, 3)
+            uni.assert_pair(rng.randrange(ubound), rng.randrange(ubound), stage)
+        stages = stage + rng.randint(1, 6)
+        triggers = {k: trigger(*sorted(rng.randint(0, stages)
+                                       for _ in range(rng.randint(1, 6))))
+                    for k in range(rng.randint(1, 3))}
+        stubs = {m: FunctionalStub(m, converge_stage=rng.randint(0, stages),
+                                   use=rng.randint(0, 30))
+                 for m in range(rng.randint(0, 2))}
+        res = run_sigma3_ceer(triggers, uni, stubs, stages=stages)
+        # the scan, replayed on the log's (column, stage) sequence
+        shadow = CeerTable(bound=res.table.bound)
+        for rec in res.log.records:
+            if rec.requirement.startswith("C"):
+                copied = copy_by_scan(shadow, uni, rec.details["column"],
+                                      rec.stage)
+                assert copied == rec.details["pairs_copied"], (trial, rec)
+        for j in {rec.details["column"] for rec in res.log.records
+                  if rec.requirement.startswith("C")}:
+            for s in range(stages + 1):
+                for a in range(ubound):
+                    for b in range(a + 1, ubound):
+                        ca, cb = pair(j, a), pair(j, b)
+                        assert (res.table.related(ca, cb, s)
+                                == shadow.related(ca, cb, s)), (trial, j, s)
+
+
+def test_huge_universal_bound_copies_only_named_pairs():
+    uni = universal(10 ** 11, (0, 1, 1), (1, 5, 3))
+    res = run_sigma3_ceer({0: trigger(1, 3)}, uni, {}, stages=4)
+    assert [r.details["pairs_copied"] for r in res.log.records] == [1, 1]
+    assert res.table.related(pair(0, 0), pair(0, 5), 3)
+    assert not res.table.related(pair(0, 0), pair(0, 2), 4)
