@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 
+_RECORD_KEYS = ("stage", "requirement", "kind", "action")
+
+
 @dataclass(frozen=True)
 class ActionRecord:
     stage: int
@@ -46,11 +49,7 @@ class ActionRecord:
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "ActionRecord":
-        details = {
-            k: v
-            for k, v in obj.items()
-            if k not in ("stage", "requirement", "kind", "action")
-        }
+        details = {k: v for k, v in obj.items() if k not in _RECORD_KEYS}
         return cls(obj["stage"], obj["requirement"], obj["kind"], obj["action"], details)
 
 
@@ -109,6 +108,9 @@ class RunLog:
                     raise ValueError(f"log line {n} nests too deeply") from None
                 if not isinstance(objs[-1], dict):
                     raise ValueError(f"log line {n} is not a JSON object")
+                missing = [k for k in _RECORD_KEYS if k not in objs[-1]]
+                if len(objs) > 1 and missing:  # a record, not the header
+                    raise ValueError(f"log line {n} lacks {missing[0]!r}")
         if not objs:
             raise ValueError("empty log")
         log = cls(objs[0])

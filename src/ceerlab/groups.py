@@ -15,6 +15,7 @@ yet provably trivial".
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -249,16 +250,6 @@ class CeerModuleGroup:
 
     ceer: CeerTable
 
-    def class_rep(self, k: int, stage: int) -> int:
-        return _class_rep(self.ceer.roots_at(stage), k)
-
-
-def _class_rep(roots: Sequence[int], k: int) -> int:
-    """Least member of k's class, given the roots_at snapshot of the ceer."""
-    if k < 0:
-        raise ValueError("generator index must be nonnegative")
-    return roots[k] if k < len(roots) else k
-
 
 def z2_module_wp(
     group: CeerModuleGroup,
@@ -274,7 +265,9 @@ def z2_module_wp(
     parity: dict[int, int] = {}
     for item in word:
         k, exp = item if isinstance(item, tuple) else (item, 1)
-        rep = _class_rep(roots, k)
+        if k < 0:
+            raise ValueError("generator index must be nonnegative")
+        rep = roots[k] if k < len(roots) else k  # least member of k's class
         parity[rep] = parity.get(rep, 0) ^ (exp & 1)
     return frozenset(rep for rep, odd in parity.items() if odd)
 
@@ -303,15 +296,21 @@ class Relation:
     stage: int
 
 
+_STATUSES = ("level", "free", "determined", "collapsed")
+
+
 class StagedPresentation:
     """Generators x_0, x_1, ... with a stage-enumerated triangular stream.
 
     Each generator may be the left-hand side of at most one relation and
     right-hand sides mention strictly smaller indices, so substitution in
-    descending index order terminates with a unique normal form.  The
-    per-generator status bookkeeping (level / free / determined /
-    collapsed) is carried here so that construction logs and census
-    queries share one source of truth.
+    descending index order terminates with a unique normal form.
+
+    Generator statuses (level / free / determined / collapsed) live here
+    alone: `status` holds each one's current status, and each level keeps
+    a census history, the stages at which its counts changed and the
+    counts from each on.  Statuses, like relations, arrive in stage order,
+    so a census at any stage is one binary search.
     """
 
     def __init__(self, ngens: int | None = None):
@@ -322,7 +321,8 @@ class StagedPresentation:
         self._by_lhs: dict[int, Relation] = {}
         self._last_stage = 0
         self.level: dict[int, int] = {}
-        self._status_events: dict[int, list[tuple[int, str]]] = {}
+        self.status: dict[int, str] = {}
+        self._census: dict[int, tuple[list[int], list[dict[str, int]]]] = {}
 
     # -- relations ---------------------------------------------------------
 
@@ -375,10 +375,6 @@ class StagedPresentation:
     def lhs_relation(self, j: int) -> Relation | None:
         return self._by_lhs.get(j)
 
-    @property
-    def last_stage(self) -> int:
-        return self._last_stage
-
     # -- statuses -----------------------------------------------------------
 
     def set_level(self, gen: int, level: int) -> None:
@@ -386,24 +382,33 @@ class StagedPresentation:
         self.level[gen] = level
 
     def set_status(self, gen: int, status: str, stage: int) -> None:
+        """Give x_gen a status from `stage` on; a level's census counts
+        x_gen only if its level was set first."""
         self._check_index(gen)
-        events = self._status_events.setdefault(gen, [])
-        if events and stage < events[-1][0]:
+        if stage < self._last_stage:
             raise StageRegressionError(
-                f"status stage {stage} below last event for x{gen}"
+                f"status stage {stage} below last stage {self._last_stage}"
             )
-        events.append((stage, status))
+        self._last_stage = stage
+        old, self.status[gen] = self.status.get(gen), status
+        if gen not in self.level:
+            return
+        stages, history = self._census.setdefault(self.level[gen], ([], []))
+        if not stages or stages[-1] < stage:
+            stages.append(stage)
+            history.append(dict(history[-1]) if history
+                           else dict.fromkeys(_STATUSES, 0))
+        counts = history[-1]
+        if old is not None:
+            counts[old] -= 1
+        counts[status] += 1
 
-    def status_at(self, gen: int, stage: int) -> str | None:
-        events = self._status_events.get(gen)
-        if not events:
-            return None
-        current = None
-        for s, status in events:
-            if s > stage:
-                break
-            current = status
-        return current
+    def census_at(self, level: int, stage: int) -> dict[str, int]:
+        """Head-count of a level's generators by status at a stage; a
+        generator with no status yet is not counted."""
+        stages, history = self._census.get(level, ((), ()))
+        i = bisect_right(stages, stage)
+        return dict(history[i - 1]) if i else dict.fromkeys(_STATUSES, 0)
 
 
 def validate_relation_stream(

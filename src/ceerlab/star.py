@@ -43,7 +43,6 @@ __all__ = [
     "StarConstruction",
     "PhiEntry",
     "run_star_universal",
-    "level_census",
     "level_letters",
 ]
 
@@ -97,7 +96,6 @@ class _StarState:
         self.pres = StagedPresentation(ngens=self.ngens)
         self.current: dict[int, list[int]] = {}
         self.collapsed: set[int] = set()
-        self.free_gens: set[int] = set()
         self.X = CeerTable(bound=x_bound)
         self.next_witness = 0
         self.diag: list["_DiagReq"] = []
@@ -126,21 +124,22 @@ class _StarState:
 
         Returns (free letters, K) where K is the largest level with a
         surviving level generator in the word (-1 if none).  Canonical
-        words only mention free or still-active level generators.
+        words only mention free or still-active level generators; a
+        generator has status "level" exactly while it is in `current`.
         """
         free = []
         top = -1
-        active = {g for gens in self.current.values() for g in gens}
+        status = self.pres.status
         for idx, _ in word:
-            if idx in self.free_gens:
+            kind = status.get(idx)
+            if kind == "free":
                 free.append(idx)
-                continue
-            lvl = self.pres.level.get(idx)
-            if lvl is None or idx not in active:
+            elif kind == "level":
+                top = max(top, self.pres.level[idx])
+            else:
                 raise RuntimeError(
                     f"canonical word mentions retired generator x{idx}"
                 )
-            top = max(top, lvl)
         return free, top
 
 
@@ -325,7 +324,6 @@ class _DiagReq(Requirement):
         relators.append(_relator_obj(large, ((small, -1),)))
         for g in keep:
             st.pres.set_status(g, "free", stage)
-            st.free_gens.add(g)
         pos = st.current[level].index(block[0])
         del st.current[level][pos: pos + 4]
         st.check_alternation(level)
@@ -406,10 +404,13 @@ class StarResult(ConstructionRun):
     base: int = 10
     levels: int = 1
     collapsed_levels: set[int] = field(default_factory=set)
-    free_generators: set[int] = field(default_factory=set)
+
+    @property
+    def free_generators(self) -> set[int]:
+        return {g for g, s in self.presentation.status.items() if s == "free"}
 
     def census(self, level: int, stage: int) -> dict[str, int]:
-        return census_at(self.presentation, self.base, level, stage)
+        return self.presentation.census_at(level, stage)
 
 
 def _ambient(pres: StagedPresentation, stage: int) -> FreeProduct:
@@ -444,32 +445,9 @@ def level_words_equal_at(pres: StagedPresentation, base: int, i: int, j: int,
             == level_normal_form(pres, base, j, stage))
 
 
-def census_at(pres: StagedPresentation, base: int, level: int,
-              stage: int) -> dict[str, int]:
-    """Status head-count for one level of a presentation at a stage.
-
-    A letter with no status yet (its level was never laid out) is not
-    counted.
-    """
-    counts = {"level": 0, "free": 0, "determined": 0, "collapsed": 0}
-    for idx in level_letters(base, level):
-        status = pres.status_at(idx, stage)
-        if status is not None:
-            counts[status] += 1
-    return counts
-
-
-def level_census(run: "StarResult | StarConstruction", level: int,
-                 stage: int) -> dict[str, int]:
-    """Status head-count for one level at a stage."""
-    if isinstance(run, StarConstruction):
-        return census_at(run.state.pres, run.base, level, stage)
-    return census_at(run.presentation, run.base, level, stage)
-
-
 # Ceiling on a presentation's base ** (levels + 1) generators.  Laying out
-# the levels, a census and the level words each take time and memory linear
-# in that count; levels 3 at base 10 hold 10,000 generators.
+# the levels and the level words each take time and memory linear in that
+# count; levels 3 at base 10 hold 10,000 generators.
 GENERATOR_CEILING = 100_000
 
 
@@ -604,7 +582,6 @@ class StarConstruction:
             base=self.base,
             levels=self.levels,
             collapsed_levels=set(st.collapsed),
-            free_generators=set(st.free_gens),
         )
 
 

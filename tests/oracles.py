@@ -5,7 +5,8 @@ different algorithms than the package (dense linear algebra and sparse
 per-degree slice echelons instead of a truncated Groebner basis,
 full-closure scans instead of incremental union-find, repeated-scan word
 reduction instead of a single stack pass, a dense substitution matrix
-instead of sparse highest-index-first rewriting).  Tests compare package output
+instead of sparse highest-index-first rewriting, per-generator status event
+lists instead of per-level census counts).  Tests compare package output
 against these.
 """
 from __future__ import annotations
@@ -312,6 +313,41 @@ def staged_wp_dense(relations, ngens: int, word, stage: int) -> tuple[tuple[int,
         if np.array_equal(nxt, vec):
             return tuple((int(i), int(vec[i])) for i in np.flatnonzero(vec))
         vec = nxt
+
+
+# -- generator status census by per-generator event lists ----------------------
+
+
+class StatusEvents:
+    """Each generator's status events, in the order they were set.
+
+    A census walks every letter of a level and finds each letter's last
+    event at or before the stage, instead of reading per-level counts.
+    """
+
+    def __init__(self):
+        self.events: dict[int, list[tuple[int, str]]] = {}
+
+    def set_status(self, gen: int, status: str, stage: int) -> None:
+        self.events.setdefault(gen, []).append((stage, status))
+
+    def status_at(self, gen: int, stage: int) -> str | None:
+        current = None
+        for s, status in self.events.get(gen, ()):
+            if s > stage:
+                break
+            current = status
+        return current
+
+    def census(self, base: int, level: int, stage: int) -> dict[str, int]:
+        """Head-count of a level's letters by status; no status, no count."""
+        lo, hi = (0, base) if level == 0 else (base ** level, base ** (level + 1))
+        counts = {"level": 0, "free": 0, "determined": 0, "collapsed": 0}
+        for gen in range(lo, hi):
+            status = self.status_at(gen, stage)
+            if status is not None:
+                counts[status] += 1
+        return counts
 
 
 # -- growth-series budget, recomputed exactly ----------------------------------

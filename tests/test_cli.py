@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -136,6 +137,27 @@ def test_run_maxdeg_above_ceiling(maxdeg, route, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == f"error: bad maxdeg {maxdeg}: must lie in [0, 64]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["flag", "scenario"])
+@pytest.mark.parametrize("stages", [str(10 ** 9), "100001", "-1"])
+def test_run_stages_above_ceiling(stages, route, tmp_path, capsys):
+    scenario, flags = shipped("sigma3-basic.txt"), ["--stages", stages]
+    if route == "scenario":
+        text = open(scenario).read()
+        assert text.count("\nstages = 60\n") == 1
+        scenario, flags = str(tmp_path / "sigma3.txt"), []
+        open(scenario, "w").write(
+            text.replace("\nstages = 60\n", f"\nstages = {stages}\n"))
+    out = tmp_path / "sigma3.jsonl"
+    start = time.perf_counter()
+    rc, peak = peak_of(["run", scenario, *flags, "--out", str(out)])
+    assert time.perf_counter() - start < 1  # no stage was run
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad stages {stages}: must lie in [0, 100000]\n"
+    assert peak < 2_000_000
     assert not out.exists()
 
 
@@ -349,7 +371,9 @@ def test_verify_malformed_log(tmp_path, capsys):
     ('{"construction":"star-universal","params":{}}\n\n[1,2]\n',
      "log line 3 is not a JSON object"),
     ("[" * 100_000 + "]" * 100_000 + "\n", "log line 1 nests too deeply"),
-], ids=["array-header", "array-record", "deep-array"])
+    ('{"construction":"star-universal","params":{}}\n{"stage":1}\n',
+     "log line 2 lacks 'requirement'"),
+], ids=["array-header", "array-record", "deep-array", "record-lacks-key"])
 def test_verify_json_array_log(text, err, tmp_path, capsys):
     path = tmp_path / "array.jsonl"
     path.write_text(text)
@@ -571,6 +595,27 @@ def test_probe_map_value_above_ceiling(sub, fmap, dumps, capsys):
     value = max(int(x) for x in re.split("[,:]", fmap))
     assert capsys.readouterr().err == (
         f"error: --map value {value} implies a bound above the ceiling "
+        "1000000\n")
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("bound,flags", [
+    (1415, []),  # the map's own totality bound
+    (1415, ["--bound", "1415"]),
+    (1_000_000, ["--bound", "1000000"]),
+])
+def test_probe_verify_reduction_above_pair_ceiling(bound, flags, dumps,
+                                                  capsys):
+    left, right = dumps
+    fmap = ",".join(f"{n}:0" for n in range(1415))
+    start = time.perf_counter()
+    rc, peak = peak_of(["probe", "verify-reduction", left, right,
+                        "--map", fmap, *flags])
+    assert time.perf_counter() - start < 1  # no pair was checked
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: verify-reduction bound {bound} has "
+        f"{bound * (bound - 1) // 2} index pairs to check, above the ceiling "
         "1000000\n")
     assert peak < 2_000_000
 

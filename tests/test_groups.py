@@ -287,14 +287,20 @@ def test_staged_abelian_factor_in_free_product():
 
 def test_status_tracking():
     pres = StagedPresentation(ngens=4)
+    pres.set_level(2, 0)
     pres.set_status(2, "level", 0)
     pres.set_status(2, "free", 4)
-    assert pres.status_at(2, 0) == "level"
-    assert pres.status_at(2, 3) == "level"
-    assert pres.status_at(2, 4) == "free"
-    assert pres.status_at(3, 9) is None
+    assert pres.status == {2: "free"}
+    none = {"level": 0, "free": 0, "determined": 0, "collapsed": 0}
+    assert pres.census_at(0, 0) == {**none, "level": 1}
+    assert pres.census_at(0, 3) == {**none, "level": 1}
+    assert pres.census_at(0, 4) == {**none, "free": 1}
+    assert pres.census_at(1, 9) == none
+    with pytest.raises(StageRegressionError):  # one check per presentation
+        pres.set_status(3, "collapsed", 1)
+    pres.add_relation(1, (), 6)
     with pytest.raises(StageRegressionError):
-        pres.set_status(2, "collapsed", 1)
+        pres.set_status(2, "collapsed", 5)
 
 
 # -- codings and translations --------------------------------------------------

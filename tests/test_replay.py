@@ -6,7 +6,6 @@ import pytest
 from ceerlab import replay
 from ceerlab.engine import RunLog
 from ceerlab.scenario import load_scenario
-from ceerlab.star import census_at
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -31,7 +30,7 @@ def test_star_replay_matches_live_run(overrides):
     assert points[0] == 0 and points[-1] == live.stages
     for s in points:
         for j in range(live.levels + 1):
-            assert census_at(pres, live.base, j, s) == live.census(j, s), (s, j)
+            assert pres.census_at(j, s) == live.census(j, s), (s, j)
     uni = replay.universal_table(log.header["params"])
     assert (uni.bound, uni.pairs) == (live.universal.bound, live.universal.pairs)
     stream = replay.relator_streams(log)["main"]

@@ -10,6 +10,7 @@ import pytest
 
 from ceerlab.scenario import (
     CONSTRUCTIONS,
+    STAGE_CEILING,
     ScenarioError,
     load_scenario,
     parse_scenario,
@@ -132,6 +133,18 @@ def test_pair_row_outside_bound_rejected():
     )
     with pytest.raises(ScenarioError, match="outside bound"):
         scn.run()
+
+
+def test_stage_ceiling_is_checked_once_overrides_merge():
+    scn = load_scenario(os.path.join(SCENARIO_DIR, "sug-basic.txt"))
+    assert scn.run({"stages": STAGE_CEILING}).stages == STAGE_CEILING
+    for bad in ({"stages": STAGE_CEILING + 1}, {"stages": -1}):
+        with pytest.raises(ScenarioError, match="bad stages"):
+            scn.run(bad)
+    scn = parse_scenario("construction = sigma3\nstages = -1\n")
+    with pytest.raises(ScenarioError, match="bad stages -1"):
+        scn.run()
+    assert scn.run({"stages": 2}).stages == 2
 
 
 def test_pair_row_needs_two_parts():

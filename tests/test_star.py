@@ -19,7 +19,6 @@ from ceerlab.star import (
     PhiEntry,
     StarConstruction,
     check_size,
-    level_census,
     level_letters,
     level_words_equal_at,
     run_star_universal,
@@ -50,10 +49,10 @@ def test_initialization_pins_two_leads_per_level():
     assert recs[0].details["generators"] == [0, 9]
     assert recs[2].details["generators"] == [100, 999]
     # each level loses its even and odd lead to a product relation
-    assert level_census(con, 0, 0) == {
+    assert con.state.pres.census_at(0, 0) == {
         "level": 8, "free": 0, "determined": 2, "collapsed": 0,
     }
-    assert level_census(con, 1, 0) == {
+    assert con.state.pres.census_at(1, 0) == {
         "level": 88, "free": 0, "determined": 2, "collapsed": 0,
     }
     lead = recs[0].details["relators"][0]
@@ -227,13 +226,13 @@ def test_shipped_timeline_base_ten():
     assert free_hit.details["witnesses"] == [2, 3]
     assert res.table.related(0, 1, 2) and not res.table.related(0, 1, 1)
     assert res.table.related(2, 3, 3)
-    assert level_census(res, 0, 6) == {
+    assert res.census(0, 6) == {
         "level": 8, "free": 0, "determined": 2, "collapsed": 0,
     }
-    assert level_census(res, 1, 6) == {
+    assert res.census(1, 6) == {
         "level": 0, "free": 2, "determined": 2, "collapsed": 86,
     }
-    assert level_census(res, 2, 6) == {
+    assert res.census(2, 6) == {
         "level": 896, "free": 0, "determined": 4, "collapsed": 0,
     }
     assert level_words_equal_at(res.presentation, res.base, 0, 1, 5)
@@ -348,7 +347,7 @@ def test_long_phi_word_at_levels_three():
     assert moves == [(1, "R0", "case-3c"), (2, "R0", "case-3a"),
                      (3, "R1", "case-1"), (5, "U", "collapse-level")]
     assert res.log.records[4].details["determined"] == [9996, 9997]
-    assert level_census(res, 3, 40) == {
+    assert res.census(3, 40) == {
         "level": 8996, "free": 0, "determined": 4, "collapsed": 0,
     }
     assert parse_scenario(LONG_PHI).run().log.dumps() == res.log.dumps()
