@@ -50,6 +50,11 @@ __all__ = [
 
 SUPPORTED_MODULI = (2, 3, 5, 7)
 
+# The degree horizon's ceiling for runs and replayed logs, and the unit
+# exponent's: a work budget on banking degrees, word codes and the per-stage
+# growth audit, all of which grow with the horizon and the seed degree.
+MAXDEG_CEILING = 64
+
 
 class HorizonError(ValueError):
     """A degree beyond the configured horizon was consulted."""

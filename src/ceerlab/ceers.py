@@ -14,7 +14,8 @@ one cut at every edge stamped after s.  Queries at past stages are
 therefore climbs, not replays, and nothing is cached between calls.  The
 forest stores only the indices up to the largest one a pair names: any
 later index was never merged and is its own root, so a table's bound is
-checked, never allocated, and its memory follows its pairs.  `product`
+checked, never allocated, and its memory follows its pairs, up to the
+constant INDEX_CEILING on the indices pairs may name.  `product`
 walks pairs too, asserting each factor pair against every index of the
 other factor; `roots_at`, `classes_at` and `pullback` take time linear in
 a bound, as their output does.
@@ -37,6 +38,8 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .pairing import pair
 
 __all__ = [
+    "INDEX_CEILING",
+    "IndexCeilingError",
     "StageRegressionError",
     "PartialityError",
     "StageSet",
@@ -59,6 +62,15 @@ class StageRegressionError(ValueError):
 
 class PartialityError(ValueError):
     """A reduction function was consulted outside its table."""
+
+
+# Ceiling on the indices a table's pairs may name.  The forest stores every
+# index up to the largest named one: about 50 MB peak RSS at the ceiling.
+INDEX_CEILING = 1_000_000
+
+
+class IndexCeilingError(ValueError):
+    """A pair named an index at or above INDEX_CEILING."""
 
 
 class StageSet:
@@ -201,13 +213,17 @@ class CeerTable:
             raise StageRegressionError(
                 f"pair at stage {stage} after stage {self._pairs[-1][2]}"
             )
-        self._pairs.append((a, b, stage))
         named = len(self._stamp)
         if a >= named or b >= named:
+            if max(a, b) >= INDEX_CEILING:
+                raise IndexCeilingError(
+                    f"pair ({a}, {b}) names index {max(a, b)}, not below "
+                    f"the table index ceiling {INDEX_CEILING}")
             grow = max(a, b) + 1 - named
             self._parent.extend([0] * grow)
             self._size.extend([1] * grow)
             self._stamp.extend([_ROOT] * grow)
+        self._pairs.append((a, b, stage))
         # no stamp exceeds `stage`, so these climbs reach the current roots
         ra, rb = self._top(a, stage), self._top(b, stage)
         if ra != rb:
@@ -341,14 +357,8 @@ class ReductionFn:
     totality_bound: int
 
     @classmethod
-    def from_callable(
-        cls, fn: Callable[[int], int], bound: int, stage: int = 0
-    ) -> "ReductionFn":
-        return cls({n: (fn(n), stage) for n in range(bound)}, bound)
-
-    @classmethod
     def identity(cls, bound: int) -> "ReductionFn":
-        return cls.from_callable(lambda n: n, bound)
+        return cls({n: (n, 0) for n in range(bound)}, bound)
 
     def __call__(self, n: int) -> int:
         entry = self.table.get(n)

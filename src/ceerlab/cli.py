@@ -19,6 +19,7 @@ from typing import Any
 from . import replay
 from .algebra import Monomial, Poly
 from .ceers import (
+    INDEX_CEILING,
     CeerTable,
     PartialityError,
     ReductionFn,
@@ -33,17 +34,11 @@ from .engine import RunLog
 from .groups import TriangularityError, validate_relation_stream
 from .indexset import SugResult
 from .pairing import pair
-from .scenario import ScenarioError, load_scenario, parse_epsilon
+from .scenario import load_scenario, parse_epsilon
 from .sigma3 import Sigma3Result
 from .star import StarResult, check_size, level_normal_form
 
 __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
-
-SUITES = ("triangularity", "level-census", "vi-vs-U", "membership")
-
-# A table costs memory linear in the largest index its pairs name: about
-# 50 MB peak RSS at the ceiling.
-PROBE_BOUND_CEILING = 1_000_000
 
 # verify-reduction checks every pair of indices below its bound, about 2 us a
 # pair on a 2-vCPU x86-64 machine: bounds 500, 1,000 and 1,414 took 0.26,
@@ -52,6 +47,10 @@ VERIFY_PAIR_CEILING = 1_000_000
 
 _STAR_LOGS = ("star-universal",)
 _DARK_LOGS = ("dark-ring", "dark-group")
+
+# what a malformed log's JSON values raise while a suite reads them
+_MALFORMED = (KeyError, ValueError, TypeError, IndexError, AttributeError,
+              ArithmeticError)
 
 
 # -- run ---------------------------------------------------------------------
@@ -119,11 +118,6 @@ def _summarize(result) -> list[str]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     overrides: dict[str, Any] = {
         "stages": args.stages,
         "maxdeg": args.maxdeg,
@@ -133,10 +127,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         "unit_exponent": args.unit_exponent,
     }
     try:
+        scenario = load_scenario(args.scenario)
         if args.epsilon is not None:
             overrides["epsilon"] = parse_epsilon(args.epsilon)
         result = scenario.run(overrides)
-    except (ScenarioError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = args.out
@@ -154,39 +149,36 @@ def cmd_run(args: argparse.Namespace) -> int:
 # -- verify ------------------------------------------------------------------
 
 
+class _NotForSuite(Exception):
+    """The log is not one the suite applies to; `verify` exits 2."""
+
+
 def _want_constructions(log: RunLog, allowed: tuple[str, ...],
-                        suite: str) -> str | None:
+                        suite: str) -> None:
     construction = log.header.get("construction", "<missing>")
     if construction not in allowed:
-        return (
+        raise _NotForSuite(
             f"suite {suite!r} applies to {', '.join(allowed)} logs, "
             f"got {construction!r}"
         )
-    return None
 
 
-def _want_star_log(log: RunLog, suite: str) -> str | None:
-    """Why a log is no star log, or why its header's shape is too large;
-    checked before any level's letters are listed."""
-    err = _want_constructions(log, _STAR_LOGS, suite)
-    if err:
-        return err
+def _want_star_log(log: RunLog, suite: str) -> None:
+    """Refuse a log that is no star log, or whose header's shape is too
+    large; checked before any level's letters are listed."""
+    _want_constructions(log, _STAR_LOGS, suite)
     params = log.header["params"]
     try:
         check_size(params["base"], params["levels"])
     except ValueError as exc:
-        return str(exc)
-    return None
+        raise _NotForSuite(str(exc)) from None
 
 
 def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
-    err = _want_constructions(
-        log, ("star-universal", "sug-indexset"), "triangularity")
-    if err:
-        return False, [f"error: {err}"]
+    _want_constructions(log, ("star-universal", "sug-indexset"),
+                        "triangularity")
     streams = replay.relator_streams(log)
-    total = sum(len(s) for s in streams.values())
-    if total == 0:
+    if not any(streams.values()):
         return True, ["warning: no relators in log; triangularity passes "
                       "vacuously"]
     lines = []
@@ -203,9 +195,7 @@ def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
 
 
 def _suite_level_census(log: RunLog) -> tuple[bool, list[str]]:
-    err = _want_star_log(log, "level-census")
-    if err:
-        return False, [f"error: {err}"]
+    _want_star_log(log, "level-census")
     params = log.header["params"]
     base, levels = params["base"], params["levels"]
     uni = replay.universal_table(params)
@@ -238,9 +228,7 @@ def _suite_level_census(log: RunLog) -> tuple[bool, list[str]]:
 
 
 def _suite_vi_vs_u(log: RunLog) -> tuple[bool, list[str]]:
-    err = _want_star_log(log, "vi-vs-U")
-    if err:
-        return False, [f"error: {err}"]
+    _want_star_log(log, "vi-vs-U")
     params = log.header["params"]
     base, levels = params["base"], params["levels"]
     uni = replay.universal_table(params)
@@ -274,9 +262,7 @@ def _suite_vi_vs_u(log: RunLog) -> tuple[bool, list[str]]:
 
 
 def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
-    err = _want_constructions(log, _DARK_LOGS, "membership")
-    if err:
-        return False, [f"error: {err}"]
+    _want_constructions(log, _DARK_LOGS, "membership")
     params = log.header["params"]
     p = params["modulus"]
     epsilon = Fraction(params["epsilon"])
@@ -348,6 +334,14 @@ def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
     return ok, lines
 
 
+SUITES = {
+    "triangularity": _suite_triangularity,
+    "level-census": _suite_level_census,
+    "vi-vs-U": _suite_vi_vs_u,
+    "membership": _suite_membership,
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite not in SUITES:
         print(
@@ -361,22 +355,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot read log: {exc}", file=sys.stderr)
         return 2
-    suite_fn = {
-        "triangularity": _suite_triangularity,
-        "level-census": _suite_level_census,
-        "vi-vs-U": _suite_vi_vs_u,
-        "membership": _suite_membership,
-    }[args.suite]
     try:
-        ok, lines = suite_fn(log)
-    except (KeyError, ValueError, TypeError) as exc:
+        ok, lines = SUITES[args.suite](log)
+    except _NotForSuite as exc:
+        print(f"error: {exc}")
+        return 2
+    except _MALFORMED as exc:
         print(f"error: malformed log for suite {args.suite}: {exc!r}",
               file=sys.stderr)
         return 2
     for line in lines:
         print(line)
-    if lines and lines[0].startswith("error:"):
-        return 2
     print(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -398,9 +387,9 @@ def _load_table(path: str, bound: int | None) -> CeerTable:
     # stable sort by stage; tolerates hand-made files
     pairs = sorted(((r["a"], r["b"], r["s"]) for r in rows), key=lambda t: t[2])
     top = max((max(a, b) for a, b, _ in pairs), default=0)
-    if top >= PROBE_BOUND_CEILING:
+    if top >= INDEX_CEILING:
         raise ValueError(f"index {top} implies a bound above the ceiling "
-                         f"{PROBE_BOUND_CEILING}")
+                         f"{INDEX_CEILING}")
     return CeerTable.from_pairs(pairs, top + 1 if bound is None else bound)
 
 
@@ -412,9 +401,9 @@ def _parse_map(text: str) -> ReductionFn:
             continue
         n, v = map(int, chunk.split(":"))
         for x in (n, v):
-            if x >= PROBE_BOUND_CEILING:
+            if x >= INDEX_CEILING:
                 raise ValueError(f"--map value {x} implies a bound above the "
-                                 f"ceiling {PROBE_BOUND_CEILING}")
+                                 f"ceiling {INDEX_CEILING}")
         table[n] = (v, 0)
     if not table:
         raise ValueError("empty map")
@@ -424,15 +413,15 @@ def _parse_map(text: str) -> ReductionFn:
 def _check_output_bound(subcommand: str, bound: int) -> None:
     """product and join build a table whose bound can pass the ceiling while
     every input is under it; refuse it before anything is built."""
-    if bound > PROBE_BOUND_CEILING:
+    if bound > INDEX_CEILING:
         raise ValueError(f"{subcommand} output bound {bound} is above the "
-                         f"ceiling {PROBE_BOUND_CEILING}")
+                         f"ceiling {INDEX_CEILING}")
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    if args.bound is not None and args.bound > PROBE_BOUND_CEILING:
+    if args.bound is not None and args.bound > INDEX_CEILING:
         print(f"error: --bound {args.bound} exceeds the ceiling "
-              f"{PROBE_BOUND_CEILING}", file=sys.stderr)
+              f"{INDEX_CEILING}", file=sys.stderr)
         return 2
     try:
         table = _load_table(args.dump, args.bound)

@@ -305,12 +305,16 @@ class StagedPresentation:
     Each generator may be the left-hand side of at most one relation and
     right-hand sides mention strictly smaller indices, so substitution in
     descending index order terminates with a unique normal form.
+    `add_relation` holds the only copy of these rules and of the stage
+    order; `validate_relation_stream` checks a raw stream by feeding it to
+    a throwaway presentation.
 
     Generator statuses (level / free / determined / collapsed) live here
     alone: `status` holds each one's current status, and each level keeps
     a census history, the stages at which its counts changed and the
     counts from each on.  Statuses, like relations, arrive in stage order,
-    so a census at any stage is one binary search.
+    so a census at any stage is one binary search.  A star presentation is
+    written only by `star.apply_record`, one logged record at a time.
     """
 
     def __init__(self, ngens: int | None = None):
@@ -335,42 +339,29 @@ class StagedPresentation:
     def add_relation(
         self, lhs: int, rhs: Iterable[tuple[int, int]], stage: int
     ) -> Relation:
+        """Define x_lhs from `stage` on; every right-hand entry, even one
+        with exponent 0, must name a strictly smaller generator."""
         self._check_index(lhs)
-        rhs_t = tuple((i, e) for i, e in rhs if e)
         if lhs in self._by_lhs:
             raise TriangularityError(f"x{lhs} already has a defining relation")
-        for i, _ in rhs_t:
-            self._check_index(i)
-            if i >= lhs:
+        kept = []
+        for i, e in rhs:
+            if not 0 <= i < lhs:  # 0 <= i < lhs < ngens needs no other check
+                self._check_index(i)
                 raise TriangularityError(
                     f"relation for x{lhs} mentions x{i}, not strictly smaller"
                 )
+            if e:
+                kept.append((i, e))
         if stage < self._last_stage:
             raise StageRegressionError(
                 f"relation stage {stage} below last stage {self._last_stage}"
             )
-        rel = Relation(lhs, rhs_t, stage)
+        rel = Relation(lhs, tuple(kept), stage)
         self.relations.append(rel)
         self._by_lhs[lhs] = rel
         self._last_stage = stage
         return rel
-
-    def collapse_to_one(self, j: int, stage: int) -> Relation:
-        return self.add_relation(j, (), stage)
-
-    def collapse_to(self, j: int, i: int, stage: int) -> Relation:
-        return self.add_relation(j, ((i, 1),), stage)
-
-    def collapse_to_inverse(self, j: int, i: int, stage: int) -> Relation:
-        return self.add_relation(j, ((i, -1),), stage)
-
-    def product_relation(self, indices: Sequence[int], stage: int) -> Relation:
-        """Impose prod x_k = 1 over `indices`, as x_max = (prod rest)^-1."""
-        if not indices:
-            raise ValueError("empty product relation")
-        k_max = max(indices)
-        rhs = tuple((k, -1) for k in sorted(indices) if k != k_max)
-        return self.add_relation(k_max, rhs, stage)
 
     def lhs_relation(self, j: int) -> Relation | None:
         return self._by_lhs.get(j)
@@ -414,23 +405,11 @@ class StagedPresentation:
 def validate_relation_stream(
     relations: Iterable[tuple[int, Sequence[tuple[int, int]], int]],
 ) -> None:
-    """Raise TriangularityError on the first offending raw relation."""
-    seen: set[int] = set()
-    last_stage = 0
+    """Raise TriangularityError (or StageRegressionError) on the first raw
+    relation that `StagedPresentation.add_relation` refuses."""
+    pres = StagedPresentation()
     for lhs, rhs, stage in relations:
-        if lhs in seen:
-            raise TriangularityError(f"x{lhs} appears as a left-hand side twice")
-        for i, _ in rhs:
-            if i >= lhs:
-                raise TriangularityError(
-                    f"relation for x{lhs} mentions x{i}, not strictly smaller"
-                )
-        if stage < last_stage:
-            raise StageRegressionError(
-                f"relation stage {stage} below last stage {last_stage}"
-            )
-        seen.add(lhs)
-        last_stage = stage
+        pres.add_relation(lhs, rhs, stage)
 
 
 def staged_abelian_wp(

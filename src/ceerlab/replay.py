@@ -4,18 +4,20 @@ This is the one place a `RunLog` turns back into state, and the state is
 built from the types the constructions themselves use: relator streams
 per presentation, a star log's `StagedPresentation` (relations, levels
 and generator statuses), its universal table and census checkpoints, and
-a dark log's `HomogeneousIdeal`, record by record.  Replaying a log
-written by a run gives the run's own relation list, census and ideal.
+a dark log's `HomogeneousIdeal`, record by record.  A star presentation
+has one writer, `star.apply_record`, which the run calls on each record
+it logs and replay calls on each record it reads, so replaying a star log
+rebuilds the run's own presentation by construction.
 """
 from __future__ import annotations
 
 from typing import Any, Iterator
 
-from .algebra import HomogeneousIdeal, Poly
+from .algebra import MAXDEG_CEILING, HomogeneousIdeal, Poly
 from .ceers import CeerTable
 from .engine import ActionRecord, RunLog
 from .groups import StagedPresentation
-from .star import level_letters
+from .star import apply_record, record_relators
 
 __all__ = [
     "relator_streams",
@@ -27,21 +29,6 @@ __all__ = [
 
 Relator = tuple[int, tuple[tuple[int, int], ...], int]
 
-# record keys naming generators whose status the record sets
-_STATUS_KEYS = (("freed", "free"), ("collapsed", "collapsed"),
-                ("determined", "determined"))
-
-
-def _relators(obj: dict[str, Any]) -> list[Relator]:
-    """The relators one record (or one sug inner record) adds, in order."""
-    stage = obj["stage"]
-    rels = list(obj.get("relators", ()))
-    for srv in obj.get("served", ()):
-        rels.extend(srv.get("relators", ()))
-    return [(int(rel["lhs"]), tuple((int(i), int(e)) for i, e in rel["rhs"]),
-             stage) for rel in rels]
-
-
 def relator_streams(log: RunLog) -> dict[str, list[Relator]]:
     """Relation streams keyed by presentation (slot id, or 'main')."""
     streams: dict[str, list[Relator]] = {}
@@ -52,16 +39,17 @@ def relator_streams(log: RunLog) -> dict[str, list[Relator]]:
                 continue
             target = streams.setdefault(slot, [])
             for inner in rec.details.get("inner", ()):
-                target.extend(_relators(inner))
+                target.extend(record_relators(inner, inner["stage"]))
     else:
         target = streams.setdefault("main", [])
         for rec in log.records:
-            target.extend(_relators(rec.to_obj()))
+            target.extend(record_relators(rec.details, rec.stage))
     return streams
 
 
 def star_presentation(log: RunLog) -> StagedPresentation:
-    """A star log's presentation: its relations, levels and statuses.
+    """A star log's presentation: its relations, levels and statuses, each
+    record applied as the run applied it.
 
     Raises TriangularityError or StageRegressionError when the log's
     relation stream could not have come from a run.
@@ -70,23 +58,7 @@ def star_presentation(log: RunLog) -> StagedPresentation:
     base = params["base"]
     pres = StagedPresentation(ngens=base ** (params["levels"] + 1))
     for rec in log.records:
-        obj, stage = rec.to_obj(), rec.stage
-        init = rec.action == "init-level"
-        if init:
-            for g in level_letters(base, obj["level"]):
-                pres.set_level(g, obj["level"])
-                pres.set_status(g, "level", stage)
-        for key, status in _STATUS_KEYS:
-            for g in obj.get(key, ()):
-                pres.set_status(g, status, stage)
-        if init:
-            for rel in obj.get("relators", ()):
-                pres.set_status(rel["lhs"], "determined", stage)
-        for srv in obj.get("served", ()):
-            for rel in srv.get("relators", ()):
-                pres.set_status(rel["lhs"], "collapsed", stage)
-        for lhs, rhs, s in _relators(obj):
-            pres.add_relation(lhs, rhs, s)
+        apply_record(pres, base, rec)
     return pres
 
 
@@ -109,8 +81,11 @@ def dark_steps(log: RunLog) -> Iterator[tuple[ActionRecord, HomogeneousIdeal]]:
     collapse records add their relators.
     """
     params = log.header["params"]
-    p = params["modulus"]
-    ideal = HomogeneousIdeal(p=p, maxdeg=params["maxdeg"])
+    p, maxdeg = params["modulus"], params["maxdeg"]
+    if not 0 <= maxdeg <= MAXDEG_CEILING:
+        raise ValueError(f"bad maxdeg {maxdeg}: must lie in "
+                         f"[0, {MAXDEG_CEILING}]")
+    ideal = HomogeneousIdeal(p=p, maxdeg=maxdeg)
     for rec in log.records:
         if rec.action in ("seed-ideal", "collapse-pair"):
             for text in rec.details["relators"]:

@@ -74,8 +74,9 @@ class _CodingReq(Requirement):
 
     def _fresh_column(self) -> int:
         ceiling = self.state.restraint_ceiling(self.rank)
-        j = 0
-        while j in self.state.used_columns or pair(j, 0) <= ceiling:
+        # the least j whose first code pair(j, 0) = j(j+1)/2 passes the ceiling
+        j = (isqrt(8 * ceiling + 1) + 1) // 2 if ceiling >= 0 else 0
+        while j in self.state.used_columns:
             j += 1
         self.state.used_columns.add(j)
         return j

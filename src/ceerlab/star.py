@@ -4,7 +4,8 @@ The group starts as a free abelian group on base**(levels+1) generators
 split into levels; level j holds the index range [base**j, base**(j+1))
 (level 0 additionally owns [0, base)).  Each level is summarized by an
 alternating "level word" over G * (Z/2Z): the product of a*x_k over the
-level's index range.  Two kinds of requirements mutate the presentation:
+level's index range.  Two kinds of requirements decide how the
+presentation changes, and each logs its decision as a record:
 
  * a stage-0-priority coding requirement collapses a whole level onto a
    lower one whenever the ambient universal table newly relates the two
@@ -14,6 +15,8 @@ level's index range.  Two kinds of requirements mutate the presentation:
    canonical form of the induced group word, whether to relate the
    witnesses in the output table.
 
+`apply_record` alone turns a record into levels, statuses and relations,
+for the run as each record is logged and for replay of a finished log.
 Every relator added is triangular: its left-hand side is a strictly
 larger generator index than anything on the right, so canonical forms
 exist at every stage.  A per-level reserve budget guarantees case
@@ -44,6 +47,8 @@ __all__ = [
     "PhiEntry",
     "run_star_universal",
     "level_letters",
+    "apply_record",
+    "record_relators",
 ]
 
 Word = tuple[tuple[int, int], ...]
@@ -82,6 +87,58 @@ def _word_inverse(word: Word) -> Word:
 
 def _relator_obj(lhs: int, rhs: Word) -> dict[str, Any]:
     return {"lhs": lhs, "rhs": [[i, e] for i, e in rhs]}
+
+
+def _lead_relator(side: Sequence[int]) -> dict[str, Any]:
+    """prod x_k = 1 over an ascending side, as lead = (prod juniors)^-1."""
+    return {"lhs": side[-1], "rhs": [[g, -1] for g in side[:-1]]}
+
+
+# record keys naming generators whose status the record sets
+_STATUS_KEYS = (("freed", "free"), ("collapsed", "collapsed"),
+                ("determined", "determined"))
+
+
+def record_relators(details: Mapping[str, Any],
+                    stage: int) -> list[tuple[int, Word, int]]:
+    """The relators (lhs, rhs, stage) one star record logged at `stage`
+    adds, in order: its own, then those of each level collapse it served."""
+    rels = list(details.get("relators", ()))
+    for srv in details.get("served", ()):
+        rels.extend(srv.get("relators", ()))
+    return [(rel["lhs"], tuple(map(tuple, rel["rhs"])), stage) for rel in rels]
+
+
+def apply_record(pres: StagedPresentation, base: int,
+                 record: ActionRecord) -> None:
+    """Apply one logged star record to its presentation: the level it lays
+    out, the statuses it sets and the relations it adds.  The run calls
+    this on each record it logs and replay on each record it reads, so both
+    build the same state.  Raises TriangularityError or StageRegressionError
+    on a relation no run adds, ValueError on an index outside `pres`."""
+    stage, details = record.stage, record.details
+    init = record.action == "init-level"
+    if init:
+        level = details["level"]
+        # bit_length bounds the level before base ** (level + 1) is formed
+        if (not 0 <= level < pres.ngens.bit_length()
+                or base ** (level + 1) > pres.ngens):
+            raise ValueError(f"init-level record names level {level}, outside "
+                             f"the {pres.ngens}-generator presentation")
+        for g in level_letters(base, level):
+            pres.set_level(g, level)
+            pres.set_status(g, "level", stage)
+    for key, status in _STATUS_KEYS:
+        for g in details.get(key, ()):
+            pres.set_status(g, status, stage)
+    if init:
+        for rel in details.get("relators", ()):
+            pres.set_status(rel["lhs"], "determined", stage)
+    for srv in details.get("served", ()):
+        for rel in srv.get("relators", ()):
+            pres.set_status(rel["lhs"], "collapsed", stage)
+    for lhs, rhs, _ in record_relators(details, stage):
+        pres.add_relation(lhs, rhs, stage)
 
 
 class _StarState:
@@ -189,15 +246,10 @@ class _CollapseCoding(Requirement):
             block = st.current[j][: len(targets)]
             if len(block) < len(targets):
                 raise BudgetError(j, self.name)
-            relators = []
-            for cur, tgt in zip(block, targets):
-                st.pres.collapse_to(cur, tgt, stage)
-                st.pres.set_status(cur, "collapsed", stage)
-                relators.append(_relator_obj(cur, ((tgt, 1),)))
-            for cur in st.current[j][len(targets):]:
-                st.pres.collapse_to_one(cur, stage)
-                st.pres.set_status(cur, "collapsed", stage)
-                relators.append(_relator_obj(cur, ()))
+            relators = [_relator_obj(cur, ((tgt, 1),))
+                        for cur, tgt in zip(block, targets)]
+            relators += [_relator_obj(cur, ())
+                         for cur in st.current[j][len(targets):]]
             st.current[j] = []
             st.collapsed.add(j)
             served.append({"pair": [i, j], "relators": relators})
@@ -309,40 +361,27 @@ class _DiagReq(Requirement):
             raise BudgetError(level, self.name)
         return block, tail
 
-    def _apply_free_pair(self, level: int, block: Sequence[int], parity: int,
-                         stage: int) -> dict[str, Any]:
+    def _apply_free_pair(self, level: int, block: Sequence[int],
+                         parity: int) -> dict[str, Any]:
         st = self.state
         keep = [g for g in block if g % 2 == parity]
         kill = [g for g in block if g % 2 != parity]
         small, large = min(keep), max(keep)
-        relators = []
-        for g in kill:
-            st.pres.collapse_to_one(g, stage)
-            st.pres.set_status(g, "collapsed", stage)
-            relators.append(_relator_obj(g, ()))
-        st.pres.collapse_to_inverse(large, small, stage)
+        relators = [_relator_obj(g, ()) for g in kill]
         relators.append(_relator_obj(large, ((small, -1),)))
-        for g in keep:
-            st.pres.set_status(g, "free", stage)
         pos = st.current[level].index(block[0])
         del st.current[level][pos: pos + 4]
         st.check_alternation(level)
         return {"freed": keep, "collapsed": kill, "relators": relators}
 
-    def _apply_tie_break(self, level: int, stage: int) -> dict[str, Any]:
+    def _apply_tie_break(self, level: int) -> dict[str, Any]:
         st = self.state
         gens = st.current[level]
         if len(gens) < 4:
             raise BudgetError(level, self.name)
         evens = [g for g in gens if g % 2 == 0]
         odds = [g for g in gens if g % 2 == 1]
-        relators = []
-        for side in (evens, odds):
-            lead, juniors = side[-1], side[:-1]
-            rhs = tuple((g, -1) for g in juniors)
-            st.pres.product_relation(side, stage)
-            st.pres.set_status(lead, "determined", stage)
-            relators.append(_relator_obj(lead, rhs))
+        relators = [_lead_relator(side) for side in (evens, odds)]
         st.current[level] = gens[:-2]
         st.check_alternation(level)
         return {"determined": [evens[-1], odds[-1]], "relators": relators}
@@ -368,25 +407,17 @@ class _DiagReq(Requirement):
             self.done = True
             self.committed_level = top
             return {"action": "case-2", "top_level": top, **base_details}
-        found = self._free_pair_block(top, word, parity=0)
-        if found is not None:
-            block, tail = found
-            details = self._apply_free_pair(top, block, parity=0, stage=stage)
-            st.X.assert_pair(a, b, stage)
-            self.done = True
-            return {"action": "case-3a", "level": top,
-                    "layout": "tail" if tail else "standard",
-                    **details, **base_details}
-        found = self._free_pair_block(top, word, parity=1)
-        if found is not None:
-            block, tail = found
-            details = self._apply_free_pair(top, block, parity=1, stage=stage)
-            st.X.assert_pair(a, b, stage)
-            self.done = True
-            return {"action": "case-3b", "level": top,
-                    "layout": "tail" if tail else "standard",
-                    **details, **base_details}
-        details = self._apply_tie_break(top, stage)
+        for parity, case in ((0, "case-3a"), (1, "case-3b")):
+            found = self._free_pair_block(top, word, parity)
+            if found is not None:
+                block, tail = found
+                details = self._apply_free_pair(top, block, parity)
+                st.X.assert_pair(a, b, stage)
+                self.done = True
+                return {"action": case, "level": top,
+                        "layout": "tail" if tail else "standard",
+                        **details, **base_details}
+        details = self._apply_tie_break(top)
         return {"action": "case-3c", "level": top, **details, **base_details}
 
     def reinitialize(self, stage: int, by: str) -> None:
@@ -539,29 +570,24 @@ class StarConstruction:
         records = []
         for j in range(self.levels + 1):
             gens = level_letters(self.base, j)
-            for g in gens:
-                st.pres.set_level(g, j)
-                st.pres.set_status(g, "level", 0)
-            evens = [g for g in gens if g % 2 == 0]
-            odds = [g for g in gens if g % 2 == 1]
-            relators = []
-            for side in (evens, odds):
-                st.pres.product_relation(side, 0)
-                st.pres.set_status(side[-1], "determined", 0)
-                relators.append(_relator_obj(
-                    side[-1], tuple((g, -1) for g in side[:-1])))
+            relators = [_lead_relator([g for g in gens if g % 2 == parity])
+                        for parity in (0, 1)]
             st.current[j] = gens[:-2]
             st.check_alternation(j)
             records.append(self.log.add(
                 0, "init", "init", "init-level", level=j,
                 generators=[gens[0], gens[-1]], relators=relators))
+            apply_record(st.pres, self.base, records[-1])
         return records
 
     def step(self) -> ActionRecord | None:
         if not self._initialized:
             raise RuntimeError("initialize() must run first")
         self.stage += 1
-        return self.engine.run_stage(self.stage)
+        record = self.engine.run_stage(self.stage)
+        if record is not None:
+            apply_record(self.state.pres, self.base, record)
+        return record
 
     def run(self) -> "StarResult":
         self.initialize()

@@ -5,7 +5,9 @@ import tracemalloc
 import pytest
 
 from ceerlab.ceers import (
+    INDEX_CEILING,
     CeerTable,
+    IndexCeilingError,
     FunctionalStub,
     PartialityError,
     ReductionFn,
@@ -174,6 +176,25 @@ def test_cold_reads_keep_no_per_stage_memory():
     finally:
         tracemalloc.stop()
     assert grown < 1 << 20
+
+
+def test_index_ceiling_refuses_a_pair_before_growing():
+    t = CeerTable(bound=10 ** 12)
+    t.assert_pair(0, INDEX_CEILING - 1, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a, b in ((0, INDEX_CEILING), (10 ** 11, 3)):
+            with pytest.raises(IndexCeilingError, match=(
+                    rf"pair \({a}, {b}\) names index {max(a, b)}, not below "
+                    "the table index ceiling 1000000")):
+                t.assert_pair(a, b, 2)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1 << 20
+    assert t.pairs == ((0, INDEX_CEILING - 1, 1),)
+    assert isinstance(IndexCeilingError("x"), ValueError)
 
 
 def test_huge_bound_stores_only_named_indices():

@@ -257,6 +257,114 @@ def test_run_dark_ring_with_huge_generated_columns(tmp_path, capsys):
     assert peak < 2_000_000  # no column was listed
 
 
+def timed_peak_of(argv):
+    """Exit code, wall seconds and peak traced allocation of one command."""
+    start = time.perf_counter()
+    rc, peak = peak_of(argv)
+    return rc, time.perf_counter() - start, peak
+
+
+@pytest.mark.parametrize("name,section,flags,line", [
+    ("sigma3-basic.txt", "[wcolumn 100000]\n1: 0", ["--stages", "100"], 30),
+    ("sigma3-basic.txt", "[wcolumn 1000000]\n1: 0", ["--stages", "10"], 30),
+    ("star-universal-basic.txt", "[phi 1000000]", [], 21),
+    ("star-universal-basic.txt", "[phi 10000000000]", [], 21),
+    ("sug-basic.txt", "[vcolumn 101]\n1: 0", [], 43),
+])
+def test_run_section_index_above_ceiling(name, section, flags, line,
+                                         tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(open(shipped(name)).read() + f"\n{section}\n")
+    out = tmp_path / "out.jsonl"
+    rc, seconds, peak = timed_peak_of(["run", str(path), *flags,
+                                       "--out", str(out)])
+    assert rc == 2
+    header = section.split("\n")[0]
+    assert capsys.readouterr().err == (
+        f"error: line {line}: {header} has an index above the section index "
+        "ceiling 100\n")
+    assert seconds < 1 and peak < 2_000_000  # no requirement was built
+    assert not out.exists()
+
+
+def test_run_section_index_at_ceiling(tmp_path, capsys):
+    path = tmp_path / "sigma3.txt"
+    path.write_text(open(shipped("sigma3-basic.txt")).read()
+                    + "\n[wcolumn 100]\n1: 0\n")
+    out = tmp_path / "sigma3.jsonl"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert "\n  C100: " in capsys.readouterr().out
+
+
+QUADRATIC_SIGMA3 = """\
+construction = sigma3
+[universal]
+1: 0 1
+[wcolumn 0]
+mode = steady
+period = 2
+[wcolumn 1]
+mode = steady
+period = 1
+"""
+
+
+@pytest.mark.parametrize("name,old,new,index", [
+    ("sug-basic.txt", "8: 6 7\n", "8: 6 10000000000\n", 10 ** 10),
+    ("sigma3-basic.txt", "15: 2 4\n", "15: 2 4\n7: 2 100001\n", 5000250002),
+    ("sigma3-basic.txt", "use = 9\n", f"use = {10 ** 40}\n",
+     10 ** 40 + 188249867551336164522),
+    (None, None, "5000", 1000406),
+    (None, None, "20000", 1000406),
+], ids=["sug-coded-row", "sigma3-join-code", "sigma3-huge-use",
+        "fresh-columns-5000", "fresh-columns-20000"])
+def test_run_table_index_above_ceiling(name, old, new, index, tmp_path,
+                                       capsys):
+    path = tmp_path / "in.txt"
+    if name is None:  # C1 takes a fresh join column each time it is injured
+        path.write_text(QUADRATIC_SIGMA3)
+        flags = ["--stages", new]
+    else:
+        text = open(shipped(name)).read()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        flags = []
+    out = tmp_path / "out.jsonl"
+    rc, seconds, peak = timed_peak_of(["run", str(path), *flags,
+                                       "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: pair (") and err.endswith(
+        f" names index {index}, not below the table index ceiling 1000000\n")
+    assert seconds < 10 and peak < 200_000_000
+    assert not out.exists()
+
+
+def test_run_fresh_columns_below_the_table_index_ceiling(tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    path.write_text(QUADRATIC_SIGMA3)
+    out = tmp_path / "out.jsonl"
+    rc, seconds, peak = timed_peak_of(["run", str(path), "--stages", "1000",
+                                       "--out", str(out)])
+    assert rc == 0
+    assert seconds < 10 and peak < 200_000_000
+    assert "C1: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exponent", ["65", "1000000"])
+def test_run_unit_exponent_above_ceiling(exponent, tmp_path, capsys):
+    out = tmp_path / "dark.jsonl"
+    rc, seconds, peak = timed_peak_of([
+        "run", shipped("dark-group-basic.txt"), "--unit-exponent", exponent,
+        "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: bad unit_exponent {exponent}: must lie in [0, 64]\n")
+    assert seconds < 1 and peak < 2_000_000
+    assert not out.exists()
+
+
 def test_run_reports_audit_failure_with_exit_one(tmp_path, capsys):
     out = str(tmp_path / "dark.jsonl")
     rc = main([
@@ -335,6 +443,69 @@ def test_star_suites_with_huge_universal_bound(suite, tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (shipped_out, "")
     assert peak < 200_000_000  # nothing universal-bound-sized was built
+
+
+def _first(rows, action):
+    return next(row for row in rows if row.get("action") == action)
+
+
+def _set_universal(rows, pairs, bound):
+    rows[0]["params"].update(universal=pairs, universal_bound=bound)
+
+
+# JSON values a run never writes, each of which once escaped `verify` as a
+# traceback or a hang
+MALFORMED_VALUES = {
+    "huge-universal-index": ("star-universal-basic", lambda rows:
+                             _set_universal(rows, [[0, 10 ** 9, 6]],
+                                            10 ** 9 + 1)),
+    "pair-outside-bound": ("star-universal-basic", lambda rows:
+                           _set_universal(rows, [[0, 5, 6]], 3)),
+    "served-not-an-object": ("star-universal-basic", lambda rows:
+                             _first(rows, "collapse-level").update(served=[5])),
+    "huge-level": ("star-universal-basic", lambda rows:
+                   _first(rows, "init-level").update(level=10 ** 9)),
+    "relator-not-text": ("dark-ring-basic", lambda rows:
+                         _first(rows, "collapse-pair")["relators"].insert(0, 5)),
+    "requirement-not-text": ("dark-ring-basic", lambda rows:
+                             _first(rows, "enumerate-witness").update(
+                                 requirement=5)),
+    "huge-maxdeg": ("dark-ring-basic", lambda rows:
+                    rows[0]["params"].update(maxdeg=10 ** 12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VALUES))
+def test_verify_malformed_values_exit_two(case, tmp_path, capsys):
+    name, mutate = MALFORMED_VALUES[case]
+    rows = [json.loads(ln) for ln in open(shipped(f"{name}.log.jsonl"))]
+    mutate(rows)
+    path = tmp_path / "mutated.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    suites = (["membership"] if name.startswith("dark")
+              else ["triangularity", "level-census", "vi-vs-U"])
+    for suite in suites:
+        rc, seconds, peak = timed_peak_of(["verify", str(path), suite])
+        got = capsys.readouterr()
+        if suite == "triangularity" and case != "served-not-an-object":
+            assert rc == 0, got  # the header and levels are not its concern
+            continue
+        assert rc == 2, (suite, got)
+        assert got.out == "" and got.err.count("\n") == 1
+        assert got.err.startswith(f"error: malformed log for suite {suite}: ")
+        assert seconds < 10 and peak < 200_000_000
+
+
+def test_verify_slot_named_like_an_error(tmp_path, capsys):
+    text = open(shipped("sug-basic.log.jsonl")).read()
+    assert '"slot":"g0"' in text
+    path = tmp_path / "sug.jsonl"
+    path.write_text(text.replace('"slot":"g0"', '"slot":"error: g0"'))
+    assert main(["verify", str(path), "triangularity"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("error: g0: ") and out[0].endswith(
+        " relators triangular, stages nondecreasing")
+    assert out[-1] == "suite triangularity: PASS"
 
 
 def test_verify_unknown_suite(capsys):

@@ -186,6 +186,8 @@ def test_presentation_triangularity_guards():
         pres.add_relation(4, [(4, 1)], 2)     # self-reference
     with pytest.raises(TriangularityError):
         pres.add_relation(3, [(7, 1)], 2)     # larger index on the right
+    with pytest.raises(TriangularityError):
+        pres.add_relation(3, [(1, 1), (7, 0)], 2)  # even with exponent 0
     with pytest.raises(StageRegressionError):
         pres.add_relation(7, [], 0)
     with pytest.raises(ValueError):
@@ -199,6 +201,10 @@ def test_validate_relation_stream():
         validate_relation_stream([(3, ((3, 1),), 0)])
     with pytest.raises(StageRegressionError):
         validate_relation_stream([(3, (), 5), (4, (), 1)])
+    with pytest.raises(TriangularityError, match="x3 already has a defining"):
+        validate_relation_stream([(3, (), 0), (3, ((1, 1),), 1)])
+    with pytest.raises(TriangularityError, match="mentions x4"):
+        validate_relation_stream([(3, ((1, 1), (4, 0)), 0)])
 
 
 def test_staged_abelian_wp_substitution():

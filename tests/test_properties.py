@@ -1,16 +1,24 @@
-"""Property tests: text round trips and log parsing on damaged input.
+"""Property tests: text round trips, log parsing on damaged input, and
+`run`/`verify` on shipped inputs with mutated numbers and values, which
+must exit 0, 1 or 2 and raise nothing.
 
 Examples are derandomized and no example database is kept, so every run
 of the suite tries the same inputs.
 """
+import contextlib
+import copy
+import io
 import json
 import os
+import re
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceerlab.algebra import SUPPORTED_MODULI, Monomial, Poly
 from ceerlab.ceers import CeerTable
+from ceerlab.cli import main
 from ceerlab.engine import RunLog
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -109,3 +117,85 @@ def test_run_log_loads_returns_a_log_or_raises_value_error(text):
         return
     assert isinstance(log.header, dict)
     assert RunLog.loads(log.dumps()).dumps() == log.dumps()
+
+
+# -- the command line on mutated shipped inputs ----------------------------
+
+SHIPPED = ("dark-ring-basic", "dark-group-basic", "sigma3-basic",
+           "star-universal-basic", "sug-basic")
+SUITES = ("triangularity", "level-census", "vi-vs-U", "membership")
+
+# large, negative and malformed stand-ins for a number; none lies between
+# the shipped values and the ceilings, where a run is merely slow
+NUMBERS = ("0", "-1", "-30", str(10 ** 6), str(10 ** 12), str(10 ** 40),
+           "9" * 5000, "1x", "1.5", "", "+", "x")
+# stand-ins for a JSON value of a log
+VALUES = (0, -1, -30, 10 ** 6, 10 ** 12, 10 ** 40, 1.5, 1e308, True, None,
+          "", "x", "error: x", [], [0], [[0, 1]], {}, {"lhs": 0})
+
+
+def _exit_code(argv):
+    """main's exit code, its output swallowed; any exception escapes."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one to three of its numbers replaced."""
+    with open(os.path.join(SCENARIOS,
+                           draw(st.sampled_from(SHIPPED)) + ".txt")) as fh:
+        text = fh.read()
+    spans = [m.span() for m in re.finditer(r"\d+", text)]
+    picked = draw(st.lists(st.sampled_from(spans), min_size=1, max_size=3,
+                           unique=True))
+    for lo, hi in sorted(picked, reverse=True):
+        text = text[:lo] + draw(st.sampled_from(NUMBERS)) + text[hi:]
+    return text
+
+
+@DETERMINISTIC
+@given(mutated_scenarios())
+def test_run_on_mutated_scenarios_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = ["run", path, "--out", os.path.join(tmp, "out.jsonl")]
+        assert _exit_code(argv) in (0, 1, 2)
+
+
+def _leaves(obj, path=()):
+    """Paths to every value inside a JSON object, containers included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+
+
+@st.composite
+def mutated_logs(draw):
+    """A shipped log with one to three of its JSON values replaced."""
+    with open(os.path.join(SCENARIOS, draw(st.sampled_from(SHIPPED))
+                           + ".log.jsonl")) as fh:
+        rows = [json.loads(line) for line in fh]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        path = draw(st.sampled_from(sorted(_leaves(row), key=repr)))
+        target = row
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = copy.deepcopy(draw(st.sampled_from(VALUES)))
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+@DETERMINISTIC
+@given(mutated_logs(), st.sampled_from(SUITES))
+def test_verify_on_mutated_logs_exits_cleanly(text, suite):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.jsonl")
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert _exit_code(["verify", path, suite]) in (0, 1, 2)

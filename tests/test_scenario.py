@@ -396,6 +396,8 @@ def test_phi_words_and_argspecs():
         ("0..200000/even: 0", "argument range '0..200000/even' holds 100001 "
          "arguments, above the generator ceiling 100000"),
         ("0..2: 0\n1: 0", "argument 1 defined twice"),
+        (f"1..{10 ** 40}/odd: 0", f"argument range '1..{10 ** 40}/odd' holds "
+         f"{10 ** 40 // 2} arguments, above the generator ceiling 100000"),
     ],
 )
 def test_phi_grammar_errors(rows, fragment):
@@ -410,6 +412,20 @@ def test_indexed_sections_need_indices():
     scn = parse_scenario("construction = sigma3\n[wcolumn]\n1: 0\n")
     with pytest.raises(ScenarioError, match="needs an index"):
         scn.run()
+
+
+@pytest.mark.parametrize("name", ["ucolumn", "wcolumn", "vcolumn", "phi",
+                                  "star-phi", "functional", "sumfunctional"])
+def test_section_index_ceiling(name):
+    construction = {"ucolumn": "dark-ring", "wcolumn": "sigma3",
+                    "vcolumn": "sug-indexset", "phi": "star-universal",
+                    "star-phi": "sug-indexset", "functional": "sigma3",
+                    "sumfunctional": "sug-indexset"}[name]
+    text = f"construction = {construction}\nstages = 1\n[{name} 101]\n"
+    with pytest.raises(ScenarioError, match=(
+            rf"line 3: \[{name} 101\] has an index above the section index "
+            "ceiling 100")):
+        parse_scenario(text).run()
 
 
 def test_sug_runner_wires_star_template_and_slots():

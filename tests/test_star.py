@@ -5,12 +5,13 @@ import pytest
 
 from ceerlab import replay
 from ceerlab.ceers import CeerTable
-from ceerlab.engine import RunLog
+from ceerlab.engine import ActionRecord, RunLog
 from ceerlab.groups import (
     CyclicFactor,
     FreeProduct,
     FreeProductWord,
     StagedAbelianFactor,
+    StagedPresentation,
     fp_reduce,
 )
 from ceerlab.scenario import load_scenario, parse_scenario
@@ -18,6 +19,7 @@ from ceerlab.star import (
     BudgetError,
     PhiEntry,
     StarConstruction,
+    apply_record,
     check_size,
     level_letters,
     level_words_equal_at,
@@ -351,3 +353,18 @@ def test_long_phi_word_at_levels_three():
         "level": 8996, "free": 0, "determined": 4, "collapsed": 0,
     }
     assert parse_scenario(LONG_PHI).run().log.dumps() == res.log.dumps()
+
+
+def test_apply_record_refuses_a_level_outside_the_presentation():
+    pres = StagedPresentation(ngens=10 ** 3)
+    for level in (-1, 3, 10 ** 9):
+        record = ActionRecord(0, "init", "init", "init-level",
+                              {"level": level, "relators": []})
+        with pytest.raises(ValueError, match=(
+                f"init-level record names level {level}, outside the "
+                "1000-generator presentation")):
+            apply_record(pres, 10, record)
+    assert pres.status == {} and pres.level == {}
+    apply_record(pres, 10, ActionRecord(0, "init", "init", "init-level",
+                                        {"level": 2, "relators": []}))
+    assert pres.census_at(2, 0)["level"] == 900
