@@ -31,7 +31,7 @@ from .ceers import (
 )
 from .dark import DarkRunResult, growth_audit
 from .engine import RunLog
-from .groups import TriangularityError, validate_relation_stream
+from .groups import StagedPresentation, TriangularityError, validate_relation_stream
 from .indexset import SugResult
 from .pairing import pair
 from .scenario import load_scenario, parse_epsilon
@@ -163,15 +163,30 @@ def _want_constructions(log: RunLog, allowed: tuple[str, ...],
         )
 
 
-def _want_star_log(log: RunLog, suite: str) -> None:
-    """Refuse a log that is no star log, or whose header's shape is too
-    large; checked before any level's letters are listed."""
-    _want_constructions(log, _STAR_LOGS, suite)
-    params = log.header["params"]
-    try:
-        check_size(params["base"], params["levels"])
-    except ValueError as exc:
-        raise _NotForSuite(str(exc)) from None
+def _star_suite(suite: str, vacuous: str):
+    """Run a star suite's checks on a star log's base, levels, universal
+    table and replayed presentation.  The header's shape is checked before
+    any level's letters are listed; an empty log passes vacuously, and a
+    relation stream no run could write fails."""
+    def wrap(checks):
+        def run_suite(log: RunLog) -> tuple[bool, list[str]]:
+            _want_constructions(log, _STAR_LOGS, suite)
+            params = log.header["params"]
+            try:
+                check_size(params["base"], params["levels"])
+            except ValueError as exc:
+                raise _NotForSuite(str(exc)) from None
+            uni = replay.universal_table(params)
+            if not log.records:
+                return True, [f"warning: empty log; {vacuous} passes "
+                              "vacuously"]
+            try:
+                pres = replay.star_presentation(log)
+            except (TriangularityError, StageRegressionError) as exc:
+                return False, [f"relation stream rejected: {exc}"]
+            return checks(log, params["base"], params["levels"], uni, pres)
+        return run_suite
+    return wrap
 
 
 def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
@@ -194,17 +209,9 @@ def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _suite_level_census(log: RunLog) -> tuple[bool, list[str]]:
-    _want_star_log(log, "level-census")
-    params = log.header["params"]
-    base, levels = params["base"], params["levels"]
-    uni = replay.universal_table(params)
-    if not log.records:
-        return True, ["warning: empty log; census passes vacuously"]
-    try:
-        pres = replay.star_presentation(log)
-    except (TriangularityError, StageRegressionError) as exc:
-        return False, [f"relation stream rejected: {exc}"]
+@_star_suite("level-census", "census")
+def _suite_level_census(log: RunLog, base: int, levels: int, uni: CeerTable,
+                        pres: StagedPresentation) -> tuple[bool, list[str]]:
     ok = True
     lines: list[str] = []
     checks = 0
@@ -227,17 +234,9 @@ def _suite_level_census(log: RunLog) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _suite_vi_vs_u(log: RunLog) -> tuple[bool, list[str]]:
-    _want_star_log(log, "vi-vs-U")
-    params = log.header["params"]
-    base, levels = params["base"], params["levels"]
-    uni = replay.universal_table(params)
-    if not log.records:
-        return True, ["warning: empty log; equivalence suite passes vacuously"]
-    try:
-        pres = replay.star_presentation(log)
-    except (TriangularityError, StageRegressionError) as exc:
-        return False, [f"relation stream rejected: {exc}"]
+@_star_suite("vi-vs-U", "equivalence suite")
+def _suite_vi_vs_u(log: RunLog, base: int, levels: int, uni: CeerTable,
+                   pres: StagedPresentation) -> tuple[bool, list[str]]:
     ok = True
     lines: list[str] = []
     checks = 0
@@ -266,31 +265,24 @@ def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
     params = log.header["params"]
     p = params["modulus"]
     epsilon = Fraction(params["epsilon"])
-    protections: dict[str, list[int]] = {}
-    witnesses: list[tuple[str, str]] = []
     ok = True
     lines: list[str] = []
     if not log.records:
         return True, ["warning: empty log; membership suite passes vacuously"]
 
-    for rec, ideal in replay.dark_steps(log):
+    for rec, result in replay.dark_steps(log):
         obj = rec.details
         if rec.action == "enumerate-witness":
             poly = Poly.monomial(Monomial.from_word(obj["monomial"]), p)
-            if ideal.member(poly):
+            if result.ideal.member(poly):
                 ok = False
                 lines.append(
                     f"stage {rec.stage}: banked monomial {obj['monomial']} "
                     "already lies in the ideal"
                 )
-            protections[rec.requirement] = list(obj["protected"])
         elif rec.action == "collapse-pair":
             floor = obj["degree_floor"]
-            m_idx = int(rec.requirement[1:])
-            ceiling = 0
-            for name, degs in protections.items():
-                if name.startswith("L") and int(name[1:]) <= m_idx and degs:
-                    ceiling = max(ceiling, max(degs))
+            ceiling = result.protected_upto(int(rec.requirement[1:]))
             if floor < ceiling:
                 ok = False
                 lines.append(
@@ -304,14 +296,11 @@ def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
                         f"stage {rec.stage}: relator of degree {deg} violates "
                         f"floor {floor} / protections {ceiling}"
                     )
-            witnesses.append((obj["f"], obj["g"]))
         elif rec.action == "gs-failure":
             ok = False
             lines.append(f"stage {rec.stage}: run itself recorded an audit "
                          "failure")
-        for name in obj.get("reinitialized", ()):
-            protections.pop(name, None)
-        verdict = growth_audit(ideal, epsilon)
+        verdict = growth_audit(result.ideal, epsilon)
         if not verdict.ok:
             ok = False
             lines.append(
@@ -319,16 +308,15 @@ def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
                 f"{verdict.failed_degree} (count {verdict.count})"
             )
 
-    for f_text, g_text in witnesses:
-        diff = Poly.parse(f_text, p) - Poly.parse(g_text, p)
-        if not ideal.member(diff):
+    for w in result.witnesses.values():
+        if not result.ideal.member(w["f"] - w["g"]):
             ok = False
             lines.append(
-                f"witness difference ({f_text}) - ({g_text}) is not in the "
+                f"witness difference ({w['f']}) - ({w['g']}) is not in the "
                 "final ideal"
             )
     lines.append(
-        f"replayed {len(log.records)} records; {len(witnesses)} witness "
+        f"replayed {len(log.records)} records; {len(result.witnesses)} witness "
         "pairs checked" + ("" if ok else "; FAILURES above")
     )
     return ok, lines

@@ -9,6 +9,11 @@ enumerate the difference's high-degree components as new relators.  The
 relation budget is audited in exact rationals after every stage; a
 violation aborts the run with the offending degree, since it means the
 construction left the regime where fresh monomials are guaranteed.
+
+The requirements only decide and log.  `apply_record` alone turns a logged
+record into the result's ideal, transversals, protections, witnesses and
+audit failure, for the run as each record is logged and for replay of a
+finished log, as `star.apply_record` does for a star presentation.
 """
 from __future__ import annotations
 
@@ -26,9 +31,10 @@ from .algebra import (
     monomial_to_unit_word,
 )
 from .ceers import StageSet
-from .engine import ConstructionRun, PriorityEngine, Requirement, RunLog
+from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 
-__all__ = ["DarkRunResult", "run_dark_ring", "run_dark_group", "growth_audit"]
+__all__ = ["DarkRunResult", "run_dark_ring", "run_dark_group", "growth_audit",
+           "apply_record"]
 
 
 @dataclass
@@ -42,32 +48,62 @@ class DarkRunResult(ConstructionRun):
     def unit_words(self, n: int) -> list[tuple[str, ...]]:
         return [tuple(entry["word"].split()) for entry in self.transversals.get(n, [])]
 
-
-class _DarkState:
-    """Shared mutable state the requirements act on."""
-
-    def __init__(self, mode: str, ideal: HomogeneousIdeal):
-        self.mode = mode
-        self.ideal = ideal
-        self.max_used_degree = 0
-        self.light: dict[int, "_LightReq"] = {}
-
     def protected_upto(self, n: int) -> int:
         """Largest degree protected by the light strategies with index <= n."""
-        best = 0
-        for i, req in self.light.items():
-            if i <= n and req.protected:
-                best = max(best, max(req.protected))
-        return best
+        return max((max(degs) for i, degs in self.protected.items()
+                    if i <= n and degs), default=0)
+
+
+def apply_record(result: DarkRunResult, record: ActionRecord) -> None:
+    """Apply one logged dark record to its result: the relators it adds to
+    the ideal, the witness it banks or the collapse it records, the audit
+    failure it reports, and the light strategies it injures.  The run calls
+    this on each record it logs and replay on each record it reads, so both
+    build the same state."""
+    details, p = record.details, result.ideal.p
+    if record.action in ("seed-ideal", "collapse-pair"):
+        added = [Poly.parse(text, p) for text in details["relators"]]
+        for poly in added:
+            result.ideal.add_generator(poly)
+        if record.action == "collapse-pair":
+            result.witnesses[int(record.requirement[1:])] = {
+                "f": Poly.parse(details["f"], p),
+                "g": Poly.parse(details["g"], p),
+                "stage": record.stage,
+                "degree_floor": details["degree_floor"],
+                "added": added,
+            }
+    elif record.action == "enumerate-witness":
+        n = int(record.requirement[1:])
+        result.transversals.setdefault(n, []).append({
+            "degree": details["degree"],
+            "monomial": details["monomial"],
+            "word": details["word"],
+            "stage": record.stage,
+        })
+        result.protected[n] = list(details["protected"])
+    elif record.action == "gs-failure":
+        result.gs_failure = {"stage": record.stage, **details}
+    for name in details.get("reinitialized", ()):
+        if name.startswith("L"):
+            # the banked set is discarded wholesale
+            result.transversals[int(name[1:])] = []
+            result.protected[int(name[1:])] = []
+
+
+class _DarkState:
+    """What the run decides from: the result its records built, and the
+    largest degree it ever banked, which an injury does not take back."""
+
+    def __init__(self, mode: str, result: DarkRunResult):
+        self.mode = mode
+        self.result = result
+        self.ideal = result.ideal
+        self.max_used_degree = 0
 
     def fresh_degree(self) -> int:
-        k = self.max_used_degree
-        for req in self.light.values():
-            if req.protected:
-                k = max(k, max(req.protected))
-        for d in self.ideal.counts():
-            k = max(k, d)
-        k += 1
+        # every protected degree was banked, so max_used_degree covers it
+        k = max([self.max_used_degree, *self.ideal.counts()]) + 1
         if k > self.ideal.maxdeg:
             raise HorizonError(
                 f"fresh degree {k} exceeds the configured horizon {self.ideal.maxdeg}"
@@ -81,21 +117,18 @@ class _LightReq(Requirement):
     kind = "L"
     injures_lower = False
 
-    def __init__(self, n: int, column: StageSet | None, state: _DarkState,
-                 result: DarkRunResult):
+    def __init__(self, n: int, column: StageSet | None, state: _DarkState):
         super().__init__(f"L{n}")
         self.n = n
         self.column = column
         self.state = state
-        self.result = result
         self.consumed = 0
-        self.protected: list[int] = []
-        state.light[n] = self
 
     def ready(self, stage: int) -> bool:
         return self.column is not None and self.column.count_at(stage) > self.consumed
 
     def act(self, stage: int) -> dict[str, Any]:
+        # an injury discards the banked set but not the consumed entries
         self.consumed += 1
         k = self.state.fresh_degree()
         m = self.state.ideal.first_nonmember(k)
@@ -103,28 +136,18 @@ class _LightReq(Requirement):
             raise RuntimeError(
                 f"no monomial of degree {k} survives the ideal; relation budget was broken"
             )
-        self.protected.append(k)
         self.state.max_used_degree = max(self.state.max_used_degree, k)
         if self.state.mode == "group":
             word = " ".join(monomial_to_unit_word(m))
         else:
             word = str(Poly.monomial(m, self.state.ideal.p))
-        entry = {"degree": k, "monomial": m.word, "word": word, "stage": stage}
-        self.result.transversals.setdefault(self.n, []).append(entry)
-        self.result.protected[self.n] = list(self.protected)
         return {
             "action": "enumerate-witness",
             "degree": k,
             "monomial": m.word,
             "word": word,
-            "protected": list(self.protected),
+            "protected": self.state.result.protected.get(self.n, []) + [k],
         }
-
-    def reinitialize(self, stage: int, by: str) -> None:
-        # the banked set is discarded wholesale; trigger entries stay consumed
-        self.protected.clear()
-        self.result.transversals[self.n] = []
-        self.result.protected[self.n] = []
 
 
 class _CollapseReq(Requirement):
@@ -133,13 +156,11 @@ class _CollapseReq(Requirement):
     kind = "D"
     injures_lower = True
 
-    def __init__(self, m: int, column: StageSet | None, state: _DarkState,
-                 result: DarkRunResult):
+    def __init__(self, m: int, column: StageSet | None, state: _DarkState):
         super().__init__(f"D{m}")
         self.m = m
         self.column = column
         self.state = state
-        self.result = result
         self.acted = False
         self._cache_key: tuple[int, int] | None = None
         self._canon_seen: dict[Poly, int] = {}
@@ -147,7 +168,7 @@ class _CollapseReq(Requirement):
         self._found: tuple[int, int, int] | None = None
 
     def _degree_floor(self) -> int:
-        return max(self.m + 10, self.state.protected_upto(self.m))
+        return max(self.m + 10, self.state.result.protected_upto(self.m))
 
     def ready(self, stage: int) -> bool:
         if self.acted or self.column is None:
@@ -176,24 +197,13 @@ class _CollapseReq(Requirement):
         return False
 
     def act(self, stage: int) -> dict[str, Any]:
+        # collapse strategies act once and are never undone
         i, j, k_s = self._found
         f = self.column[i][0]
         g = self.column[j][0]
-        diff = f - g
-        added: list[Poly] = []
-        for d, comp in diff.homogeneous_components().items():
-            if d > k_s:
-                self.state.ideal.add_generator(comp)
-                self.state.max_used_degree = max(self.state.max_used_degree, d)
-                added.append(comp)
+        added = [comp for d, comp in (f - g).homogeneous_components().items()
+                 if d > k_s]
         self.acted = True
-        self.result.witnesses[self.m] = {
-            "f": f,
-            "g": g,
-            "stage": stage,
-            "degree_floor": k_s,
-            "added": added,
-        }
         return {
             "action": "collapse-pair",
             "f": str(f),
@@ -203,10 +213,6 @@ class _CollapseReq(Requirement):
             "relators": [str(c) for c in added],
             "relator_degrees": [c.degree() for c in added],
         }
-
-    def reinitialize(self, stage: int, by: str) -> None:
-        # collapse strategies act once and are never undone
-        pass
 
 
 def growth_audit(ideal: HomogeneousIdeal, epsilon: Fraction):
@@ -239,7 +245,7 @@ def _run_dark(
     log = RunLog({"construction": f"dark-{mode}", "params": params})
     ideal = HomogeneousIdeal(p=p, maxdeg=maxdeg)
     result = DarkRunResult(f"dark-{mode}", params, stages, log, ideal=ideal)
-    state = _DarkState(mode, ideal)
+    state = _DarkState(mode, result)
 
     if mode == "group":
         if unit_exponent < 2:
@@ -248,25 +254,20 @@ def _run_dark(
             Poly.monomial(Monomial(unit_exponent, 0), p),
             Poly.monomial(Monomial(unit_exponent, (1 << unit_exponent) - 1), p),
         ]
-        for s in seeds:
-            ideal.add_generator(s)
-            state.max_used_degree = max(state.max_used_degree, unit_exponent)
-        log.add(0, "init", "init", "seed-ideal", relators=[str(s) for s in seeds])
+        apply_record(result, log.add(0, "init", "init", "seed-ideal",
+                                     relators=[str(s) for s in seeds]))
 
     def audit_fails(stage: int) -> bool:
         verdict = growth_audit(ideal, epsilon)
         if verdict.ok:
             return False
-        detail = {
-            "degree": verdict.failed_degree,
-            "count": verdict.count,
-        }
+        detail = {"degree": verdict.failed_degree, "count": verdict.count}
         if verdict.bound is not None:
             detail["bound"] = str(verdict.bound)
         if verdict.reason:
             detail["reason"] = verdict.reason
-        log.add(stage, "audit", "audit", "gs-failure", **detail)
-        result.gs_failure = {"stage": stage, **detail}
+        apply_record(result, log.add(stage, "audit", "audit", "gs-failure",
+                                     **detail))
         return True
 
     if audit_fails(0):
@@ -275,9 +276,15 @@ def _run_dark(
     top = max(list(u_columns) + list(w_columns), default=-1)
     reqs: list[Requirement] = []
     for idx in range(top + 1):
-        reqs.append(_LightReq(idx, u_columns.get(idx), state, result))
-        reqs.append(_CollapseReq(idx, w_columns.get(idx), state, result))
-    PriorityEngine(reqs, log).run(stages, after_stage=audit_fails)
+        reqs.append(_LightReq(idx, u_columns.get(idx), state))
+        reqs.append(_CollapseReq(idx, w_columns.get(idx), state))
+    engine = PriorityEngine(reqs, log)
+    for stage in range(1, stages + 1):
+        record = engine.run_stage(stage)
+        if record is not None:
+            apply_record(result, record)
+        if audit_fails(stage):
+            break
     return result
 
 

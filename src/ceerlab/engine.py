@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 __all__ = [
     "ActionRecord",
@@ -181,16 +181,10 @@ class PriorityEngine:
             )
         return None
 
-    def run(
-        self,
-        stages: int,
-        after_stage: Callable[[int], bool | None] | None = None,
-    ) -> None:
-        """Run stages 1..stages; stop early once after_stage returns true."""
+    def run(self, stages: int) -> None:
+        """Run stages 1..stages."""
         for s in range(1, stages + 1):
             self.run_stage(s)
-            if after_stage is not None and after_stage(s):
-                return
 
 
 @dataclass

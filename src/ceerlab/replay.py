@@ -4,20 +4,21 @@ This is the one place a `RunLog` turns back into state, and the state is
 built from the types the constructions themselves use: relator streams
 per presentation, a star log's `StagedPresentation` (relations, levels
 and generator statuses), its universal table and census checkpoints, and
-a dark log's `HomogeneousIdeal`, record by record.  A star presentation
-has one writer, `star.apply_record`, which the run calls on each record
-it logs and replay calls on each record it reads, so replaying a star log
-rebuilds the run's own presentation by construction.
+a dark log's `DarkRunResult`, record by record.  Each construction's
+state has one writer, which the run calls on each record it logs and
+replay calls on each record it reads: `star.apply_record` for a star
+presentation and `dark.apply_record` for a dark result.  Replaying a log
+therefore rebuilds the run's own state by construction.
 """
 from __future__ import annotations
 
 from typing import Any, Iterator
 
-from .algebra import MAXDEG_CEILING, HomogeneousIdeal, Poly
+from . import dark, star
+from .algebra import MAXDEG_CEILING, HomogeneousIdeal
 from .ceers import CeerTable
 from .engine import ActionRecord, RunLog
 from .groups import StagedPresentation
-from .star import apply_record, record_relators
 
 __all__ = [
     "relator_streams",
@@ -39,11 +40,11 @@ def relator_streams(log: RunLog) -> dict[str, list[Relator]]:
                 continue
             target = streams.setdefault(slot, [])
             for inner in rec.details.get("inner", ()):
-                target.extend(record_relators(inner, inner["stage"]))
+                target.extend(star.record_relators(inner, inner["stage"]))
     else:
         target = streams.setdefault("main", [])
         for rec in log.records:
-            target.extend(record_relators(rec.details, rec.stage))
+            target.extend(star.record_relators(rec.details, rec.stage))
     return streams
 
 
@@ -58,7 +59,7 @@ def star_presentation(log: RunLog) -> StagedPresentation:
     base = params["base"]
     pres = StagedPresentation(ngens=base ** (params["levels"] + 1))
     for rec in log.records:
-        apply_record(pres, base, rec)
+        star.apply_record(pres, base, rec)
     return pres
 
 
@@ -74,20 +75,17 @@ def census_checkpoints(log: RunLog) -> list[int]:
     return sorted(pts)
 
 
-def dark_steps(log: RunLog) -> Iterator[tuple[ActionRecord, HomogeneousIdeal]]:
-    """Each record of a dark log with the ideal once that record is applied.
-
-    The same ideal object is yielded every time, growing as seed and
-    collapse records add their relators.
-    """
+def dark_steps(log: RunLog) -> Iterator[tuple[ActionRecord, dark.DarkRunResult]]:
+    """Each record of a dark log with the run's result once `dark.apply_record`
+    has applied it; the same result object is yielded every time."""
     params = log.header["params"]
     p, maxdeg = params["modulus"], params["maxdeg"]
     if not 0 <= maxdeg <= MAXDEG_CEILING:
         raise ValueError(f"bad maxdeg {maxdeg}: must lie in "
                          f"[0, {MAXDEG_CEILING}]")
-    ideal = HomogeneousIdeal(p=p, maxdeg=maxdeg)
+    result = dark.DarkRunResult(log.header["construction"], params,
+                                params["stages"], log,
+                                ideal=HomogeneousIdeal(p=p, maxdeg=maxdeg))
     for rec in log.records:
-        if rec.action in ("seed-ideal", "collapse-pair"):
-            for text in rec.details["relators"]:
-                ideal.add_generator(Poly.parse(text, p))
-        yield rec, ideal
+        dark.apply_record(result, rec)
+        yield rec, result

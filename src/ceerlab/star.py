@@ -535,7 +535,9 @@ class StarConstruction:
         self.levels = levels
         self.stages = stages
         self.name = name
-        x_bound = 2 * stages + 4
+        # an R_e draws a pair when first asked and after each restart, at most
+        # one a stage; the bound costs no memory, and take_witnesses guards it
+        x_bound = 2 * (max(phis, default=-1) + 1) * (stages + 1) + 4
         self.state = _StarState(base, levels, universal, x_bound)
         for e, stub in phis.items():
             for arg, entry in stub.items():

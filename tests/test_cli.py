@@ -226,6 +226,40 @@ def test_star_phi_argument_range_above_ceiling(tmp_path, capsys):
     assert not out.exists()
 
 
+STAR_FOUR_WAITING = """\
+construction = star-universal
+stages = 1
+base = 6
+levels = 1
+
+[universal]
+5: 0 1
+
+[phi 0]
+0..9: 50 x7
+[phi 1]
+0..9: 50 x7
+[phi 2]
+0..9: 50 x7
+[phi 3]
+0..9: 50 x7
+"""
+
+
+def test_star_witness_pool_holds_every_draw(tmp_path, capsys):
+    """Each of four R_e draws a witness pair when asked at stage 1, though
+    none is ready; the pool must hold all eight indices."""
+    path = tmp_path / "star.txt"
+    path.write_text(STAR_FOUR_WAITING)
+    out = tmp_path / "star.jsonl"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert "records: 2\n" in got.out
+    assert [r.action for r in RunLog.loads(out.read_text()).records] == [
+        "init-level", "init-level"]
+
+
 def test_sigma3_with_huge_universal_bound(tmp_path, capsys):
     text = open(shipped("sigma3-basic.txt")).read()
     assert text.count("stages = 60\n") == 1

@@ -87,23 +87,6 @@ def test_idle_stage_adds_no_record():
     assert len(log.records) == 1
 
 
-def test_run_invokes_after_stage_for_every_stage():
-    seen = []
-    engine, _ = build(Toy("A", {2}))
-    engine.run(4, after_stage=seen.append)
-    assert seen == [1, 2, 3, 4]
-
-
-def test_run_stops_once_after_stage_returns_true():
-    seen = []
-    a = Toy("A", {1, 2, 3, 4})
-    engine, log = build(a)
-    engine.run(4, after_stage=lambda s: seen.append(s) or s == 2)
-    assert seen == [1, 2]
-    assert a.acted_at == [1, 2]
-    assert [r.stage for r in log.records] == [1, 2]
-
-
 def test_record_details_carried_into_log():
     a = Toy("A", {1, 2})
     engine, log = build(a)

@@ -1,6 +1,7 @@
-"""Property tests: text round trips, log parsing on damaged input, and
-`run`/`verify` on shipped inputs with mutated numbers and values, which
-must exit 0, 1 or 2 and raise nothing.
+"""Property tests: text round trips, log parsing on damaged input,
+`run`/`verify` on shipped inputs with mutated numbers and values, and
+`probe` on small mutated dumps, which must exit 0, 1 or 2 and raise
+nothing.
 
 Examples are derandomized and no example database is kept, so every run
 of the suite tries the same inputs.
@@ -199,3 +200,75 @@ def test_verify_on_mutated_logs_exits_cleanly(text, suite):
         with open(path, "w") as fh:
             fh.write(text)
         assert _exit_code(["verify", path, suite]) in (0, 1, 2)
+
+
+# stand-ins for a dump's index or stage: at and past the table index
+# ceiling, negative, and not an integer at all
+DUMP_VALUES = (-1, 10 ** 6, 10 ** 40, 1.5, True, None, "x", [], {})
+# stand-ins for a dump line that is no pair object
+DUMP_JUNK = ("{", "[]", "null", "1", '"a"')
+# --stage, --bound and related's indices; none lies between the small
+# values and the ceilings, where a probe is merely slow
+FLAGS = (0, 1, 2, 5, -1, 10 ** 6 + 1, 10 ** 40)
+MAPS = ("0:1", "0:1,1:0,2:1", "0:1,0:2", "", ",", "x", "0:", "0:1:2",
+        "-1:0", "0:-1", "0:1000000", "1000000:0")
+
+
+@st.composite
+def mutated_dumps(draw):
+    """One to three dump lines of small pairs, with one to three values
+    replaced or dropped and possibly one line turned to junk."""
+    small = st.integers(0, 5)
+    rows = draw(st.lists(st.fixed_dictionaries(
+        {"a": small, "b": small, "s": st.integers(0, 3)}),
+        min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        key = draw(st.sampled_from("abs"))
+        if draw(st.booleans()):
+            row.pop(key, None)
+        else:
+            row[key] = draw(st.sampled_from(DUMP_VALUES))
+    lines = [json.dumps(row) for row in rows]
+    if draw(st.booleans()):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(
+            st.sampled_from(DUMP_JUNK))
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def probe_calls(draw):
+    """A probe subcommand's arguments with dump texts to write first."""
+    sub = draw(st.sampled_from(("related", "classes", "product", "join",
+                                "pullback", "verify-reduction")))
+    dumps = [draw(mutated_dumps())]
+    args = [sub, "dump0"]
+    if sub == "related":
+        args += [str(draw(st.sampled_from(FLAGS))) for _ in "ab"]
+    elif sub == "join":
+        extra = draw(st.integers(0, 2))
+        dumps += [draw(mutated_dumps()) for _ in range(extra)]
+        args += [f"dump{i}" for i in range(1, extra + 1)]
+    elif sub in ("product", "verify-reduction"):
+        dumps.append(draw(mutated_dumps()))
+        args.append("dump1")
+    if sub in ("pullback", "verify-reduction"):
+        args.append("--map=" + draw(st.sampled_from(MAPS)))
+    for flag in ("--stage", "--bound"):
+        value = draw(st.one_of(st.none(), st.sampled_from(FLAGS)))
+        if value is not None:
+            args.append(f"{flag}={value}")
+    return dumps, args
+
+
+@DETERMINISTIC
+@given(probe_calls())
+def test_probe_on_mutated_dumps_exits_cleanly(call):
+    dumps, args = call
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, text in enumerate(dumps):
+            with open(os.path.join(tmp, f"dump{i}"), "w") as fh:
+                fh.write(text)
+        argv = ["probe"] + [os.path.join(tmp, a) if a.startswith("dump")
+                            else a for a in args]
+        assert _exit_code(argv) in (0, 1, 2)
