@@ -241,6 +241,11 @@ class CeerTable:
         return tuple(self._pairs)
 
     @property
+    def pair_count(self) -> int:
+        """len(pairs), without copying them."""
+        return len(self._pairs)
+
+    @property
     def last_stage(self) -> int:
         return self._pairs[-1][2] if self._pairs else 0
 

@@ -459,6 +459,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
             report = verify_reduction(fn, table, target, bound, stage)
             print(report.summary())
             return 0 if report.ok else 1
+    except BrokenPipeError:
+        raise  # main reports a closed stdout
     except (ValueError, PartialityError, OSError, IndexError, KeyError,
             TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -536,5 +538,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError as exc:
+        # stdout closed early: point it at devnull so the flush at exit
+        # has nowhere to fail, and report the closed pipe once
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 

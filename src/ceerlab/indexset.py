@@ -53,39 +53,28 @@ class SugResult(ConstructionRun):
     restraints: dict[int, tuple[str, ...] | None] = field(default_factory=dict)
 
 
-class _SlotState:
-    def __init__(self, result: SugResult):
-        self.result = result
-        self.used_g: set[int] = set()
-        self.used_h: set[int] = set()
-        self.restraining: dict[int, "_SumRestraintReq"] = {}
-
-    def _restrained(self, below_rank: int) -> set[str]:
-        out: set[str] = set()
-        for req in self.restraining.values():
-            if req.rank < below_rank and req.restraint is not None:
-                out.update(req.restraint)
-        return out
-
-    def fresh_slot(self, family: str, below_rank: int) -> str:
-        used = self.used_g if family == "g" else self.used_h
-        blocked = self._restrained(below_rank)
-        ell = 0
-        while ell in used or f"{family}{ell}" in blocked:
-            ell += 1
-        used.add(ell)
-        return f"{family}{ell}"
+def _fresh_slot(result: SugResult, family: str, above: int) -> str:
+    """The least slot of a family that is not open yet and that no live
+    restraint of an L_m with m < `above` names.  L_m (rank 3m + 1) outranks
+    C_k (3k) when m < k and D_d (3d + 2) when m < d + 1."""
+    opened = result.group_slots if family == "g" else result.table_slots
+    blocked = {slot for m, slots in result.restraints.items()
+               if m < above and slots is not None for slot in slots}
+    ell = 0
+    while f"{family}{ell}" in opened or f"{family}{ell}" in blocked:
+        ell += 1
+    return f"{family}{ell}"
 
 
 class _GroupBuilderReq(Requirement):
     kind = "C"
 
-    def __init__(self, k: int, column: StageSet | None, slots: _SlotState,
+    def __init__(self, k: int, column: StageSet | None, result: SugResult,
                  template: dict[str, Any]):
         super().__init__(f"C{k}")
         self.k = k
         self.column = column
-        self.slots = slots
+        self.result = result
         self.template = template
         self.consumed = 0
         self.slot: str | None = None
@@ -96,7 +85,7 @@ class _GroupBuilderReq(Requirement):
     def act(self, stage: int) -> dict[str, Any]:
         self.consumed += 1
         if self.slot is None:
-            self.slot = self.slots.fresh_slot("g", self.rank)
+            self.slot = _fresh_slot(self.result, "g", self.k)
             instance = StarConstruction(
                 universal=self.template["universal"].copy(),
                 phis=self.template["phis"],
@@ -105,12 +94,12 @@ class _GroupBuilderReq(Requirement):
                 stages=self.template["stages"],
                 name=f"star@{self.slot}",
             )
-            self.slots.result.group_slots[self.slot] = instance
-            self.slots.result.assignments[self.name] = self.slot
+            self.result.group_slots[self.slot] = instance
+            self.result.assignments[self.name] = self.slot
             records = instance.initialize()
             return {"action": "open-slot", "slot": self.slot,
                     "inner": [r.to_obj() for r in records]}
-        instance = self.slots.result.group_slots[self.slot]
+        instance = self.result.group_slots[self.slot]
         record = instance.step()
         inner = [record.to_obj()] if record is not None else []
         return {"action": "advance-slot", "slot": self.slot,
@@ -124,25 +113,24 @@ class _PairCodingReq(Requirement):
     kind = "D"
 
     def __init__(self, d: int, left: StageSet | None, right: StageSet | None,
-                 slots: _SlotState, coded: CeerTable):
+                 result: SugResult, coded: CeerTable):
         super().__init__(f"D{d}")
         self.d = d
         self.watches = unpair(d)
         self.left = left
         self.right = right
-        self.slots = slots
+        self.result = result
         self.coded_pairs = coded.pairs
         self.coded_bound = coded.bound
         self.consumed_left = 0
         self.consumed_right = 0
         self.slot: str | None = None
-        self.progress: dict[str, int] = {}
 
     def ready(self, stage: int) -> bool:
         if self.left is None or self.right is None:
             return False
-        if (self.slot is not None
-                and self.progress[self.slot] >= len(self.coded_pairs)):
+        if (self.slot is not None and self.result.table_slots[self.slot]
+                .pair_count >= len(self.coded_pairs)):
             return False
         return (self.left.count_at(stage) > self.consumed_left
                 and self.right.count_at(stage) > self.consumed_right)
@@ -153,18 +141,17 @@ class _PairCodingReq(Requirement):
         details: dict[str, Any] = {"action": "code-pair",
                                    "watches": list(self.watches)}
         if self.slot is None:
-            self.slot = self.slots.fresh_slot("h", self.rank)
-            self.slots.result.table_slots[self.slot] = CeerTable(
+            self.slot = _fresh_slot(self.result, "h", self.d + 1)
+            self.result.table_slots[self.slot] = CeerTable(
                 bound=self.coded_bound)
-            self.slots.result.assignments[self.name] = self.slot
-            self.progress[self.slot] = 0
+            self.result.assignments[self.name] = self.slot
             details["action"] = "open-slot"
         details["slot"] = self.slot
-        done = self.progress[self.slot]
-        if done < len(self.coded_pairs):
-            a, b, _ = self.coded_pairs[done]
-            self.slots.result.table_slots[self.slot].assert_pair(a, b, stage)
-            self.progress[self.slot] = done + 1
+        # the slot's table holds just the coded pairs copied into it, in order
+        table = self.result.table_slots[self.slot]
+        if table.pair_count < len(self.coded_pairs):
+            a, b, _ = self.coded_pairs[table.pair_count]
+            table.assert_pair(a, b, stage)
             details["pair"] = [a, b]
         else:
             details["pair"] = None
@@ -178,28 +165,24 @@ class _SumRestraintReq(Requirement):
     kind = "L"
 
     def __init__(self, m: int, stub: SumFunctionalStub | None,
-                 slots: _SlotState):
+                 result: SugResult):
         super().__init__(f"L{m}")
         self.m = m
         self.stub = stub
-        self.slots = slots
-        self.restraint: tuple[str, ...] | None = None
-        slots.restraining[m] = self
+        self.result = result
 
     def ready(self, stage: int) -> bool:
         if self.stub is None or self.stub.evaluate(stage) is None:
             return False
-        return self.restraint != self.stub.slots
+        return self.result.restraints.get(self.m) != self.stub.slots
 
     def act(self, stage: int) -> dict[str, Any]:
-        self.restraint = self.stub.slots
-        self.slots.result.restraints[self.m] = self.restraint
+        self.result.restraints[self.m] = self.stub.slots
         return {"action": "place-restraint", "use": self.stub.use,
-                "slots": list(self.restraint)}
+                "slots": list(self.stub.slots)}
 
     def reinitialize(self, stage: int, by: str) -> None:
-        self.restraint = None
-        self.slots.result.restraints[self.m] = None
+        self.result.restraints[self.m] = None
 
 
 def run_sug_indexset(
@@ -223,7 +206,6 @@ def run_sug_indexset(
     log = RunLog({"construction": "sug-indexset", "params": params})
     result = SugResult("sug-indexset", params, stages, log,
                        coded_universal=coded_universal)
-    slots = _SlotState(result)
     template = {
         "universal": star_universal,
         "phis": star_phis,
@@ -237,11 +219,12 @@ def run_sug_indexset(
     )
     reqs: list[Requirement] = []
     for idx in range(top + 1):
-        reqs.append(_GroupBuilderReq(idx, v_columns.get(idx), slots, template))
-        reqs.append(_SumRestraintReq(idx, sum_functionals.get(idx), slots))
+        reqs.append(_GroupBuilderReq(idx, v_columns.get(idx), result,
+                                     template))
+        reqs.append(_SumRestraintReq(idx, sum_functionals.get(idx), result))
         left, right = unpair(idx)
         reqs.append(_PairCodingReq(idx, v_columns.get(left),
-                                   u_columns.get(right), slots,
+                                   u_columns.get(right), result,
                                    coded_universal))
     log.add(0, "init", "init", "declare-abelian",
             note="all group and table slots carry abelian word problems")

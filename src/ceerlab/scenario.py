@@ -17,7 +17,8 @@ Format (see scenarios/ for complete shipped examples):
 Row payloads are construction-specific: integers for number columns,
 polynomial text for ring columns, "a b" pairs for tables, and
 "converge tokens..." for function stubs keyed by argument specs such as
-`7`, `0..40`, or `0..40/even` (at most star.GENERATOR_CEILING arguments).
+`7`, `0..40`, or `0..40/even` (at most star.GENERATOR_CEILING arguments
+over all of a run's stub sections).
 Word tokens are `x12`, `x12^-3`, and `xrange:100:998` (half-open index
 range, exponent 1, ending at most at star.GENERATOR_CEILING).
 
@@ -335,7 +336,7 @@ def _parse_word(tokens: list[str], lineno: int) -> tuple[tuple[int, int], ...]:
     return tuple(word)
 
 
-def _parse_args(spec: str, lineno: int) -> list[int]:
+def _parse_args(spec: str, lineno: int) -> range:
     m = _ARGSPEC.match(spec)
     if not m:
         raise ScenarioError(f"bad argument spec {spec!r}", lineno)
@@ -343,7 +344,7 @@ def _parse_args(spec: str, lineno: int) -> list[int]:
     if m.group(2) is None:
         if m.group(3) is not None:
             raise ScenarioError("parity filter needs a range", lineno)
-        return [lo]
+        return range(lo, lo + 1)
     hi = int(m.group(2))
     if hi < lo:
         raise ScenarioError(f"empty argument range {spec!r}", lineno)
@@ -358,7 +359,22 @@ def _parse_args(spec: str, lineno: int) -> list[int]:
         raise ScenarioError(
             f"argument range {spec!r} holds {count} arguments, above "
             f"the generator ceiling {GENERATOR_CEILING}", lineno)
-    return list(args)
+    return args
+
+
+def _phi_stubs(scn: Scenario, name: str) -> dict[int, dict[int, PhiEntry]]:
+    """The [name e] stubs.  The arguments of all their rows together may
+    not pass GENERATOR_CEILING, counted before any row is expanded."""
+    total = 0
+    for sec in scn.sections_named(name):
+        for lineno, lhs, _ in sec.rows:
+            total += len(_parse_args(lhs, lineno))
+            if total > GENERATOR_CEILING:
+                raise ScenarioError(
+                    f"[{name}] rows up to here hold {total} arguments, "
+                    f"above the generator ceiling {GENERATOR_CEILING}",
+                    lineno)
+    return _indexed(scn, name, _phi_stub)
 
 
 def _phi_stub(sec: _Section) -> dict[int, PhiEntry]:
@@ -476,7 +492,7 @@ def _run_star(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
     uni_sec = scn.section("universal")
     bound = max(levels + 1, _max_pair_index(uni_sec) + 1)
     universal = _pair_table(uni_sec, bound, "universal")
-    phis = _indexed(scn, "phi", _phi_stub)
+    phis = _phi_stubs(scn, "phi")
     return run_star_universal(universal, phis, base=base, levels=levels,
                               stages=stages)
 
@@ -497,7 +513,7 @@ def _run_sug(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
     star_sec = scn.section("star-universal")
     star_bound = max(star_levels + 1, _max_pair_index(star_sec) + 1)
     star_universal = _pair_table(star_sec, star_bound, "star-universal")
-    star_phis = _indexed(scn, "star-phi", _phi_stub)
+    star_phis = _phi_stubs(scn, "star-phi")
     return run_sug_indexset(
         v_columns, u_columns, coded, functionals,
         star_universal, star_phis,

@@ -37,48 +37,36 @@ class Sigma3Result(ConstructionRun):
                     out.add((a, b))
         return out
 
-
-class _State:
-    def __init__(self, table: CeerTable, universal: CeerTable):
-        self.table = table
-        self.universal = universal
-        self.used_columns: set[int] = set()
-        self.coding: dict[int, "_CodingReq"] = {}
-        self.restraining: dict[int, "_RestraintReq"] = {}
-
-    def restraint_ceiling(self, below_rank: int) -> int:
-        """Largest live restrained use among strictly higher priority."""
-        best = -1
-        for req in self.restraining.values():
-            if req.rank < below_rank and req.restraint is not None:
-                best = max(best, req.restraint)
-        return best
+    def restraint_ceiling(self, k: int) -> int:
+        """Largest live restrained use of an L_m outranking C_k.  The ranks
+        are C_k = 2k and L_m = 2m + 1, so those are the L_m with m < k."""
+        return max((use for m, use in self.restraints.items()
+                    if m < k and use is not None), default=-1)
 
 
 class _CodingReq(Requirement):
     kind = "C"
 
-    def __init__(self, k: int, column: StageSet | None, state: _State,
-                 result: Sigma3Result):
+    def __init__(self, k: int, column: StageSet | None, result: Sigma3Result,
+                 used_columns: set[int]):
         super().__init__(f"C{k}")
         self.k = k
         self.column = column
-        self.state = state
         self.result = result
+        self.used_columns = used_columns
         self.consumed = 0
         self.join_column: int | None = None
-        state.coding[k] = self
 
     def ready(self, stage: int) -> bool:
         return self.column is not None and self.column.count_at(stage) > self.consumed
 
     def _fresh_column(self) -> int:
-        ceiling = self.state.restraint_ceiling(self.rank)
+        ceiling = self.result.restraint_ceiling(self.k)
         # the least j whose first code pair(j, 0) = j(j+1)/2 passes the ceiling
         j = (isqrt(8 * ceiling + 1) + 1) // 2 if ceiling >= 0 else 0
-        while j in self.state.used_columns:
+        while j in self.used_columns:
             j += 1
-        self.state.used_columns.add(j)
+        self.used_columns.add(j)
         return j
 
     def act(self, stage: int) -> dict[str, Any]:
@@ -89,8 +77,8 @@ class _CodingReq(Requirement):
             details["action"] = "choose-column"
         self.result.columns[self.k] = self.join_column
         j = self.join_column
-        uni = self.state.universal
-        table = self.state.table
+        uni = self.result.universal
+        table = self.result.table
         # each assert merges two classes, so the count depends only on the
         # two partitions, not on the order of the universal pairs
         copied = 0
@@ -112,18 +100,15 @@ class _CodingReq(Requirement):
 class _RestraintReq(Requirement):
     kind = "L"
 
-    def __init__(self, m: int, stub: FunctionalStub | None, state: _State,
+    def __init__(self, m: int, stub: FunctionalStub | None,
                  result: Sigma3Result):
         super().__init__(f"L{m}")
         self.m = m
         self.stub = stub
-        self.state = state
         self.result = result
-        self.restraint: int | None = None
-        state.restraining[m] = self
 
     def _evaluate(self, stage: int) -> int | None:
-        table = self.state.table
+        table = self.result.table
         return self.stub.evaluate(
             lambda a, b: a < table.bound and b < table.bound
             and table.related(a, b, stage),
@@ -134,16 +119,14 @@ class _RestraintReq(Requirement):
         if self.stub is None:
             return False
         use = self._evaluate(stage)
-        return use is not None and use != self.restraint
+        return use is not None and use != self.result.restraints.get(self.m)
 
     def act(self, stage: int) -> dict[str, Any]:
         use = self._evaluate(stage)
-        self.restraint = use
         self.result.restraints[self.m] = use
         return {"action": "place-restraint", "use": use}
 
     def reinitialize(self, stage: int, by: str) -> None:
-        self.restraint = None
         self.result.restraints[self.m] = None
 
 
@@ -171,13 +154,14 @@ def run_sigma3_ceer(
     log = RunLog({"construction": "sigma3", "params": params})
     result = Sigma3Result("sigma3", params, stages, log,
                           table=table, universal=universal)
-    state = _State(table, universal)
+    used_columns: set[int] = set()
 
     top = max(list(trigger_columns) + list(functionals), default=-1)
     reqs: list[Requirement] = []
     for idx in range(top + 1):
-        reqs.append(_CodingReq(idx, trigger_columns.get(idx), state, result))
-        reqs.append(_RestraintReq(idx, functionals.get(idx), state, result))
+        reqs.append(_CodingReq(idx, trigger_columns.get(idx), result,
+                               used_columns))
+        reqs.append(_RestraintReq(idx, functionals.get(idx), result))
     engine = PriorityEngine(reqs, log)
     engine.run(stages)
     return result

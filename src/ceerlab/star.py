@@ -17,6 +17,8 @@ presentation changes, and each logs its decision as a record:
 
 `apply_record` alone turns a record into levels, statuses and relations,
 for the run as each record is logged and for replay of a finished log.
+A level's active generators are its presentation's "level" statuses, so
+the requirements read them there and only `apply_record` changes them.
 Every relator added is triangular: its left-hand side is a strictly
 larger generator index than anything on the right, so canonical forms
 exist at every stage.  A per-level reserve budget guarantees case
@@ -25,7 +27,7 @@ BudgetError rather than silently degrading.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from .ceers import CeerTable
@@ -142,17 +144,16 @@ def apply_record(pres: StagedPresentation, base: int,
 
 
 class _StarState:
-    """Mutable presentation-side state shared by the requirements."""
+    """Presentation-side state shared by the requirements.  A level's active
+    generators are its "level" statuses in `pres`; a level with none left
+    is collapsed."""
 
     def __init__(self, base: int, levels: int, universal: CeerTable,
                  x_bound: int):
         self.base = base
         self.levels = levels
         self.universal = universal
-        self.ngens = base ** (levels + 1)
-        self.pres = StagedPresentation(ngens=self.ngens)
-        self.current: dict[int, list[int]] = {}
-        self.collapsed: set[int] = set()
+        self.pres = StagedPresentation(ngens=base ** (levels + 1))
         self.X = CeerTable(bound=x_bound)
         self.next_witness = 0
         self.diag: list["_DiagReq"] = []
@@ -164,14 +165,19 @@ class _StarState:
             raise BudgetError(-1, "witness pool")
         return a, a + 1
 
-    def check_alternation(self, level: int) -> None:
-        gens = self.current[level]
+    def active(self, level: int) -> list[int]:
+        """The level's active generators in ascending order, checked to
+        alternate in parity starting from an even one."""
+        status = self.pres.status
+        gens = [g for g in level_letters(self.base, level)
+                if status.get(g) == "level"]
         for pos, g in enumerate(gens):
             if g % 2 != pos % 2:
                 raise RuntimeError(
                     f"alternation invariant broken at level {level}: "
                     f"position {pos} holds x{g}"
                 )
+        return gens
 
     def canonical(self, word: Iterable[tuple[int, int]], stage: int) -> Word:
         return staged_abelian_wp(self.pres, word, stage)
@@ -181,8 +187,8 @@ class _StarState:
 
         Returns (free letters, K) where K is the largest level with a
         surviving level generator in the word (-1 if none).  Canonical
-        words only mention free or still-active level generators; a
-        generator has status "level" exactly while it is in `current`.
+        words only mention free or still-active level generators, those
+        whose status in the presentation is "free" or "level".
         """
         free = []
         top = -1
@@ -232,26 +238,27 @@ class _CollapseCoding(Requirement):
 
     def ready(self, stage: int) -> bool:
         self._scan(stage)
-        return any(j not in self.state.collapsed for _, j in self.queue)
+        census = self.state.pres.census_at
+        return any(census(j, stage)["level"] for _, j in self.queue)
 
     def act(self, stage: int) -> dict[str, Any]:
         st = self.state
         served = []
+        done: set[int] = set()  # levels this action collapses
         restarted: set[str] = set()
         for i, j in self.queue:
-            if j in st.collapsed:
+            if j in done or not st.pres.census_at(j, stage)["level"]:
                 served.append({"pair": [i, j], "skipped": "already collapsed"})
                 continue
             targets = level_letters(st.base, i)
-            block = st.current[j][: len(targets)]
-            if len(block) < len(targets):
+            gens = st.active(j)
+            if len(gens) < len(targets):
                 raise BudgetError(j, self.name)
             relators = [_relator_obj(cur, ((tgt, 1),))
-                        for cur, tgt in zip(block, targets)]
+                        for cur, tgt in zip(gens, targets)]
             relators += [_relator_obj(cur, ())
-                         for cur in st.current[j][len(targets):]]
-            st.current[j] = []
-            st.collapsed.add(j)
+                         for cur in gens[len(targets):]]
+            done.add(j)
             served.append({"pair": [i, j], "relators": relators})
             for req in st.diag:
                 if req.committed_level is not None and req.e >= j:
@@ -330,15 +337,15 @@ class _DiagReq(Requirement):
 
     # -- case helpers ---------------------------------------------------
 
-    def _free_pair_block(self, level: int, word: Word,
+    def _free_pair_block(self, level: int, gens: list[int], word: Word,
                          parity: int) -> tuple[list[int], bool] | None:
         """Find the 4-generator block for case 3a (parity 0) / 3b (1).
 
-        Scans the active generators of the given index parity for the
-        first adjacent pair with differing exponents in `word`.  Returns
-        (block, tail_layout) or None when exponents are constant.
+        Scans the level's active generators `gens` of the given index
+        parity for the first adjacent pair with differing exponents in
+        `word`.  Returns (block, tail_layout) or None when exponents are
+        constant.
         """
-        gens = self.state.current[level]
         side = [g for g in gens if g % 2 == parity]
         exps = dict(word)
         hit = None
@@ -361,29 +368,21 @@ class _DiagReq(Requirement):
             raise BudgetError(level, self.name)
         return block, tail
 
-    def _apply_free_pair(self, level: int, block: Sequence[int],
-                         parity: int) -> dict[str, Any]:
-        st = self.state
+    @staticmethod
+    def _free_pair(block: Sequence[int], parity: int) -> dict[str, Any]:
         keep = [g for g in block if g % 2 == parity]
         kill = [g for g in block if g % 2 != parity]
         small, large = min(keep), max(keep)
         relators = [_relator_obj(g, ()) for g in kill]
         relators.append(_relator_obj(large, ((small, -1),)))
-        pos = st.current[level].index(block[0])
-        del st.current[level][pos: pos + 4]
-        st.check_alternation(level)
         return {"freed": keep, "collapsed": kill, "relators": relators}
 
-    def _apply_tie_break(self, level: int) -> dict[str, Any]:
-        st = self.state
-        gens = st.current[level]
+    def _tie_break(self, level: int, gens: list[int]) -> dict[str, Any]:
         if len(gens) < 4:
             raise BudgetError(level, self.name)
         evens = [g for g in gens if g % 2 == 0]
         odds = [g for g in gens if g % 2 == 1]
         relators = [_lead_relator(side) for side in (evens, odds)]
-        st.current[level] = gens[:-2]
-        st.check_alternation(level)
         return {"determined": [evens[-1], odds[-1]], "relators": relators}
 
     # -- action ---------------------------------------------------------
@@ -407,17 +406,18 @@ class _DiagReq(Requirement):
             self.done = True
             self.committed_level = top
             return {"action": "case-2", "top_level": top, **base_details}
+        gens = st.active(top)
         for parity, case in ((0, "case-3a"), (1, "case-3b")):
-            found = self._free_pair_block(top, word, parity)
+            found = self._free_pair_block(top, gens, word, parity)
             if found is not None:
                 block, tail = found
-                details = self._apply_free_pair(top, block, parity)
+                details = self._free_pair(block, parity)
                 st.X.assert_pair(a, b, stage)
                 self.done = True
                 return {"action": case, "level": top,
                         "layout": "tail" if tail else "standard",
                         **details, **base_details}
-        details = self._apply_tie_break(top)
+        details = self._tie_break(top, gens)
         return {"action": "case-3c", "level": top, **details, **base_details}
 
     def reinitialize(self, stage: int, by: str) -> None:
@@ -434,7 +434,11 @@ class StarResult(ConstructionRun):
     universal: CeerTable
     base: int = 10
     levels: int = 1
-    collapsed_levels: set[int] = field(default_factory=set)
+
+    @property
+    def collapsed_levels(self) -> set[int]:
+        return {j for j in range(self.levels + 1)
+                if not self.census(j, self.stages)["level"]}
 
     @property
     def free_generators(self) -> set[int]:
@@ -542,10 +546,10 @@ class StarConstruction:
         for e, stub in phis.items():
             for arg, entry in stub.items():
                 for idx, _ in entry.word:
-                    if not 0 <= idx < self.state.ngens:
+                    if not 0 <= idx < self.state.pres.ngens:
                         raise ValueError(
                             f"phi_{e}({arg}) mentions x{idx}, outside the "
-                            f"{self.state.ngens}-generator presentation"
+                            f"{self.state.pres.ngens}-generator presentation"
                         )
         params = {
             "base": base,
@@ -561,21 +565,18 @@ class StarConstruction:
             reqs.append(_DiagReq(e, phis.get(e, {}), self.state))
         self.engine = PriorityEngine(reqs, self.log)
         self.stage = 0
-        self._initialized = False
 
     def initialize(self) -> list[ActionRecord]:
-        """Stage 0: lay out levels and pin each level's two lead products."""
-        if self._initialized:
+        """Stage 0: lay out levels and pin each level's two lead products;
+        the log holds records from here on."""
+        if self.log.records:
             raise RuntimeError("already initialized")
-        self._initialized = True
         st = self.state
         records = []
         for j in range(self.levels + 1):
             gens = level_letters(self.base, j)
             relators = [_lead_relator([g for g in gens if g % 2 == parity])
                         for parity in (0, 1)]
-            st.current[j] = gens[:-2]
-            st.check_alternation(j)
             records.append(self.log.add(
                 0, "init", "init", "init-level", level=j,
                 generators=[gens[0], gens[-1]], relators=relators))
@@ -583,7 +584,7 @@ class StarConstruction:
         return records
 
     def step(self) -> ActionRecord | None:
-        if not self._initialized:
+        if not self.log.records:
             raise RuntimeError("initialize() must run first")
         self.stage += 1
         record = self.engine.run_stage(self.stage)
@@ -609,7 +610,6 @@ class StarConstruction:
             universal=st.universal,
             base=self.base,
             levels=self.levels,
-            collapsed_levels=set(st.collapsed),
         )
 
 

@@ -260,6 +260,44 @@ def test_star_witness_pool_holds_every_draw(tmp_path, capsys):
         "init-level", "init-level"]
 
 
+# ten rows of 100,000 arguments each: every row passes the generator ceiling,
+# their total does not
+FULL_ROWS = "".join(f"{i * 100000}..{i * 100000 + 99999}: 50 x7\n"
+                    for i in range(10))
+STAR_FULL_ROWS = """\
+construction = star-universal
+stages = 1
+base = 6
+levels = 1
+
+[universal]
+5: 0 1
+
+[phi 0]
+""" + FULL_ROWS
+
+
+@pytest.mark.parametrize("text,section,row,total", [
+    (STAR_FULL_ROWS, "phi", 1, 200000),
+    # the shipped [star-phi 0] holds two arguments
+    (open(shipped("sug-basic.txt")).read() + "\n[star-phi 1]\n" + FULL_ROWS,
+     "star-phi", 0, 100002),
+])
+def test_phi_arguments_total_above_ceiling(text, section, row, total,
+                                           tmp_path, capsys):
+    path = tmp_path / "stubs.txt"
+    path.write_text(text)
+    out = tmp_path / "stubs.jsonl"
+    rc, seconds, peak = timed_peak_of(["run", str(path), "--out", str(out)])
+    assert rc == 2
+    line = text.splitlines().index(FULL_ROWS.splitlines()[row]) + 1
+    assert capsys.readouterr().err == (
+        f"error: line {line}: [{section}] rows up to here hold {total} "
+        "arguments, above the generator ceiling 100000\n")
+    assert seconds < 10 and peak < 200_000_000  # no row was expanded
+    assert not out.exists()
+
+
 def test_sigma3_with_huge_universal_bound(tmp_path, capsys):
     text = open(shipped("sigma3-basic.txt")).read()
     assert text.count("stages = 60\n") == 1
@@ -876,14 +914,20 @@ def declared_scripts():
     return scripts
 
 
-def run_child(argv):
-    """Run argv in a fresh process that imports this checkout's ceerlab."""
+def child_env():
+    """The environment of a fresh process that imports this checkout's
+    ceerlab."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ceerlab.__file__)))
     env = dict(os.environ, COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
-                          timeout=60)
+    return env
+
+
+def run_child(argv):
+    """Run argv in a fresh process that imports this checkout's ceerlab."""
+    proc = subprocess.run(argv, capture_output=True, text=True,
+                          env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: ceerlab"), proc.stdout
     for command in ("run", "verify", "probe"):
@@ -906,3 +950,40 @@ def test_console_script_help():
                 "--help"]
     out = run_child(argv)
     assert run_child([sys.executable, "-m", "ceerlab", "--help"]) == out
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("command", ["run", "verify", "probe"])
+def test_closed_stdout_exits_2_with_one_line(command, buffered, tmp_path):
+    """A reader that closed stdout before the command printed: one error
+    line on stderr and exit 2, whether the failed write comes from a print
+    or from the flush at exit."""
+    out = tmp_path / "star.jsonl"
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(CeerTable(bound=2).assert_pair(0, 1, 1).dumps())
+    argv = {
+        "run": ["run", shipped("star-universal-basic.txt"), "--out", str(out)],
+        "verify": ["verify", shipped("star-universal-basic.log.jsonl"),
+                   "level-census"],
+        "probe": ["probe", "related", str(dump), "0", "1"],
+    }[command]
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ceerlab", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    if command == "run":
+        with open(shipped("star-universal-basic.log.jsonl")) as fh:
+            assert out.read_text() == fh.read()

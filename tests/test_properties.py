@@ -1,7 +1,8 @@
 """Property tests: text round trips, log parsing on damaged input,
 `run`/`verify` on shipped inputs with mutated numbers and values, and
 `probe` on small mutated dumps, which must exit 0, 1 or 2 and raise
-nothing.
+nothing; and small generated star scenarios, whose runs must pass the
+star suites and replay to the run's statuses.
 
 Examples are derandomized and no example database is kept, so every run
 of the suite tries the same inputs.
@@ -17,10 +18,13 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ceerlab import replay
 from ceerlab.algebra import SUPPORTED_MODULI, Monomial, Poly
 from ceerlab.ceers import CeerTable
 from ceerlab.cli import main
 from ceerlab.engine import RunLog
+from ceerlab.scenario import parse_scenario
+from ceerlab.star import check_size, level_letters
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -272,3 +276,62 @@ def test_probe_on_mutated_dumps_exits_cleanly(call):
         argv = ["probe"] + [os.path.join(tmp, a) if a.startswith("dump")
                             else a for a in args]
         assert _exit_code(argv) in (0, 1, 2)
+
+
+# -- generated star scenarios ----------------------------------------------
+
+
+@st.composite
+def star_scenarios(draw):
+    """A small star scenario: a shape, up to three universal pairs and one
+    to four stubs.  Word tokens are whole-level ranges less the last one or
+    two pairs (constant or split exponents) and the first letters of a
+    level (which the freeing cases free first), so every case is reached."""
+    base = draw(st.sampled_from((6, 8, 10)))
+    levels = draw(st.integers(1, 3))
+    check_size(base, levels)
+    stages = draw(st.integers(1, 15))
+    lines = ["construction = star-universal", f"stages = {stages}",
+             f"base = {base}", f"levels = {levels}", "[universal]"]
+    for _ in range(draw(st.integers(0, 3))):
+        s, a, b = (draw(st.integers(1, stages)), draw(st.integers(0, levels)),
+                   draw(st.integers(0, levels)))
+        lines.append(f"{s}: {a} {b}")
+
+    def token():
+        letters = level_letters(base, draw(st.integers(0, levels)))
+        if draw(st.booleans()):
+            end = letters[-1] + 1 - 2 * draw(st.integers(1, 2))
+            return f"xrange:{letters[0]}:{end}"
+        exp = draw(st.sampled_from(("", "^-1", "^2")))
+        return f"x{draw(st.sampled_from(letters[:6]))}{exp}"
+
+    def row(spec):
+        words = " ".join(token() for _ in range(draw(st.integers(0, 2))))
+        return f"{spec}: {draw(st.integers(0, stages))} {words}"
+
+    # every witness a run can draw has a value
+    top = 2 * stages + 8
+    for e in draw(st.lists(st.integers(0, 3), min_size=1, max_size=4,
+                           unique=True)):
+        lines.append(f"[phi {e}]")
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(row(f"0..{top}"))
+        else:
+            lines += [row(f"0..{top}/even"), row(f"1..{top}/odd")]
+    return "\n".join(lines) + "\n"
+
+
+# the verify suites cost nearly all the time; 60 examples reach every case
+# and a collapse
+@settings(DETERMINISTIC, max_examples=60)
+@given(star_scenarios())
+def test_generated_star_runs_pass_the_star_suites(text):
+    result = parse_scenario(text).run()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "star.jsonl")
+        result.log.dump(path)
+        for suite in ("triangularity", "level-census", "vi-vs-U"):
+            assert _exit_code(["verify", path, suite]) == 0, suite
+        pres = replay.star_presentation(RunLog.load(path))
+    assert pres.status == result.presentation.status

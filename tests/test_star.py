@@ -248,10 +248,10 @@ def test_tie_break_strictly_shrinks_the_active_level():
     phis = {0: {0: entry(w0), 1: entry([])}}
     con = StarConstruction(uni_table(), phis, base=10, levels=2, stages=3)
     con.initialize()
-    before = len(con.state.current[2])
+    before = len(con.state.active(2))
     rec = con.step()
     assert rec.action == "case-3c"
-    assert len(con.state.current[2]) == before - 2
+    assert len(con.state.active(2)) == before - 2
     # the requirement stays live and re-dispatches next stage
     rec2 = con.step()
     assert rec2.requirement == "R0"
