@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Any, Mapping
 
 from .algebra import (
@@ -278,11 +279,9 @@ def _run_dark(
     for idx in range(top + 1):
         reqs.append(_LightReq(idx, u_columns.get(idx), state))
         reqs.append(_CollapseReq(idx, w_columns.get(idx), state))
-    engine = PriorityEngine(reqs, log)
+    engine = PriorityEngine(reqs, log, partial(apply_record, result))
     for stage in range(1, stages + 1):
-        record = engine.run_stage(stage)
-        if record is not None:
-            apply_record(result, record)
+        engine.run_stage(stage)
         if audit_fails(stage):
             break
     return result

@@ -2,9 +2,11 @@
 
 The engine owns nothing domain-specific: it scans a fixed priority list
 once per stage, lets the highest-priority ready requirement act, applies
-the injury discipline, and records everything.  Requirements mutate the
-construction state they were handed at creation; the engine only
-guarantees ordering, one action per stage, and an audit trail.
+the injury discipline, and records everything.  Requirements decide and
+log; the construction's writer, handed to the engine at creation, is the
+one function that mutates the construction state, and the engine applies
+each record it logs through it.  Replaying a log through the same writer
+therefore rebuilds the run's state.
 
 Log format: line-oriented JSON.  The first line is a header object; each
 further line is one record with at least {"stage", "requirement",
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "ActionRecord",
@@ -153,13 +155,18 @@ class Requirement:
 
 
 class PriorityEngine:
-    """One action per stage, highest-priority ready requirement first."""
+    """One action per stage, highest-priority ready requirement first.
 
-    def __init__(self, requirements: Iterable[Requirement], log: RunLog):
+    `apply` is the construction's writer: the engine calls it on each record
+    it logs, once the record is complete."""
+
+    def __init__(self, requirements: Iterable[Requirement], log: RunLog,
+                 apply: Callable[[ActionRecord], None]):
         self.requirements = list(requirements)
         for rank, req in enumerate(self.requirements):
             req.rank = rank
         self.log = log
+        self.apply = apply
 
     def lower_than(self, req: Requirement) -> list[Requirement]:
         return self.requirements[req.rank + 1 :]
@@ -176,9 +183,11 @@ class PriorityEngine:
                     injured.append(lower.name)
                 if injured:
                     details.setdefault("reinitialized", injured)
-            return self.log.add(
+            record = self.log.add(
                 stage, req.name, req.kind, details.pop("action"), **details
             )
+            self.apply(record)
+            return record
         return None
 
     def run(self, stages: int) -> None:

@@ -13,18 +13,27 @@ Acting reinitializes every lower-priority requirement; reinitialized
 C/D strategies abandon their slot and later restart in a fresh one that
 clears all live higher-priority restraints.  All slots are declared
 abelian-ambient at stage 0.
+
+The requirements only decide and log.  `apply_record` alone turns a logged
+record into the result's assignments, table slots and restraints, for the
+run as each record is logged and for replay of a finished log.  A group
+slot's star instance is the exception: it is the inner run that decides
+the inner records, so `_GroupBuilderReq.act` keeps it in `group_slots`,
+and `star.apply_record` is the only writer of its presentation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Mapping
 
 from .ceers import CeerTable, StageSet
-from .engine import ConstructionRun, PriorityEngine, Requirement, RunLog
+from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 from .pairing import unpair
 from .star import PhiEntry, StarConstruction
 
-__all__ = ["SumFunctionalStub", "SugResult", "run_sug_indexset"]
+__all__ = ["SumFunctionalStub", "SugResult", "run_sug_indexset",
+           "apply_record"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,27 @@ class SugResult(ConstructionRun):
     table_slots: dict[str, CeerTable] = field(default_factory=dict)
     assignments: dict[str, str] = field(default_factory=dict)
     restraints: dict[int, tuple[str, ...] | None] = field(default_factory=dict)
+
+
+def apply_record(result: SugResult, record: ActionRecord) -> None:
+    """Apply one logged sug record to its result: the slot it opens, the
+    coded pair it copies into a table slot, the restraint it places, and the
+    restraints of the L_m it injures.  The run calls this on each record it
+    logs and replay on each record it reads, so both build the same state."""
+    details = record.details
+    if record.action == "open-slot":
+        result.assignments[record.requirement] = details["slot"]
+        if record.kind == "D":
+            result.table_slots[details["slot"]] = CeerTable(
+                bound=result.coded_universal.bound)
+    elif record.action == "place-restraint":
+        result.restraints[int(record.requirement[1:])] = tuple(details["slots"])
+    if record.kind == "D" and details["pair"] is not None:
+        a, b = details["pair"]
+        result.table_slots[details["slot"]].assert_pair(a, b, record.stage)
+    for name in details.get("reinitialized", ()):
+        if name.startswith("L"):
+            result.restraints[int(name[1:])] = None
 
 
 def _fresh_slot(result: SugResult, family: str, above: int) -> str:
@@ -95,7 +125,6 @@ class _GroupBuilderReq(Requirement):
                 name=f"star@{self.slot}",
             )
             self.result.group_slots[self.slot] = instance
-            self.result.assignments[self.name] = self.slot
             records = instance.initialize()
             return {"action": "open-slot", "slot": self.slot,
                     "inner": [r.to_obj() for r in records]}
@@ -113,15 +142,14 @@ class _PairCodingReq(Requirement):
     kind = "D"
 
     def __init__(self, d: int, left: StageSet | None, right: StageSet | None,
-                 result: SugResult, coded: CeerTable):
+                 result: SugResult):
         super().__init__(f"D{d}")
         self.d = d
         self.watches = unpair(d)
         self.left = left
         self.right = right
         self.result = result
-        self.coded_pairs = coded.pairs
-        self.coded_bound = coded.bound
+        self.coded_pairs = result.coded_universal.pairs
         self.consumed_left = 0
         self.consumed_right = 0
         self.slot: str | None = None
@@ -142,17 +170,14 @@ class _PairCodingReq(Requirement):
                                    "watches": list(self.watches)}
         if self.slot is None:
             self.slot = _fresh_slot(self.result, "h", self.d + 1)
-            self.result.table_slots[self.slot] = CeerTable(
-                bound=self.coded_bound)
-            self.result.assignments[self.name] = self.slot
             details["action"] = "open-slot"
+            copied = 0
+        else:
+            copied = self.result.table_slots[self.slot].pair_count
         details["slot"] = self.slot
         # the slot's table holds just the coded pairs copied into it, in order
-        table = self.result.table_slots[self.slot]
-        if table.pair_count < len(self.coded_pairs):
-            a, b, _ = self.coded_pairs[table.pair_count]
-            table.assert_pair(a, b, stage)
-            details["pair"] = [a, b]
+        if copied < len(self.coded_pairs):
+            details["pair"] = list(self.coded_pairs[copied][:2])
         else:
             details["pair"] = None
         return details
@@ -177,12 +202,8 @@ class _SumRestraintReq(Requirement):
         return self.result.restraints.get(self.m) != self.stub.slots
 
     def act(self, stage: int) -> dict[str, Any]:
-        self.result.restraints[self.m] = self.stub.slots
         return {"action": "place-restraint", "use": self.stub.use,
                 "slots": list(self.stub.slots)}
-
-    def reinitialize(self, stage: int, by: str) -> None:
-        self.result.restraints[self.m] = None
 
 
 def run_sug_indexset(
@@ -224,10 +245,9 @@ def run_sug_indexset(
         reqs.append(_SumRestraintReq(idx, sum_functionals.get(idx), result))
         left, right = unpair(idx)
         reqs.append(_PairCodingReq(idx, v_columns.get(left),
-                                   u_columns.get(right), result,
-                                   coded_universal))
-    log.add(0, "init", "init", "declare-abelian",
-            note="all group and table slots carry abelian word problems")
-    engine = PriorityEngine(reqs, log)
-    engine.run(stages)
+                                   u_columns.get(right), result))
+    apply_record(result, log.add(
+        0, "init", "init", "declare-abelian",
+        note="all group and table slots carry abelian word problems"))
+    PriorityEngine(reqs, log, partial(apply_record, result)).run(stages)
     return result

@@ -5,10 +5,12 @@ built from the types the constructions themselves use: relator streams
 per presentation, a star log's `StagedPresentation` (relations, levels
 and generator statuses), its universal table and census checkpoints, and
 a dark log's `DarkRunResult`, record by record.  Each construction's
-state has one writer, which the run calls on each record it logs and
-replay calls on each record it reads: `star.apply_record` for a star
-presentation and `dark.apply_record` for a dark result.  Replaying a log
-therefore rebuilds the run's own state by construction.
+state has one writer, which the engine calls on each record the run logs
+and replay calls on each record it reads: `star.apply_record` for a star
+presentation, `dark.apply_record` for a dark result, and
+`sigma3.apply_record` and `indexset.apply_record` for a sigma3 or sug
+result's columns, slots and restraints.  Replaying a log therefore
+rebuilds the run's own state by construction.
 """
 from __future__ import annotations
 

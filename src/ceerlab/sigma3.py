@@ -6,18 +6,25 @@ column by copying the current universal approximation into a private
 join column (choosing a column whose codes clear every live restraint),
 while restraint requirements freeze the oracle use of halted functional
 stubs.  Acting reinitializes all lower-priority strategies.
+
+The requirements only decide and log.  `apply_record` alone turns a logged
+record into the result's columns, used columns and restraints, for the run
+as each record is logged and for replay of a finished log.  The join
+table's copied pairs are the exception: the log carries only their count,
+so `_CodingReq.act` writes them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import isqrt
 from typing import Any, Mapping
 
 from .ceers import CeerTable, FunctionalStub, StageSet
-from .engine import ConstructionRun, PriorityEngine, Requirement, RunLog
+from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 from .pairing import pair
 
-__all__ = ["Sigma3Result", "run_sigma3_ceer"]
+__all__ = ["Sigma3Result", "run_sigma3_ceer", "apply_record"]
 
 
 @dataclass
@@ -26,16 +33,7 @@ class Sigma3Result(ConstructionRun):
     universal: CeerTable
     columns: dict[int, int] = field(default_factory=dict)
     restraints: dict[int, int | None] = field(default_factory=dict)
-
-    def column_pairs(self, j: int, stage: int) -> set[tuple[int, int]]:
-        """Related pairs (a, b), a < b, inside join column j at a stage."""
-        bound = self.universal.bound
-        out = set()
-        for a in range(bound):
-            for b in range(a + 1, bound):
-                if self.table.related(pair(j, a), pair(j, b), stage):
-                    out.add((a, b))
-        return out
+    used_columns: set[int] = field(default_factory=set)
 
     def restraint_ceiling(self, k: int) -> int:
         """Largest live restrained use of an L_m outranking C_k.  The ranks
@@ -44,16 +42,31 @@ class Sigma3Result(ConstructionRun):
                     if m < k and use is not None), default=-1)
 
 
+def apply_record(result: Sigma3Result, record: ActionRecord) -> None:
+    """Apply one logged sigma3 record to its result: the column it chooses
+    (now used for good) or copies into, the restraint it places, and the
+    restraints of the L_m it injures.  The run calls this on each record it
+    logs and replay on each record it reads, so both build the same state."""
+    details = record.details
+    if record.action in ("choose-column", "copy-column"):
+        result.columns[int(record.requirement[1:])] = details["column"]
+        if record.action == "choose-column":
+            result.used_columns.add(details["column"])
+    elif record.action == "place-restraint":
+        result.restraints[int(record.requirement[1:])] = details["use"]
+    for name in details.get("reinitialized", ()):
+        if name.startswith("L"):
+            result.restraints[int(name[1:])] = None
+
+
 class _CodingReq(Requirement):
     kind = "C"
 
-    def __init__(self, k: int, column: StageSet | None, result: Sigma3Result,
-                 used_columns: set[int]):
+    def __init__(self, k: int, column: StageSet | None, result: Sigma3Result):
         super().__init__(f"C{k}")
         self.k = k
         self.column = column
         self.result = result
-        self.used_columns = used_columns
         self.consumed = 0
         self.join_column: int | None = None
 
@@ -64,9 +77,8 @@ class _CodingReq(Requirement):
         ceiling = self.result.restraint_ceiling(self.k)
         # the least j whose first code pair(j, 0) = j(j+1)/2 passes the ceiling
         j = (isqrt(8 * ceiling + 1) + 1) // 2 if ceiling >= 0 else 0
-        while j in self.used_columns:
+        while j in self.result.used_columns:
             j += 1
-        self.used_columns.add(j)
         return j
 
     def act(self, stage: int) -> dict[str, Any]:
@@ -75,7 +87,6 @@ class _CodingReq(Requirement):
         if self.join_column is None:
             self.join_column = self._fresh_column()
             details["action"] = "choose-column"
-        self.result.columns[self.k] = self.join_column
         j = self.join_column
         uni = self.result.universal
         table = self.result.table
@@ -122,12 +133,7 @@ class _RestraintReq(Requirement):
         return use is not None and use != self.result.restraints.get(self.m)
 
     def act(self, stage: int) -> dict[str, Any]:
-        use = self._evaluate(stage)
-        self.result.restraints[self.m] = use
-        return {"action": "place-restraint", "use": use}
-
-    def reinitialize(self, stage: int, by: str) -> None:
-        self.result.restraints[self.m] = None
+        return {"action": "place-restraint", "use": self._evaluate(stage)}
 
 
 def run_sigma3_ceer(
@@ -154,14 +160,10 @@ def run_sigma3_ceer(
     log = RunLog({"construction": "sigma3", "params": params})
     result = Sigma3Result("sigma3", params, stages, log,
                           table=table, universal=universal)
-    used_columns: set[int] = set()
-
     top = max(list(trigger_columns) + list(functionals), default=-1)
     reqs: list[Requirement] = []
     for idx in range(top + 1):
-        reqs.append(_CodingReq(idx, trigger_columns.get(idx), result,
-                               used_columns))
+        reqs.append(_CodingReq(idx, trigger_columns.get(idx), result))
         reqs.append(_RestraintReq(idx, functionals.get(idx), result))
-    engine = PriorityEngine(reqs, log)
-    engine.run(stages)
+    PriorityEngine(reqs, log, partial(apply_record, result)).run(stages)
     return result

@@ -28,6 +28,7 @@ BudgetError rather than silently degrading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Mapping, Sequence
 
 from .ceers import CeerTable
@@ -563,7 +564,8 @@ class StarConstruction:
         top = max(phis, default=-1)
         for e in range(top + 1):
             reqs.append(_DiagReq(e, phis.get(e, {}), self.state))
-        self.engine = PriorityEngine(reqs, self.log)
+        self.engine = PriorityEngine(
+            reqs, self.log, partial(apply_record, self.state.pres, base))
         self.stage = 0
 
     def initialize(self) -> list[ActionRecord]:
@@ -587,10 +589,7 @@ class StarConstruction:
         if not self.log.records:
             raise RuntimeError("initialize() must run first")
         self.stage += 1
-        record = self.engine.run_stage(self.stage)
-        if record is not None:
-            apply_record(self.state.pres, self.base, record)
-        return record
+        return self.engine.run_stage(self.stage)
 
     def run(self) -> "StarResult":
         self.initialize()

@@ -59,27 +59,30 @@ def _degree_component(terms: dict[tuple[int, int], int], d: int, p: int):
     return vec
 
 
-def _row_reduce(rows: list[np.ndarray], p: int) -> list[np.ndarray]:
-    """Gaussian elimination over F_p, returning echelon rows."""
-    echelon: list[np.ndarray] = []
+# echelon rows, each with its pivot column and the inverse of its pivot entry
+Echelon = list[tuple[int, int, np.ndarray]]
+
+
+def _row_reduce(rows: list[np.ndarray], p: int) -> Echelon:
+    """Gaussian elimination over F_p."""
+    echelon: Echelon = []
     for row in rows:
-        row = row % p
-        for er in echelon:
-            piv = int(np.argmax(er != 0))
-            if row[piv]:
-                row = (row - row[piv] * pow(int(er[piv]), -1, p) * er) % p
+        row = _reduce_by(row % p, echelon, p)
         if row.any():
-            echelon.append(row)
+            piv = int(np.argmax(row != 0))
+            echelon.append((piv, pow(int(row[piv]), -1, p), row))
     return echelon
 
 
-def _in_span(vec: np.ndarray, echelon: list[np.ndarray], p: int) -> bool:
-    vec = vec % p
-    for er in echelon:
-        piv = int(np.argmax(er != 0))
+def _reduce_by(vec: np.ndarray, echelon: Echelon, p: int) -> np.ndarray:
+    for piv, inv, er in echelon:
         if vec[piv]:
-            vec = (vec - vec[piv] * pow(int(er[piv]), -1, p) * er) % p
-    return not vec.any()
+            vec = (vec - vec[piv] * inv * er) % p
+    return vec
+
+
+def _in_span(vec: np.ndarray, echelon: Echelon, p: int) -> bool:
+    return not _reduce_by(vec % p, echelon, p).any()
 
 
 def span_member(poly, generators, p: int) -> bool:

@@ -447,6 +447,72 @@ def test_run_reports_audit_failure_with_exit_one(tmp_path, capsys):
     assert "gs audit: FAILED" in capsys.readouterr().out
 
 
+SIGMA3_RUN = (
+    "construction: sigma3\n"
+    "stages: {stages}\n"
+    "records: 29\n"
+    "  C0: choose-column@1 copy-column@4 copy-column@7 ... (12 actions)\n"
+    "  C2: choose-column@2 choose-column@9 choose-column@18 choose-column@24 "
+    "choose-column@30 choose-column@37\n"
+    "  L1: place-restraint@5 place-restraint@8 place-restraint@11 ... "
+    "(11 actions)\n"
+    "column C0 -> 0\n"
+    "column C2 -> 8\n"
+    "restraint L0: use=None\n"
+    "restraint L1: use=9\n"
+    "restraint L2: use=None\n"
+    "log: LOG\n"
+)
+
+SUG_RUN = (
+    "construction: sug-indexset\n"
+    "stages: {stages}\n"
+    "records: 16\n"
+    "  init: declare-abelian@0\n"
+    "  C0: open-slot@1 advance-slot@2 advance-slot@3 advance-slot@4 "
+    "advance-slot@5 advance-slot@6 advance-slot@7 advance-slot@8\n"
+    "  D0: open-slot@9 code-pair@10 code-pair@11 code-pair@12 code-pair@13 "
+    "code-pair@14\n"
+    "  L1: place-restraint@30\n"
+    "slot C0 -> g0\n"
+    "slot D0 -> h0\n"
+    "restraint L0: none\n"
+    "restraint L1: g0,h0\n"
+    "log: LOG\n"
+)
+
+PINNED_RUN = [
+    ("sigma3-basic.txt", None, SIGMA3_RUN.format(stages=60)),
+    ("sigma3-basic.txt", 2000, SIGMA3_RUN.format(stages=2000)),
+    ("sug-basic.txt", None, SUG_RUN.format(stages=60)),
+    ("sug-basic.txt", 2000, SUG_RUN.format(stages=2000)),
+    ("dark-ring-basic.txt", None,
+     "construction: dark-ring\n"
+     "stages: 300\n"
+     "records: 4\n"
+     "  L0: enumerate-witness@1 enumerate-witness@2\n"
+     "  D0: collapse-pair@64\n"
+     "  D1: collapse-pair@65\n"
+     "transversal T0: 2 entries, degrees 1 2\n"
+     "transversal T1: 0 entries, degrees \n"
+     "witness D0: stage 64, floor 10, relator degrees [11]\n"
+     "witness D1: stage 65, floor 11, relator degrees []\n"
+     "gs audit: pass at every stage\n"
+     "log: LOG\n"),
+]
+
+
+@pytest.mark.parametrize("scenario,stages,out", PINNED_RUN)
+def test_run_output_is_pinned(scenario, stages, out, tmp_path, capsys):
+    argv = ["run", shipped(scenario), "--out", str(tmp_path / "run.jsonl")]
+    if stages is not None:
+        argv += ["--stages", str(stages)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert re.sub(r"(?m)^log: .*$", "log: LOG", captured.out) == out
+    assert captured.err == ""
+
+
 # -- verify ---------------------------------------------------------------
 
 

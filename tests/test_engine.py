@@ -31,9 +31,9 @@ class Toy(Requirement):
         self.reinits.append((stage, by))
 
 
-def build(*reqs):
+def build(*reqs, apply=lambda record: None):
     log = RunLog({"construction": "toy", "params": {}})
-    return PriorityEngine(list(reqs), log), log
+    return PriorityEngine(list(reqs), log, apply), log
 
 
 def test_one_action_per_stage_highest_priority_wins():
@@ -85,6 +85,27 @@ def test_idle_stage_adds_no_record():
     assert engine.run_stage(2) is None
     assert engine.run_stage(3) is not None
     assert len(log.records) == 1
+
+
+def test_writer_applies_each_logged_record_once_in_order():
+    seen = []
+
+    def apply(record):
+        # the record is logged and complete, injuries included, when applied
+        seen.append((record, len(log.records),
+                     record.details.get("reinitialized")))
+
+    a = Toy("A", {2, 4})
+    b = Toy("B", {1, 3})
+    c = Toy("C", set())
+    engine, log = build(a, b, c, apply=apply)
+    engine.run(4)
+    assert [rec for rec, _, _ in seen] == log.records
+    assert [n for _, n, _ in seen] == [1, 2, 3, 4]
+    assert [inj for _, _, inj in seen] == [["C"], ["B", "C"], ["C"],
+                                           ["B", "C"]]
+    assert engine.run_stage(5) is None  # nothing acts, nothing is applied
+    assert len(seen) == 4
 
 
 def test_record_details_carried_into_log():

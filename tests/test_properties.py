@@ -1,8 +1,9 @@
 """Property tests: text round trips, log parsing on damaged input,
 `run`/`verify` on shipped inputs with mutated numbers and values, and
 `probe` on small mutated dumps, which must exit 0, 1 or 2 and raise
-nothing; and small generated star scenarios, whose runs must pass the
-star suites and replay to the run's statuses.
+nothing; small generated star scenarios, whose runs must pass the star
+suites and replay to the run's statuses; and small generated sigma3 and
+sug scenarios, whose logs must replay to the run's state.
 
 Examples are derandomized and no example database is kept, so every run
 of the suite tries the same inputs.
@@ -21,10 +22,11 @@ from hypothesis import strategies as st
 from ceerlab import replay
 from ceerlab.algebra import SUPPORTED_MODULI, Monomial, Poly
 from ceerlab.ceers import CeerTable
-from ceerlab.cli import main
+from ceerlab.cli import _summarize, main
 from ceerlab.engine import RunLog
 from ceerlab.scenario import parse_scenario
 from ceerlab.star import check_size, level_letters
+from rebuilt import rebuild, written_state
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -335,3 +337,57 @@ def test_generated_star_runs_pass_the_star_suites(text):
             assert _exit_code(["verify", path, suite]) == 0, suite
         pres = replay.star_presentation(RunLog.load(path))
     assert pres.status == result.presentation.status
+
+
+# -- generated sigma3 and sug scenarios ------------------------------------
+
+
+@st.composite
+def index_set_scenarios(draw):
+    """A small sigma3 or sug scenario: steady trigger columns at indices 0-2,
+    a few table pairs, and functionals (sigma3) or sum functionals (sug) that
+    converge inside the run, so that restraints injure coders and coders
+    injure restraints."""
+    stages = draw(st.integers(1, 24))
+    sigma3 = draw(st.booleans())
+    lines = [f"construction = {'sigma3' if sigma3 else 'sug-indexset'}",
+             f"stages = {stages}",
+             "[universal]" if sigma3 else "[coded-universal]"]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append(f"{draw(st.integers(1, stages))}: "
+                     f"{draw(st.integers(0, 5))} {draw(st.integers(0, 5))}")
+    columns = ("wcolumn",) if sigma3 else ("vcolumn", "ucolumn")
+    for name in columns:
+        for k in draw(st.lists(st.integers(0, 2), max_size=3, unique=True)):
+            lines += [f"[{name} {k}]", "mode = steady",
+                      f"period = {draw(st.integers(1, 3))}",
+                      f"start = {draw(st.integers(1, stages))}",
+                      f"count = {draw(st.integers(1, 8))}"]
+    for m in draw(st.lists(st.integers(0, 2), max_size=2, unique=True)):
+        lines += [f"[{'functional' if sigma3 else 'sumfunctional'} {m}]",
+                  f"converge = {draw(st.integers(0, stages))}",
+                  f"use = {draw(st.integers(2, 30))}"]
+        if sigma3:  # codes <0, 0> and <0, 1> of the join table, or none
+            lines.append(f"pairs = {draw(st.sampled_from(('', '0-2')))}")
+        else:
+            slots = draw(st.lists(st.sampled_from(("g0", "g1", "h0", "h1")),
+                                  min_size=1, max_size=3, unique=True))
+            lines.append(f"slots = {','.join(slots)}")
+    if not sigma3:
+        lines += ["[star-universal]", "4: 0 1",
+                  "[star-phi 0]", "0: 0 x6", "1: 0"]
+    return "\n".join(lines) + "\n"
+
+
+@DETERMINISTIC
+@given(index_set_scenarios())
+def test_generated_sigma3_and_sug_logs_replay_to_the_run(text):
+    result = parse_scenario(text).run()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.jsonl")
+        result.log.dump(path)
+        if result.construction == "sug-indexset":
+            assert _exit_code(["verify", path, "triangularity"]) == 0
+        rebuilt = rebuild(RunLog.load(path))
+    assert written_state(rebuilt) == written_state(result)
+    assert _summarize(rebuilt) == _summarize(result)

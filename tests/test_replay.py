@@ -8,11 +8,16 @@ import pytest
 import ceerlab
 from ceerlab import replay
 from ceerlab.algebra import Poly
-from ceerlab.ceers import StageSet
+from ceerlab.ceers import CeerTable, FunctionalStub, StageSet
 from ceerlab.cli import _summarize
 from ceerlab.dark import run_dark_group, run_dark_ring
 from ceerlab.engine import ActionRecord, RunLog
+from ceerlab.indexset import SumFunctionalStub, run_sug_indexset
+from ceerlab.pairing import pair
 from ceerlab.scenario import load_scenario
+from ceerlab.sigma3 import run_sigma3_ceer
+from ceerlab.star import PhiEntry
+from rebuilt import rebuild, written_state
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -87,6 +92,60 @@ def test_dark_replay_matches_live_run(name):
     assert _summarize(result) == _summarize(live)
 
 
+def _table(bound, *pairs_at):
+    table = CeerTable(bound=bound)
+    for a, b, s in pairs_at:
+        table.assert_pair(a, b, s)
+    return table
+
+
+def _sug(v, u, coded, stubs, stages):
+    return run_sug_indexset(
+        v_columns=v, u_columns=u, coded_universal=coded,
+        sum_functionals=stubs, star_universal=_table(3, (0, 1, 4)),
+        star_phis={0: {0: PhiEntry(0, ((6, 1),)), 1: PhiEntry(0, ())}},
+        star_base=6, star_levels=1, stages=stages)
+
+
+INJURY_RUNS = {
+    "sigma3-basic": lambda: load_scenario(scenario("sigma3-basic.txt")).run(),
+    "sug-basic": lambda: load_scenario(scenario("sug-basic.txt")).run(),
+    # L0 injures C1, which re-chooses above the restraint
+    "sigma3-restraint-injury": lambda: run_sigma3_ceer(
+        {1: _trigger(1, 7)}, _table(2, (0, 1, 1)),
+        {0: FunctionalStub(0, converge_stage=5, use=20, required_pairs=())},
+        stages=8),
+    # each re-placed restraint pushes C1 to a fresh, higher column
+    "sigma3-growing-restraint": lambda: run_sigma3_ceer(
+        {0: _trigger(1), 1: _trigger(2, 5, 8)}, _table(2, (0, 1, 1)),
+        {0: FunctionalStub(0, converge_stage=3, use=9,
+                           required_pairs=((pair(0, 0), pair(0, 1)),))},
+        stages=9),
+    # L0 knocks C1 and D1 out of their slots; D1 restarts twice
+    "sug-restraint-injury": lambda: _sug(
+        {1: _trigger(1, 2, 3, 8, 9)}, {0: _trigger(*range(1, 11))},
+        _table(5, (0, 1, 1), (2, 3, 2)),
+        {0: SumFunctionalStub(0, converge_stage=6, use=40, slots=("g9",))},
+        stages=10),
+    # C0 opens a slot L0 restrains and injures L0, which re-places it
+    "sug-lower-restraint": lambda: _sug(
+        {0: _trigger(3)}, {}, _table(5),
+        {0: SumFunctionalStub(0, converge_stage=1, use=7, slots=("g0",))},
+        stages=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INJURY_RUNS))
+def test_sigma3_and_sug_replay_matches_live_run(name):
+    """Replaying a dumped sigma3 or sug log through its construction's
+    `apply_record` alone gives the run's columns, used columns, restraints,
+    slot assignments and table-slot pairs, and the same summary."""
+    live = INJURY_RUNS[name]()
+    result = rebuild(RunLog.loads(live.log.dumps()))
+    assert written_state(result) == written_state(live)
+    assert _summarize(result) == _summarize(live)
+
+
 def test_sug_streams_match_the_slot_presentations():
     live = load_scenario(scenario("sug-basic.txt")).run()
     log = RunLog.load(scenario("sug-basic.log.jsonl"))
@@ -118,10 +177,9 @@ def _assert_slot_census_matches(log, slot, instance):
             assert pres.census_at(j, s) == live.census_at(j, s), (slot, s, j)
 
 
-def _callers(*methods):
-    """(module, function or Class.method) of every definition in the package
-    that calls one of `methods` as an attribute."""
-    callers = set()
+def _definitions():
+    """(module, function or Class.method, node) of every definition in the
+    package."""
     for path in glob.glob(os.path.join(os.path.dirname(ceerlab.__file__),
                                        "*.py")):
         module = os.path.basename(path)[:-3]
@@ -133,14 +191,30 @@ def _callers(*methods):
             else:
                 defs = [("", top)]
             for prefix, fn in defs:
-                if not isinstance(fn, ast.FunctionDef):
-                    continue
-                for node in ast.walk(fn):
-                    if (isinstance(node, ast.Call)
-                            and isinstance(node.func, ast.Attribute)
-                            and node.func.attr in methods):
-                        callers.add((module, prefix + fn.name))
-    return callers
+                if isinstance(fn, ast.FunctionDef):
+                    yield module, prefix + fn.name, fn
+
+
+def _calls(fn, methods, on=None):
+    """Whether a definition calls one of `methods` as an attribute, of an
+    object named (`x` or `a.x`) in `on` when given."""
+    return any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr in methods
+               and (on is None or _named(node.func.value, on))
+               for node in ast.walk(fn))
+
+
+def _named(node, names):
+    return (isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names)
+
+
+def _callers(*methods):
+    """(module, function or Class.method) of every definition in the package
+    that calls one of `methods` as an attribute."""
+    return {(module, name) for module, name, fn in _definitions()
+            if _calls(fn, methods)}
 
 
 def test_a_star_presentation_has_one_writer():
@@ -156,3 +230,35 @@ def test_a_dark_ideal_has_one_writer():
     ideal's own constructor listing the generators it is given."""
     assert _callers("add_generator") == {
         ("dark", "apply_record"), ("algebra", "HomogeneousIdeal.__init__")}
+
+
+RUN_STATE = ("restraints", "columns", "assignments", "table_slots",
+             "used_columns")
+MUTATORS = ("add", "pop", "setdefault", "update", "clear", "discard",
+            "remove", "popitem")
+
+
+def test_sigma3_and_sug_state_has_one_writer():
+    """Only `sigma3.apply_record` and `indexset.apply_record` store an item of
+    a run's restraints, columns, slot assignments or table slots, or call a
+    mutating method on one of those or on sigma3's used columns; and a
+    requirement's `reinitialize` resets only its own attributes."""
+    writers = {("sigma3", "apply_record"), ("indexset", "apply_record")}
+    stores = {(module, name) for module, name, fn in _definitions()
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, (ast.Store, ast.Del))
+              and _named(node.value, RUN_STATE)}
+    assert stores == writers
+    mutators = {(module, name) for module, name, fn in _definitions()
+                if _calls(fn, MUTATORS, on=RUN_STATE)}
+    assert mutators == {("sigma3", "apply_record")}
+    for module, name, fn in _definitions():
+        if name.endswith(".reinitialize"):
+            for node in ast.walk(fn):
+                if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)) \
+                        and not isinstance(node, ast.Name):
+                    assert (isinstance(node, ast.Attribute)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "self"), (module, name)
+            assert not _calls(fn, MUTATORS), (module, name)

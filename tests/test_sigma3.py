@@ -17,6 +17,13 @@ def trigger(*stages):
     return StageSet([(i, s) for i, s in enumerate(stages)])
 
 
+def column_pairs(res, j, stage):
+    """Related pairs (a, b), a < b, inside join column j at a stage."""
+    bound = res.universal.bound
+    return {(a, b) for a in range(bound) for b in range(a + 1, bound)
+            if res.table.related(pair(j, a), pair(j, b), stage)}
+
+
 def test_first_coder_takes_column_zero():
     uni = universal(2, (0, 1, 1))
     res = run_sigma3_ceer({0: trigger(1)}, uni, {}, stages=2)
@@ -52,9 +59,9 @@ def test_copying_catches_up_with_universal():
     # the stage-3 copy adds one pair; closure supplies the third
     assert [r.details["pairs_copied"] for r in recs] == [1, 0, 1, 0, 0, 0]
     for s in (1, 2):
-        assert res.column_pairs(0, s) == {(0, 1)}
+        assert column_pairs(res, 0, s) == {(0, 1)}
     for s in range(3, 7):
-        assert res.column_pairs(0, s) == {(0, 1), (0, 2), (1, 2)}
+        assert column_pairs(res, 0, s) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_restraint_injury_forces_new_column():
