@@ -37,7 +37,6 @@ __all__ = [
     "MONOMIAL_ONE",
     "Poly",
     "HomogeneousIdeal",
-    "GSBudget",
     "GSAuditResult",
     "gs_audit",
     "UNIT_LETTERS",
@@ -596,18 +595,6 @@ class HomogeneousIdeal:
 
 
 @dataclass(frozen=True)
-class GSBudget:
-    """Relation-count budget: epsilon and the per-degree generator counts."""
-
-    epsilon: Fraction
-    counts: Mapping[int, int]
-
-    @classmethod
-    def from_ideal(cls, ideal: HomogeneousIdeal, epsilon: Fraction) -> "GSBudget":
-        return cls(Fraction(epsilon), ideal.counts())
-
-
-@dataclass(frozen=True)
 class GSAuditResult:
     ok: bool
     failed_degree: int | None = None
@@ -619,28 +606,30 @@ class GSAuditResult:
         return self.ok
 
 
-def gs_audit(budget: GSBudget, max_degree: int) -> GSAuditResult:
-    """Check n_k <= eps^2 (2 - 2 eps)^(k-2) for 2 <= k <= max_degree, exactly.
+def gs_audit(counts: Mapping[int, int], epsilon: Fraction,
+             max_degree: int) -> GSAuditResult:
+    """Check that the n_k = counts[k] generators of degree k satisfy
+    n_k <= eps^2 (2 - 2 eps)^(k-2) for 2 <= k <= max_degree, exactly.
 
     Degrees 0 and 1 must carry no generators at all; a violation there is
     a precondition failure, not a budget failure.
     """
-    eps = Fraction(budget.epsilon)
+    eps = Fraction(epsilon)
     if not (0 < eps <= 1):
         return GSAuditResult(
             ok=False, reason=f"epsilon must lie in (0, 1], got {eps}"
         )
     for d in (0, 1):
-        if budget.counts.get(d, 0):
+        if counts.get(d, 0):
             return GSAuditResult(
                 ok=False,
                 failed_degree=d,
-                count=budget.counts.get(d, 0),
+                count=counts.get(d, 0),
                 reason=f"generators of degree {d} are not budgeted",
             )
     base = 2 - 2 * eps
     for k in range(2, max_degree + 1):
-        n_k = budget.counts.get(k, 0)
+        n_k = counts.get(k, 0)
         if not n_k:
             continue
         bound = eps * eps * base ** (k - 2)

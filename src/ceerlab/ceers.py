@@ -327,17 +327,29 @@ class CeerTable:
 
     @classmethod
     def load(cls, fp, bound: int | None = None) -> "CeerTable":
-        rows = []
-        for line in fp:
-            line = line.strip()
-            if not line:
+        """A dump as a table, by default bounded just past its largest index;
+        that index must lie below the ceiling, checked before the table is
+        allocated."""
+        rows, top = [], float("-inf")
+        for n, line in enumerate(fp, start=1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            rows.append((rec["a"], rec["b"], rec["s"]))
-        if bound is None:
-            bound = max((max(a, b) for a, b, _ in rows), default=0) + 1
+            try:
+                rec = json.loads(line)
+            except RecursionError:
+                raise ValueError(f"dump line {n} nests too deeply") from None
+            a, b = rec["a"], rec["b"]
+            rows.append((a, b, rec["s"]))
+            if a > top:
+                top = a
+            if b > top:
+                top = b
+        top = top if rows else 0
+        if top >= INDEX_CEILING:
+            raise ValueError(f"index {top} implies a bound above the ceiling "
+                             f"{INDEX_CEILING}")
         rows.sort(key=lambda t: t[2])  # stable; tolerates hand-made files
-        return cls.from_pairs(rows, bound)
+        return cls.from_pairs(rows, top + 1 if bound is None else bound)
 
     @classmethod
     def loads(cls, text: str, bound: int | None = None) -> "CeerTable":

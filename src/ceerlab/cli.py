@@ -362,23 +362,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _load_table(path: str, bound: int | None) -> CeerTable:
-    """A dump as a table; the bound its largest index implies must not pass
-    the ceiling, checked before the table is allocated."""
-    rows = []
     with open(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    rows.append(json.loads(line))
-                except RecursionError:
-                    raise ValueError(f"dump line {n} nests too deeply") from None
-    # stable sort by stage; tolerates hand-made files
-    pairs = sorted(((r["a"], r["b"], r["s"]) for r in rows), key=lambda t: t[2])
-    top = max((max(a, b) for a, b, _ in pairs), default=0)
-    if top >= INDEX_CEILING:
-        raise ValueError(f"index {top} implies a bound above the ceiling "
-                         f"{INDEX_CEILING}")
-    return CeerTable.from_pairs(pairs, top + 1 if bound is None else bound)
+        return CeerTable.load(fh, bound)
 
 
 def _parse_map(text: str) -> ReductionFn:

@@ -23,7 +23,6 @@ from functools import partial
 from typing import Any, Mapping
 
 from .algebra import (
-    GSBudget,
     HomogeneousIdeal,
     HorizonError,
     Monomial,
@@ -218,9 +217,8 @@ class _CollapseReq(Requirement):
 
 def growth_audit(ideal: HomogeneousIdeal, epsilon: Fraction):
     """The Golod-Shafarevich audit of the ideal's listed generators."""
-    budget = GSBudget.from_ideal(ideal, epsilon)
-    top = max([ideal.maxdeg, 2] + list(budget.counts))
-    return gs_audit(budget, top)
+    counts = ideal.counts()
+    return gs_audit(counts, epsilon, max([ideal.maxdeg, 2] + list(counts)))
 
 
 def _run_dark(

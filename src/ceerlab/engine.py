@@ -78,18 +78,6 @@ class RunLog:
         self.records.append(rec)
         return rec
 
-    def records_for(
-        self, requirement: str | None = None, action: str | None = None
-    ) -> list[ActionRecord]:
-        out = []
-        for r in self.records:
-            if requirement is not None and r.requirement != requirement:
-                continue
-            if action is not None and r.action != action:
-                continue
-            out.append(r)
-        return out
-
     def dumps(self) -> str:
         lines = [_dump_json(self.header)]
         lines.extend(_dump_json(r.to_obj()) for r in self.records)

@@ -305,16 +305,15 @@ class StagedPresentation:
     Each generator may be the left-hand side of at most one relation and
     right-hand sides mention strictly smaller indices, so substitution in
     descending index order terminates with a unique normal form.
-    `add_relation` holds the only copy of these rules and of the stage
-    order; `validate_relation_stream` checks a raw stream by feeding it to
-    a throwaway presentation.
+    `add_relation` holds the only copy of these rules, `_check_stage` the
+    one stage order; `validate_relation_stream` checks a raw stream by
+    feeding it to a throwaway presentation.
 
     Generator statuses (level / free / determined / collapsed) live here
-    alone: `status` holds each one's current status, and each level keeps
-    a census history, the stages at which its counts changed and the
-    counts from each on.  Statuses, like relations, arrive in stage order,
-    so a census at any stage is one binary search.  A star presentation is
-    written only by `star.apply_record`, one logged record at a time.
+    alone: `levels` holds each level's range, "level" until `status` names
+    a letter that left it, and each level keeps a census history.  Statuses,
+    like relations, arrive in stage order, so a census at any stage is one
+    binary search.  Only `star.apply_record` writes a star presentation.
     """
 
     def __init__(self, ngens: int | None = None):
@@ -324,7 +323,7 @@ class StagedPresentation:
         self.relations: list[Relation] = []
         self._by_lhs: dict[int, Relation] = {}
         self._last_stage = 0
-        self.level: dict[int, int] = {}
+        self.levels: dict[int, range] = {}
         self.status: dict[int, str] = {}
         self._census: dict[int, tuple[list[int], list[dict[str, int]]]] = {}
 
@@ -335,6 +334,12 @@ class StagedPresentation:
             raise ValueError(f"generator index {j} is negative")
         if self.ngens is not None and j >= self.ngens:
             raise ValueError(f"generator x{j} is not materialized (ngens={self.ngens})")
+
+    def _check_stage(self, kind: str, stage: int) -> None:
+        if stage < self._last_stage:
+            raise StageRegressionError(
+                f"{kind} stage {stage} below last stage {self._last_stage}")
+        self._last_stage = stage
 
     def add_relation(
         self, lhs: int, rhs: Iterable[tuple[int, int]], stage: int
@@ -353,14 +358,10 @@ class StagedPresentation:
                 )
             if e:
                 kept.append((i, e))
-        if stage < self._last_stage:
-            raise StageRegressionError(
-                f"relation stage {stage} below last stage {self._last_stage}"
-            )
+        self._check_stage("relation", stage)
         rel = Relation(lhs, tuple(kept), stage)
         self.relations.append(rel)
         self._by_lhs[lhs] = rel
-        self._last_stage = stage
         return rel
 
     def lhs_relation(self, j: int) -> Relation | None:
@@ -368,35 +369,44 @@ class StagedPresentation:
 
     # -- statuses -----------------------------------------------------------
 
-    def set_level(self, gen: int, level: int) -> None:
-        self._check_index(gen)
-        self.level[gen] = level
+    def set_level(self, level: int, gens: range, stage: int) -> None:
+        """Lay out `level` as the nonempty range `gens`, "level" from `stage`."""
+        if level in self.levels:
+            raise ValueError(f"level {level} is already laid out")
+        self._check_index(gens[0])
+        self._check_index(gens[-1])
+        self._check_stage("level", stage)
+        self.levels[level] = gens
+        self._counts_from(level, stage)["level"] += len(gens)
+
+    def level_of(self, gen: int) -> int | None:
+        """The laid-out level that holds x_gen, or None."""
+        return next((j for j, gens in self.levels.items() if gen in gens), None)
 
     def set_status(self, gen: int, status: str, stage: int) -> None:
         """Give x_gen a status from `stage` on; a level's census counts
-        x_gen only if its level was set first."""
+        x_gen only once its level is laid out."""
         self._check_index(gen)
-        if stage < self._last_stage:
-            raise StageRegressionError(
-                f"status stage {stage} below last stage {self._last_stage}"
-            )
-        self._last_stage = stage
-        old, self.status[gen] = self.status.get(gen), status
-        if gen not in self.level:
-            return
-        stages, history = self._census.setdefault(self.level[gen], ([], []))
+        self._check_stage("status", stage)
+        level = self.level_of(gen)
+        old, self.status[gen] = self.status.get(gen, "level"), status
+        if level is not None:
+            counts = self._counts_from(level, stage)
+            counts[old] -= 1
+            counts[status] += 1
+
+    def _counts_from(self, level: int, stage: int) -> dict[str, int]:
+        """The level's census counts from `stage` on, to be updated."""
+        stages, history = self._census.setdefault(level, ([], []))
         if not stages or stages[-1] < stage:
             stages.append(stage)
             history.append(dict(history[-1]) if history
                            else dict.fromkeys(_STATUSES, 0))
-        counts = history[-1]
-        if old is not None:
-            counts[old] -= 1
-        counts[status] += 1
+        return history[-1]
 
     def census_at(self, level: int, stage: int) -> dict[str, int]:
         """Head-count of a level's generators by status at a stage; a
-        generator with no status yet is not counted."""
+        generator of no laid-out level is not counted."""
         stages, history = self._census.get(level, ((), ()))
         i = bisect_right(stages, stage)
         return dict(history[i - 1]) if i else dict.fromkeys(_STATUSES, 0)

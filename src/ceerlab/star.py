@@ -17,8 +17,8 @@ presentation changes, and each logs its decision as a record:
 
 `apply_record` alone turns a record into levels, statuses and relations,
 for the run as each record is logged and for replay of a finished log.
-A level's active generators are its presentation's "level" statuses, so
-the requirements read them there and only `apply_record` changes them.
+A level is a range of letters and `status` lists those that left it; the
+requirements read both in the presentation and only `apply_record` writes.
 Every relator added is triangular: its left-hand side is a strictly
 larger generator index than anything on the right, so canonical forms
 exist at every stage.  A per-level reserve budget guarantees case
@@ -77,11 +77,11 @@ class PhiEntry:
     word: Word
 
 
-def level_letters(base: int, level: int) -> list[int]:
+def level_letters(base: int, level: int) -> range:
     """Generator indices owned by a level, in ascending order."""
     if level == 0:
-        return list(range(base))
-    return list(range(base ** level, base ** (level + 1)))
+        return range(base)
+    return range(base ** level, base ** (level + 1))
 
 
 def _word_inverse(word: Word) -> Word:
@@ -128,9 +128,7 @@ def apply_record(pres: StagedPresentation, base: int,
                 or base ** (level + 1) > pres.ngens):
             raise ValueError(f"init-level record names level {level}, outside "
                              f"the {pres.ngens}-generator presentation")
-        for g in level_letters(base, level):
-            pres.set_level(g, level)
-            pres.set_status(g, "level", stage)
+        pres.set_level(level, level_letters(base, level), stage)
     for key, status in _STATUS_KEYS:
         for g in details.get(key, ()):
             pres.set_status(g, status, stage)
@@ -146,15 +144,12 @@ def apply_record(pres: StagedPresentation, base: int,
 
 class _StarState:
     """Presentation-side state shared by the requirements.  A level's active
-    generators are its "level" statuses in `pres`; a level with none left
-    is collapsed."""
+    generators are the letters of its range in `pres` that never left it; a
+    level with none left is collapsed."""
 
-    def __init__(self, base: int, levels: int, universal: CeerTable,
-                 x_bound: int):
-        self.base = base
-        self.levels = levels
+    def __init__(self, ngens: int, universal: CeerTable, x_bound: int):
         self.universal = universal
-        self.pres = StagedPresentation(ngens=base ** (levels + 1))
+        self.pres = StagedPresentation(ngens=ngens)
         self.X = CeerTable(bound=x_bound)
         self.next_witness = 0
         self.diag: list["_DiagReq"] = []
@@ -170,8 +165,8 @@ class _StarState:
         """The level's active generators in ascending order, checked to
         alternate in parity starting from an even one."""
         status = self.pres.status
-        gens = [g for g in level_letters(self.base, level)
-                if status.get(g) == "level"]
+        gens = [g for g in self.pres.levels[level]
+                if status.get(g, "level") == "level"]
         for pos, g in enumerate(gens):
             if g % 2 != pos % 2:
                 raise RuntimeError(
@@ -195,11 +190,11 @@ class _StarState:
         top = -1
         status = self.pres.status
         for idx, _ in word:
-            kind = status.get(idx)
+            kind = status.get(idx, "level")
             if kind == "free":
                 free.append(idx)
             elif kind == "level":
-                top = max(top, self.pres.level[idx])
+                top = max(top, self.pres.level_of(idx))
             else:
                 raise RuntimeError(
                     f"canonical word mentions retired generator x{idx}"
@@ -228,7 +223,7 @@ class _CollapseCoding(Requirement):
 
     def _scan(self, stage: int) -> None:
         uni = self.state.universal
-        top = min(self.state.levels, uni.bound - 1)
+        top = min(len(self.state.pres.levels) - 1, uni.bound - 1)
         for i in range(top + 1):
             for j in range(i + 1, top + 1):
                 if (i, j) in self.known:
@@ -251,7 +246,7 @@ class _CollapseCoding(Requirement):
             if j in done or not st.pres.census_at(j, stage)["level"]:
                 served.append({"pair": [i, j], "skipped": "already collapsed"})
                 continue
-            targets = level_letters(st.base, i)
+            targets = st.pres.levels[i]
             gens = st.active(j)
             if len(gens) < len(targets):
                 raise BudgetError(j, self.name)
@@ -441,10 +436,6 @@ class StarResult(ConstructionRun):
         return {j for j in range(self.levels + 1)
                 if not self.census(j, self.stages)["level"]}
 
-    @property
-    def free_generators(self) -> set[int]:
-        return {g for g, s in self.presentation.status.items() if s == "free"}
-
     def census(self, level: int, stage: int) -> dict[str, int]:
         return self.presentation.census_at(level, stage)
 
@@ -472,13 +463,6 @@ def level_normal_form(pres: StagedPresentation, base: int, level: int,
     level words are equal exactly when these tuples are.
     """
     return _level_word(_ambient(pres, stage), base, level).reduce().syllables
-
-
-def level_words_equal_at(pres: StagedPresentation, base: int, i: int, j: int,
-                         stage: int) -> bool:
-    """Whether levels i and j carry the same word in G * (Z/2Z) at a stage."""
-    return (level_normal_form(pres, base, i, stage)
-            == level_normal_form(pres, base, j, stage))
 
 
 # Ceiling on a presentation's base ** (levels + 1) generators.  Laying out
@@ -543,7 +527,7 @@ class StarConstruction:
         # an R_e draws a pair when first asked and after each restart, at most
         # one a stage; the bound costs no memory, and take_witnesses guards it
         x_bound = 2 * (max(phis, default=-1) + 1) * (stages + 1) + 4
-        self.state = _StarState(base, levels, universal, x_bound)
+        self.state = _StarState(base ** (levels + 1), universal, x_bound)
         for e, stub in phis.items():
             for arg, entry in stub.items():
                 for idx, _ in entry.word:
@@ -576,9 +560,8 @@ class StarConstruction:
         st = self.state
         records = []
         for j in range(self.levels + 1):
-            gens = level_letters(self.base, j)
-            relators = [_lead_relator([g for g in gens if g % 2 == parity])
-                        for parity in (0, 1)]
+            gens = level_letters(self.base, j)  # starts even: base is even
+            relators = [_lead_relator(gens[parity::2]) for parity in (0, 1)]
             records.append(self.log.add(
                 0, "init", "init", "init-level", level=j,
                 generators=[gens[0], gens[-1]], relators=relators))

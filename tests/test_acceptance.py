@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from ceerlab.algebra import (
-    GSBudget,
     HomogeneousIdeal,
     Monomial,
     Poly,
@@ -45,8 +44,7 @@ from ceerlab.groups import (
     z2_module_wp,
 )
 from ceerlab.scenario import load_scenario
-from ceerlab.star import level_words_equal_at
-
+from helpers import level_words_equal_at, records_for
 from oracles import StagedClosure, gs_bound, join_related, product_related, span_member
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -158,15 +156,14 @@ def test_02_slice_dimensions_exact(capfd):
 def test_03_budget_audit_exact_threshold(capfd):
     with criterion(capfd, 3, "relator budget audit passes/fails at the exact threshold"):
         eps = Fraction(1, 4)
-        generous = GSBudget(eps, {k: max(0, k - 10) for k in range(41)})
-        verdict = gs_audit(generous, 40)
+        generous = {k: max(0, k - 10) for k in range(41)}
+        verdict = gs_audit(generous, eps, 40)
         assert verdict.ok and verdict.failed_degree is None
         # recompute the bound the other way for every populated degree
         for k in range(11, 41):
             assert Fraction(k - 10) <= gs_bound(eps, k)
 
-        tight = GSBudget(eps, {10: 2})
-        verdict = gs_audit(tight, 40)
+        verdict = gs_audit({10: 2}, eps, 40)
         assert not verdict.ok
         assert verdict.failed_degree == 10
         assert verdict.count == 2
@@ -253,7 +250,7 @@ def test_06_dark_ring_scenario(capfd):
         result = load_scenario(str(SCENARIOS / "dark-ring-basic.txt")).run()
         assert result.gs_failure is None
         # both word columns are unbounded streams; one collapse action each
-        collapses = result.log.records_for(action="collapse-pair")
+        collapses = records_for(result.log, action="collapse-pair")
         assert sorted(r.requirement for r in collapses) == ["D0", "D1"]
         assert sorted(result.witnesses) == [0, 1]
         for wit in result.witnesses.values():
@@ -261,7 +258,7 @@ def test_06_dark_ring_scenario(capfd):
         eps = Fraction(result.params["epsilon"])
         maxdeg = result.params["maxdeg"]
         for stage, counts in _replay_budget_counts(result).items():
-            verdict = gs_audit(GSBudget(eps, counts), maxdeg)
+            verdict = gs_audit(counts, eps, maxdeg)
             assert verdict.ok, f"budget broken at stage {stage}"
         final = _replay_budget_counts(result)[result.stages]
         assert final == result.ideal.counts()
@@ -348,7 +345,7 @@ def test_08_star_scenario(capfd):
                 assert census["level"] > result.base ** j, (s, j, census)
 
         # (d) the tie-break branch fired and shrank the live block by two
-        tie_breaks = result.log.records_for(action="case-3c")
+        tie_breaks = records_for(result.log, action="case-3c")
         assert tie_breaks
         for rec in tie_breaks:
             level = rec.details["level"]
@@ -356,7 +353,7 @@ def test_08_star_scenario(capfd):
             after = result.census(level, rec.stage)
             assert after["level"] == before["level"] - 2
             assert after["determined"] == before["determined"] + 2
-        assert result.log.records_for(action="case-1")
+        assert records_for(result.log, action="case-1")
 
 
 # -- 9: relation algebra vs definitions ----------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from ceerlab.algebra import (
     EncodingError,
-    GSBudget,
     HomogeneousIdeal,
     HorizonError,
     Monomial,
@@ -339,8 +338,7 @@ def test_first_nonmember_none_when_the_slice_dies():
 def test_gs_bound_frozen_value():
     # epsilon 1/4 at degree 10: (1/16) * (3/2)^8 = 6561/4096, just below 2
     assert gs_bound(Fraction(1, 4), 10) == Fraction(6561, 4096)
-    budget = GSBudget(epsilon=Fraction(1, 4), counts={10: 2})
-    res = gs_audit(budget, 12)
+    res = gs_audit({10: 2}, Fraction(1, 4), 12)
     assert not res.ok
     assert res.failed_degree == 10
     assert res.count == 2
@@ -349,8 +347,7 @@ def test_gs_bound_frozen_value():
 
 def test_gs_audit_passes_within_budget():
     counts = {k: max(0, k - 10) for k in range(2, 41)}
-    budget = GSBudget(epsilon=Fraction(1, 4), counts=counts)
-    assert gs_audit(budget, 40).ok
+    assert gs_audit(counts, Fraction(1, 4), 40).ok
     for k, n in counts.items():
         if n:
             assert Fraction(n) <= gs_bound(Fraction(1, 4), k)
@@ -360,22 +357,22 @@ def test_gs_audit_bounds_are_exact_fractions():
     # count exactly at the bound passes; one more fails
     eps = Fraction(1, 2)
     assert gs_bound(eps, 2) == Fraction(1, 4)
-    assert not gs_audit(GSBudget(eps, {2: 1}), 4).ok
+    assert not gs_audit({2: 1}, eps, 4).ok
     eps = Fraction(1, 2)
     # bound at degree 4 is (1/4) * 1^2 = 1/4, so even one relator fails
-    assert not gs_audit(GSBudget(eps, {4: 1}), 4).ok
+    assert not gs_audit({4: 1}, eps, 4).ok
     # with epsilon 1/4 the degree-16 budget admits 8 relators
     assert gs_bound(Fraction(1, 4), 16) == Fraction(4782969, 262144)
-    assert gs_audit(GSBudget(Fraction(1, 4), {16: 18}), 16).ok
-    assert not gs_audit(GSBudget(Fraction(1, 4), {16: 19}), 16).ok
+    assert gs_audit({16: 18}, Fraction(1, 4), 16).ok
+    assert not gs_audit({16: 19}, Fraction(1, 4), 16).ok
 
 
 def test_gs_audit_preconditions():
-    assert not gs_audit(GSBudget(Fraction(0), {}), 4).ok
-    assert not gs_audit(GSBudget(Fraction(3, 2), {}), 4).ok
-    res = gs_audit(GSBudget(Fraction(1, 4), {0: 1}), 4)
+    assert not gs_audit({}, Fraction(0), 4).ok
+    assert not gs_audit({}, Fraction(3, 2), 4).ok
+    res = gs_audit({0: 1}, Fraction(1, 4), 4)
     assert not res.ok and res.failed_degree == 0
-    res = gs_audit(GSBudget(Fraction(1, 4), {1: 1}), 4)
+    res = gs_audit({1: 1}, Fraction(1, 4), 4)
     assert not res.ok and res.failed_degree == 1
 
 
@@ -385,8 +382,7 @@ def test_gs_audit_from_ideal_counts():
     ideal.add_generator(Poly.parse("xxx", 2))
     ideal.add_generator(Poly.parse("xyx", 2))
     assert ideal.counts() == {2: 1, 3: 2}
-    budget = GSBudget.from_ideal(ideal, Fraction(1, 4))
-    res = gs_audit(budget, 8)
+    res = gs_audit(ideal.counts(), Fraction(1, 4), 8)
     # (1/16)(3/2)^0 = 1/16 < 1 already fails at degree 2
     assert not res.ok and res.failed_degree == 2
 

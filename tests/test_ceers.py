@@ -261,6 +261,12 @@ def test_dump_load_empty():
     assert back.pairs == ()
 
 
+def test_load_refuses_a_line_nested_too_deeply():
+    text = "[" * 100_000 + "]" * 100_000 + "\n"
+    with pytest.raises(ValueError, match="^dump line 1 nests too deeply$"):
+        CeerTable.loads(text)
+
+
 def test_copy_is_independent():
     t = CeerTable(bound=4)
     t.assert_pair(0, 1, 1)

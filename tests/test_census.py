@@ -21,13 +21,14 @@ def test_census_matches_event_lists_on_random_streams(seed):
     oracle = StatusEvents()
     for j in range(levels + 1):
         if rng.random() < 0.8:  # a level never laid out has no counts
+            pres.set_level(j, level_letters(base, j), 0)
             for g in level_letters(base, j):
-                pres.set_level(g, j)
+                oracle.set_status(g, "level", 0)
     stage = 0
     for _ in range(rng.randint(0, 60)):
         stage += rng.choice((0, 0, 1, 3))
         gen = rng.randrange(pres.ngens)
-        if gen in pres.level:
+        if pres.level_of(gen) is not None:
             status = rng.choice(STATUSES)
             pres.set_status(gen, status, stage)
             oracle.set_status(gen, status, stage)
@@ -40,13 +41,20 @@ def test_census_matches_event_lists_on_random_streams(seed):
                          ids=["shipped", "levels-3-base-6"])
 def test_census_matches_event_lists_on_star_runs(overrides, monkeypatch):
     oracle = StatusEvents()
+    set_level = StagedPresentation.set_level
     set_status = StagedPresentation.set_status
 
-    def tee(pres, gen, status, stage):
+    def tee_level(pres, level, gens, stage):
+        set_level(pres, level, gens, stage)
+        for g in gens:
+            oracle.set_status(g, "level", stage)
+
+    def tee_status(pres, gen, status, stage):
         set_status(pres, gen, status, stage)
         oracle.set_status(gen, status, stage)
 
-    monkeypatch.setattr(StagedPresentation, "set_status", tee)
+    monkeypatch.setattr(StagedPresentation, "set_level", tee_level)
+    monkeypatch.setattr(StagedPresentation, "set_status", tee_status)
     scn = load_scenario(os.path.join(SCENARIOS, "star-universal-basic.txt"))
     res = scn.run(overrides)
     assert oracle.events

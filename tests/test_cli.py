@@ -591,8 +591,15 @@ def _set_universal(rows, pairs, bound):
     rows[0]["params"].update(universal=pairs, universal_bound=bound)
 
 
+def _repeat_first(rows, action, **changes):
+    """Insert a copy of the first `action` record, with `changes`, right
+    after it."""
+    i = rows.index(_first(rows, action))
+    rows.insert(i + 1, {**rows[i], **changes})
+
+
 # JSON values a run never writes, each of which once escaped `verify` as a
-# traceback or a hang
+# traceback, a hang or a pass
 MALFORMED_VALUES = {
     "huge-universal-index": ("star-universal-basic", lambda rows:
                              _set_universal(rows, [[0, 10 ** 9, 6]],
@@ -603,6 +610,8 @@ MALFORMED_VALUES = {
                              _first(rows, "collapse-level").update(served=[5])),
     "huge-level": ("star-universal-basic", lambda rows:
                    _first(rows, "init-level").update(level=10 ** 9)),
+    "level-laid-out-twice": ("star-universal-basic", lambda rows:
+                             _repeat_first(rows, "init-level", relators=[])),
     "relator-not-text": ("dark-ring-basic", lambda rows:
                          _first(rows, "collapse-pair")["relators"].insert(0, 5)),
     "requirement-not-text": ("dark-ring-basic", lambda rows:

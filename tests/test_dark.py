@@ -8,6 +8,7 @@ from ceerlab.algebra import HorizonError, Monomial, Poly
 from ceerlab.ceers import StageSet
 from ceerlab.cli import main
 from ceerlab.dark import run_dark_group, run_dark_ring
+from helpers import records_for
 
 
 def monomial_by_index(i):
@@ -66,7 +67,7 @@ class TestRingTimeline:
         ]
 
     def test_banked_degrees_start_fresh(self, result):
-        first, second = result.log.records_for(requirement="L0")
+        first, second = records_for(result.log, requirement="L0")
         assert first.details["degree"] == 1
         assert first.details["monomial"] == "x"
         assert first.details["protected"] == [1]
@@ -80,7 +81,7 @@ class TestRingTimeline:
         # floor max(0+10, protected 2) = 10: everything above degree 10
         # vanishes in the truncated quotient, so the first agreeing pair
         # is the first two words of degree 11
-        rec = result.log.records_for(requirement="D0")[0]
+        rec = records_for(result.log, requirement="D0")[0]
         assert rec.details["pair_indices"] == [2047, 2048]
         assert rec.details["degree_floor"] == 10
         assert rec.details["relator_degrees"] == [11]
@@ -89,7 +90,7 @@ class TestRingTimeline:
     def test_second_collapse_finds_already_merged_pair(self, result):
         # floor 11 keeps degree 11 visible, but the first collapse already
         # identified those two words, so the difference adds nothing new
-        rec = result.log.records_for(requirement="D1")[0]
+        rec = records_for(result.log, requirement="D1")[0]
         assert rec.details["pair_indices"] == [2047, 2048]
         assert rec.details["degree_floor"] == 11
         assert rec.details["relator_degrees"] == []
@@ -103,10 +104,10 @@ class TestRingTimeline:
 
     def test_audit_never_fails(self, result):
         assert result.gs_failure is None
-        assert result.log.records_for(action="gs-failure") == []
+        assert records_for(result.log, action="gs-failure") == []
 
     def test_relators_exceed_active_protections(self, result):
-        rec = result.log.records_for(requirement="D0")[0]
+        rec = records_for(result.log, requirement="D0")[0]
         assert min(rec.details["relator_degrees"]) > max(result.protected[0])
 
     def test_deterministic_log(self, result):
@@ -151,7 +152,7 @@ class TestGroupTimeline:
         assert all(set(w) <= {"X", "Y"} for w in words)
 
     def test_collapse_adds_component_above_floor(self, result):
-        rec = result.log.records_for(requirement="D0")[0]
+        rec = records_for(result.log, requirement="D0")[0]
         assert rec.stage == 3
         # floor = protected degrees 12, 13 from the two earlier bankings
         assert rec.details["degree_floor"] == 13
@@ -161,7 +162,7 @@ class TestGroupTimeline:
     def test_post_collapse_banking_avoids_new_relator(self, result):
         # fresh degree jumps past the degree-14 relator to 15, and the
         # first surviving degree-15 word dodges both seed runs
-        rec = result.log.records_for(requirement="L0")[2]
+        rec = records_for(result.log, requirement="L0")[2]
         assert rec.stage == 5
         assert rec.details["degree"] == 15
         assert rec.details["monomial"] == "x" * 10 + "yxxxx"
@@ -227,7 +228,7 @@ def test_collapse_injury_discards_banked_witnesses():
         (2, "D0", "collapse-pair"),
         (3, "L1", "enumerate-witness"),
     ]
-    d0 = res.log.records_for(requirement="D0")[0]
+    d0 = records_for(res.log, requirement="D0")[0]
     assert d0.details["reinitialized"] == ["L1", "D1"]
     assert d0.details["relator_degrees"] == []
     # the stage-1 banking is gone; the replacement gets a new degree
@@ -239,7 +240,7 @@ def test_collapse_strategy_acts_exactly_once():
     y = Poly.y(2)
     col = StageSet([(y, 1), (y, 1), (y, 2), (y, 3)])
     res = run_dark_ring({}, {0: col}, stages=5, maxdeg=16)
-    assert len(res.log.records_for(requirement="D0")) == 1
+    assert len(records_for(res.log, requirement="D0")) == 1
 
 
 SCALE_GROUP = """\

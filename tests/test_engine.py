@@ -8,6 +8,7 @@ from ceerlab.engine import (
     Requirement,
     RunLog,
 )
+from helpers import records_for
 
 
 class Toy(Requirement):
@@ -65,7 +66,7 @@ def test_action_injures_all_lower_priority():
     assert b.reinits == [(2, "A")]
     assert c.reinits == [(1, "B"), (2, "A")]
     assert a.reinits == []
-    rec = log.records_for(requirement="A")[0]
+    rec = records_for(log, requirement="A")[0]
     assert rec.details["reinitialized"] == ["B", "C"]
 
 
@@ -123,10 +124,10 @@ def test_records_for_filters():
     b = Toy("B", {2})
     engine, log = build(a, b)
     engine.run(2)
-    assert len(log.records_for()) == 2
-    assert [r.stage for r in log.records_for(requirement="B")] == [2]
-    assert len(log.records_for(action="tick")) == 2
-    assert log.records_for(action="nope") == []
+    assert len(records_for(log)) == 2
+    assert [r.stage for r in records_for(log, requirement="B")] == [2]
+    assert len(records_for(log, action="tick")) == 2
+    assert records_for(log, action="nope") == []
 
 
 def test_action_record_obj_round_trip():

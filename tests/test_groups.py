@@ -293,17 +293,25 @@ def test_staged_abelian_factor_in_free_product():
 
 def test_status_tracking():
     pres = StagedPresentation(ngens=4)
-    pres.set_level(2, 0)
-    pres.set_status(2, "level", 0)
+    pres.set_level(0, range(2, 3), 0)
     pres.set_status(2, "free", 4)
+    assert pres.levels == {0: range(2, 3)}
+    assert (pres.level_of(2), pres.level_of(3)) == (0, None)
     assert pres.status == {2: "free"}
     none = {"level": 0, "free": 0, "determined": 0, "collapsed": 0}
     assert pres.census_at(0, 0) == {**none, "level": 1}
     assert pres.census_at(0, 3) == {**none, "level": 1}
     assert pres.census_at(0, 4) == {**none, "free": 1}
     assert pres.census_at(1, 9) == none
+    with pytest.raises(ValueError, match="level 0 is already laid out"):
+        pres.set_level(0, range(3, 4), 4)
+    with pytest.raises(ValueError, match="x4 is not materialized"):
+        pres.set_level(1, range(3, 5), 4)
     with pytest.raises(StageRegressionError):  # one check per presentation
         pres.set_status(3, "collapsed", 1)
+    with pytest.raises(StageRegressionError):
+        pres.set_level(1, range(3, 4), 1)
+    assert pres.levels == {0: range(2, 3)}
     pres.add_relation(1, (), 6)
     with pytest.raises(StageRegressionError):
         pres.set_status(2, "collapsed", 5)

@@ -2,6 +2,7 @@
 from ceerlab.ceers import CeerTable, StageSet
 from ceerlab.indexset import SumFunctionalStub, run_sug_indexset
 from ceerlab.star import PhiEntry, StarConstruction
+from helpers import records_for
 
 
 def stageset(*stages):
@@ -47,7 +48,7 @@ def test_declare_abelian_comes_first():
 
 def test_embedded_star_matches_standalone_run():
     res = run({1: stageset(1, 2, 3, 4)}, {}, stages=5)
-    recs = res.log.records_for(requirement="C1")
+    recs = records_for(res.log, requirement="C1")
     assert [r.action for r in recs] == ["open-slot"] + ["advance-slot"] * 3
     assert all(r.details["slot"] == "g0" for r in recs)
 
@@ -69,7 +70,7 @@ def test_pair_coder_copies_the_listed_prefix_in_order():
     res = run({1: stageset(1, 2, 3, 4)}, {0: stageset(*range(1, 10))},
               coded_uni=uni, stages=12)
     # D1 watches v1 and u0 but only runs once C1 stops eating stages
-    recs = res.log.records_for(requirement="D1")
+    recs = records_for(res.log, requirement="D1")
     assert [(r.stage, r.action) for r in recs] == [
         (5, "open-slot"), (6, "code-pair"), (7, "code-pair"),
     ]
@@ -90,7 +91,7 @@ def test_slot_choice_avoids_live_restraints():
     assert res.restraints[0] == ("g0", "h0")
     assert res.assignments["C1"] == "g1"
     assert res.assignments["D1"] == "h1"
-    l0 = res.log.records_for(requirement="L0")[0]
+    l0 = records_for(res.log, requirement="L0")[0]
     assert l0.stage == 1
     assert l0.details["use"] == 40
     assert l0.details["slots"] == ["g0", "h0"]
@@ -115,7 +116,7 @@ def test_restraint_injury_moves_later_work_to_fresh_slots():
         (9, "C1", "advance-slot", "g1"),
         (10, "D1", "open-slot", "h2"),
     ]
-    l0 = res.log.records_for(requirement="L0")[0]
+    l0 = records_for(res.log, requirement="L0")[0]
     assert l0.details["reinitialized"] == ["D0", "C1", "L1", "D1"]
     # the group builder's restart at 8 knocks the coder out of h1 as well,
     # so the coded prefix starts over in h2; abandoned slots survive for
@@ -140,7 +141,7 @@ def test_group_builder_ignores_and_clears_lower_restraints():
         (3, "C0", "open-slot"),
         (4, "L0", "place-restraint"),
     ]
-    open_rec = res.log.records_for(requirement="C0")[0]
+    open_rec = records_for(res.log, requirement="C0")[0]
     assert open_rec.details["slot"] == "g0"
     assert open_rec.details["reinitialized"] == ["L0", "D0"]
     assert res.restraints[0] == ("g0",)

@@ -16,7 +16,7 @@ from ceerlab.indexset import SumFunctionalStub, run_sug_indexset
 from ceerlab.pairing import pair
 from ceerlab.scenario import load_scenario
 from ceerlab.sigma3 import run_sigma3_ceer
-from ceerlab.star import PhiEntry
+from ceerlab.star import PhiEntry, level_letters
 from rebuilt import rebuild, written_state
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -38,7 +38,7 @@ def test_star_replay_matches_live_run(overrides):
         log = RunLog.loads(live.log.dumps())
     pres = replay.star_presentation(log)
     assert pres.relations == live.presentation.relations
-    assert pres.level == live.presentation.level
+    assert pres.levels == live.presentation.levels
     assert pres.status == live.presentation.status
     points = replay.census_checkpoints(log)
     assert points[0] == 0 and points[-1] == live.stages
@@ -49,6 +49,17 @@ def test_star_replay_matches_live_run(overrides):
     assert (uni.bound, uni.pairs) == (live.universal.bound, live.universal.pairs)
     stream = replay.relator_streams(log)["main"]
     assert stream == [(r.lhs, r.rhs, r.stage) for r in live.presentation.relations]
+
+
+def test_star_replay_keeps_only_the_letters_that_left_their_level():
+    """At levels 4, base 10 the presentation has 100,000 generators, and 100
+    of them leave their level: `status` lists those alone."""
+    scn = load_scenario(scenario("star-universal-basic.txt"))
+    log = RunLog.loads(scn.run({"levels": 4, "base": 10}).log.dumps())
+    pres = replay.star_presentation(log)
+    assert len(pres.status) == 100
+    assert "level" not in pres.status.values()
+    assert pres.levels == {j: level_letters(10, j) for j in range(5)}
 
 
 def _trigger(*stages):

@@ -15,6 +15,7 @@ from ceerlab.scenario import (
     load_scenario,
     parse_scenario,
 )
+from helpers import records_for
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -211,7 +212,7 @@ def test_dark_ring_poly_rows_run():
         """
     )
     res = scn.run()
-    recs = res.log.records_for(requirement="D0")
+    recs = records_for(res.log, requirement="D0")
     assert [(r.stage, r.action) for r in recs] == [(1, "collapse-pair")]
     assert recs[0].details["relators"] == []
 

@@ -4,6 +4,7 @@ import random
 from ceerlab.ceers import CeerTable, FunctionalStub, StageSet
 from ceerlab.pairing import pair
 from ceerlab.sigma3 import run_sigma3_ceer
+from helpers import records_for
 
 
 def universal(bound, *pairs_at):
@@ -54,7 +55,7 @@ def test_column_choice_clears_live_restraint():
 def test_copying_catches_up_with_universal():
     uni = universal(3, (0, 1, 1), (1, 2, 3))
     res = run_sigma3_ceer({0: trigger(1, 2, 3, 4, 5, 6)}, uni, {}, stages=6)
-    recs = res.log.records_for(requirement="C0")
+    recs = records_for(res.log, requirement="C0")
     assert [r.action for r in recs] == ["choose-column"] + ["copy-column"] * 5
     # the stage-3 copy adds one pair; closure supplies the third
     assert [r.details["pairs_copied"] for r in recs] == [1, 0, 1, 0, 0, 0]
@@ -102,7 +103,7 @@ def test_stub_waits_for_pairs_in_the_join_table():
 def test_restraint_only_reannounced_on_change():
     stub = FunctionalStub(0, converge_stage=2, use=7, required_pairs=())
     res = run_sigma3_ceer({}, universal(1), {0: stub}, stages=6)
-    recs = res.log.records_for(requirement="L0")
+    recs = records_for(res.log, requirement="L0")
     assert [r.stage for r in recs] == [2]
     assert res.restraints == {0: 7}
 
@@ -128,7 +129,7 @@ def test_shipped_style_walk_respects_growing_restraint():
         {0: trigger(1), 1: trigger(2, 5, 8)}, uni, {0: stub}, stages=9,
     )
     chooses = [
-        r for r in res.log.records_for(requirement="C1")
+        r for r in records_for(res.log, requirement="C1")
         if r.action == "choose-column"
     ]
     cols = [r.details["column"] for r in chooses]

@@ -22,9 +22,9 @@ from ceerlab.star import (
     apply_record,
     check_size,
     level_letters,
-    level_words_equal_at,
     run_star_universal,
 )
+from helpers import free_generators, level_words_equal_at, records_for
 
 
 def uni_table(bound=3, *pairs_at):
@@ -39,9 +39,10 @@ def entry(word, at=0):
 
 
 def test_level_letters_ranges():
-    assert level_letters(10, 0) == list(range(10))
-    assert level_letters(10, 1) == list(range(10, 100))
-    assert level_letters(6, 2) == list(range(36, 216))
+    assert level_letters(10, 0) == range(10)
+    assert level_letters(10, 1) == range(10, 100)
+    assert level_letters(6, 2) == range(36, 216)
+    assert isinstance(level_letters(6, 2), range)
 
 
 def test_initialization_pins_two_leads_per_level():
@@ -97,7 +98,7 @@ def test_case_0_identical_words_stay_unrelated():
     res = run_star_universal(
         uni_table(), {0: {0: entry(w), 1: entry(w)}}, base=6, levels=1, stages=3,
     )
-    recs = res.log.records_for(requirement="R0")
+    recs = records_for(res.log, requirement="R0")
     assert [(r.stage, r.action) for r in recs] == [(1, "case-0")]
     assert recs[0].details["witnesses"] == [0, 1]
     assert not res.table.related(0, 1, 3)
@@ -109,7 +110,7 @@ def test_stub_convergence_stage_gates_action():
         uni_table(), {0: {0: entry(w, at=4), 1: entry([])}},
         base=6, levels=1, stages=6,
     )
-    recs = res.log.records_for(requirement="R0")
+    recs = records_for(res.log, requirement="R0")
     assert recs[0].stage == 4
 
 
@@ -119,12 +120,12 @@ def test_case_3b_frees_an_odd_pair():
         uni_table(), {0: {0: entry([(7, 1)]), 1: entry([])}},
         base=6, levels=1, stages=3,
     )
-    rec = res.log.records_for(requirement="R0")[0]
+    rec = records_for(res.log, requirement="R0")[0]
     assert rec.action == "case-3b"
     assert rec.details["layout"] == "standard"
     assert rec.details["freed"] == [7, 9]
     assert rec.details["collapsed"] == [8, 10]
-    assert res.free_generators == {7, 9}
+    assert free_generators(res) == {7, 9}
     assert res.table.related(0, 1, rec.stage)
     # the freed pair is mutually inverse from its stage on
     pres = res.presentation
@@ -141,7 +142,7 @@ def test_case_3a_tail_layout():
         uni_table(), {0: {0: entry(w), 1: entry([])}},
         base=6, levels=1, stages=3,
     )
-    rec = res.log.records_for(requirement="R0")[0]
+    rec = records_for(res.log, requirement="R0")[0]
     assert rec.action == "case-3a"
     assert rec.details["layout"] == "tail"
     assert rec.details["freed"] == [30, 32]
@@ -364,7 +365,7 @@ def test_apply_record_refuses_a_level_outside_the_presentation():
                 f"init-level record names level {level}, outside the "
                 "1000-generator presentation")):
             apply_record(pres, 10, record)
-    assert pres.status == {} and pres.level == {}
+    assert pres.status == {} and pres.levels == {}
     apply_record(pres, 10, ActionRecord(0, "init", "init", "init-level",
                                         {"level": 2, "relators": []}))
     assert pres.census_at(2, 0)["level"] == 900
