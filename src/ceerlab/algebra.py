@@ -131,10 +131,6 @@ class Poly:
         return cls(p, {MONOMIAL_ONE: 1})
 
     @classmethod
-    def constant(cls, c: int, p: int) -> "Poly":
-        return cls(p, {MONOMIAL_ONE: c})
-
-    @classmethod
     def x(cls, p: int) -> "Poly":
         return cls(p, {Monomial(1, 0): 1})
 
@@ -168,9 +164,6 @@ class Poly:
 
     def __neg__(self) -> "Poly":
         return Poly(self.p, {m: -c for m, c in self.coeffs.items()})
-
-    def scale(self, c: int) -> "Poly":
-        return Poly(self.p, {m: c * v for m, v in self.coeffs.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)

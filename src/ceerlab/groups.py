@@ -205,13 +205,13 @@ def alternating_word(
     product: FreeProduct,
     g_tag: str = "G",
     a_tag: str = "A",
-    a_elem: Any = 1,
 ) -> FreeProductWord:
-    """The word g_0 a g_1 a ... a g_n over the factors g_tag and a_tag."""
+    """The word g_0 a g_1 a ... a g_n over the factors g_tag and a_tag,
+    with a the element 1 of the a_tag factor."""
     sylls: list[tuple[str, Any]] = []
     for i, g in enumerate(g_letters):
         if i:
-            sylls.append((a_tag, a_elem))
+            sylls.append((a_tag, 1))
         sylls.append((g_tag, g))
     return FreeProductWord(product, tuple(sylls))
 
@@ -221,7 +221,6 @@ def star_z2_to_star_h(
     h_elem: Any,
     target: FreeProduct,
     g_tag: str = "G",
-    h_tag: str = "H",
 ) -> FreeProductWord:
     """Send g_0 a g_1 a ... a g_n to g_0 h^-1 g_1 h ... h^((-1)^n) g_n.
 
@@ -229,14 +228,14 @@ def star_z2_to_star_h(
     implicit).  The output word is trivial in G*H exactly when the input
     is trivial in G*(Z/2Z), provided h is not the identity of its factor.
     """
-    h_factor = target.factor(h_tag)
+    h_factor = target.factor("H")
     if h_factor.is_identity(h_elem):
         raise ValueError("separator element must not be the identity")
     h_inv = h_factor.inv(h_elem)
     sylls: list[tuple[str, Any]] = []
     for i, g in enumerate(g_letters):
         if i:
-            sylls.append((h_tag, h_inv if i % 2 == 1 else h_elem))
+            sylls.append(("H", h_inv if i % 2 == 1 else h_elem))
         sylls.append((g_tag, g))
     return FreeProductWord(target, tuple(sylls))
 

@@ -117,7 +117,7 @@ class _GroupBuilderReq(Requirement):
         if self.slot is None:
             self.slot = _fresh_slot(self.result, "g", self.k)
             instance = StarConstruction(
-                universal=self.template["universal"].copy(),
+                universal=self.template["universal"],
                 phis=self.template["phis"],
                 base=self.template["base"],
                 levels=self.template["levels"],

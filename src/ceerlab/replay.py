@@ -30,7 +30,8 @@ __all__ = [
     "dark_steps",
 ]
 
-Relator = tuple[int, tuple[tuple[int, int], ...], int]
+# (lhs, the record's own [index, exponent] entries, stage)
+Relator = tuple[int, list[list[int]], int]
 
 def relator_streams(log: RunLog) -> dict[str, list[Relator]]:
     """Relation streams keyed by presentation (slot id, or 'main')."""

@@ -203,10 +203,9 @@ def _coerce_params(params: dict[str, str]) -> dict[str, Any]:
     return out
 
 
-def _row_int(sec_row: tuple[int, str, str]) -> tuple[int, int]:
-    lineno, lhs, rhs = sec_row
+def _row_stage(lhs: str, lineno: int) -> int:
     try:
-        return int(lhs), lineno
+        return int(lhs)
     except ValueError:
         raise ScenarioError(f"bad stage {lhs!r}", lineno) from None
 
@@ -216,7 +215,7 @@ def _int_stream(sec: _Section, stages: int) -> StageSet:
     if mode == "rows":
         rows = []
         for lineno, lhs, rhs in sec.rows:
-            stage, _ = _row_int((lineno, lhs, rhs))
+            stage = _row_stage(lhs, lineno)
             try:
                 rows.append((int(rhs), stage))
             except ValueError:
@@ -265,7 +264,7 @@ def _poly_stream(sec: _Section, stages: int, maxdeg: int, p: int) -> StageSet:
     if mode == "rows":
         rows = []
         for lineno, lhs, rhs in sec.rows:
-            stage, _ = _row_int((lineno, lhs, rhs))
+            stage = _row_stage(lhs, lineno)
             try:
                 rows.append((Poly.parse(rhs, p), stage))
             except ValueError as exc:
@@ -283,14 +282,16 @@ def _poly_stream(sec: _Section, stages: int, maxdeg: int, p: int) -> StageSet:
     raise ScenarioError(f"unknown stream mode {mode!r}", sec.line)
 
 
-def _pair_table(sec: _Section | None, bound: int,
-                where: str) -> CeerTable:
-    table = CeerTable(bound=bound)
-    if sec is None:
-        return table
+def _pair_table(sec: _Section | None, bound: int | None, where: str,
+                floor: int = 0) -> CeerTable:
+    """The section's pairs as a table.  With no `bound` given, the bound is
+    one past the largest index the rows name, and at least `floor`."""
+    # a given bound is refused, if negative, before any row is read
+    table = None if bound is None else CeerTable(bound=bound)
     rows = []
-    for lineno, lhs, rhs in sec.rows:
-        stage, _ = _row_int((lineno, lhs, rhs))
+    top = 0
+    for lineno, lhs, rhs in sec.rows if sec is not None else ():
+        stage = _row_stage(lhs, lineno)
         parts = rhs.split()
         if len(parts) != 2:
             raise ScenarioError(f"{where} row needs 'a b', got {rhs!r}", lineno)
@@ -298,12 +299,15 @@ def _pair_table(sec: _Section | None, bound: int,
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise ScenarioError(f"bad pair {rhs!r}", lineno) from None
+        top = max(top, a, b)
         rows.append((lineno, a, b, stage))
+    if table is None:
+        table = CeerTable(bound=max(floor, top + 1))
     rows.sort(key=lambda r: (r[3], r[0]))
     for lineno, a, b, stage in rows:
-        if not (0 <= a < bound and 0 <= b < bound):
+        if not (0 <= a < table.bound and 0 <= b < table.bound):
             raise ScenarioError(
-                f"pair ({a}, {b}) outside bound {bound}", lineno)
+                f"pair ({a}, {b}) outside bound {table.bound}", lineno)
         table.assert_pair(a, b, stage)
     return table
 
@@ -388,11 +392,11 @@ def _phi_stub(sec: _Section) -> dict[int, PhiEntry]:
         except ValueError:
             raise ScenarioError(f"bad converge stage {parts[0]!r}",
                                 lineno) from None
-        word = _parse_word(parts[1:], lineno)
+        entry = PhiEntry(converge, _parse_word(parts[1:], lineno))
         for arg in _parse_args(lhs, lineno):
             if arg in stub:
                 raise ScenarioError(f"argument {arg} defined twice", lineno)
-            stub[arg] = PhiEntry(converge, word)
+            stub[arg] = entry
     return stub
 
 
@@ -463,25 +467,11 @@ def _run_dark(scn: Scenario, params: dict[str, Any], mode: str) -> ConstructionR
 
 def _run_sigma3(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
     stages = params.get("stages", 100)
-    uni_sec = scn.section("universal")
-    bound = params.get("ubound", _max_pair_index(uni_sec) + 1)
-    universal = _pair_table(uni_sec, bound, "universal")
+    universal = _pair_table(scn.section("universal"), params.get("ubound"),
+                            "universal")
     triggers = _indexed(scn, "wcolumn", lambda s: _int_stream(s, stages))
     functionals = _indexed(scn, "functional", _functional)
     return run_sigma3_ceer(triggers, universal, functionals, stages=stages)
-
-
-def _max_pair_index(sec: _Section | None) -> int:
-    best = 0
-    if sec is None:
-        return best
-    for _, _, rhs in sec.rows:
-        for part in rhs.split():
-            try:
-                best = max(best, int(part))
-            except ValueError:
-                pass
-    return best
 
 
 def _run_star(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
@@ -489,9 +479,8 @@ def _run_star(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
     base = params.get("base", 10)
     levels = params.get("levels", 2)
     check_size(base, levels)
-    uni_sec = scn.section("universal")
-    bound = max(levels + 1, _max_pair_index(uni_sec) + 1)
-    universal = _pair_table(uni_sec, bound, "universal")
+    universal = _pair_table(scn.section("universal"), None, "universal",
+                            floor=levels + 1)
     phis = _phi_stubs(scn, "phi")
     return run_star_universal(universal, phis, base=base, levels=levels,
                               stages=stages)
@@ -501,18 +490,16 @@ def _run_sug(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
     stages = params.get("stages", 120)
     v_columns = _indexed(scn, "vcolumn", lambda s: _int_stream(s, stages))
     u_columns = _indexed(scn, "ucolumn", lambda s: _int_stream(s, stages))
-    coded_sec = scn.section("coded-universal")
-    coded_bound = params.get("coded_bound", _max_pair_index(coded_sec) + 1)
-    coded = _pair_table(coded_sec, coded_bound, "coded-universal")
+    coded = _pair_table(scn.section("coded-universal"),
+                        params.get("coded_bound"), "coded-universal")
     functionals = _indexed(scn, "sumfunctional", _sum_functional)
     template = scn.section("star-template")
     t_params = template.params if template is not None else {}
     star_base = int(t_params.get("base", 6))
     star_levels = int(t_params.get("levels", 1))
     check_size(star_base, star_levels)
-    star_sec = scn.section("star-universal")
-    star_bound = max(star_levels + 1, _max_pair_index(star_sec) + 1)
-    star_universal = _pair_table(star_sec, star_bound, "star-universal")
+    star_universal = _pair_table(scn.section("star-universal"), None,
+                                 "star-universal", floor=star_levels + 1)
     star_phis = _phi_stubs(scn, "star-phi")
     return run_sug_indexset(
         v_columns, u_columns, coded, functionals,

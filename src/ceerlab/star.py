@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .ceers import CeerTable
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
@@ -71,7 +71,8 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhiEntry:
-    """One stub value: phi(arg) converges at `converge_stage` to `word`."""
+    """One row's value, shared by every argument it names: phi(arg)
+    converges at `converge_stage` to `word`."""
 
     converge_stage: int
     word: Word
@@ -103,13 +104,14 @@ _STATUS_KEYS = (("freed", "free"), ("collapsed", "collapsed"),
 
 
 def record_relators(details: Mapping[str, Any],
-                    stage: int) -> list[tuple[int, Word, int]]:
+                    stage: int) -> list[tuple[int, list[list[int]], int]]:
     """The relators (lhs, rhs, stage) one star record logged at `stage`
-    adds, in order: its own, then those of each level collapse it served."""
+    adds, in order: its own, then those of each level collapse it served.
+    Each rhs is the record's own list of [index, exponent] entries."""
     rels = list(details.get("relators", ()))
     for srv in details.get("served", ()):
         rels.extend(srv.get("relators", ()))
-    return [(rel["lhs"], tuple(map(tuple, rel["rhs"])), stage) for rel in rels]
+    return [(rel["lhs"], rel["rhs"], stage) for rel in rels]
 
 
 def apply_record(pres: StagedPresentation, base: int,
@@ -174,9 +176,6 @@ class _StarState:
                     f"position {pos} holds x{g}"
                 )
         return gens
-
-    def canonical(self, word: Iterable[tuple[int, int]], stage: int) -> Word:
-        return staged_abelian_wp(self.pres, word, stage)
 
     def classify_support(self, word: Word) -> tuple[list[int], int]:
         """Split canonical support into free letters and the max level.
@@ -293,43 +292,25 @@ class _DiagReq(Requirement):
     def __init__(self, e: int, stub: Mapping[int, PhiEntry], state: _StarState):
         super().__init__(f"R{e}")
         self.e = e
-        self.stub = dict(stub)
+        self.stub = stub
         self.state = state
         self.witnesses: tuple[int, int] | None = None
         self.done = False
         self.committed_level: int | None = None
-        self._cache: tuple[int, Word] | None = None
         state.diag.append(self)
 
     # -- stub plumbing ------------------------------------------------
 
-    def _entries(self) -> tuple[PhiEntry, PhiEntry] | None:
-        a, b = self.witnesses
-        ea, eb = self.stub.get(a), self.stub.get(b)
-        if ea is None or eb is None:
-            return None
-        return ea, eb
-
-    def _word_at(self, stage: int) -> Word | None:
-        if self._cache is not None and self._cache[0] == stage:
-            return self._cache[1]
-        got = self._entries()
-        if got is None:
-            return None
-        ea, eb = got
-        if stage < max(ea.converge_stage, eb.converge_stage):
-            return None
-        raw = ea.word + _word_inverse(eb.word)
-        canon = self.state.canonical(raw, stage)
-        self._cache = (stage, canon)
-        return canon
-
     def ready(self, stage: int) -> bool:
+        """Both witnesses' stub entries exist and have converged by `stage`."""
         if self.done or not self.stub:
             return False
         if self.witnesses is None:
             self.witnesses = self.state.take_witnesses()
-        return self._word_at(stage) is not None
+        a, b = self.witnesses
+        ea, eb = self.stub.get(a), self.stub.get(b)
+        return (ea is not None and eb is not None
+                and stage >= max(ea.converge_stage, eb.converge_stage))
 
     # -- case helpers ---------------------------------------------------
 
@@ -386,7 +367,8 @@ class _DiagReq(Requirement):
     def act(self, stage: int) -> dict[str, Any]:
         st = self.state
         a, b = self.witnesses
-        word = self._word_at(stage)
+        word = staged_abelian_wp(
+            st.pres, self.stub[a].word + _word_inverse(self.stub[b].word), stage)
         base_details = {"witnesses": [a, b]}
         if not word:
             self.done = True
@@ -420,7 +402,6 @@ class _DiagReq(Requirement):
         self.witnesses = None
         self.done = False
         self.committed_level = None
-        self._cache = None
 
 
 @dataclass
@@ -529,7 +510,11 @@ class StarConstruction:
         x_bound = 2 * (max(phis, default=-1) + 1) * (stages + 1) + 4
         self.state = _StarState(base ** (levels + 1), universal, x_bound)
         for e, stub in phis.items():
+            checked = None  # a row's arguments share one entry: check it once
             for arg, entry in stub.items():
+                if entry is checked:
+                    continue
+                checked = entry
                 for idx, _ in entry.word:
                     if not 0 <= idx < self.state.pres.ngens:
                         raise ValueError(

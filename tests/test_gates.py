@@ -1,0 +1,114 @@
+"""The gates every change must keep: `run` logs at scale and the `verify`
+output of each shipped log under each suite, byte for byte.
+
+The log digests and the verify outputs were captured from a commit whose
+logs and verdicts were checked by hand; a change that moves one of them
+changes a log or a verdict.
+"""
+import hashlib
+import os
+
+import pytest
+
+from ceerlab.cli import SUITES, main
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+def shipped(name):
+    return os.path.join(SCENARIOS, name)
+
+
+# sha256 of the log `run` writes for a shipped scenario and extra flags
+PINNED_LOGS = [
+    ("star-universal-basic.txt", ["--levels", "3", "--base", "6"],
+     "128e14c22cb18c22342f13ad6c8b4fbe425a647c582b48be3cba1670a3042090"),
+    ("star-universal-basic.txt", ["--levels", "3", "--base", "10"],
+     "0b181ef0e9a4f89439f2ab80cc781f3b53ab9afec6915ca30e854a24ca0d1040"),
+    ("star-universal-basic.txt", ["--levels", "4", "--base", "10"],
+     "c0fe88336ba4dec8d2a5a0cc278f0569de39302bdca0003e27b061b1701939e3"),
+    ("sigma3-basic.txt", ["--stages", "2000"],
+     "133ab850e744831a0046be34a0d92e3e681da6d00abb8d3ffe0c251daed78d83"),
+    ("sug-basic.txt", ["--stages", "2000"],
+     "8a8875db24fba584033c3ee83c4db9885dce42ff18bc3db2f9af29e1a6e5cc72"),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario,flags,digest", PINNED_LOGS,
+    ids=[" ".join([scn, *flags]) for scn, flags, _ in PINNED_LOGS])
+def test_run_log_is_pinned(scenario, flags, digest, tmp_path, capsys):
+    out = tmp_path / "run.jsonl"
+    assert main(["run", shipped(scenario), "--out", str(out), *flags]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _wrong_kind(suite, kinds, got):
+    return (2, f"error: suite {suite!r} applies to {kinds} logs, got {got!r}\n")
+
+
+_STAR_SUG = "star-universal, sug-indexset"
+_DARK = "dark-ring, dark-group"
+
+# (exit code, stdout) per shipped log and suite; stderr is empty throughout
+PINNED_VERIFY = {
+    ("dark-group-basic", "triangularity"):
+        _wrong_kind("triangularity", _STAR_SUG, "dark-group"),
+    ("dark-group-basic", "level-census"):
+        _wrong_kind("level-census", "star-universal", "dark-group"),
+    ("dark-group-basic", "vi-vs-U"):
+        _wrong_kind("vi-vs-U", "star-universal", "dark-group"),
+    ("dark-group-basic", "membership"):
+        (0, "replayed 14 records; 1 witness pairs checked\n"
+            "suite membership: PASS\n"),
+    ("dark-ring-basic", "triangularity"):
+        _wrong_kind("triangularity", _STAR_SUG, "dark-ring"),
+    ("dark-ring-basic", "level-census"):
+        _wrong_kind("level-census", "star-universal", "dark-ring"),
+    ("dark-ring-basic", "vi-vs-U"):
+        _wrong_kind("vi-vs-U", "star-universal", "dark-ring"),
+    ("dark-ring-basic", "membership"):
+        (0, "replayed 4 records; 2 witness pairs checked\n"
+            "suite membership: PASS\n"),
+    ("sigma3-basic", "triangularity"):
+        _wrong_kind("triangularity", _STAR_SUG, "sigma3"),
+    ("sigma3-basic", "level-census"):
+        _wrong_kind("level-census", "star-universal", "sigma3"),
+    ("sigma3-basic", "vi-vs-U"):
+        _wrong_kind("vi-vs-U", "star-universal", "sigma3"),
+    ("sigma3-basic", "membership"):
+        _wrong_kind("membership", _DARK, "sigma3"),
+    ("star-universal-basic", "triangularity"):
+        (0, "main: 95 relators triangular, stages nondecreasing\n"
+            "suite triangularity: PASS\n"),
+    ("star-universal-basic", "level-census"):
+        (0, "16 census checks at 6 checkpoints\nsuite level-census: PASS\n"),
+    ("star-universal-basic", "vi-vs-U"):
+        (0, "18 word/table comparisons\nsuite vi-vs-U: PASS\n"),
+    ("star-universal-basic", "membership"):
+        _wrong_kind("membership", _DARK, "star-universal"),
+    ("sug-basic", "triangularity"):
+        (0, "g0: 31 relators triangular, stages nondecreasing\n"
+            "h0: 0 relators triangular, stages nondecreasing\n"
+            "suite triangularity: PASS\n"),
+    ("sug-basic", "level-census"):
+        _wrong_kind("level-census", "star-universal", "sug-indexset"),
+    ("sug-basic", "vi-vs-U"):
+        _wrong_kind("vi-vs-U", "star-universal", "sug-indexset"),
+    ("sug-basic", "membership"):
+        _wrong_kind("membership", _DARK, "sug-indexset"),
+}
+
+
+def test_pinned_verify_covers_every_shipped_log_and_suite():
+    logs = {name[:-len(".log.jsonl")] for name in os.listdir(SCENARIOS)
+            if name.endswith(".log.jsonl")}
+    assert set(PINNED_VERIFY) == {(log, suite) for log in logs
+                                  for suite in SUITES}
+
+
+@pytest.mark.parametrize("log,suite", sorted(PINNED_VERIFY))
+def test_verify_of_shipped_log_is_pinned(log, suite, capsys):
+    rc = main(["verify", shipped(f"{log}.log.jsonl"), suite])
+    assert (rc, *capsys.readouterr()) == (*PINNED_VERIFY[log, suite], "")

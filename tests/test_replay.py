@@ -26,6 +26,13 @@ def scenario(name):
     return os.path.join(SCENARIOS, name)
 
 
+def _as_logged(relations):
+    """A presentation's relations as a relator stream carries them: each
+    rhs as the log's list of [index, exponent] entries."""
+    return [(r.lhs, [list(entry) for entry in r.rhs], r.stage)
+            for r in relations]
+
+
 @pytest.mark.parametrize(
     "overrides", [None, {"levels": 3, "base": 6}, {"levels": 3, "base": 10}],
     ids=["shipped", "levels-3-base-6", "levels-3-base-10"])
@@ -48,7 +55,7 @@ def test_star_replay_matches_live_run(overrides):
     uni = replay.universal_table(log.header["params"])
     assert (uni.bound, uni.pairs) == (live.universal.bound, live.universal.pairs)
     stream = replay.relator_streams(log)["main"]
-    assert stream == [(r.lhs, r.rhs, r.stage) for r in live.presentation.relations]
+    assert stream == _as_logged(live.presentation.relations)
 
 
 def test_star_replay_keeps_only_the_letters_that_left_their_level():
@@ -165,7 +172,7 @@ def test_sug_streams_match_the_slot_presentations():
     for slot, stream in streams.items():
         if slot in live.group_slots:
             rels = live.group_slots[slot].state.pres.relations
-            assert stream == [(r.lhs, r.rhs, r.stage) for r in rels], slot
+            assert stream == _as_logged(rels), slot
             _assert_slot_census_matches(log, slot, live.group_slots[slot])
         else:  # a table slot: no presentation, no relators
             assert stream == [], slot

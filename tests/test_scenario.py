@@ -12,9 +12,11 @@ from ceerlab.scenario import (
     CONSTRUCTIONS,
     STAGE_CEILING,
     ScenarioError,
+    _phi_stubs,
     load_scenario,
     parse_scenario,
 )
+from ceerlab.star import PhiEntry
 from helpers import records_for
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -381,6 +383,19 @@ def test_phi_words_and_argspecs():
     # level 1 > e on both parities with differing odd exponents
     assert moves[1].requirement == "R1"
     assert moves[1].details["witnesses"] == [2, 3]
+
+
+def test_phi_row_is_one_entry_shared_by_its_arguments():
+    scn = parse_scenario(
+        "construction = star-universal\n[phi 0]\n"
+        "0..10/even: 3 x7 x8^-1\n1..9/odd: 2\n")
+    stub = _phi_stubs(scn, "phi")[0]
+    evens, odds = stub[0], stub[1]
+    assert evens == PhiEntry(3, ((7, 1), (8, -1)))
+    assert odds == PhiEntry(2, ())
+    assert all(stub[arg] is evens for arg in range(0, 11, 2))
+    assert all(stub[arg] is odds for arg in range(1, 10, 2))
+    assert sorted(stub) == list(range(11))
 
 
 @pytest.mark.parametrize(

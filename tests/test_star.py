@@ -4,7 +4,7 @@ import os
 import pytest
 
 from ceerlab import replay
-from ceerlab.ceers import CeerTable
+from ceerlab.ceers import CeerTable, StageSet
 from ceerlab.engine import ActionRecord, RunLog
 from ceerlab.groups import (
     CyclicFactor,
@@ -14,6 +14,7 @@ from ceerlab.groups import (
     StagedPresentation,
     fp_reduce,
 )
+from ceerlab.indexset import run_sug_indexset
 from ceerlab.scenario import load_scenario, parse_scenario
 from ceerlab.star import (
     BudgetError,
@@ -91,6 +92,35 @@ def test_parameter_validation():
     phis = {0: {0: entry([(9999, 1)]), 1: entry([])}}
     with pytest.raises(ValueError):
         StarConstruction(uni_table(), phis, base=6, levels=1)
+    # a row's arguments share one entry, checked once; the message still
+    # names the first argument of the row that fails
+    good, bad = entry([(6, 1)]), entry([(7, 1), (36, 1)])
+    phis = {0: {0: good, 2: good, 4: good, 1: bad, 3: bad}}
+    with pytest.raises(ValueError, match=r"^phi_0\(1\) mentions x36, outside "
+                       "the 36-generator presentation$"):
+        StarConstruction(uni_table(), phis, base=6, levels=1)
+
+
+def test_diag_requirements_keep_the_stub_they_are_given():
+    phis = {0: {0: entry([(7, 1)]), 1: entry([])}, 2: {0: entry([])}}
+    con = StarConstruction(uni_table(), phis, base=6, levels=1, stages=3)
+    assert [req.e for req in con.state.diag] == [0, 1, 2]
+    assert con.state.diag[0].stub is phis[0]
+    assert con.state.diag[2].stub is phis[2]
+
+
+def test_sug_group_slots_share_one_stub():
+    phis = {0: {0: entry([(6, 1)]), 1: entry([])}}
+    universal = uni_table()
+    res = run_sug_indexset(
+        {0: StageSet([(0, 1)]), 1: StageSet([(0, 2)])}, {}, CeerTable(bound=5),
+        {}, universal, phis, star_base=6, star_levels=1, stages=3)
+    slots = list(res.group_slots.values())
+    assert len(slots) == 2
+    for slot in slots:
+        (req,) = slot.state.diag
+        assert req.stub is phis[0]
+        assert slot.state.universal is universal
 
 
 def test_case_0_identical_words_stay_unrelated():
