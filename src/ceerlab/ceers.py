@@ -198,9 +198,6 @@ class CeerTable:
             table.assert_pair(a, b, s)
         return table
 
-    def copy(self) -> "CeerTable":
-        return CeerTable.from_pairs(self._pairs, self.bound)
-
     def _check_index(self, n: int) -> None:
         if not (0 <= n < self.bound):
             raise IndexError(f"index {n} out of bound {self.bound}")

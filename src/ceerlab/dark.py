@@ -6,9 +6,10 @@ banking a fresh monomial (or the corresponding unit-group word) whose
 degree they then protect, while the collapse strategies wait for two
 listed words to become equal in the current bounded quotient and then
 enumerate the difference's high-degree components as new relators.  The
-relation budget is audited in exact rationals after every stage; a
-violation aborts the run with the offending degree, since it means the
-construction left the regime where fresh monomials are guaranteed.
+relation budget is audited in exact rationals at stage 0 and after each
+stage that logs a record, the only stages that change it; a violation aborts
+the run with the offending degree, since it means the construction left
+the regime where fresh monomials are guaranteed.
 
 The requirements only decide and log.  `apply_record` alone turns a logged
 record into the result's ideal, transversals, protections, witnesses and
@@ -279,8 +280,8 @@ def _run_dark(
         reqs.append(_CollapseReq(idx, w_columns.get(idx), state))
     engine = PriorityEngine(reqs, log, partial(apply_record, result))
     for stage in range(1, stages + 1):
-        engine.run_stage(stage)
-        if audit_fails(stage):
+        # only a logged record changes the ideal's counts, the audit's input
+        if engine.run_stage(stage) is not None and audit_fails(stage):
             break
     return result
 

@@ -163,16 +163,16 @@ _INT_PARAMS = {"stages", "maxdeg", "modulus", "unit_exponent", "base",
 
 # Ceiling on a run's stage count.  The engine visits every stage; run at
 # 100,000 stages in-process on a 2-vCPU x86-64 machine, the shipped
-# scenarios cost 1.5 us (sug) to 43 us (dark-group) a stage, so a run at the
-# ceiling takes at most about 4 s.
+# scenarios cost 0.8 us (dark-group) to 4.5 us (sigma3) a stage, so a run at
+# the ceiling takes under 0.5 s.
 STAGE_CEILING = 100_000
 
 
 # Ceiling on a section index.  Runners build one to three requirements per
 # index up to the largest, and each is asked if it is ready at every stage:
 # 20,002 requirements over 1,000 stages took 1.6-1.8 s in-process (2-vCPU
-# x86-64).  With one section at index 100, 100,000-stage runs took 1.2 s
-# (star), 2.1 s (sigma3), 3.8 s (sug) and 5.2 s (dark-ring; 2.7 s without).
+# x86-64).  With one section at index 100, 100,000-stage runs took 1.0 s
+# (star), 2.4 s (sigma3), 2.6 s (sug) and 1.8 s (dark-ring, dark-group).
 SECTION_INDEX_CEILING = 100
 
 

@@ -208,31 +208,30 @@ class _CollapseCoding(Requirement):
     level-j generators are mapped one-for-one onto level i's full range
     and the rest of level j is killed; level words then coincide.  All
     newly related pairs visible at a stage are served by one action so
-    the level-word/universal alignment holds stage by stage.
+    the level-word/universal alignment holds stage by stage.  The universal
+    table is fixed for the run, so each pair's first related stage is read
+    once; a pair related at stage 0 is due at stage 1, the engine's first.
     """
 
     kind = "U"
     injures_lower = False
 
-    def __init__(self, state: _StarState):
+    def __init__(self, state: _StarState, levels: int):
         super().__init__("U")
         self.state = state
-        self.known: set[tuple[int, int]] = set()
+        uni = state.universal
+        top = min(levels, uni.bound - 1)
+        firsts = ((uni.first_related_stage(i, j), i, j)
+                  for i in range(top + 1) for j in range(i + 1, top + 1))
+        # (stage due, i, j), latest first so the next one due is popped
+        self.schedule = sorted(((max(s, 1), i, j) for s, i, j in firsts
+                                if s is not None), reverse=True)
         self.queue: list[tuple[int, int]] = []
 
-    def _scan(self, stage: int) -> None:
-        uni = self.state.universal
-        top = min(len(self.state.pres.levels) - 1, uni.bound - 1)
-        for i in range(top + 1):
-            for j in range(i + 1, top + 1):
-                if (i, j) in self.known:
-                    continue
-                if uni.related(i, j, stage):
-                    self.known.add((i, j))
-                    self.queue.append((i, j))
-
     def ready(self, stage: int) -> bool:
-        self._scan(stage)
+        sched = self.schedule
+        while sched and sched[-1][0] <= stage:
+            self.queue.append(sched.pop()[1:])
         census = self.state.pres.census_at
         return any(census(j, stage)["level"] for _, j in self.queue)
 
@@ -529,7 +528,7 @@ class StarConstruction:
             "universal_bound": universal.bound,
         }
         self.log = RunLog({"construction": name, "params": params})
-        reqs: list[Requirement] = [_CollapseCoding(self.state)]
+        reqs: list[Requirement] = [_CollapseCoding(self.state, levels)]
         top = max(phis, default=-1)
         for e in range(top + 1):
             reqs.append(_DiagReq(e, phis.get(e, {}), self.state))

@@ -267,15 +267,6 @@ def test_load_refuses_a_line_nested_too_deeply():
         CeerTable.loads(text)
 
 
-def test_copy_is_independent():
-    t = CeerTable(bound=4)
-    t.assert_pair(0, 1, 1)
-    c = t.copy()
-    c.assert_pair(2, 3, 2)
-    assert not t.related(2, 3, 2)
-    assert c.related(0, 1, 1)
-
-
 # -- operations vs definitional oracles ------------------------------------
 
 

@@ -31,6 +31,22 @@ PINNED_LOGS = [
      "133ab850e744831a0046be34a0d92e3e681da6d00abb8d3ffe0c251daed78d83"),
     ("sug-basic.txt", ["--stages", "2000"],
      "8a8875db24fba584033c3ee83c4db9885dce42ff18bc3db2f9af29e1a6e5cc72"),
+    # every shipped scenario at the stage ceiling, most stages logging nothing
+    ("dark-group-basic.txt", ["--stages", "100000"],
+     "35b4597e2afdd228e341cfe361a96955326b0195cc05e956cac6763a1918a605"),
+    ("dark-ring-basic.txt", ["--stages", "100000"],
+     "c6466c39783a4eb8b33da36f11008ccfb72ce816ed7c9ca1dbfbfe49ddaf13f6"),
+    ("sigma3-basic.txt", ["--stages", "100000"],
+     "57d4a6f29427fbe83d719cbc477c7607671ac9e2fc2843ce635e8d8c6cb63662"),
+    ("star-universal-basic.txt", ["--stages", "100000"],
+     "2295de5122938dde696df560b10c312bc7d86cd9f59524007b099f41c8494095"),
+    ("sug-basic.txt", ["--stages", "100000"],
+     "c06d9891d0a201a2ab85026eb268acd39d49d21849e8effa71c85cb885e93c43"),
+    # dark runs at a wide horizon, where each audit spans 64 degrees
+    ("dark-ring-basic.txt", ["--maxdeg", "64", "--stages", "3000"],
+     "5249082a33f08263d8ccd508abc343361644adf12f88cc809228f25bd11868f8"),
+    ("dark-group-basic.txt", ["--maxdeg", "64", "--stages", "3000"],
+     "667d4d437ab257164f1e44ad2e464f9da99bc5ce7b1b6a98a1234de5c098fdf0"),
 ]
 
 

@@ -6,7 +6,7 @@ import os
 import pytest
 
 import ceerlab
-from ceerlab import replay
+from ceerlab import dark, replay
 from ceerlab.algebra import Poly
 from ceerlab.ceers import CeerTable, FunctionalStub, StageSet
 from ceerlab.cli import _summarize
@@ -88,6 +88,28 @@ DARK_RUNS = {
         u_columns={0: _trigger(1)}, w_columns={}, stages=10, maxdeg=14,
         unit_exponent=10),
 }
+
+
+@pytest.mark.parametrize("name", sorted(DARK_RUNS))
+def test_dark_audits_at_stage_0_and_after_each_logging_stage(name,
+                                                             monkeypatch):
+    """Only a logged record changes the ideal, so a run audits once for
+    stage 0 and once after each later stage that logged, up to a failure."""
+    verdicts = []
+    audit = dark.growth_audit
+
+    def recorded(ideal, epsilon):
+        verdict = audit(ideal, epsilon)
+        verdicts.append(verdict.ok)
+        return verdict
+
+    monkeypatch.setattr(dark, "growth_audit", recorded)
+    live = DARK_RUNS[name]()
+    logged = {rec.stage for rec in live.log.records
+              if rec.stage >= 1 and rec.requirement != "audit"}
+    assert len(verdicts) == 1 + len(logged)
+    assert verdicts[:-1] == [True] * len(logged)
+    assert verdicts[-1] == (live.gs_failure is None)
 
 
 @pytest.mark.parametrize("name", sorted(DARK_RUNS))

@@ -1,5 +1,7 @@
 """Level-word construction: init layout, case dispatch, collapses, budget."""
 import os
+import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +20,7 @@ from ceerlab.indexset import run_sug_indexset
 from ceerlab.scenario import load_scenario, parse_scenario
 from ceerlab.star import (
     BudgetError,
+    _CollapseCoding,
     PhiEntry,
     StarConstruction,
     apply_record,
@@ -224,6 +227,90 @@ def test_collapse_above_commitment_level_does_not_restart():
     ]
     assert "reinitialized" not in moves[1].details
     assert res.table.related(0, 1, 4)
+
+
+def polled_collapses(universal, levels, stages):
+    """The poll the collapse schedule replaced: from stage 1 on, ask the
+    universal table about every level pair not yet queued, in (i, j) order.
+    Returns the queued pairs as (stage, i, j)."""
+    top = min(levels, universal.bound - 1)
+    known, queued = set(), []
+    for stage in range(1, stages + 1):
+        for i in range(top + 1):
+            for j in range(i + 1, top + 1):
+                if (i, j) not in known and universal.related(i, j, stage):
+                    known.add((i, j))
+                    queued.append((stage, i, j))
+    return queued
+
+
+def scheduled_collapses(universal, levels, stages):
+    """The pairs the collapse requirement queues, stage by stage, as
+    (stage, i, j); every level still holds a generator, so none is idle."""
+    pres = SimpleNamespace(census_at=lambda level, stage: {"level": 1})
+    coding = _CollapseCoding(SimpleNamespace(universal=universal, pres=pres),
+                             levels)
+    queued = []
+    for stage in range(1, stages + 1):
+        seen = len(coding.queue)
+        coding.ready(stage)
+        queued += [(stage, i, j) for i, j in coding.queue[seen:]]
+    return queued
+
+
+@pytest.mark.parametrize("levels,pairs,bound,expected", [
+    # related at stage 0, due at stage 1; level 3 lies outside the table
+    (3, [(0, 2, 0), (2, 1, 3)], 3, [(1, 0, 2), (3, 0, 1), (3, 1, 2)]),
+    # levels 0 and 1 meet only through index 5, past the top level
+    (2, [(0, 5, 2), (5, 1, 4)], 6, [(4, 0, 1)]),
+    # a table with no pairs relates no two levels
+    (2, [], 4, []),
+], ids=["stage-0-and-bound-below-levels", "transitive", "never"])
+def test_collapse_schedule_cases(levels, pairs, bound, expected):
+    uni = uni_table(bound, *pairs)
+    assert polled_collapses(uni, levels, 6) == expected
+    assert scheduled_collapses(uni, levels, 6) == expected
+
+
+def test_collapse_schedule_matches_polling_on_random_tables():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(300):
+        levels = rng.randint(1, 6)
+        uni = CeerTable(bound=rng.randint(1, levels + 4))
+        stage = 0
+        for _ in range(rng.randint(0, 2 * uni.bound)):
+            stage += rng.choice((0, 0, 1, 3))
+            uni.assert_pair(rng.randrange(uni.bound), rng.randrange(uni.bound),
+                            stage)
+        polled = polled_collapses(uni, levels, stage + 2)
+        assert scheduled_collapses(uni, levels, stage + 2) == polled
+        direct = {(min(a, b), max(a, b)) for a, b, _ in uni.pairs}
+        top = min(levels, uni.bound - 1)
+        seen.add("bound-below-levels" if top < levels else "bound-above")
+        seen.update("transitive" if (i, j) not in direct else "direct"
+                    for _, i, j in polled)
+        if any(uni.first_related_stage(i, j) == 0 for _, i, j in polled):
+            seen.add("stage-0")
+        if len(polled) < top * (top + 1) // 2:
+            seen.add("never")
+    assert seen == {"bound-below-levels", "bound-above", "transitive",
+                    "direct", "stage-0", "never"}
+
+
+@pytest.mark.parametrize("name", ["star-universal-basic.txt", "sug-basic.txt"])
+def test_runs_never_poll_the_universal_table(name, monkeypatch):
+    calls = []
+    related = CeerTable.related
+
+    def counted(self, a, b, stage):
+        calls.append((a, b, stage))
+        return related(self, a, b, stage)
+
+    monkeypatch.setattr(CeerTable, "related", counted)
+    scenarios = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    load_scenario(os.path.join(scenarios, name)).run()
+    assert calls == []
 
 
 def test_shipped_timeline_base_ten():
