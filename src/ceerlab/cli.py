@@ -31,7 +31,7 @@ from .ceers import (
 )
 from .dark import DarkRunResult, growth_audit
 from .engine import RunLog
-from .groups import StagedPresentation, TriangularityError, validate_relation_stream
+from .groups import TriangularityError, validate_relation_stream
 from .indexset import SugResult
 from .pairing import pair
 from .scenario import load_scenario, parse_epsilon
@@ -164,10 +164,10 @@ def _want_constructions(log: RunLog, allowed: tuple[str, ...],
 
 
 def _star_suite(suite: str, vacuous: str):
-    """Run a star suite's checks on a star log's base, levels, universal
-    table and replayed presentation.  The header's shape is checked before
-    any level's letters are listed; an empty log passes vacuously, and a
-    relation stream no run could write fails."""
+    """Run a star suite's checks on a star log's replayed result.  The
+    header's shape is checked before any level's letters are listed, and
+    the whole header before any record is applied; an empty log passes
+    vacuously, and a record stream no run could write fails."""
     def wrap(checks):
         def run_suite(log: RunLog) -> tuple[bool, list[str]]:
             _want_constructions(log, _STAR_LOGS, suite)
@@ -176,15 +176,16 @@ def _star_suite(suite: str, vacuous: str):
                 check_size(params["base"], params["levels"])
             except ValueError as exc:
                 raise _NotForSuite(str(exc)) from None
-            uni = replay.universal_table(params)
+            result = replay.start(log)
             if not log.records:
                 return True, [f"warning: empty log; {vacuous} passes "
                               "vacuously"]
             try:
-                pres = replay.star_presentation(log)
+                for _ in replay.steps(log, result):
+                    pass
             except (TriangularityError, StageRegressionError) as exc:
                 return False, [f"relation stream rejected: {exc}"]
-            return checks(log, params["base"], params["levels"], uni, pres)
+            return checks(log, result)
         return run_suite
     return wrap
 
@@ -210,8 +211,10 @@ def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
 
 
 @_star_suite("level-census", "census")
-def _suite_level_census(log: RunLog, base: int, levels: int, uni: CeerTable,
-                        pres: StagedPresentation) -> tuple[bool, list[str]]:
+def _suite_level_census(log: RunLog,
+                        result: StarResult) -> tuple[bool, list[str]]:
+    base, levels = result.base, result.levels
+    uni, pres = result.universal, result.presentation
     ok = True
     lines: list[str] = []
     checks = 0
@@ -235,8 +238,9 @@ def _suite_level_census(log: RunLog, base: int, levels: int, uni: CeerTable,
 
 
 @_star_suite("vi-vs-U", "equivalence suite")
-def _suite_vi_vs_u(log: RunLog, base: int, levels: int, uni: CeerTable,
-                   pres: StagedPresentation) -> tuple[bool, list[str]]:
+def _suite_vi_vs_u(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
+    base, levels = result.base, result.levels
+    uni, pres = result.universal, result.presentation
     ok = True
     lines: list[str] = []
     checks = 0
@@ -270,7 +274,7 @@ def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
     if not log.records:
         return True, ["warning: empty log; membership suite passes vacuously"]
 
-    for rec, result in replay.dark_steps(log):
+    for rec, result in replay.steps(log, replay.start(log)):
         obj = rec.details
         if rec.action == "enumerate-witness":
             poly = Poly.monomial(Monomial.from_word(obj["monomial"]), p)

@@ -14,7 +14,7 @@ the regime where fresh monomials are guaranteed.
 The requirements only decide and log.  `apply_record` alone turns a logged
 record into the result's ideal, transversals, protections, witnesses and
 audit failure, for the run as each record is logged and for replay of a
-finished log, as `star.apply_record` does for a star presentation.
+finished log, as `star.apply_record` does for a star result.
 """
 from __future__ import annotations
 

@@ -140,7 +140,7 @@ def run_sigma3_ceer(
     trigger_columns: Mapping[int, StageSet],
     universal: CeerTable,
     functionals: Mapping[int, FunctionalStub],
-    stages: int = 200,
+    stages: int = 100,
 ) -> Sigma3Result:
     """Run the column-coding construction for a bounded number of stages.
 

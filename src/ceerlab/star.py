@@ -15,10 +15,10 @@ presentation changes, and each logs its decision as a record:
    canonical form of the induced group word, whether to relate the
    witnesses in the output table.
 
-`apply_record` alone turns a record into levels, statuses and relations,
-for the run as each record is logged and for replay of a finished log.
-A level is a range of letters and `status` lists those that left it; the
-requirements read both in the presentation and only `apply_record` writes.
+`apply_record` alone turns a record into levels, statuses, relations and
+output-table pairs, for the run as each record is logged and for replay of
+a finished log.  A level is a range of letters and `status` lists those
+that left it; the requirements read both and only `apply_record` writes.
 Every relator added is triangular: its left-hand side is a strictly
 larger generator index than anything on the right, so canonical forms
 exist at every stage.  A per-level reserve budget guarantees case
@@ -114,13 +114,14 @@ def record_relators(details: Mapping[str, Any],
     return [(rel["lhs"], rel["rhs"], stage) for rel in rels]
 
 
-def apply_record(pres: StagedPresentation, base: int,
-                 record: ActionRecord) -> None:
-    """Apply one logged star record to its presentation: the level it lays
-    out, the statuses it sets and the relations it adds.  The run calls
-    this on each record it logs and replay on each record it reads, so both
-    build the same state.  Raises TriangularityError or StageRegressionError
-    on a relation no run adds, ValueError on an index outside `pres`."""
+def apply_record(result: "StarResult", record: ActionRecord) -> None:
+    """Apply one logged star record to its result: the level it lays out,
+    the statuses it sets, the relations it adds and the witnesses it relates
+    in the output table.  The run calls this on each record it logs and
+    replay on each record it reads, so both build the same state.  Raises
+    TriangularityError or StageRegressionError on a relation or pair no run
+    adds, ValueError or IndexError on an index outside the result."""
+    pres, base = result.presentation, result.base
     stage, details = record.stage, record.details
     init = record.action == "init-level"
     if init:
@@ -142,17 +143,19 @@ def apply_record(pres: StagedPresentation, base: int,
             pres.set_status(rel["lhs"], "collapsed", stage)
     for lhs, rhs, _ in record_relators(details, stage):
         pres.add_relation(lhs, rhs, stage)
+    if record.action in ("case-1", "case-2", "case-3a", "case-3b"):
+        result.table.assert_pair(*details["witnesses"], stage)
 
 
 class _StarState:
-    """Presentation-side state shared by the requirements.  A level's active
-    generators are the letters of its range in `pres` that never left it; a
-    level with none left is collapsed."""
+    """What the requirements read: the run's result and the witnesses drawn.
+    A level's active generators are the letters of its range in `pres` that
+    never left it; a level with none left is collapsed."""
 
-    def __init__(self, ngens: int, universal: CeerTable, x_bound: int):
-        self.universal = universal
-        self.pres = StagedPresentation(ngens=ngens)
-        self.X = CeerTable(bound=x_bound)
+    def __init__(self, result: "StarResult"):
+        self.universal = result.universal
+        self.pres = result.presentation
+        self.X = result.table
         self.next_witness = 0
         self.diag: list["_DiagReq"] = []
 
@@ -266,7 +269,8 @@ class _CollapseCoding(Requirement):
 
 
 class _DiagReq(Requirement):
-    """Requirement R_e: decide the output table on one fresh witness pair.
+    """Requirement R_e: decide whether one fresh witness pair is related in
+    the output table; `apply_record` relates the pair of each relating case.
 
     Dispatch over the canonical form w of phi(a) * phi(b)^-1 at the
     current stage:
@@ -374,12 +378,10 @@ class _DiagReq(Requirement):
             return {"action": "case-0", **base_details}
         free, top = st.classify_support(word)
         if free:
-            st.X.assert_pair(a, b, stage)
             self.done = True
             return {"action": "case-1", "free_letters": sorted(set(free)),
                     **base_details}
         if top <= self.e:
-            st.X.assert_pair(a, b, stage)
             self.done = True
             self.committed_level = top
             return {"action": "case-2", "top_level": top, **base_details}
@@ -389,7 +391,6 @@ class _DiagReq(Requirement):
             if found is not None:
                 block, tail = found
                 details = self._free_pair(block, parity)
-                st.X.assert_pair(a, b, stage)
                 self.done = True
                 return {"action": case, "level": top,
                         "layout": "tail" if tail else "standard",
@@ -503,11 +504,7 @@ class StarConstruction:
         self.base = base
         self.levels = levels
         self.stages = stages
-        self.name = name
-        # an R_e draws a pair when first asked and after each restart, at most
-        # one a stage; the bound costs no memory, and take_witnesses guards it
-        x_bound = 2 * (max(phis, default=-1) + 1) * (stages + 1) + 4
-        self.state = _StarState(base ** (levels + 1), universal, x_bound)
+        ngens = base ** (levels + 1)
         for e, stub in phis.items():
             checked = None  # a row's arguments share one entry: check it once
             for arg, entry in stub.items():
@@ -515,10 +512,10 @@ class StarConstruction:
                     continue
                 checked = entry
                 for idx, _ in entry.word:
-                    if not 0 <= idx < self.state.pres.ngens:
+                    if not 0 <= idx < ngens:
                         raise ValueError(
                             f"phi_{e}({arg}) mentions x{idx}, outside the "
-                            f"{self.state.pres.ngens}-generator presentation"
+                            f"{ngens}-generator presentation"
                         )
         params = {
             "base": base,
@@ -528,12 +525,21 @@ class StarConstruction:
             "universal_bound": universal.bound,
         }
         self.log = RunLog({"construction": name, "params": params})
+        # an R_e draws a pair when first asked and after each restart, at most
+        # one a stage; the bound costs no memory, and take_witnesses guards it
+        x_bound = 2 * (max(phis, default=-1) + 1) * (stages + 1) + 4
+        self._result = StarResult(
+            name, params, stages, self.log,
+            presentation=StagedPresentation(ngens=ngens),
+            table=CeerTable(bound=x_bound), universal=universal,
+            base=base, levels=levels)
+        self.state = _StarState(self._result)
         reqs: list[Requirement] = [_CollapseCoding(self.state, levels)]
         top = max(phis, default=-1)
         for e in range(top + 1):
             reqs.append(_DiagReq(e, phis.get(e, {}), self.state))
         self.engine = PriorityEngine(
-            reqs, self.log, partial(apply_record, self.state.pres, base))
+            reqs, self.log, partial(apply_record, self._result))
         self.stage = 0
 
     def initialize(self) -> list[ActionRecord]:
@@ -541,7 +547,6 @@ class StarConstruction:
         the log holds records from here on."""
         if self.log.records:
             raise RuntimeError("already initialized")
-        st = self.state
         records = []
         for j in range(self.levels + 1):
             gens = level_letters(self.base, j)  # starts even: base is even
@@ -549,7 +554,7 @@ class StarConstruction:
             records.append(self.log.add(
                 0, "init", "init", "init-level", level=j,
                 generators=[gens[0], gens[-1]], relators=relators))
-            apply_record(st.pres, self.base, records[-1])
+            apply_record(self._result, records[-1])
         return records
 
     def step(self) -> ActionRecord | None:
@@ -565,18 +570,7 @@ class StarConstruction:
         return self.result()
 
     def result(self) -> StarResult:
-        st = self.state
-        return StarResult(
-            self.name,
-            dict(self.log.header["params"]),
-            self.stages,
-            self.log,
-            presentation=st.pres,
-            table=st.X,
-            universal=st.universal,
-            base=self.base,
-            levels=self.levels,
-        )
+        return self._result
 
 
 def run_star_universal(

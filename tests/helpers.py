@@ -1,6 +1,7 @@
 """Views of run state that only the tests read: a log's records filtered by
-requirement or action, a star run's free generators, and a comparison of
-two level words."""
+requirement or action, a star run's free generators, a comparison of two
+level words, and the part of a sigma3 or sug result its writer owns."""
+from ceerlab.sigma3 import Sigma3Result
 from ceerlab.star import level_normal_form
 
 
@@ -20,3 +21,12 @@ def level_words_equal_at(pres, base, i, j, stage):
     """Whether levels i and j carry the same word in G * (Z/2Z) at a stage."""
     return (level_normal_form(pres, base, i, stage)
             == level_normal_form(pres, base, j, stage))
+
+
+def written_state(result):
+    """sigma3's columns, used columns and restraints, or sug's assignments,
+    restraints and table-slot pairs."""
+    if isinstance(result, Sigma3Result):
+        return result.columns, result.used_columns, result.restraints
+    return (result.assignments, result.restraints,
+            {slot: t.pairs for slot, t in result.table_slots.items()})

@@ -6,6 +6,7 @@ logs and verdicts were checked by hand; a change that moves one of them
 changes a log or a verdict.
 """
 import hashlib
+import json
 import os
 
 import pytest
@@ -128,3 +129,34 @@ def test_pinned_verify_covers_every_shipped_log_and_suite():
 def test_verify_of_shipped_log_is_pinned(log, suite, capsys):
     rc = main(["verify", shipped(f"{log}.log.jsonl"), suite])
     assert (rc, *capsys.readouterr()) == (*PINNED_VERIFY[log, suite], "")
+
+
+# malformed star headers, with the shipped records and with none: a header
+# fails as malformed input before any record is applied, never as a
+# rejected relation stream
+MALFORMED_HEADERS = {
+    "universal-out-of-stage-order": (
+        {"universal": [[0, 1, 5], [0, 2, 1]]},
+        "StageRegressionError('pair at stage 1 after stage 5')"),
+    "negative-universal-bound": (
+        {"universal_bound": -1}, "ValueError('bound must be nonnegative')"),
+}
+
+
+@pytest.mark.parametrize("records", [True, False],
+                         ids=["with-records", "no-records"])
+@pytest.mark.parametrize("suite", ["level-census", "vi-vs-U"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_verify_of_malformed_star_header_is_pinned(case, suite, records,
+                                                   tmp_path, capsys):
+    change, error = MALFORMED_HEADERS[case]
+    header, *rest = open(shipped("star-universal-basic.log.jsonl")).readlines()
+    params = json.loads(header)["params"]
+    params.update(change)
+    path = tmp_path / "star.jsonl"
+    path.write_text(json.dumps({"construction": "star-universal",
+                                "params": params}) + "\n"
+                    + ("".join(rest) if records else ""))
+    rc = main(["verify", str(path), suite])
+    assert (rc, *capsys.readouterr()) == (
+        2, "", f"error: malformed log for suite {suite}: {error}\n")

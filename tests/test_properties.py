@@ -2,8 +2,8 @@
 `run`/`verify` on shipped inputs with mutated numbers and values, and
 `probe` on small mutated dumps, which must exit 0, 1 or 2 and raise
 nothing; small generated star scenarios, whose runs must pass the star
-suites and replay to the run's statuses; and small generated sigma3 and
-sug scenarios, whose logs must replay to the run's state.
+suites and replay to the run's statuses and summary; and small generated
+sigma3 and sug scenarios, whose logs must replay to the run's state.
 
 Examples are derandomized and no example database is kept, so every run
 of the suite tries the same inputs.
@@ -26,7 +26,7 @@ from ceerlab.cli import _summarize, main
 from ceerlab.engine import RunLog
 from ceerlab.scenario import parse_scenario
 from ceerlab.star import check_size, level_letters
-from rebuilt import rebuild, written_state
+from helpers import written_state
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -335,8 +335,9 @@ def test_generated_star_runs_pass_the_star_suites(text):
         result.log.dump(path)
         for suite in ("triangularity", "level-census", "vi-vs-U"):
             assert _exit_code(["verify", path, suite]) == 0, suite
-        pres = replay.star_presentation(RunLog.load(path))
-    assert pres.status == result.presentation.status
+        rebuilt = replay.rebuild(RunLog.load(path))
+    assert rebuilt.presentation.status == result.presentation.status
+    assert _summarize(rebuilt) == _summarize(result)
 
 
 # -- generated sigma3 and sug scenarios ------------------------------------
@@ -388,6 +389,6 @@ def test_generated_sigma3_and_sug_logs_replay_to_the_run(text):
         result.log.dump(path)
         if result.construction == "sug-indexset":
             assert _exit_code(["verify", path, "triangularity"]) == 0
-        rebuilt = rebuild(RunLog.load(path))
+        rebuilt = replay.rebuild(RunLog.load(path))
     assert written_state(rebuilt) == written_state(result)
     assert _summarize(rebuilt) == _summarize(result)

@@ -1,6 +1,7 @@
 """Log replay: the state rebuilt from a log equals the live run's state."""
 import ast
 import glob
+import inspect
 import os
 
 import pytest
@@ -14,16 +15,27 @@ from ceerlab.dark import run_dark_group, run_dark_ring
 from ceerlab.engine import ActionRecord, RunLog
 from ceerlab.indexset import SumFunctionalStub, run_sug_indexset
 from ceerlab.pairing import pair
-from ceerlab.scenario import load_scenario
+from ceerlab.scenario import CONSTRUCTIONS, load_scenario
 from ceerlab.sigma3 import run_sigma3_ceer
 from ceerlab.star import PhiEntry, level_letters
-from rebuilt import rebuild, written_state
+from helpers import written_state
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def scenario(name):
     return os.path.join(SCENARIOS, name)
+
+
+@pytest.mark.parametrize("name", [
+    "dark-ring-basic", "dark-group-basic", "sigma3-basic",
+    "star-universal-basic", "sug-basic"])
+def test_shipped_log_rebuilds_to_the_run_summary(name):
+    """Each shipped log, rebuilt through `replay` alone, gives its scenario
+    run's summary, a star run's output table pairs included."""
+    log = RunLog.load(scenario(f"{name}.log.jsonl"))
+    live = load_scenario(scenario(f"{name}.txt")).run()
+    assert _summarize(replay.rebuild(log)) == _summarize(live)
 
 
 def _as_logged(relations):
@@ -43,7 +55,8 @@ def test_star_replay_matches_live_run(overrides):
         log = RunLog.load(scenario("star-universal-basic.log.jsonl"))
     else:
         log = RunLog.loads(live.log.dumps())
-    pres = replay.star_presentation(log)
+    result = replay.rebuild(log)
+    pres = result.presentation
     assert pres.relations == live.presentation.relations
     assert pres.levels == live.presentation.levels
     assert pres.status == live.presentation.status
@@ -51,9 +64,11 @@ def test_star_replay_matches_live_run(overrides):
     assert points[0] == 0 and points[-1] == live.stages
     for s in points:
         for j in range(live.levels + 1):
-            assert pres.census_at(j, s) == live.census(j, s), (s, j)
-    uni = replay.universal_table(log.header["params"])
+            assert result.census(j, s) == live.census(j, s), (s, j)
+    uni = result.universal
     assert (uni.bound, uni.pairs) == (live.universal.bound, live.universal.pairs)
+    assert result.table.pairs == live.table.pairs
+    assert _summarize(result) == _summarize(live)
     stream = replay.relator_streams(log)["main"]
     assert stream == _as_logged(live.presentation.relations)
 
@@ -63,7 +78,7 @@ def test_star_replay_keeps_only_the_letters_that_left_their_level():
     of them leave their level: `status` lists those alone."""
     scn = load_scenario(scenario("star-universal-basic.txt"))
     log = RunLog.loads(scn.run({"levels": 4, "base": 10}).log.dumps())
-    pres = replay.star_presentation(log)
+    pres = replay.rebuild(log).presentation
     assert len(pres.status) == 100
     assert "level" not in pres.status.values()
     assert pres.levels == {j: level_letters(10, j) for j in range(5)}
@@ -118,7 +133,7 @@ def test_dark_replay_matches_live_run(name):
     own result, and the run's summary reads the same from either."""
     live = DARK_RUNS[name]()
     log = RunLog.loads(live.log.dumps())
-    steps = list(replay.dark_steps(log))
+    steps = list(replay.steps(log, replay.start(log)))
     assert [rec for rec, _ in steps] == log.records
     result = steps[-1][1]
     ideal = result.ideal
@@ -181,7 +196,7 @@ def test_sigma3_and_sug_replay_matches_live_run(name):
     `apply_record` alone gives the run's columns, used columns, restraints,
     slot assignments and table-slot pairs, and the same summary."""
     live = INJURY_RUNS[name]()
-    result = rebuild(RunLog.loads(live.log.dumps()))
+    result = replay.rebuild(RunLog.loads(live.log.dumps()))
     assert written_state(result) == written_state(live)
     assert _summarize(result) == _summarize(live)
 
@@ -210,7 +225,7 @@ def _assert_slot_census_matches(log, slot, instance):
             inner.records.extend(ActionRecord.from_obj(obj)
                                  for obj in rec.details.get("inner", ()))
     assert inner.records, slot
-    pres = replay.star_presentation(inner)
+    pres = replay.rebuild(inner).presentation
     live = instance.state.pres
     for s in replay.census_checkpoints(inner):
         for j in range(instance.levels + 1):
@@ -302,3 +317,21 @@ def test_sigma3_and_sug_state_has_one_writer():
                             and isinstance(node.value, ast.Name)
                             and node.value.id == "self"), (module, name)
             assert not _calls(fn, MUTATORS), (module, name)
+
+
+def test_a_star_output_table_has_one_writer():
+    """In `star`, only `apply_record` relates a pair in a table: the output
+    table's pairs come from the records, and `_DiagReq` only decides."""
+    writers = {name for module, name, fn in _definitions()
+               if module == "star" and _calls(fn, ("assert_pair",))}
+    assert writers == {"apply_record"}
+
+
+def test_replay_has_a_builder_and_writer_for_every_construction():
+    """A construction a scenario can run is one replay can rebuild, through
+    its module's `apply_record(result, record)`."""
+    assert set(replay.CONSTRUCTIONS) == set(CONSTRUCTIONS)
+    for name, (_, _, apply) in replay.CONSTRUCTIONS.items():
+        assert apply.__name__ == "apply_record", name
+        assert list(inspect.signature(apply).parameters) == [
+            "result", "record"], name

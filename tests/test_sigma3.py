@@ -3,6 +3,7 @@ import random
 
 from ceerlab.ceers import CeerTable, FunctionalStub, StageSet
 from ceerlab.pairing import pair
+from ceerlab.scenario import parse_scenario
 from ceerlab.sigma3 import run_sigma3_ceer
 from helpers import records_for
 
@@ -23,6 +24,14 @@ def column_pairs(res, j, stage):
     bound = res.universal.bound
     return {(a, b) for a in range(bound) for b in range(a + 1, bound)
             if res.table.related(pair(j, a), pair(j, b), stage)}
+
+
+def test_default_stage_count_is_one_hundred():
+    """A sigma3 scenario with no `stages` line, and a direct call with no
+    stage count, both run 100 stages."""
+    res = parse_scenario("construction = sigma3\n[universal]\n1: 0 1\n").run()
+    assert (res.stages, res.log.header["params"]["stages"]) == (100, 100)
+    assert run_sigma3_ceer({}, universal(2), {}).stages == 100
 
 
 def test_first_coder_takes_column_zero():

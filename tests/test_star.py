@@ -13,7 +13,6 @@ from ceerlab.groups import (
     FreeProduct,
     FreeProductWord,
     StagedAbelianFactor,
-    StagedPresentation,
     fp_reduce,
 )
 from ceerlab.indexset import run_sug_indexset
@@ -428,7 +427,7 @@ def test_level_words_equal_at_matches_the_joined_word(overrides):
         log = scn.run(overrides).log
     params = log.header["params"]
     base, levels = params["base"], params["levels"]
-    pres = replay.star_presentation(log)
+    pres = replay.rebuild(log).presentation
     verdicts = set()
     for s in replay.census_checkpoints(log):
         for i in range(levels + 1):
@@ -474,15 +473,19 @@ def test_long_phi_word_at_levels_three():
 
 
 def test_apply_record_refuses_a_level_outside_the_presentation():
-    pres = StagedPresentation(ngens=10 ** 3)
+    result = replay.start(RunLog({"construction": "star-universal", "params": {
+        "base": 10, "levels": 2, "stages": 1, "universal": [],
+        "universal_bound": 3}}))
+    pres = result.presentation
+    assert pres.ngens == 10 ** 3
     for level in (-1, 3, 10 ** 9):
         record = ActionRecord(0, "init", "init", "init-level",
                               {"level": level, "relators": []})
         with pytest.raises(ValueError, match=(
                 f"init-level record names level {level}, outside the "
                 "1000-generator presentation")):
-            apply_record(pres, 10, record)
+            apply_record(result, record)
     assert pres.status == {} and pres.levels == {}
-    apply_record(pres, 10, ActionRecord(0, "init", "init", "init-level",
-                                        {"level": 2, "relators": []}))
+    apply_record(result, ActionRecord(0, "init", "init", "init-level",
+                                      {"level": 2, "relators": []}))
     assert pres.census_at(2, 0)["level"] == 900
