@@ -36,7 +36,7 @@ from .indexset import SugResult
 from .pairing import pair
 from .scenario import load_scenario, parse_epsilon
 from .sigma3 import Sigma3Result
-from .star import StarResult, check_size, level_normal_form
+from .star import StarResult, check_size, level_forms
 
 __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
 
@@ -239,14 +239,11 @@ def _suite_level_census(log: RunLog,
 
 @_star_suite("vi-vs-U", "equivalence suite")
 def _suite_vi_vs_u(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
-    base, levels = result.base, result.levels
-    uni, pres = result.universal, result.presentation
+    levels, uni = result.levels, result.universal
     ok = True
     lines: list[str] = []
     checks = 0
-    for point in replay.census_checkpoints(log):
-        forms = [level_normal_form(pres, base, j, point)
-                 for j in range(levels + 1)]
+    for point, forms in level_forms(result, replay.census_checkpoints(log)):
         for i in range(levels + 1):
             for j in range(i + 1, levels + 1):
                 eq = forms[i] == forms[j]

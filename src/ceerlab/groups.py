@@ -394,6 +394,20 @@ class StagedPresentation:
             counts[old] -= 1
             counts[status] += 1
 
+    def set_statuses(self, level: int, gens: Iterable[int], status: str,
+                     stage: int) -> None:
+        """Give each of `gens`, letters of the laid-out `level`, a status
+        from `stage` on, as one census entry."""
+        letters = self.levels[level]
+        self._check_stage("status", stage)
+        counts = self._counts_from(level, stage)
+        for gen in gens:
+            if gen not in letters:
+                raise ValueError(f"x{gen} is not a letter of level {level}")
+            old, self.status[gen] = self.status.get(gen, "level"), status
+            counts[old] -= 1
+            counts[status] += 1
+
     def _counts_from(self, level: int, stage: int) -> dict[str, int]:
         """The level's census counts from `stage` on, to be updated."""
         stages, history = self._census.setdefault(level, ([], []))

@@ -27,21 +27,14 @@ BudgetError rather than silently degrading.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .ceers import CeerTable
+from .ceers import CeerTable, StageRegressionError
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
-from .groups import (
-    CyclicFactor,
-    FreeProduct,
-    FreeProductWord,
-    StagedAbelianFactor,
-    StagedPresentation,
-    fp_reduce,
-    staged_abelian_wp,
-)
+from .groups import StagedPresentation, staged_abelian_wp
 
 __all__ = [
     "BudgetError",
@@ -119,8 +112,9 @@ def apply_record(result: "StarResult", record: ActionRecord) -> None:
     the statuses it sets, the relations it adds and the witnesses it relates
     in the output table.  The run calls this on each record it logs and
     replay on each record it reads, so both build the same state.  Raises
-    TriangularityError or StageRegressionError on a relation or pair no run
-    adds, ValueError or IndexError on an index outside the result."""
+    TriangularityError or StageRegressionError on a relation no run adds,
+    ValueError or IndexError on an index outside the result or a witness
+    pair out of stage order: a pair is not a relation."""
     pres, base = result.presentation, result.base
     stage, details = record.stage, record.details
     init = record.action == "init-level"
@@ -139,12 +133,17 @@ def apply_record(result: "StarResult", record: ActionRecord) -> None:
         for rel in details.get("relators", ()):
             pres.set_status(rel["lhs"], "determined", stage)
     for srv in details.get("served", ()):
-        for rel in srv.get("relators", ()):
-            pres.set_status(rel["lhs"], "collapsed", stage)
+        if "relators" in srv:
+            pres.set_statuses(srv["pair"][1],
+                              [rel["lhs"] for rel in srv["relators"]],
+                              "collapsed", stage)
     for lhs, rhs, _ in record_relators(details, stage):
         pres.add_relation(lhs, rhs, stage)
     if record.action in ("case-1", "case-2", "case-3a", "case-3b"):
-        result.table.assert_pair(*details["witnesses"], stage)
+        try:
+            result.table.assert_pair(*details["witnesses"], stage)
+        except StageRegressionError as exc:
+            raise ValueError(f"output table {exc}") from None
 
 
 class _StarState:
@@ -421,29 +420,129 @@ class StarResult(ConstructionRun):
         return self.presentation.census_at(level, stage)
 
 
-def _ambient(pres: StagedPresentation, stage: int) -> FreeProduct:
-    return FreeProduct({
-        "G": StagedAbelianFactor(pres, stage),
-        "A": CyclicFactor(2),
-    })
+_A = ("A", 1)  # the separator syllable of G * (Z/2Z)
 
 
-def _level_word(product: FreeProduct, base: int, level: int) -> FreeProductWord:
-    syllables = []
-    for idx in level_letters(base, level):
-        syllables.append(("A", 1))
-        syllables.append(("G", ((idx, 1),)))
-    return FreeProductWord(product, tuple(syllables))
+def sparse_level_form(letters: range, canon: Mapping[int, Word]) -> tuple:
+    """The normal form of the level word A x_a A x_{a+1} ... A x_b over
+    `letters` in G * (Z/2Z), given the canonical vector of each letter
+    that is a left-hand side; every other letter is its own syllable.
 
-
-def level_normal_form(pres: StagedPresentation, base: int, level: int,
-                      stage: int) -> tuple[tuple[str, Any], ...]:
-    """The normal form of a level's word in G * (Z/2Z) at a stage.
-
-    Free-product normal forms with canonical syllables are unique, so two
-    level words are equal exactly when these tuples are.
+    The word is reduced on a stack of ("A", 1), ("G", vector) and runs: a
+    `range` r stands for A x_r[0] ... A x_r[-1] over letters no relation
+    touches, so only the letters in `canon` cost work.  An empty vector
+    lets the A's beside it cancel and the G syllables on either side
+    merge, by adding vectors: neither support holds a stage-s left-hand
+    side, so neither does their sum, which is therefore canonical with no
+    `staged_abelian_wp` call.  Free-product normal forms are unique, and
+    the result spells each one a single way, every A x_k folded into a
+    maximal run, so two level words are equal exactly when their forms are.
     """
-    return _level_word(_ambient(pres, stage), base, level).reduce().syllables
+    stack: list[Any] = []
+
+    def push(vec: Word) -> None:
+        """Push A, then the G syllable of the canonical vector `vec`."""
+        if stack and stack[-1] is _A:
+            stack.pop()
+        else:
+            stack.append(_A)
+        if not vec:
+            return
+        if not stack or stack[-1] is _A:
+            stack.append(("G", vec))
+            return
+        top = stack.pop()
+        if isinstance(top, range):  # split off the run's last letter
+            if len(top) > 1:
+                stack.append(top[:-1])
+            stack.append(_A)
+            top = ("G", {top[-1]: 1})
+        merged = top[1] if isinstance(top[1], dict) else dict(top[1])
+        for i, e in vec:
+            merged[i] = merged.get(i, 0) + e
+            if not merged[i]:
+                del merged[i]
+        if merged:
+            stack.append(("G", merged))
+
+    def push_run(lo: int, hi: int) -> None:
+        push(((lo, 1),))
+        if hi - lo > 1:
+            stack.append(range(lo + 1, hi))
+
+    pos = letters.start
+    for k in sorted(canon):
+        if pos < k:
+            push_run(pos, k)
+        push(canon[k])
+        pos = k + 1
+    if pos < letters.stop:
+        push_run(pos, letters.stop)
+
+    form: list[Any] = []
+    for tok in stack:
+        if tok is not _A and isinstance(tok, tuple):
+            vec = tok[1]
+            if isinstance(vec, dict):
+                vec = tuple(sorted(vec.items()))
+            if len(vec) == 1 and vec[0][1] == 1 and form and form[-1] is _A:
+                form.pop()
+                tok = range(vec[0][0], vec[0][0] + 1)
+            else:
+                tok = ("G", vec)
+        if (isinstance(tok, range) and form and isinstance(form[-1], range)
+                and form[-1].stop == tok.start):
+            tok = range(form.pop().start, tok.stop)
+        form.append(tok)
+    return tuple(form)
+
+
+def _meets(vec: Word, gens: set[int]) -> bool:
+    """Whether the support of a sorted vector holds one of `gens`, walking
+    whichever of the two is shorter."""
+    if len(vec) <= len(gens):
+        return any(i in gens for i, _ in vec)
+    return any((p := bisect_left(vec, (g,))) < len(vec) and vec[p][0] == g
+               for g in gens)
+
+
+def level_forms(result: StarResult, checkpoints: Iterable[int]
+                ) -> Iterator[tuple[int, tuple[tuple, ...]]]:
+    """Each of the ascending `checkpoints` with the `sparse_level_form` of
+    every level word at it, for a replayed result.
+
+    One pass over the presentation's relations, which are in stage order,
+    carries each letter's canonical vector from checkpoint to checkpoint:
+    a letter gets one when it becomes a left-hand side and is reduced
+    again only when a new left-hand side lies in its support.  A level's
+    form is rebuilt only when one of its vectors changed.
+    """
+    pres = result.presentation
+    letters = [level_letters(result.base, j) for j in range(result.levels + 1)]
+    starts = [gens.start for gens in letters]  # ascending, from 0 up
+    canon: list[dict[int, Word]] = [{} for _ in letters]
+    forms: list[tuple] = [()] * len(letters)
+    stale = set(range(len(letters)))
+    rels, done = pres.relations, 0
+    for point in checkpoints:
+        added = []
+        while done < len(rels) and rels[done].stage <= point:
+            added.append(rels[done])
+            done += 1
+        new = {rel.lhs for rel in added}
+        for j, vecs in enumerate(canon if new else ()):
+            for k, vec in vecs.items():
+                if vec and _meets(vec, new):
+                    vecs[k] = staged_abelian_wp(pres, vec, point)
+                    stale.add(j)
+        for rel in added:
+            j = bisect_right(starts, rel.lhs) - 1
+            canon[j][rel.lhs] = staged_abelian_wp(pres, rel.rhs, point)
+            stale.add(j)
+        for j in stale:
+            forms[j] = sparse_level_form(letters[j], canon[j])
+        stale.clear()
+        yield point, tuple(forms)
 
 
 # Ceiling on a presentation's base ** (levels + 1) generators.  Laying out

@@ -1,5 +1,6 @@
-"""The gates every change must keep: `run` logs at scale and the `verify`
-output of each shipped log under each suite, byte for byte.
+"""The gates every change must keep: `run` logs at scale and under any hash
+seed, and the `verify` output of each shipped log under each suite, byte
+for byte.
 
 The log digests and the verify outputs were captured from a commit whose
 logs and verdicts were checked by hand; a change that moves one of them
@@ -8,6 +9,8 @@ changes a log or a verdict.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -160,3 +163,66 @@ def test_verify_of_malformed_star_header_is_pinned(case, suite, records,
     rc = main(["verify", str(path), suite])
     assert (rc, *capsys.readouterr()) == (
         2, "", f"error: malformed log for suite {suite}: {error}\n")
+
+
+# a relating record's output-table entry that no run writes: a stage below
+# the earlier relating record's, or witnesses that are not a pair.  The star
+# suites replay the table but check no pair of it, so both are malformed
+# input, not a rejected relation stream: a pair is not a relation
+BAD_TABLE_ENTRIES = {
+    "pair-stage-below-earlier-pair": (
+        {"stage": 0},
+        "ValueError('output table pair at stage 0 after stage 2')"),
+    "witnesses-not-a-pair": (
+        {"witnesses": [0]},
+        "TypeError(\"CeerTable.assert_pair() missing 1 required positional "
+        "argument: 'stage'\")"),
+}
+
+
+@pytest.mark.parametrize("suite", ["level-census", "vi-vs-U"])
+@pytest.mark.parametrize("case", sorted(BAD_TABLE_ENTRIES))
+def test_verify_of_bad_output_table_entry_is_pinned(case, suite, tmp_path,
+                                                    capsys):
+    change, error = BAD_TABLE_ENTRIES[case]
+    lines = open(shipped("star-universal-basic.log.jsonl")).readlines()
+    record = json.loads(lines[6])
+    assert (record["action"], record["stage"]) == ("case-1", 3)
+    record.update(change)
+    lines[6] = json.dumps(record) + "\n"
+    path = tmp_path / "star.jsonl"
+    path.write_text("".join(lines))
+    rc = main(["verify", str(path), suite])
+    assert (rc, *capsys.readouterr()) == (
+        2, "", f"error: malformed log for suite {suite}: {error}\n")
+
+
+# every shipped scenario run in a fresh interpreter, writing its log into the
+# directory named by the first argument
+_RUN_SHIPPED = """
+import os, sys
+from ceerlab.cli import main
+out, scenarios = sys.argv[1], sys.argv[2:]
+for scn in scenarios:
+    log = os.path.join(out, os.path.basename(scn)[:-len(".txt")] + ".log.jsonl")
+    assert main(["run", scn, "--out", log]) == 0, scn
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_shipped_logs_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    """Acceptance 10 reruns the scenarios in the test's own process, whose
+    string hashes are fixed, so a log that followed the iteration order of
+    a set of strings would still match there."""
+    scenarios = sorted(shipped(name) for name in os.listdir(SCENARIOS)
+                       if name.endswith(".txt"))
+    assert len(scenarios) == 5
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", _RUN_SHIPPED, str(tmp_path),
+                    *scenarios], env=env, check=True, capture_output=True)
+    for scn in scenarios:
+        name = os.path.basename(scn)[:-len(".txt")] + ".log.jsonl"
+        assert ((tmp_path / name).read_bytes()
+                == open(shipped(name), "rb").read()), name

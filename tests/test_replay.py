@@ -276,7 +276,8 @@ def test_a_star_presentation_has_one_writer():
     """Outside `StagedPresentation` itself, only `star.apply_record` sets a
     level or a status or adds a relation; `validate_relation_stream` adds
     relations to a throwaway presentation of its own."""
-    assert _callers("set_level", "set_status", "add_relation") == {
+    assert _callers("set_level", "set_status", "set_statuses",
+                    "add_relation") == {
         ("star", "apply_record"), ("groups", "validate_relation_stream")}
 
 

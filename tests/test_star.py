@@ -4,6 +4,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceerlab import replay
 from ceerlab.ceers import CeerTable, StageSet
@@ -13,6 +15,7 @@ from ceerlab.groups import (
     FreeProduct,
     FreeProductWord,
     StagedAbelianFactor,
+    StagedPresentation,
     fp_reduce,
 )
 from ceerlab.indexset import run_sug_indexset
@@ -24,10 +27,17 @@ from ceerlab.star import (
     StarConstruction,
     apply_record,
     check_size,
+    level_forms,
     level_letters,
     run_star_universal,
 )
-from helpers import free_generators, level_words_equal_at, records_for
+from helpers import (
+    expand_form,
+    free_generators,
+    level_normal_form,
+    level_words_equal_at,
+    records_for,
+)
 
 
 def uni_table(bound=3, *pairs_at):
@@ -436,6 +446,126 @@ def test_level_words_equal_at_matches_the_joined_word(overrides):
                 assert eq == _old_level_words_equal(pres, base, i, j, s), (s, i, j)
                 verdicts.add((i == j, eq))
     assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+# -- sparse level forms against the letter-by-letter reference ------------
+
+
+def forms_by_stage(pres, base, levels, stages):
+    """Each stage's sparse level forms, checked against `level_normal_form`
+    for every level."""
+    result = SimpleNamespace(presentation=pres, base=base, levels=levels)
+    out = {}
+    for point, forms in level_forms(result, stages):
+        for j, form in enumerate(forms):
+            assert (expand_form(form)
+                    == level_normal_form(pres, base, j, point)), (point, j)
+        out[point] = forms
+    return out
+
+
+def presentation(ngens, relations):
+    pres = StagedPresentation(ngens=ngens)
+    for lhs, rhs, stage in relations:
+        pres.add_relation(lhs, rhs, stage)
+    return pres
+
+
+A = ("A", 1)
+
+
+def test_sparse_form_of_a_trivial_first_or_last_letter():
+    # base 4: level 0 is x0..x3, level 1 is x4..x15
+    pres = presentation(16, [(4, (), 1), (15, (), 2), (0, (), 3), (3, (), 3)])
+    forms = forms_by_stage(pres, 4, 1, range(5))
+    assert forms[0] == ((range(0, 4),), (range(4, 16),))
+    # A 1 A x5 ... cancels the two A's: the form opens with a G syllable
+    assert forms[1][1] == (("G", ((5, 1),)), range(6, 16))
+    # ... A x14 A 1 leaves one A at the end
+    assert forms[2][1] == (("G", ((5, 1),)), range(6, 15), A)
+    assert forms[3][0] == (("G", ((1, 1),)), range(2, 3), A)
+
+
+def test_sparse_form_of_a_cascade():
+    """Adjacent letters x12 and x13 = x12^-1 keep the A between them.  But
+    x10 = 1 lets x9 and x11 = x9^-1 meet and cancel, so x8 and x12 merge;
+    once x12 = x8^-1 they cancel too, and the cascade leaves x7 and x13
+    in one syllable."""
+    pres = presentation(16, [(13, ((12, -1),), 1)])
+    assert forms_by_stage(pres, 4, 1, range(2))[1][1] == (
+        range(4, 13), A, ("G", ((12, -1),)), range(14, 16))
+    pres = presentation(16, [(10, (), 1), (11, ((9, -1),), 1),
+                             (12, ((8, -1),), 2)])
+    forms = forms_by_stage(pres, 4, 1, range(3))
+    assert forms[1][1] == (range(4, 8), A, ("G", ((8, 1), (12, 1))),
+                           range(13, 16))
+    assert forms[2][1] == (range(4, 7), A, ("G", ((7, 1), (13, 1))),
+                           range(14, 16))
+    # a cascade that leaves one A at the end of a level, and a merge of a
+    # run's last letter with a longer word
+    pres = presentation(16, [(2, (), 1), (3, ((1, -1),), 1),
+                             (6, (), 1), (7, ((5, -1), (0, 2)), 1)])
+    forms = forms_by_stage(pres, 4, 1, range(2))
+    assert forms[1] == ((range(0, 1), A), (range(4, 5), A,
+                                           ("G", ((0, 2),)), range(8, 16)))
+
+
+def test_sparse_form_of_a_collapsed_level_equals_its_target():
+    """Level 1 mapped one-for-one onto level 0 and the rest killed: its
+    single-letter syllables fold into the runs of level 0's form, and the
+    lead relator x3 = x1^-1 of level 0 is carried to the image of x7."""
+    lead = [(3, ((1, -1),), 0)]
+    collapse = [(4 + k, ((k, 1),), 2) for k in range(4)]
+    collapse += [(k, (), 2) for k in range(8, 16)]
+    pres = presentation(16, lead + collapse)
+    forms = forms_by_stage(pres, 4, 1, range(3))
+    assert forms[1][0] == (range(0, 3), A, ("G", ((1, -1),)))
+    assert forms[1][0] != forms[1][1]
+    assert forms[2][0] == forms[2][1] == forms[1][0]
+
+
+@st.composite
+def triangular_streams(draw):
+    """A presentation of two or three small levels and a stream of
+    triangular relations in stage order: kills, maps onto one of the four
+    letters just below (often inverse, so cascades happen) and short words."""
+    base, levels = draw(st.sampled_from(((2, 1), (2, 2), (4, 1))))
+    ngens = base ** (levels + 1)
+    relations, stage = [], 0
+    for lhs in draw(st.lists(st.integers(0, ngens - 1), unique=True,
+                             max_size=ngens)):
+        stage += draw(st.integers(0, 1))
+        kind = draw(st.sampled_from(("kill", "map", "word"))) if lhs else "kill"
+        if kind == "kill":
+            rhs = ()
+        elif kind == "map":
+            rhs = ((lhs - draw(st.integers(1, min(lhs, 4))),
+                    draw(st.sampled_from((1, -1)))),)
+        else:
+            rhs = tuple(draw(st.lists(st.tuples(
+                st.integers(0, lhs - 1), st.integers(-2, 2)), max_size=3)))
+        relations.append((lhs, rhs, stage))
+    return base, levels, relations
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(triangular_streams())
+def test_sparse_forms_match_the_reference_on_random_streams(stream):
+    base, levels, relations = stream
+    pres = presentation(base ** (levels + 1), relations)
+    forms_by_stage(pres, base, levels, range(relations[-1][2] + 2
+                                             if relations else 1))
+
+
+@pytest.mark.parametrize("levels,base", [(3, 6), (3, 10)])
+def test_sparse_forms_match_the_reference_on_star_scale_logs(levels, base):
+    scn = load_scenario(os.path.join(os.path.dirname(__file__), "..",
+                                     "scenarios", "star-universal-basic.txt"))
+    log = scn.run({"levels": levels, "base": base}).log
+    result = replay.rebuild(log)
+    forms = forms_by_stage(result.presentation, base, levels,
+                           replay.census_checkpoints(log))
+    assert len(forms) == 6
 
 
 LONG_PHI = """\
