@@ -5,11 +5,14 @@
     ceerlab probe dump.jsonl SUBCOMMAND ...
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
-All output is deterministic; reruns write byte-identical logs.
+All output is deterministic; reruns write byte-identical logs.  In-process
+callers may call `main` repeatedly: it builds its parser on the first call
+and looks each command's `cmd_*` function up by name when it runs it.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -459,6 +462,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ceerlab",
@@ -477,12 +481,10 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--modulus", type=int)
     runp.add_argument("--unit-exponent", dest="unit_exponent", type=int)
     runp.add_argument("--out")
-    runp.set_defaults(func=cmd_run)
 
     verp = sub.add_parser("verify", help="check an invariant suite on a log")
     verp.add_argument("log")
     verp.add_argument("suite", help=", ".join(SUITES))
-    verp.set_defaults(func=cmd_verify)
 
     probep = sub.add_parser("probe", help="query ceer dump files")
     psub = probep.add_subparsers(dest="subcommand", required=True)
@@ -491,7 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("dump")
         sp.add_argument("--stage", type=int)
         sp.add_argument("--bound", type=int)
-        sp.set_defaults(func=cmd_probe)
 
     sp = psub.add_parser("related")
     common(sp)
@@ -525,7 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        rc = args.func(args)
+        # looked up on each call: a tracer may replace a cmd_* between calls
+        rc = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()
         return rc
     except BrokenPipeError as exc:

@@ -1,4 +1,5 @@
 """Command-line surface: run, verify, probe, and their exit codes."""
+import argparse
 import importlib
 import io
 import json
@@ -966,6 +967,74 @@ def test_probe_empty_map(dumps, capsys):
     rc = main(["probe", "pullback", left, "--map", " "])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+# -- repeated calls ---------------------------------------------------------
+# The tests and the benchmark call main many times in one process.
+
+
+def test_repeated_calls_construct_no_parser(dumps, tmp_path, monkeypatch,
+                                            capsys):
+    left, _ = dumps
+    assert main(["probe", "related", left, "0", "1"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["run", shipped("sigma3-basic.txt"),
+                 "--out", str(tmp_path / "run.jsonl")]) == 0
+    assert main(["verify", shipped("sug-basic.log.jsonl"),
+                 "triangularity"]) == 0
+    assert main(["probe", "classes", left]) == 0
+    assert built == []
+    argparse.ArgumentParser(prog="counted")
+    assert built == ["counted"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", shipped("sug-basic.log.jsonl")],
+    ["probe", "nope", shipped("sug-basic.log.jsonl")],
+])
+def test_usage_error_is_unchanged_by_earlier_calls(argv, dumps, tmp_path,
+                                                   monkeypatch, capsys):
+    """The same exit code and stderr as a fresh process, before and after
+    successful calls in this one."""
+    monkeypatch.setenv("COLUMNS", child_env()["COLUMNS"])
+    fresh = subprocess.run([sys.executable, "-m", "ceerlab", *argv],
+                           capture_output=True, text=True, env=child_env(),
+                           timeout=60)
+    assert fresh.returncode == 2 and fresh.stdout == ""
+
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr()
+
+    assert usage_error() == (2, ("", fresh.stderr))
+    left, _ = dumps
+    assert main(["run", shipped("sigma3-basic.txt"), "--stages", "5",
+                 "--out", str(tmp_path / "run.jsonl")]) == 0
+    assert main(["verify", shipped("sug-basic.log.jsonl"),
+                 "triangularity"]) == 0
+    assert main(["probe", "related", left, "--stage", "2", "0", "1"]) == 0
+    capsys.readouterr()
+    assert usage_error() == (2, ("", fresh.stderr))
+
+
+def test_run_after_a_stage_override_runs_the_scenario_stages(tmp_path,
+                                                             capsys):
+    out = str(tmp_path / "run.jsonl")
+    assert main(["run", shipped("sigma3-basic.txt"), "--stages", "5",
+                 "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["run", shipped("sigma3-basic.txt"), "--out", out]) == 0
+    captured = capsys.readouterr()
+    assert (re.sub(r"(?m)^log: .*$", "log: LOG", captured.out)
+            == SIGMA3_RUN.format(stages=60))
 
 
 # -- entry point ------------------------------------------------------------

@@ -2,8 +2,10 @@
 `run`/`verify` on shipped inputs with mutated numbers and values, and
 `probe` on small mutated dumps, which must exit 0, 1 or 2 and raise
 nothing; small generated star scenarios, whose runs must pass the star
-suites and replay to the run's statuses and summary; and small generated
-sigma3 and sug scenarios, whose logs must replay to the run's state.
+suites and replay to the run's statuses and summary; small generated
+sigma3 and sug scenarios, whose logs must replay to the run's state; and
+small generated dark scenarios, whose logs must replay to the run's
+summary and pass `membership` unless the run logged an audit failure.
 
 Examples are derandomized and no example database is kept, so every run
 of the suite tries the same inputs.
@@ -391,4 +393,59 @@ def test_generated_sigma3_and_sug_logs_replay_to_the_run(text):
             assert _exit_code(["verify", path, "triangularity"]) == 0
         rebuilt = replay.rebuild(RunLog.load(path))
     assert written_state(rebuilt) == written_state(result)
+    assert _summarize(rebuilt) == _summarize(result)
+
+
+# -- generated dark scenarios ----------------------------------------------
+
+
+@st.composite
+def dark_scenarios(draw):
+    """A small dark-ring or dark-group scenario: up to two trigger columns
+    of one or two rows, and up to two word columns of two or three rows.
+    A row of word column m is a monomial of degree m + 10 (the collapse
+    floor until a protected degree raises it) to m + 12, with or without
+    a degree-one term, so that collapses add relators above their floor
+    and injure the light strategies below them.  maxdeg leaves room for
+    every fresh degree a light strategy can bank, and the audit fails at
+    stage 0 (epsilon 1/3 against a unit exponent below 13) or after enough
+    relators of one degree."""
+    group = draw(st.booleans())
+    stages = draw(st.integers(1, 30))
+    lines = [f"construction = dark-{'group' if group else 'ring'}",
+             f"stages = {stages}",
+             f"epsilon = {draw(st.sampled_from(('1/4', '1/5', '1/3')))}"]
+    exponent = draw(st.integers(11, 13)) if group else 0
+    if group:
+        lines.append(f"unit_exponent = {exponent}")
+    light = 0
+    for n in draw(st.lists(st.integers(0, 2), max_size=2, unique=True)):
+        rows = draw(st.lists(st.integers(1, stages), min_size=1, max_size=2))
+        light += len(rows)
+        lines.append(f"[ucolumn {n}]")
+        lines += [f"{stage}: {i}" for i, stage in enumerate(rows)]
+    top = 0
+    for m in draw(st.lists(st.integers(0, 1), max_size=2, unique=True)):
+        lines.append(f"[wcolumn {m}]")
+        for _ in range(draw(st.integers(2, 3))):
+            deg = draw(st.integers(m + 10, m + 12))
+            word = Monomial(deg, draw(st.integers(0, (1 << deg) - 1))).word
+            low = draw(st.sampled_from(("", "x + ", "y + ")))
+            lines.append(f"{draw(st.integers(1, stages))}: {low}{word}")
+            top = max(top, deg)
+    maxdeg = max(top, exponent) + light + draw(st.integers(0, 1))
+    lines.insert(2, f"maxdeg = {maxdeg}")
+    return "\n".join(lines) + "\n"
+
+
+@DETERMINISTIC
+@given(dark_scenarios())
+def test_generated_dark_logs_replay_and_pass_membership(text):
+    result = parse_scenario(text).run()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dark.jsonl")
+        result.log.dump(path)
+        failed = result.gs_failure is not None
+        assert _exit_code(["verify", path, "membership"]) == int(failed)
+        rebuilt = replay.rebuild(RunLog.load(path))
     assert _summarize(rebuilt) == _summarize(result)

@@ -4,12 +4,17 @@
 ``bench/spans.py::TRACED`` and stops with AttributeError or KeyError when
 one is gone.  The list is read here with ``ast``, without importing the
 benchmark, so deleting or renaming a traced function fails this suite.
+The tracer installs its wrappers partway through a run, so a command that
+main has already run must still be reached through its patched name.
 """
 import ast
 import importlib
 import os
 
-SPANS = os.path.join(os.path.dirname(__file__), "..", "bench", "spans.py")
+from ceerlab import cli
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SPANS = os.path.join(ROOT, "bench", "spans.py")
 
 
 def traced_names():
@@ -35,3 +40,19 @@ def test_every_traced_name_resolves():
             assert parts[1] in vars(cls), f"{module}.{path} ({span})"
         else:
             assert callable(getattr(owner, path, None)), f"{module}.{path} ({span})"
+
+
+def test_main_calls_the_command_patched_after_its_first_call(monkeypatch,
+                                                             capsys):
+    log = os.path.join(ROOT, "scenarios", "sug-basic.log.jsonl")
+    assert cli.main(["verify", log, "triangularity"]) == 0
+    calls = []
+    command = cli.cmd_verify
+
+    def traced(args):
+        calls.append(args.suite)
+        return command(args)
+
+    monkeypatch.setattr(cli, "cmd_verify", traced)
+    assert cli.main(["verify", log, "triangularity"]) == 0
+    assert calls == ["triangularity"]
