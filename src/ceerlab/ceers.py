@@ -18,7 +18,10 @@ checked, never allocated, and its memory follows its pairs, up to the
 constant INDEX_CEILING on the indices pairs may name.  `product`
 walks pairs too, asserting each factor pair against every index of the
 other factor; `roots_at`, `classes_at` and `pullback` take time linear in
-a bound, as their output does.
+a bound, as their output does.  The checks climb once per index they read
+and never ask `related` pair by pair: `verify_reduction` takes time linear
+in its bound plus the pairs its report lists, and `darkness_probe` and
+`lightness_witness_check` linear in the indices they are given.
 
 Equality of two indices is a positive, stage-monotone fact.  Inequality
 never is: a pair that is unrelated at stage s may become related later,
@@ -31,6 +34,7 @@ from __future__ import annotations
 import heapq
 import json
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -525,24 +529,68 @@ def pullback(f: ReductionFn, target: CeerTable, bound: int | None = None) -> Cee
     return out
 
 
+def _split_pairs(outer: Sequence[Any], inner: Sequence[Any]) -> list[tuple[int, int]]:
+    """The pairs i < j with outer[i] == outer[j] but inner[i] != inner[j], in
+    order.  Each index links to the next member of its outer class and to
+    the next one whose inner label differs from its own; a walk from i jumps
+    over a run of i's own label in one step and lands on a pair or past the
+    class, so the work is linear in len(outer) plus the pairs listed."""
+    n = len(outer)
+    nxt = [-1] * n   # the next member of i's outer class
+    skip = [-1] * n  # the next member of i's outer class not labelled inner[i]
+    later: dict[Any, int] = {}
+    for i in range(n - 1, -1, -1):
+        j = later.get(outer[i], -1)
+        later[outer[i]] = i
+        if j >= 0:
+            nxt[i] = j
+            skip[i] = j if inner[j] != inner[i] else skip[j]
+    pairs = []
+    for i in range(n):
+        label, j = inner[i], nxt[i]
+        while j >= 0:
+            if inner[j] == label:
+                j = skip[j]
+            else:
+                pairs.append((i, j))
+                j = nxt[j]
+    return pairs
+
+
 def verify_reduction(
     f: ReductionFn, source: CeerTable, target: CeerTable, bound: int, stage: int
 ) -> ReductionReport:
-    """Check f as a reduction from source to target on indices below bound."""
+    """Check f as a reduction from source to target on indices below bound.
+
+    Reads three partition snapshots, each at the indices the check needs:
+    the target's at its last stage through the images f(0..bound-1), and
+    the source's at `stage` and at max(its last stage, `stage`).  Positive
+    violations are listed inside the source's classes at `stage`, unaligned
+    pairs inside the images' classes.  An index out of a table's bound
+    raises the IndexError that the pairs (0, j) meet first, in the order
+    f(0), f(j), 0, j, for j = 1, 2, ...; below bound 2 there is no pair and
+    nothing is checked.
+    """
     for n in range(bound):
         if n not in f.table:
             raise PartialityError(f"reduction function diverges on argument {n}")
-    report = ReductionReport(bound=bound, stage=stage)
-    final_t = target.last_stage
-    final_s = source.last_stage
-    for i in range(bound):
-        for j in range(i + 1, bound):
-            images_related = target.related(f(i), f(j), final_t)
-            if source.related(i, j, stage) and not images_related:
-                report.positive_violations.append((i, j))
-            elif images_related and not source.related(i, j, max(final_s, stage)):
-                report.unaligned_so_far.append((i, j))
-    return report
+    if bound < 2:
+        return ReductionReport(bound=bound, stage=stage)
+    images = [f(n) for n in range(bound)]
+    target._check_index(images[0])
+    for j in range(1, bound):
+        target._check_index(images[j])
+        if j == 1:
+            source._check_index(0)
+        source._check_index(j)
+    final_t, late = target.last_stage, max(source.last_stage, stage)
+    image_roots = [target._top(fi, final_t) for fi in images]
+    roots = [source._top(i, stage) for i in range(bound)]
+    late_roots = roots if late == stage else [
+        source._top(i, late) for i in range(bound)]
+    return ReductionReport(bound, stage,
+                           _split_pairs(roots, image_roots),
+                           _split_pairs(image_roots, late_roots))
 
 
 def darkness_probe(
@@ -550,27 +598,41 @@ def darkness_probe(
 ) -> tuple[int, int] | None:
     """First pair of distinct witness-set members related by `stage`, if any.
 
-    A None answer is not evidence of a transversal: it only says the
-    enumerated part has not collided yet.
+    Pairs are ordered by their positions in the witness set, first then
+    second: the answer is the earliest member whose class holds a later
+    one, with the next such member.  A None answer is not evidence of a
+    transversal: it only says the enumerated part has not collided yet.
     """
     values = [v for v in witness_set.at_stage(stage) if 0 <= v < table.bound]
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            a, b = values[i], values[j]
-            if a != b and table.related(a, b, stage):
-                return (a, b)
+    roots = [table._top(v, stage) for v in values]
+    sizes = Counter(roots)
+    for i, r in enumerate(roots):
+        if sizes[r] > 1:
+            return values[i], values[roots.index(r, i + 1)]
     return None
 
 
 def lightness_witness_check(
     table: CeerTable, transversal: Sequence[int], stage: int
 ) -> bool:
-    """True iff the listed indices are pairwise unrelated at the stage."""
+    """True iff the listed indices are pairwise unrelated at the stage.
+
+    Entries are checked against the table's bound in order, as the pairs
+    (0, j) meet them, and the check stops at the first entry related to
+    the first one; a lone entry is not checked.
+    """
     items = list(transversal)
     if len(set(items)) != len(items):
         raise ValueError("transversal entries must be distinct")
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if table.related(items[i], items[j], stage):
-                return False
-    return True
+    if len(items) < 2:
+        return True
+    table._check_index(items[0])
+    first = table._top(items[0], stage)
+    roots = {first}
+    for x in items[1:]:
+        table._check_index(x)
+        r = table._top(x, stage)
+        if r == first:
+            return False
+        roots.add(r)
+    return len(roots) == len(items)

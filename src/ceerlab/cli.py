@@ -43,9 +43,11 @@ from .star import StarResult, check_size, level_forms
 
 __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
 
-# verify-reduction checks every pair of indices below its bound, about 2 us a
-# pair on a 2-vCPU x86-64 machine: bounds 500, 1,000 and 1,414 took 0.26,
-# 1.0 and 2.0 s in-process, so the ceiling allows bound 1,414.
+# verify-reduction takes time linear in its bound plus its report, but a
+# report can list about bound**2 / 2 index pairs, so the ceiling bounds the
+# report's size.  In-process on a 2-vCPU x86-64 machine, bound 1,414 took
+# 0.01 s with a one-line report, and 0.05, 0.24 and 0.44 s at bounds 500,
+# 1,000 and 1,414 to list every pair (11 MB of text at 1,414).
 VERIFY_PAIR_CEILING = 1_000_000
 
 _STAR_LOGS = ("star-universal",)

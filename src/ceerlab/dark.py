@@ -35,7 +35,13 @@ from .ceers import StageSet
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 
 __all__ = ["DarkRunResult", "run_dark_ring", "run_dark_group", "growth_audit",
-           "apply_record"]
+           "apply_record", "collapse_floor"]
+
+
+def collapse_floor(m: int) -> int:
+    """The least degree floor at which collapse strategy D_m compares its
+    words; a run whose horizon lies below it cannot reduce them."""
+    return m + 10
 
 
 @dataclass
@@ -169,7 +175,8 @@ class _CollapseReq(Requirement):
         self._found: tuple[int, int, int] | None = None
 
     def _degree_floor(self) -> int:
-        return max(self.m + 10, self.state.result.protected_upto(self.m))
+        return max(collapse_floor(self.m),
+                   self.state.result.protected_upto(self.m))
 
     def ready(self, stage: int) -> bool:
         if self.acted or self.column is None:

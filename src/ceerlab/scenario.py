@@ -37,7 +37,7 @@ from typing import Any, Callable
 
 from .algebra import MAXDEG_CEILING, Monomial, Poly
 from .ceers import CeerTable, FunctionalStub, StageSet
-from .dark import run_dark_group, run_dark_ring
+from .dark import collapse_floor, run_dark_group, run_dark_ring
 from .engine import ConstructionRun
 from .indexset import SumFunctionalStub, run_sug_indexset
 from .sigma3 import run_sigma3_ceer
@@ -457,6 +457,11 @@ def _run_dark(scn: Scenario, params: dict[str, Any], mode: str) -> ConstructionR
     u_columns = _indexed(scn, "ucolumn", lambda s: _int_stream(s, stages))
     w_columns = _indexed(scn, "wcolumn",
                          lambda s: _poly_stream(s, stages, maxdeg, p))
+    for sec in scn.sections_named("wcolumn"):
+        floor = collapse_floor(sec.arg)
+        if floor > maxdeg and w_columns[sec.arg].count_at(stages) > 0:
+            raise ScenarioError(f"[wcolumn {sec.arg}] collapse floor {floor} "
+                                f"is above maxdeg {maxdeg}", sec.line)
     if mode == "ring":
         return run_dark_ring(u_columns, w_columns, stages=stages,
                              maxdeg=maxdeg, p=p, epsilon=epsilon)

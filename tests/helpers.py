@@ -1,7 +1,9 @@
 """Views of run state that only the tests read: a log's records filtered by
 requirement or action, a star run's free generators, the reference normal
-form of a level word and a comparison of two, and the part of a sigma3 or
-sug result its writer owns."""
+form of a level word and a comparison of two, the part of a sigma3 or sug
+result its writer owns, and the pairwise references for the `ceers` checks
+that read partition snapshots."""
+from ceerlab.ceers import PartialityError, ReductionReport
 from ceerlab.groups import (
     CyclicFactor,
     FreeProduct,
@@ -76,3 +78,48 @@ def written_state(result):
         return result.columns, result.used_columns, result.restraints
     return (result.assignments, result.restraints,
             {slot: t.pairs for slot, t in result.table_slots.items()})
+
+
+# -- pairwise references for the ceers checks ----------------------------------
+
+
+def pairwise_verify_reduction(f, source, target, bound, stage):
+    """`ceers.verify_reduction` as a walk over every pair below the bound,
+    asking `related` of each: the reference for the snapshot version."""
+    for n in range(bound):
+        if n not in f.table:
+            raise PartialityError(f"reduction function diverges on argument {n}")
+    report = ReductionReport(bound=bound, stage=stage)
+    final_t = target.last_stage
+    final_s = source.last_stage
+    for i in range(bound):
+        for j in range(i + 1, bound):
+            images_related = target.related(f(i), f(j), final_t)
+            if source.related(i, j, stage) and not images_related:
+                report.positive_violations.append((i, j))
+            elif images_related and not source.related(i, j, max(final_s, stage)):
+                report.unaligned_so_far.append((i, j))
+    return report
+
+
+def pairwise_darkness_probe(table, witness_set, stage):
+    """`ceers.darkness_probe` as a walk over every pair of witnesses."""
+    values = [v for v in witness_set.at_stage(stage) if 0 <= v < table.bound]
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            a, b = values[i], values[j]
+            if a != b and table.related(a, b, stage):
+                return (a, b)
+    return None
+
+
+def pairwise_lightness_witness_check(table, transversal, stage):
+    """`ceers.lightness_witness_check` as a walk over every pair of entries."""
+    items = list(transversal)
+    if len(set(items)) != len(items):
+        raise ValueError("transversal entries must be distinct")
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            if table.related(items[i], items[j], stage):
+                return False
+    return True

@@ -3,6 +3,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ceerlab.ceers import (
     INDEX_CEILING,
@@ -11,6 +13,7 @@ from ceerlab.ceers import (
     FunctionalStub,
     PartialityError,
     ReductionFn,
+    ReductionReport,
     StageSet,
     darkness_probe,
     lightness_witness_check,
@@ -21,6 +24,11 @@ from ceerlab.ceers import (
 )
 from ceerlab.pairing import pair, unpair
 
+from helpers import (
+    pairwise_darkness_probe,
+    pairwise_lightness_witness_check,
+    pairwise_verify_reduction,
+)
 from oracles import (
     StagedClosure,
     join_related,
@@ -452,3 +460,133 @@ def test_lightness_witness_check():
     assert not lightness_witness_check(t, [1, 3], 2)
     with pytest.raises(ValueError):
         lightness_witness_check(t, [1, 1], 0)
+
+
+# -- snapshot checks vs their pairwise references ----------------------------
+
+DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None,
+                        max_examples=400)
+
+
+@st.composite
+def staged_tables(draw, least=0):
+    """A table of bound least-12, empty or with pairs among its first
+    indices."""
+    bound = draw(st.integers(least, 12))
+    named = draw(st.integers(0, bound))
+    table, stage = CeerTable(bound), 0
+    if named:
+        index = st.integers(0, named - 1)
+        for a, b, step in draw(st.lists(
+                st.tuples(index, index, st.integers(0, 2)),
+                min_size=named, max_size=14)):
+            stage += step
+            table.assert_pair(a, b, stage)
+    return table
+
+
+def query_stages(*tables):
+    """Stages before, between and past the tables' pairs."""
+    return st.integers(-1, max(t.last_stage for t in tables) + 2)
+
+
+def indices(draw, table):
+    """Indices of the table, or now and then indices around its bound."""
+    if draw(st.integers(0, 3)):
+        return st.integers(0, max(table.bound - 1, 0))
+    return st.integers(-1, table.bound + 1)
+
+
+def outcome(check, *args):
+    """A check's return value, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def reductions(draw):
+    bound = draw(st.integers(0, 12))
+    source_least = bound if draw(st.integers(0, 3)) else 0
+    source, target = draw(staged_tables(source_least)), draw(staged_tables())
+    image = indices(draw, target)
+    table = {n: (draw(image), 0) for n in range(bound)}
+    if table and draw(st.integers(0, 3)) == 0:  # a map partial below bound
+        del table[draw(st.sampled_from(sorted(table)))]
+    fn = ReductionFn(table, bound)
+    return fn, source, target, bound, draw(query_stages(source, target))
+
+
+@DIFFERENTIAL
+@given(reductions())
+# f(1) and 1 both out of bound: the image is met first
+@example((ReductionFn({0: (0, 0), 1: (5, 0)}, 2), CeerTable(1), CeerTable(1),
+          2, 0))
+def test_verify_reduction_matches_pairwise_walk_and_oracle(case):
+    fn, source, target, bound, stage = case
+    got = outcome(verify_reduction, *case)
+    assert got == outcome(pairwise_verify_reduction, *case)
+    if not isinstance(got, ReductionReport):
+        return
+    src, tgt = closure_of(source), closure_of(target)
+    late, final = max(source.last_stage, stage), target.last_stage
+    pairs = [(i, j) for i in range(bound) for j in range(i + 1, bound)]
+    images = [(i, j) for i, j in pairs if tgt.related(fn(i), fn(j), final)]
+    assert got.positive_violations == [
+        (i, j) for i, j in pairs
+        if src.related(i, j, stage) and (i, j) not in images]
+    assert got.unaligned_so_far == [
+        (i, j) for i, j in images if not src.related(i, j, late)]
+
+
+@st.composite
+def witness_probes(draw):
+    table = draw(staged_tables())
+    rows = draw(st.lists(st.tuples(indices(draw, table), st.integers(0, 6)),
+                         max_size=10))
+    return table, StageSet.from_rows(rows), draw(query_stages(table))
+
+
+@DIFFERENTIAL
+@given(witness_probes())
+def test_darkness_probe_matches_pairwise_walk(case):
+    assert outcome(darkness_probe, *case) == outcome(pairwise_darkness_probe,
+                                                     *case)
+
+
+@st.composite
+def transversals(draw):
+    table = draw(staged_tables())
+    items = draw(st.lists(indices(draw, table), unique=True, max_size=7))
+    if items and draw(st.integers(0, 3)) == 0:  # a repeated entry
+        items.append(draw(st.sampled_from(items)))
+    return table, items, draw(query_stages(table))
+
+
+@DIFFERENTIAL
+@given(transversals())
+# related entries come before an out-of-bound one
+@example((CeerTable.from_pairs([(1, 3, 0)], 4), [1, 3, 99], 0))
+def test_lightness_witness_check_matches_pairwise_walk(case):
+    assert outcome(lightness_witness_check, *case) == outcome(
+        pairwise_lightness_witness_check, *case)
+
+
+def test_snapshot_checks_call_no_related(monkeypatch):
+    rng = random.Random(31)
+    source = random_table(rng, bound=40, n_pairs=30, max_stage=20)
+    target = random_table(rng, bound=12, n_pairs=8, max_stage=20)
+    fn = ReductionFn({n: (rng.randrange(12), 0) for n in range(40)}, 40)
+    wits = StageSet((n, n // 4) for n in range(40))
+    expected = (pairwise_verify_reduction(fn, source, target, 40, 10),
+                pairwise_darkness_probe(source, wits, 10),
+                pairwise_lightness_witness_check(source, range(40), 10))
+    assert expected[0].positive_violations and expected[0].unaligned_so_far
+    calls = []
+    monkeypatch.setattr(CeerTable, "related",
+                        lambda *args: calls.append(args))
+    assert (verify_reduction(fn, source, target, 40, 10),
+            darkness_probe(source, wits, 10),
+            lightness_witness_check(source, range(40), 10)) == expected
+    assert calls == []

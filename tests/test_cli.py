@@ -16,7 +16,7 @@ import pytest
 import ceerlab
 from ceerlab.ceers import CeerTable
 from ceerlab.cli import main
-from ceerlab.engine import RunLog
+from ceerlab.engine import PriorityEngine, RunLog
 from ceerlab.pairing import pair
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -139,6 +139,44 @@ def test_run_maxdeg_above_ceiling(maxdeg, route, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: bad maxdeg {maxdeg}: must lie in [0, 64]\n"
     assert not out.exists()
+
+
+# a word column whose collapse floor, 10 above its index, passes maxdeg
+DARK_BELOW_FLOOR = """\
+construction = dark-ring
+stages = 10
+maxdeg = 9
+[wcolumn 0]
+3: x
+"""
+
+
+@pytest.mark.parametrize("route", ["flag", "scenario"])
+def test_run_refuses_wcolumn_above_maxdeg_before_stage_1(route, tmp_path,
+                                                          monkeypatch, capsys):
+    text, flags = DARK_BELOW_FLOOR, []
+    if route == "flag":
+        text, flags = text.replace("maxdeg = 9", "maxdeg = 16"), ["--maxdeg",
+                                                                  "9"]
+    scenario, out = tmp_path / "dark.txt", tmp_path / "dark.jsonl"
+    scenario.write_text(text)
+    stages = []
+    monkeypatch.setattr(PriorityEngine, "run_stage",
+                        lambda self, stage: stages.append(stage))
+    rc = main(["run", str(scenario), *flags, "--out", str(out)])
+    assert (rc, *capsys.readouterr()) == (
+        2, "", "error: line 4: [wcolumn 0] collapse floor 10 is above "
+               "maxdeg 9\n")
+    assert stages == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--maxdeg", "10"], ["--stages", "2"]],
+                         ids=["floor-at-maxdeg", "rows-past-stages"])
+def test_run_keeps_wcolumn_at_maxdeg_or_past_stages(flags, tmp_path, capsys):
+    scenario, out = tmp_path / "dark.txt", tmp_path / "dark.jsonl"
+    scenario.write_text(DARK_BELOW_FLOOR)
+    assert main(["run", str(scenario), *flags, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("route", ["flag", "scenario"])

@@ -1,6 +1,6 @@
 """The gates every change must keep: `run` logs at scale and under any hash
-seed, and the `verify` output of each shipped log under each suite, byte
-for byte.
+seed, the `verify` output of each shipped log under each suite, and the
+`probe verify-reduction` output of a few small dumps, byte for byte.
 
 The log digests and the verify outputs were captured from a commit whose
 logs and verdicts were checked by hand; a change that moves one of them
@@ -195,6 +195,45 @@ def test_verify_of_bad_output_table_entry_is_pinned(case, suite, tmp_path,
     rc = main(["verify", str(path), suite])
     assert (rc, *capsys.readouterr()) == (
         2, "", f"error: malformed log for suite {suite}: {error}\n")
+
+
+# `probe verify-reduction` from a left dump (0 ~ 1 from stage 3, bound 4) to a
+# right one (2 ~ 3 from stage 1, bound 4): (exit code, stdout, stderr)
+PINNED_VERIFY_REDUCTION = {
+    "no-violations": (["--map", "0:2,1:3,2:0,3:1"],
+                      (0, "no violations\n", "")),
+    "positive-violations": (
+        ["--map", "0:2,1:0,2:1,3:1"],
+        (1, "1 positive violation(s): (0,1); 1 pair(s) unaligned so far "
+            "(inconclusive): (2,3)\n", "")),
+    "unaligned-only": (
+        ["--map", "0:0,1:0,2:2,3:3"],
+        (0, "1 pair(s) unaligned so far (inconclusive): (2,3)\n", "")),
+    "stage-before-source-pair": (
+        ["--map", "0:2,1:0,2:1,3:1", "--stage", "2"],
+        (0, "1 pair(s) unaligned so far (inconclusive): (2,3)\n", "")),
+    "map-value-past-target": (
+        ["--map", "0:9,1:8,2:2,3:3"],
+        (1, "1 positive violation(s): (0,1); 1 pair(s) unaligned so far "
+            "(inconclusive): (2,3)\n", "")),
+    "bound-past-source": (
+        ["--map", "0:0,1:0,2:2,3:3,4:2,5:3", "--bound", "6"],
+        (0, "6 pair(s) unaligned so far (inconclusive): (2,3), (2,4), (2,5), "
+            "(3,4), (3,5), (4,5)\n", "")),
+    "bound-past-map": (
+        ["--map", "0:0,1:0,2:2", "--bound", "4"],
+        (2, "", "error: reduction function diverges on argument 3\n")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_VERIFY_REDUCTION))
+def test_probe_verify_reduction_is_pinned(case, tmp_path, capsys):
+    left, right = tmp_path / "left.jsonl", tmp_path / "right.jsonl"
+    left.write_text('{"a": 0, "b": 1, "s": 3}\n')
+    right.write_text('{"a": 2, "b": 3, "s": 1}\n')
+    flags, expected = PINNED_VERIFY_REDUCTION[case]
+    rc = main(["probe", "verify-reduction", str(left), str(right), *flags])
+    assert (rc, *capsys.readouterr()) == expected
 
 
 # every shipped scenario run in a fresh interpreter, writing its log into the
