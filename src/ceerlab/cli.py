@@ -34,7 +34,7 @@ from .ceers import (
 )
 from .dark import DarkRunResult, growth_audit
 from .engine import RunLog
-from .groups import TriangularityError, validate_relation_stream
+from .groups import TriangularityError
 from .indexset import SugResult
 from .pairing import pair
 from .scenario import load_scenario, parse_epsilon
@@ -196,23 +196,29 @@ def _star_suite(suite: str, vacuous: str):
 
 
 def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
+    """Replay the log: each relation added to the main presentation or to a
+    sug group slot's must be triangular and in stage order."""
     _want_constructions(log, ("star-universal", "sug-indexset"),
                         "triangularity")
-    streams = replay.relator_streams(log)
-    if not any(streams.values()):
+    result = replay.start(log)
+    sug = isinstance(result, SugResult)
+    applied = 0
+    try:
+        for applied, _ in enumerate(replay.steps(log, result), start=1):
+            pass
+    except (TriangularityError, StageRegressionError) as exc:
+        name = log.records[applied].details["slot"] if sug else "main"
+        return False, [f"{name}: FAIL: {exc}"]
+    # a table slot is no presentation: it counts no relators
+    counts = dict.fromkeys(result.table_slots if sug else (), 0)
+    results = result.group_slots if sug else {"main": result}
+    counts.update((name, len(res.presentation.relations))
+                  for name, res in results.items())
+    if not any(counts.values()):
         return True, ["warning: no relators in log; triangularity passes "
                       "vacuously"]
-    lines = []
-    ok = True
-    for name in sorted(streams):
-        try:
-            validate_relation_stream(streams[name])
-            lines.append(f"{name}: {len(streams[name])} relators triangular, "
-                         "stages nondecreasing")
-        except (TriangularityError, StageRegressionError) as exc:
-            ok = False
-            lines.append(f"{name}: FAIL: {exc}")
-    return ok, lines
+    return True, [f"{name}: {count} relators triangular, stages nondecreasing"
+                  for name, count in sorted(counts.items())]
 
 
 @_star_suite("level-census", "census")

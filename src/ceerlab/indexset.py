@@ -3,7 +3,7 @@
 Three requirement families interleave as C_0, L_0, D_0, C_1, ...:
 
  * C_k advances a private embedded copy of the star construction, one
-   inner stage per trigger; the copy lives in a fresh group slot g<l>.
+   inner stage per trigger; its result is a fresh group slot g<l>.
  * D_d, d = <k, k'>, watches two columns and, each time both grow,
    copies the next listed pair of a fixed coded universal table into a
    fresh table slot h<l>.
@@ -15,11 +15,11 @@ clears all live higher-priority restraints.  All slots are declared
 abelian-ambient at stage 0.
 
 The requirements only decide and log.  `apply_record` alone turns a logged
-record into the result's assignments, table slots and restraints, for the
-run as each record is logged and for replay of a finished log.  A group
-slot's star instance is the exception: it is the inner run that decides
-the inner records, so `_GroupBuilderReq.act` keeps it in `group_slots`,
-and `star.apply_record` is the only writer of its presentation.
+record into the result's assignments, group and table slots and
+restraints, for the run as each record is logged and for replay of a
+finished log.  A group slot is a star result: `star.apply_record` applies
+each inner record to it, and the C requirement's star construction only
+decides them.
 """
 from __future__ import annotations
 
@@ -27,10 +27,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Mapping
 
-from .ceers import CeerTable, StageSet
+from . import star
+from .ceers import INDEX_CEILING, CeerTable, StageRegressionError, StageSet
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
+from .groups import StagedPresentation
 from .pairing import unpair
-from .star import PhiEntry, StarConstruction
+from .star import PhiEntry, StarConstruction, StarResult
 
 __all__ = ["SumFunctionalStub", "SugResult", "run_sug_indexset",
            "apply_record"]
@@ -56,28 +58,51 @@ class SumFunctionalStub:
 @dataclass
 class SugResult(ConstructionRun):
     coded_universal: CeerTable
-    group_slots: dict[str, StarConstruction] = field(default_factory=dict)
+    group_slots: dict[str, StarResult] = field(default_factory=dict)
     table_slots: dict[str, CeerTable] = field(default_factory=dict)
     assignments: dict[str, str] = field(default_factory=dict)
     restraints: dict[int, tuple[str, ...] | None] = field(default_factory=dict)
 
 
+def _group_slot(result: SugResult, slot: str) -> StarResult:
+    """An empty group slot of the header's star shape; its universal table
+    is empty and its output table is bounded by the index ceiling."""
+    base, levels = result.params["star_base"], result.params["star_levels"]
+    star.check_size(base, levels)
+    return StarResult(
+        f"star@{slot}", result.params, result.stages, result.log,
+        presentation=StagedPresentation(ngens=base ** (levels + 1)),
+        table=CeerTable(bound=INDEX_CEILING), universal=CeerTable(bound=0),
+        base=base, levels=levels)
+
+
 def apply_record(result: SugResult, record: ActionRecord) -> None:
     """Apply one logged sug record to its result: the slot it opens, the
-    coded pair it copies into a table slot, the restraint it places, and the
-    restraints of the L_m it injures.  The run calls this on each record it
-    logs and replay on each record it reads, so both build the same state."""
+    inner star records it applies to a group slot, the coded pair it copies
+    into a table slot (ValueError out of stage order: a pair is not a
+    relation), the restraint it places and the restraints of the L_m it
+    injures.  The run and replay call this on each record, alike."""
     details = record.details
     if record.action == "open-slot":
         result.assignments[record.requirement] = details["slot"]
         if record.kind == "D":
             result.table_slots[details["slot"]] = CeerTable(
                 bound=result.coded_universal.bound)
+        elif record.kind == "C":
+            result.group_slots[details["slot"]] = _group_slot(
+                result, details["slot"])
     elif record.action == "place-restraint":
         result.restraints[int(record.requirement[1:])] = tuple(details["slots"])
+    if record.kind == "C":
+        group = result.group_slots[details["slot"]]
+        for inner in details["inner"]:
+            star.apply_record(group, ActionRecord.from_obj(inner))
     if record.kind == "D" and details["pair"] is not None:
         a, b = details["pair"]
-        result.table_slots[details["slot"]].assert_pair(a, b, record.stage)
+        try:
+            result.table_slots[details["slot"]].assert_pair(a, b, record.stage)
+        except StageRegressionError as exc:
+            raise ValueError(f"table slot {exc}") from None
     for name in details.get("reinitialized", ()):
         if name.startswith("L"):
             result.restraints[int(name[1:])] = None
@@ -108,6 +133,7 @@ class _GroupBuilderReq(Requirement):
         self.template = template
         self.consumed = 0
         self.slot: str | None = None
+        self.instance: StarConstruction | None = None
 
     def ready(self, stage: int) -> bool:
         return self.column is not None and self.column.count_at(stage) > self.consumed
@@ -116,23 +142,18 @@ class _GroupBuilderReq(Requirement):
         self.consumed += 1
         if self.slot is None:
             self.slot = _fresh_slot(self.result, "g", self.k)
-            instance = StarConstruction(
-                universal=self.template["universal"],
-                phis=self.template["phis"],
-                base=self.template["base"],
-                levels=self.template["levels"],
-                stages=self.template["stages"],
-                name=f"star@{self.slot}",
-            )
-            self.result.group_slots[self.slot] = instance
-            records = instance.initialize()
+            # this record's writer applies the inner records it carries
+            self.instance = StarConstruction(
+                **self.template, name=f"star@{self.slot}",
+                apply=lambda record: None)
+            records = self.instance.initialize()
             return {"action": "open-slot", "slot": self.slot,
                     "inner": [r.to_obj() for r in records]}
-        instance = self.result.group_slots[self.slot]
-        record = instance.step()
+        self.instance.attach(self.result.group_slots[self.slot])
+        record = self.instance.step()
         inner = [record.to_obj()] if record is not None else []
         return {"action": "advance-slot", "slot": self.slot,
-                "inner_stage": instance.stage, "inner": inner}
+                "inner_stage": self.instance.stage, "inner": inner}
 
     def reinitialize(self, stage: int, by: str) -> None:
         self.slot = None
@@ -227,13 +248,8 @@ def run_sug_indexset(
     log = RunLog({"construction": "sug-indexset", "params": params})
     result = SugResult("sug-indexset", params, stages, log,
                        coded_universal=coded_universal)
-    template = {
-        "universal": star_universal,
-        "phis": star_phis,
-        "base": star_base,
-        "levels": star_levels,
-        "stages": stages,
-    }
+    template = dict(universal=star_universal, phis=star_phis, base=star_base,
+                    levels=star_levels, stages=stages)
     top = max(
         list(v_columns) + list(u_columns) + list(sum_functionals),
         default=-1,

@@ -5,9 +5,10 @@ empty result a log's header describes, `steps` applies each record through
 the construction's `apply_record`, the writer the engine calls on each
 record the run logs, and `rebuild` returns the finished result.  So a
 replayed log holds the run's own result, except what the log does not
-carry: sigma3's join-table pairs (it counts them), sug's group-slot star
-instances (their relators are streams here) and a star run's witness-pool
-bound (a replayed output table is bounded by the index ceiling).
+carry: sigma3's join-table pairs (it counts them), the universal table of
+a sug group slot (a replayed slot's is empty) and a star run's
+witness-pool bound (a replayed output table is bounded by the index
+ceiling).
 """
 from __future__ import annotations
 
@@ -19,11 +20,7 @@ from .ceers import INDEX_CEILING, CeerTable
 from .engine import ActionRecord, ConstructionRun, RunLog
 from .groups import StagedPresentation
 
-__all__ = ["CONSTRUCTIONS", "start", "steps", "rebuild", "relator_streams",
-           "census_checkpoints"]
-
-# (lhs, the record's own [index, exponent] entries, stage)
-Relator = tuple[int, list[list[int]], int]
+__all__ = ["CONSTRUCTIONS", "start", "steps", "rebuild", "census_checkpoints"]
 
 
 def _dark(params: dict) -> dict:
@@ -88,24 +85,6 @@ def rebuild(log: RunLog) -> ConstructionRun:
     for _ in steps(log, result):
         pass
     return result
-
-
-def relator_streams(log: RunLog) -> dict[str, list[Relator]]:
-    """Relation streams keyed by presentation (slot id, or 'main')."""
-    streams: dict[str, list[Relator]] = {}
-    if log.header.get("construction") == "sug-indexset":
-        for rec in log.records:
-            slot = rec.details.get("slot")
-            if slot is None:
-                continue
-            target = streams.setdefault(slot, [])
-            for inner in rec.details.get("inner", ()):
-                target.extend(star.record_relators(inner, inner["stage"]))
-    else:
-        target = streams.setdefault("main", [])
-        for rec in log.records:
-            target.extend(star.record_relators(rec.details, rec.stage))
-    return streams
 
 
 def census_checkpoints(log: RunLog) -> list[int]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ceers import CeerTable, StageRegressionError
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
@@ -44,7 +44,6 @@ __all__ = [
     "run_star_universal",
     "level_letters",
     "apply_record",
-    "record_relators",
 ]
 
 Word = tuple[tuple[int, int], ...]
@@ -96,17 +95,6 @@ _STATUS_KEYS = (("freed", "free"), ("collapsed", "collapsed"),
                 ("determined", "determined"))
 
 
-def record_relators(details: Mapping[str, Any],
-                    stage: int) -> list[tuple[int, list[list[int]], int]]:
-    """The relators (lhs, rhs, stage) one star record logged at `stage`
-    adds, in order: its own, then those of each level collapse it served.
-    Each rhs is the record's own list of [index, exponent] entries."""
-    rels = list(details.get("relators", ()))
-    for srv in details.get("served", ()):
-        rels.extend(srv.get("relators", ()))
-    return [(rel["lhs"], rel["rhs"], stage) for rel in rels]
-
-
 def apply_record(result: "StarResult", record: ActionRecord) -> None:
     """Apply one logged star record to its result: the level it lays out,
     the statuses it sets, the relations it adds and the witnesses it relates
@@ -132,13 +120,15 @@ def apply_record(result: "StarResult", record: ActionRecord) -> None:
     if init:
         for rel in details.get("relators", ()):
             pres.set_status(rel["lhs"], "determined", stage)
+    rels = list(details.get("relators", ()))  # then each collapse's
     for srv in details.get("served", ()):
         if "relators" in srv:
             pres.set_statuses(srv["pair"][1],
                               [rel["lhs"] for rel in srv["relators"]],
                               "collapsed", stage)
-    for lhs, rhs, _ in record_relators(details, stage):
-        pres.add_relation(lhs, rhs, stage)
+        rels.extend(srv.get("relators", ()))
+    for rel in rels:
+        pres.add_relation(rel["lhs"], rel["rhs"], stage)
     if record.action in ("case-1", "case-2", "case-3a", "case-3b"):
         try:
             result.table.assert_pair(*details["witnesses"], stage)
@@ -147,21 +137,22 @@ def apply_record(result: "StarResult", record: ActionRecord) -> None:
 
 
 class _StarState:
-    """What the requirements read: the run's result and the witnesses drawn.
-    A level's active generators are the letters of its range in `pres` that
+    """What the requirements read: the presentation records are applied to,
+    the universal table, the witness pool and the witnesses drawn.  A
+    level's active generators are the letters of its range in `pres` that
     never left it; a level with none left is collapsed."""
 
-    def __init__(self, result: "StarResult"):
-        self.universal = result.universal
-        self.pres = result.presentation
-        self.X = result.table
+    def __init__(self, universal: CeerTable, witness_bound: int):
+        self.universal = universal
+        self.witness_bound = witness_bound
+        self.pres: StagedPresentation | None = None  # set by `attach`
         self.next_witness = 0
         self.diag: list["_DiagReq"] = []
 
     def take_witnesses(self) -> tuple[int, int]:
         a = self.next_witness
         self.next_witness += 2
-        if a + 1 >= self.X.bound:
+        if a + 1 >= self.witness_bound:
             raise BudgetError(-1, "witness pool")
         return a, a + 1
 
@@ -590,12 +581,16 @@ def check_budget(base: int, levels: int) -> None:
 
 
 class StarConstruction:
-    """Steppable wrapper so the construction can be embedded or run solo."""
+    """Steppable wrapper so the construction can be embedded or run solo.
+    Solo, it writes its own result through `apply_record`; embedded, its
+    `apply` leaves each record to the run that carries it, which opens the
+    result the records go to, and `attach` hands that result over."""
 
     def __init__(self, universal: CeerTable,
                  phis: Mapping[int, Mapping[int, PhiEntry]],
                  base: int = 10, levels: int = 2, stages: int = 500,
-                 name: str = "star-universal"):
+                 name: str = "star-universal",
+                 apply: Callable[[ActionRecord], None] | None = None):
         if base < 2 or base % 2:
             raise ValueError("base must be an even integer >= 2")
         check_size(base, levels)
@@ -627,19 +622,26 @@ class StarConstruction:
         # an R_e draws a pair when first asked and after each restart, at most
         # one a stage; the bound costs no memory, and take_witnesses guards it
         x_bound = 2 * (max(phis, default=-1) + 1) * (stages + 1) + 4
-        self._result = StarResult(
-            name, params, stages, self.log,
-            presentation=StagedPresentation(ngens=ngens),
-            table=CeerTable(bound=x_bound), universal=universal,
-            base=base, levels=levels)
-        self.state = _StarState(self._result)
+        self.state = _StarState(universal, x_bound)
         reqs: list[Requirement] = [_CollapseCoding(self.state, levels)]
         top = max(phis, default=-1)
         for e in range(top + 1):
             reqs.append(_DiagReq(e, phis.get(e, {}), self.state))
-        self.engine = PriorityEngine(
-            reqs, self.log, partial(apply_record, self._result))
+        self.result: StarResult | None = None
+        if apply is None:
+            self.attach(StarResult(
+                name, params, stages, self.log,
+                presentation=StagedPresentation(ngens=ngens),
+                table=CeerTable(bound=x_bound), universal=universal,
+                base=base, levels=levels))
+            apply = partial(apply_record, self.result)
+        self.engine = PriorityEngine(reqs, self.log, apply)
         self.stage = 0
+
+    def attach(self, result: StarResult) -> None:
+        """Decide on `result`, the one the records are applied to."""
+        self.result = result
+        self.state.pres = result.presentation
 
     def initialize(self) -> list[ActionRecord]:
         """Stage 0: lay out levels and pin each level's two lead products;
@@ -653,7 +655,7 @@ class StarConstruction:
             records.append(self.log.add(
                 0, "init", "init", "init-level", level=j,
                 generators=[gens[0], gens[-1]], relators=relators))
-            apply_record(self._result, records[-1])
+            self.engine.apply(records[-1])
         return records
 
     def step(self) -> ActionRecord | None:
@@ -662,14 +664,11 @@ class StarConstruction:
         self.stage += 1
         return self.engine.run_stage(self.stage)
 
-    def run(self) -> "StarResult":
+    def run(self) -> StarResult:
         self.initialize()
         for _ in range(self.stages):
             self.step()
-        return self.result()
-
-    def result(self) -> StarResult:
-        return self._result
+        return self.result
 
 
 def run_star_universal(

@@ -1,8 +1,8 @@
 """Views of run state that only the tests read: a log's records filtered by
 requirement or action, a star run's free generators, the reference normal
 form of a level word and a comparison of two, the part of a sigma3 or sug
-result its writer owns, and the pairwise references for the `ceers` checks
-that read partition snapshots."""
+result its writer owns, group slots included, and the pairwise references
+for the `ceers` checks that read partition snapshots."""
 from ceerlab.ceers import PartialityError, ReductionReport
 from ceerlab.groups import (
     CyclicFactor,
@@ -71,13 +71,30 @@ def level_words_equal_at(pres, base, i, j, stage):
             == level_normal_form(pres, base, j, stage))
 
 
+def _group_slot_state(result, slot):
+    """A sug group slot's relations, levels, statuses and output-table pairs,
+    and its census at stage 0, the last stage and every stage at which one
+    of its inner records acted."""
+    group = result.group_slots[slot]
+    pres = group.presentation
+    points = {0, group.stages}
+    points.update(inner["stage"] for rec in result.log.records
+                  if rec.details.get("slot") == slot
+                  for inner in rec.details.get("inner", ()))
+    census = {(s, j): pres.census_at(j, s)
+              for s in sorted(points) for j in range(group.levels + 1)}
+    return pres.relations, pres.levels, pres.status, group.table.pairs, census
+
+
 def written_state(result):
     """sigma3's columns, used columns and restraints, or sug's assignments,
-    restraints and table-slot pairs."""
+    restraints, table-slot pairs and group-slot state."""
     if isinstance(result, Sigma3Result):
         return result.columns, result.used_columns, result.restraints
     return (result.assignments, result.restraints,
-            {slot: t.pairs for slot, t in result.table_slots.items()})
+            {slot: t.pairs for slot, t in result.table_slots.items()},
+            {slot: _group_slot_state(result, slot)
+             for slot in result.group_slots})
 
 
 # -- pairwise references for the ceers checks ----------------------------------

@@ -673,9 +673,6 @@ def test_verify_malformed_values_exit_two(case, tmp_path, capsys):
     for suite in suites:
         rc, seconds, peak = timed_peak_of(["verify", str(path), suite])
         got = capsys.readouterr()
-        if suite == "triangularity" and case != "served-not-an-object":
-            assert rc == 0, got  # the header and levels are not its concern
-            continue
         assert rc == 2, (suite, got)
         assert got.out == "" and got.err.count("\n") == 1
         assert got.err.startswith(f"error: malformed log for suite {suite}: ")

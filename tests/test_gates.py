@@ -197,6 +197,43 @@ def test_verify_of_bad_output_table_entry_is_pinned(case, suite, tmp_path,
         2, "", f"error: malformed log for suite {suite}: {error}\n")
 
 
+def test_verify_of_nontriangular_sug_slot_relator_is_pinned(tmp_path, capsys):
+    """A g0 inner relator whose right side names a larger generator fails
+    `triangularity`, naming the slot; replay stops at that record."""
+    lines = open(shipped("sug-basic.log.jsonl")).readlines()
+    record = json.loads(lines[3])
+    assert (record["action"], record["slot"]) == ("advance-slot", "g0")
+    relator = record["inner"][0]["relators"][2]
+    assert relator == {"lhs": 8, "rhs": [[6, -1]]}
+    relator["rhs"] = [[9, -1]]
+    lines[3] = json.dumps(record) + "\n"
+    path = tmp_path / "sug.jsonl"
+    path.write_text("".join(lines))
+    rc = main(["verify", str(path), "triangularity"])
+    assert (rc, *capsys.readouterr()) == (
+        1, "g0: FAIL: relation for x8 mentions x9, not strictly smaller\n"
+           "suite triangularity: FAIL\n", "")
+
+
+def test_verify_of_sug_table_pair_out_of_stage_order_is_pinned(tmp_path,
+                                                               capsys):
+    """`triangularity` replays a sug log's table slots too, but checks no
+    pair of them: a code-pair record moved below the one before it is
+    malformed input, not a failed relation stream."""
+    lines = open(shipped("sug-basic.log.jsonl")).readlines()
+    record = json.loads(lines[11])
+    assert (record["action"], record["slot"], record["stage"]) == (
+        "code-pair", "h0", 10)
+    record["stage"] = 8
+    lines[11] = json.dumps(record) + "\n"
+    path = tmp_path / "sug.jsonl"
+    path.write_text("".join(lines))
+    rc = main(["verify", str(path), "triangularity"])
+    assert (rc, *capsys.readouterr()) == (
+        2, "", "error: malformed log for suite triangularity: "
+               "ValueError('table slot pair at stage 8 after stage 9')\n")
+
+
 # `probe verify-reduction` from a left dump (0 ~ 1 from stage 3, bound 4) to a
 # right one (2 ~ 3 from stage 1, bound 4): (exit code, stdout, stderr)
 PINNED_VERIFY_REDUCTION = {

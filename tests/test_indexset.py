@@ -61,8 +61,9 @@ def test_embedded_star_matches_standalone_run():
         assert rec.details["inner"] == expected
         assert rec.details["inner_stage"] == i
     assert res.assignments["C1"] == "g0"
-    inner = res.group_slots["g0"]
-    assert inner.stage == 3
+    assert recs[-1].details["inner_stage"] == 3
+    slot = res.group_slots["g0"].presentation
+    assert slot.relations == twin.result.presentation.relations
 
 
 def test_pair_coder_copies_the_listed_prefix_in_order():

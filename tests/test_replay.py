@@ -7,12 +7,12 @@ import os
 import pytest
 
 import ceerlab
-from ceerlab import dark, replay
+from ceerlab import dark, replay, star
 from ceerlab.algebra import Poly
 from ceerlab.ceers import CeerTable, FunctionalStub, StageSet
 from ceerlab.cli import _summarize
 from ceerlab.dark import run_dark_group, run_dark_ring
-from ceerlab.engine import ActionRecord, RunLog
+from ceerlab.engine import RunLog
 from ceerlab.indexset import SumFunctionalStub, run_sug_indexset
 from ceerlab.pairing import pair
 from ceerlab.scenario import CONSTRUCTIONS, load_scenario
@@ -36,13 +36,6 @@ def test_shipped_log_rebuilds_to_the_run_summary(name):
     log = RunLog.load(scenario(f"{name}.log.jsonl"))
     live = load_scenario(scenario(f"{name}.txt")).run()
     assert _summarize(replay.rebuild(log)) == _summarize(live)
-
-
-def _as_logged(relations):
-    """A presentation's relations as a relator stream carries them: each
-    rhs as the log's list of [index, exponent] entries."""
-    return [(r.lhs, [list(entry) for entry in r.rhs], r.stage)
-            for r in relations]
 
 
 @pytest.mark.parametrize(
@@ -69,8 +62,6 @@ def test_star_replay_matches_live_run(overrides):
     assert (uni.bound, uni.pairs) == (live.universal.bound, live.universal.pairs)
     assert result.table.pairs == live.table.pairs
     assert _summarize(result) == _summarize(live)
-    stream = replay.relator_streams(log)["main"]
-    assert stream == _as_logged(live.presentation.relations)
 
 
 def test_star_replay_keeps_only_the_letters_that_left_their_level():
@@ -194,42 +185,34 @@ INJURY_RUNS = {
 def test_sigma3_and_sug_replay_matches_live_run(name):
     """Replaying a dumped sigma3 or sug log through its construction's
     `apply_record` alone gives the run's columns, used columns, restraints,
-    slot assignments and table-slot pairs, and the same summary."""
+    slot assignments, table-slot pairs and group-slot presentations and
+    output tables, and the same summary."""
     live = INJURY_RUNS[name]()
     result = replay.rebuild(RunLog.loads(live.log.dumps()))
     assert written_state(result) == written_state(live)
     assert _summarize(result) == _summarize(live)
 
 
-def test_sug_streams_match_the_slot_presentations():
-    live = load_scenario(scenario("sug-basic.txt")).run()
-    log = RunLog.load(scenario("sug-basic.log.jsonl"))
-    streams = replay.relator_streams(log)
-    assert live.group_slots and set(live.group_slots) <= set(streams)
-    for slot, stream in streams.items():
-        if slot in live.group_slots:
-            rels = live.group_slots[slot].state.pres.relations
-            assert stream == _as_logged(rels), slot
-            _assert_slot_census_matches(log, slot, live.group_slots[slot])
-        else:  # a table slot: no presentation, no relators
-            assert stream == [], slot
+@pytest.mark.parametrize("name", [name for name in sorted(INJURY_RUNS)
+                                  if name.startswith("sug")])
+def test_sug_run_applies_each_inner_record_once(name, monkeypatch):
+    """The writer of the C record that carries an inner record applies it,
+    once, to the record's group slot; the embedded star construction that
+    decided it applies none."""
+    applied = []
+    apply = star.apply_record
 
+    def counted(result, record):
+        applied.append(record.to_obj())
+        apply(result, record)
 
-def _assert_slot_census_matches(log, slot, instance):
-    """A sug group slot's inner records, replayed as a star log, give the
-    slot's own census at every checkpoint."""
-    inner = RunLog({"construction": "star-universal",
-                    "params": instance.log.header["params"]})
-    for rec in log.records:
-        if rec.details.get("slot") == slot:
-            inner.records.extend(ActionRecord.from_obj(obj)
-                                 for obj in rec.details.get("inner", ()))
-    assert inner.records, slot
-    pres = replay.rebuild(inner).presentation
-    live = instance.state.pres
-    for s in replay.census_checkpoints(inner):
-        for j in range(instance.levels + 1):
-            assert pres.census_at(j, s) == live.census_at(j, s), (slot, s, j)
+    monkeypatch.setattr(star, "apply_record", counted)
+    live = INJURY_RUNS[name]()
+    carried = [inner for rec in live.log.records
+               for inner in rec.details.get("inner", ())]
+    assert carried and applied == carried
+    assert all(isinstance(slot, star.StarResult)
+               for slot in live.group_slots.values())
 
 
 def _definitions():
@@ -289,16 +272,16 @@ def test_a_dark_ideal_has_one_writer():
 
 
 RUN_STATE = ("restraints", "columns", "assignments", "table_slots",
-             "used_columns")
+             "used_columns", "group_slots")
 MUTATORS = ("add", "pop", "setdefault", "update", "clear", "discard",
             "remove", "popitem")
 
 
 def test_sigma3_and_sug_state_has_one_writer():
     """Only `sigma3.apply_record` and `indexset.apply_record` store an item of
-    a run's restraints, columns, slot assignments or table slots, or call a
-    mutating method on one of those or on sigma3's used columns; and a
-    requirement's `reinitialize` resets only its own attributes."""
+    a run's restraints, columns, slot assignments or group or table slots,
+    or call a mutating method on one of those or on sigma3's used columns;
+    and a requirement's `reinitialize` resets only its own attributes."""
     writers = {("sigma3", "apply_record"), ("indexset", "apply_record")}
     stores = {(module, name) for module, name, fn in _definitions()
               for node in ast.walk(fn)

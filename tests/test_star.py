@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceerlab import replay
+from ceerlab import indexset, replay
 from ceerlab.ceers import CeerTable, StageSet
 from ceerlab.engine import ActionRecord, RunLog
 from ceerlab.groups import (
@@ -121,18 +121,24 @@ def test_diag_requirements_keep_the_stub_they_are_given():
     assert con.state.diag[2].stub is phis[2]
 
 
-def test_sug_group_slots_share_one_stub():
+def test_sug_group_slots_share_one_stub(monkeypatch):
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(StarConstruction(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(indexset, "StarConstruction", capture)
     phis = {0: {0: entry([(6, 1)]), 1: entry([])}}
     universal = uni_table()
     res = run_sug_indexset(
         {0: StageSet([(0, 1)]), 1: StageSet([(0, 2)])}, {}, CeerTable(bound=5),
         {}, universal, phis, star_base=6, star_levels=1, stages=3)
-    slots = list(res.group_slots.values())
-    assert len(slots) == 2
-    for slot in slots:
-        (req,) = slot.state.diag
+    assert len(res.group_slots) == len(built) == 2
+    for con in built:
+        (req,) = con.state.diag
         assert req.stub is phis[0]
-        assert slot.state.universal is universal
+        assert con.state.universal is universal
 
 
 def test_case_0_identical_words_stay_unrelated():
