@@ -37,7 +37,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .pairing import pair
 
@@ -48,6 +48,7 @@ __all__ = [
     "PartialityError",
     "StageSet",
     "CeerTable",
+    "check_bound",
     "ReductionFn",
     "FunctionalStub",
     "ReductionReport",
@@ -178,13 +179,18 @@ class _StageProgression:
 _ROOT = float("inf")  # the stamp of a root: no stage reaches it
 
 
+def check_bound(bound: int) -> int:
+    """`bound`, once checked to be one a table may take."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    return bound
+
+
 class CeerTable:
     """Equivalence relation on [0, bound) enumerated stage by stage."""
 
     def __init__(self, bound: int = 4096):
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
-        self.bound = bound
+        self.bound = check_bound(bound)
         self._pairs: list[tuple[int, int, int]] = []
         # indices up to the largest one a pair names; any later one is a root
         self._parent: list[int] = []  # read only below an attached node
@@ -438,22 +444,19 @@ class ReductionReport:
     def ok(self) -> bool:
         return not self.positive_violations
 
-    def summary(self) -> str:
-        if self.ok and not self.unaligned_so_far:
-            return "no violations"
-        lines = []
-        if self.positive_violations:
-            lines.append(
-                f"{len(self.positive_violations)} positive violation(s): "
-                + ", ".join(f"({a},{b})" for a, b in self.positive_violations)
-            )
-        if self.unaligned_so_far:
-            lines.append(
-                f"{len(self.unaligned_so_far)} pair(s) unaligned so far "
-                "(inconclusive): "
-                + ", ".join(f"({a},{b})" for a, b in self.unaligned_so_far)
-            )
-        return "; ".join(lines)
+    def write(self, out: TextIO) -> None:
+        """Write the report to `out` as one line, 4,096 pairs a write, so its
+        text is never held whole."""
+        parts = [(pairs, what) for pairs, what in (
+            (self.positive_violations, "positive violation(s)"),
+            (self.unaligned_so_far, "pair(s) unaligned so far (inconclusive)"))
+            if pairs]
+        for n, (pairs, what) in enumerate(parts):
+            out.write(f"{'; ' * n}{len(pairs)} {what}: ")
+            for lo in range(0, len(pairs), 4096):
+                out.write(", " * (lo > 0) + ", ".join(
+                    f"({a},{b})" for a, b in pairs[lo:lo + 4096]))
+        out.write("\n" if parts else "no violations\n")
 
 
 # -- operations -------------------------------------------------------

@@ -47,7 +47,8 @@ __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
 # report can list about bound**2 / 2 index pairs, so the ceiling bounds the
 # report's size.  In-process on a 2-vCPU x86-64 machine, bound 1,414 took
 # 0.01 s with a one-line report, and 0.05, 0.24 and 0.44 s at bounds 500,
-# 1,000 and 1,414 to list every pair (11 MB of text at 1,414).
+# 1,000 and 1,414 to list every pair (11 MB of text at 1,414, written
+# 4,096 pairs at a time).
 VERIFY_PAIR_CEILING = 1_000_000
 
 _STAR_LOGS = ("star-universal",)
@@ -454,7 +455,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
             if table.bound < bound:
                 table = _load_table(args.dump, bound)
             report = verify_reduction(fn, table, target, bound, stage)
-            print(report.summary())
+            report.write(sys.stdout)
             return 0 if report.ok else 1
     except BrokenPipeError:
         raise  # main reports a closed stdout

@@ -11,10 +11,11 @@ stage that logs a record, the only stages that change it; a violation aborts
 the run with the offending degree, since it means the construction left
 the regime where fresh monomials are guaranteed.
 
-The requirements only decide and log.  `apply_record` alone turns a logged
-record into the result's ideal, transversals, protections, witnesses and
-audit failure, for the run as each record is logged and for replay of a
-finished log, as `star.apply_record` does for a star result.
+The requirements only decide and log.  `start` builds the empty result a
+header describes, and `apply_record` alone turns a logged record into the
+result's ideal, transversals, protections, witnesses and audit failure,
+for the run as each record is logged and for replay of a finished log, as
+`star.apply_record` does for a star result.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from functools import partial
 from typing import Any, Mapping
 
 from .algebra import (
+    MAXDEG_CEILING,
     HomogeneousIdeal,
     HorizonError,
     Monomial,
@@ -35,7 +37,7 @@ from .ceers import StageSet
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 
 __all__ = ["DarkRunResult", "run_dark_ring", "run_dark_group", "growth_audit",
-           "apply_record", "collapse_floor"]
+           "start", "apply_record", "collapse_floor"]
 
 
 def collapse_floor(m: int) -> int:
@@ -59,6 +61,19 @@ class DarkRunResult(ConstructionRun):
         """Largest degree protected by the light strategies with index <= n."""
         return max((max(degs) for i, degs in self.protected.items()
                     if i <= n and degs), default=0)
+
+
+def start(log: RunLog) -> DarkRunResult:
+    """The empty result a dark header describes: an ideal over its modulus,
+    with a `maxdeg` in [0, MAXDEG_CEILING]."""
+    params = log.header["params"]
+    maxdeg = params["maxdeg"]
+    if not 0 <= maxdeg <= MAXDEG_CEILING:
+        raise ValueError(f"bad maxdeg {maxdeg}: must lie in "
+                         f"[0, {MAXDEG_CEILING}]")
+    ideal = HomogeneousIdeal(p=params["modulus"], maxdeg=maxdeg)
+    return DarkRunResult(log.header["construction"], params, params["stages"],
+                         log, ideal=ideal)
 
 
 def apply_record(result: DarkRunResult, record: ActionRecord) -> None:
@@ -250,8 +265,7 @@ def _run_dark(
     if mode == "group":
         params["unit_exponent"] = unit_exponent
     log = RunLog({"construction": f"dark-{mode}", "params": params})
-    ideal = HomogeneousIdeal(p=p, maxdeg=maxdeg)
-    result = DarkRunResult(f"dark-{mode}", params, stages, log, ideal=ideal)
+    result = start(log)
     state = _DarkState(mode, result)
 
     if mode == "group":
@@ -265,7 +279,7 @@ def _run_dark(
                                      relators=[str(s) for s in seeds]))
 
     def audit_fails(stage: int) -> bool:
-        verdict = growth_audit(ideal, epsilon)
+        verdict = growth_audit(state.ideal, epsilon)
         if verdict.ok:
             return False
         detail = {"degree": verdict.failed_degree, "count": verdict.count}

@@ -14,12 +14,13 @@ C/D strategies abandon their slot and later restart in a fresh one that
 clears all live higher-priority restraints.  All slots are declared
 abelian-ambient at stage 0.
 
-The requirements only decide and log.  `apply_record` alone turns a logged
-record into the result's assignments, group and table slots and
-restraints, for the run as each record is logged and for replay of a
-finished log.  A group slot is a star result: `star.apply_record` applies
-each inner record to it, and the C requirement's star construction only
-decides them.
+The requirements only decide and log.  `start` builds the empty result a
+header describes, and `apply_record` alone turns a logged record into the
+result's assignments, group and table slots and restraints, for the run as
+each record is logged and for replay of a finished log.  A group slot is
+the star result `star.empty_result` opens from the header's shape, with an
+empty universal table: `star.apply_record` applies each inner record to
+it, and the C requirement's star construction only decides them.
 """
 from __future__ import annotations
 
@@ -28,13 +29,12 @@ from functools import partial
 from typing import Any, Mapping
 
 from . import star
-from .ceers import INDEX_CEILING, CeerTable, StageRegressionError, StageSet
+from .ceers import CeerTable, StageRegressionError, StageSet, check_bound
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
-from .groups import StagedPresentation
 from .pairing import unpair
 from .star import PhiEntry, StarConstruction, StarResult
 
-__all__ = ["SumFunctionalStub", "SugResult", "run_sug_indexset",
+__all__ = ["SumFunctionalStub", "SugResult", "run_sug_indexset", "start",
            "apply_record"]
 
 
@@ -57,23 +57,23 @@ class SumFunctionalStub:
 
 @dataclass
 class SugResult(ConstructionRun):
-    coded_universal: CeerTable
     group_slots: dict[str, StarResult] = field(default_factory=dict)
     table_slots: dict[str, CeerTable] = field(default_factory=dict)
     assignments: dict[str, str] = field(default_factory=dict)
     restraints: dict[int, tuple[str, ...] | None] = field(default_factory=dict)
 
 
-def _group_slot(result: SugResult, slot: str) -> StarResult:
-    """An empty group slot of the header's star shape; its universal table
-    is empty and its output table is bounded by the index ceiling."""
-    base, levels = result.params["star_base"], result.params["star_levels"]
-    star.check_size(base, levels)
-    return StarResult(
-        f"star@{slot}", result.params, result.stages, result.log,
-        presentation=StagedPresentation(ngens=base ** (levels + 1)),
-        table=CeerTable(bound=INDEX_CEILING), universal=CeerTable(bound=0),
-        base=base, levels=levels)
+def start(log: RunLog) -> SugResult:
+    """The empty result a sug header describes, once its `coded_bound`, the
+    bound of every table slot, is checked."""
+    params = log.header["params"]
+    check_bound(params["coded_bound"])
+    return SugResult(log.header["construction"], params, params["stages"], log)
+
+
+# the actions each requirement family logs, by the kind its records carry
+_ACTIONS = {"init": ("declare-abelian",), "C": ("open-slot", "advance-slot"),
+            "D": ("open-slot", "code-pair"), "L": ("place-restraint",)}
 
 
 def apply_record(result: SugResult, record: ActionRecord) -> None:
@@ -81,23 +81,31 @@ def apply_record(result: SugResult, record: ActionRecord) -> None:
     inner star records it applies to a group slot, the coded pair it copies
     into a table slot (ValueError out of stage order: a pair is not a
     relation), the restraint it places and the restraints of the L_m it
-    injures.  The run and replay call this on each record, alike."""
-    details = record.details
-    if record.action == "open-slot":
-        result.assignments[record.requirement] = details["slot"]
-        if record.kind == "D":
+    injures.  The run and replay call this on each record, alike.  Raises
+    ValueError on a record whose kind is not its requirement's family or
+    whose action that family never logs."""
+    details, kind, action = record.details, record.kind, record.action
+    req = record.requirement
+    family = req[:1] if isinstance(req, str) and req != "init" else req
+    if kind != family or action not in _ACTIONS.get(family, ()):
+        raise ValueError(f"{req!r} logs no record of kind {kind!r} and "
+                         f"action {action!r}")
+    if action == "open-slot":
+        result.assignments[req] = details["slot"]
+        if kind == "D":
             result.table_slots[details["slot"]] = CeerTable(
-                bound=result.coded_universal.bound)
-        elif record.kind == "C":
-            result.group_slots[details["slot"]] = _group_slot(
-                result, details["slot"])
-    elif record.action == "place-restraint":
-        result.restraints[int(record.requirement[1:])] = tuple(details["slots"])
-    if record.kind == "C":
+                bound=result.params["coded_bound"])
+        else:
+            result.group_slots[details["slot"]] = star.empty_result(
+                f"star@{details['slot']}", result.params, result.log,
+                result.params["star_base"], result.params["star_levels"])
+    elif action == "place-restraint":
+        result.restraints[int(req[1:])] = tuple(details["slots"])
+    if kind == "C":
         group = result.group_slots[details["slot"]]
         for inner in details["inner"]:
             star.apply_record(group, ActionRecord.from_obj(inner))
-    if record.kind == "D" and details["pair"] is not None:
+    if kind == "D" and details["pair"] is not None:
         a, b = details["pair"]
         try:
             result.table_slots[details["slot"]].assert_pair(a, b, record.stage)
@@ -163,14 +171,14 @@ class _PairCodingReq(Requirement):
     kind = "D"
 
     def __init__(self, d: int, left: StageSet | None, right: StageSet | None,
-                 result: SugResult):
+                 result: SugResult, coded: CeerTable):
         super().__init__(f"D{d}")
         self.d = d
         self.watches = unpair(d)
         self.left = left
         self.right = right
         self.result = result
-        self.coded_pairs = result.coded_universal.pairs
+        self.coded_pairs = coded.pairs
         self.consumed_left = 0
         self.consumed_right = 0
         self.slot: str | None = None
@@ -230,7 +238,7 @@ class _SumRestraintReq(Requirement):
 def run_sug_indexset(
     v_columns: Mapping[int, StageSet],
     u_columns: Mapping[int, StageSet],
-    coded_universal: CeerTable,
+    coded: CeerTable,
     sum_functionals: Mapping[int, SumFunctionalStub],
     star_universal: CeerTable,
     star_phis: Mapping[int, Mapping[int, PhiEntry]],
@@ -243,11 +251,10 @@ def run_sug_indexset(
         "stages": stages,
         "star_base": star_base,
         "star_levels": star_levels,
-        "coded_bound": coded_universal.bound,
+        "coded_bound": coded.bound,
     }
     log = RunLog({"construction": "sug-indexset", "params": params})
-    result = SugResult("sug-indexset", params, stages, log,
-                       coded_universal=coded_universal)
+    result = start(log)
     template = dict(universal=star_universal, phis=star_phis, base=star_base,
                     levels=star_levels, stages=stages)
     top = max(
@@ -261,7 +268,8 @@ def run_sug_indexset(
         reqs.append(_SumRestraintReq(idx, sum_functionals.get(idx), result))
         left, right = unpair(idx)
         reqs.append(_PairCodingReq(idx, v_columns.get(left),
-                                   u_columns.get(right), result))
+                                   u_columns.get(right), result,
+                                   coded))
     apply_record(result, log.add(
         0, "init", "init", "declare-abelian",
         note="all group and table slots carry abelian word problems"))

@@ -40,18 +40,11 @@ from .ceers import CeerTable, FunctionalStub, StageSet
 from .dark import collapse_floor, run_dark_group, run_dark_ring
 from .engine import ConstructionRun
 from .indexset import SumFunctionalStub, run_sug_indexset
+from .replay import CONSTRUCTIONS
 from .sigma3 import run_sigma3_ceer
 from .star import GENERATOR_CEILING, PhiEntry, check_size, run_star_universal
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
-
-CONSTRUCTIONS = (
-    "dark-ring",
-    "dark-group",
-    "sigma3",
-    "star-universal",
-    "sug-indexset",
-)
 
 
 class ScenarioError(ValueError):

@@ -7,11 +7,12 @@ join column (choosing a column whose codes clear every live restraint),
 while restraint requirements freeze the oracle use of halted functional
 stubs.  Acting reinitializes all lower-priority strategies.
 
-The requirements only decide and log.  `apply_record` alone turns a logged
-record into the result's columns, used columns and restraints, for the run
-as each record is logged and for replay of a finished log.  The join
-table's copied pairs are the exception: the log carries only their count,
-so `_CodingReq.act` writes them.
+The requirements only decide and log.  `start` builds the empty result a
+header describes, and `apply_record` alone turns a logged record into the
+result's columns, used columns and restraints, for the run as each record
+is logged and for replay of a finished log.  The join table's copied pairs
+are the exception: the log carries only their count, so `_CodingReq.act`
+writes them.
 """
 from __future__ import annotations
 
@@ -20,17 +21,16 @@ from functools import partial
 from math import isqrt
 from typing import Any, Mapping
 
-from .ceers import CeerTable, FunctionalStub, StageSet
+from .ceers import CeerTable, FunctionalStub, StageSet, check_bound
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 from .pairing import pair
 
-__all__ = ["Sigma3Result", "run_sigma3_ceer", "apply_record"]
+__all__ = ["Sigma3Result", "run_sigma3_ceer", "start", "apply_record"]
 
 
 @dataclass
 class Sigma3Result(ConstructionRun):
     table: CeerTable
-    universal: CeerTable
     columns: dict[int, int] = field(default_factory=dict)
     restraints: dict[int, int | None] = field(default_factory=dict)
     used_columns: set[int] = field(default_factory=set)
@@ -40,6 +40,16 @@ class Sigma3Result(ConstructionRun):
         are C_k = 2k and L_m = 2m + 1, so those are the L_m with m < k."""
         return max((use for m, use in self.restraints.items()
                     if m < k and use is not None), default=-1)
+
+
+def start(log: RunLog) -> Sigma3Result:
+    """The empty result a sigma3 header describes: its join table, once both
+    bounds are checked (the universal table is the coding requirements')."""
+    params = log.header["params"]
+    table = CeerTable(bound=params["join_bound"])
+    check_bound(params["universal_bound"])
+    return Sigma3Result(log.header["construction"], params, params["stages"],
+                        log, table=table)
 
 
 def apply_record(result: Sigma3Result, record: ActionRecord) -> None:
@@ -62,11 +72,13 @@ def apply_record(result: Sigma3Result, record: ActionRecord) -> None:
 class _CodingReq(Requirement):
     kind = "C"
 
-    def __init__(self, k: int, column: StageSet | None, result: Sigma3Result):
+    def __init__(self, k: int, column: StageSet | None, result: Sigma3Result,
+                 universal: CeerTable):
         super().__init__(f"C{k}")
         self.k = k
         self.column = column
         self.result = result
+        self.universal = universal
         self.consumed = 0
         self.join_column: int | None = None
 
@@ -88,12 +100,11 @@ class _CodingReq(Requirement):
             self.join_column = self._fresh_column()
             details["action"] = "choose-column"
         j = self.join_column
-        uni = self.result.universal
         table = self.result.table
         # each assert merges two classes, so the count depends only on the
         # two partitions, not on the order of the universal pairs
         copied = 0
-        for a, b, s in uni.pairs:
+        for a, b, s in self.universal.pairs:
             if s > stage:
                 break
             ca, cb = pair(j, a), pair(j, b)
@@ -150,20 +161,18 @@ def run_sigma3_ceer(
     """
     max_use = max((f.use for f in functionals.values()), default=0)
     col_cap = stages + isqrt(2 * max_use + 4) + 2
-    bound = pair(col_cap, max(universal.bound, 1)) + 1
-    table = CeerTable(bound=bound)
     params = {
         "stages": stages,
         "universal_bound": universal.bound,
-        "join_bound": bound,
+        "join_bound": pair(col_cap, max(universal.bound, 1)) + 1,
     }
     log = RunLog({"construction": "sigma3", "params": params})
-    result = Sigma3Result("sigma3", params, stages, log,
-                          table=table, universal=universal)
+    result = start(log)
     top = max(list(trigger_columns) + list(functionals), default=-1)
     reqs: list[Requirement] = []
     for idx in range(top + 1):
-        reqs.append(_CodingReq(idx, trigger_columns.get(idx), result))
+        reqs.append(_CodingReq(idx, trigger_columns.get(idx), result,
+                               universal))
         reqs.append(_RestraintReq(idx, functionals.get(idx), result))
     PriorityEngine(reqs, log, partial(apply_record, result)).run(stages)
     return result

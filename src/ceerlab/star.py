@@ -15,10 +15,11 @@ presentation changes, and each logs its decision as a record:
    canonical form of the induced group word, whether to relate the
    witnesses in the output table.
 
-`apply_record` alone turns a record into levels, statuses, relations and
-output-table pairs, for the run as each record is logged and for replay of
-a finished log.  A level is a range of letters and `status` lists those
-that left it; the requirements read both and only `apply_record` writes.
+`start` builds the empty result a header describes, and `apply_record`
+alone turns a record into levels, statuses, relations and output-table
+pairs, for the run as each record is logged and for replay of a finished
+log.  A level is a range of letters and `status` lists those that left
+it; the requirements read both and only `apply_record` writes.
 Every relator added is triangular: its left-hand side is a strictly
 larger generator index than anything on the right, so canonical forms
 exist at every stage.  A per-level reserve budget guarantees case
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .ceers import CeerTable, StageRegressionError
+from .ceers import INDEX_CEILING, CeerTable, StageRegressionError
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 from .groups import StagedPresentation, staged_abelian_wp
 
@@ -43,6 +44,8 @@ __all__ = [
     "PhiEntry",
     "run_star_universal",
     "level_letters",
+    "empty_result",
+    "start",
     "apply_record",
 ]
 
@@ -101,8 +104,9 @@ def apply_record(result: "StarResult", record: ActionRecord) -> None:
     in the output table.  The run calls this on each record it logs and
     replay on each record it reads, so both build the same state.  Raises
     TriangularityError or StageRegressionError on a relation no run adds,
-    ValueError or IndexError on an index outside the result or a witness
-    pair out of stage order: a pair is not a relation."""
+    and ValueError on an index outside the presentation or on a witness
+    pair the output table cannot hold or that is out of stage order: a pair
+    is not a relation."""
     pres, base = result.presentation, result.base
     stage, details = record.stage, record.details
     init = record.action == "init-level"
@@ -132,7 +136,7 @@ def apply_record(result: "StarResult", record: ActionRecord) -> None:
     if record.action in ("case-1", "case-2", "case-3a", "case-3b"):
         try:
             result.table.assert_pair(*details["witnesses"], stage)
-        except StageRegressionError as exc:
+        except (StageRegressionError, IndexError) as exc:
             raise ValueError(f"output table {exc}") from None
 
 
@@ -580,6 +584,30 @@ def check_budget(base: int, levels: int) -> None:
             )
 
 
+def empty_result(name: str, params: dict[str, Any], log: RunLog, base: int,
+                 levels: int, universal: Iterable[Sequence[int]] = (),
+                 universal_bound: int = 0) -> StarResult:
+    """The empty star result of `base` and `levels` over the universal table
+    of `universal`'s pairs, for a star header (`start`) or a sug group slot.
+    The shape is checked before anything is allocated, and the output table
+    is bounded by the index ceiling, whatever witness pool a run draws from."""
+    check_size(base, levels)
+    return StarResult(
+        name, params, params["stages"], log,
+        presentation=StagedPresentation(ngens=base ** (levels + 1)),
+        table=CeerTable(bound=INDEX_CEILING),
+        universal=CeerTable.from_pairs(universal, universal_bound),
+        base=base, levels=levels)
+
+
+def start(log: RunLog) -> StarResult:
+    """The empty result a star header describes."""
+    params = log.header["params"]
+    return empty_result(log.header["construction"], params, log,
+                        params["base"], params["levels"], params["universal"],
+                        params["universal_bound"])
+
+
 class StarConstruction:
     """Steppable wrapper so the construction can be embedded or run solo.
     Solo, it writes its own result through `apply_record`; embedded, its
@@ -629,11 +657,7 @@ class StarConstruction:
             reqs.append(_DiagReq(e, phis.get(e, {}), self.state))
         self.result: StarResult | None = None
         if apply is None:
-            self.attach(StarResult(
-                name, params, stages, self.log,
-                presentation=StagedPresentation(ngens=ngens),
-                table=CeerTable(bound=x_bound), universal=universal,
-                base=base, levels=levels))
+            self.attach(start(self.log))
             apply = partial(apply_record, self.result)
         self.engine = PriorityEngine(reqs, self.log, apply)
         self.stage = 0

@@ -1,8 +1,11 @@
 """Views of run state that only the tests read: a log's records filtered by
 requirement or action, a star run's free generators, the reference normal
 form of a level word and a comparison of two, the part of a sigma3 or sug
-result its writer owns, group slots included, and the pairwise references
-for the `ceers` checks that read partition snapshots."""
+result its writer owns, group slots included, the text of a reduction
+report, and the pairwise references for the `ceers` checks that read
+partition snapshots."""
+import io
+
 from ceerlab.ceers import PartialityError, ReductionReport
 from ceerlab.groups import (
     CyclicFactor,
@@ -95,6 +98,13 @@ def written_state(result):
             {slot: t.pairs for slot, t in result.table_slots.items()},
             {slot: _group_slot_state(result, slot)
              for slot in result.group_slots})
+
+
+def report_text(report):
+    """What `ReductionReport.write` writes, read back through a StringIO."""
+    out = io.StringIO()
+    report.write(out)
+    return out.getvalue()
 
 
 # -- pairwise references for the ceers checks ----------------------------------

@@ -44,7 +44,7 @@ from ceerlab.groups import (
     z2_module_wp,
 )
 from ceerlab.scenario import load_scenario
-from helpers import level_words_equal_at, records_for
+from helpers import level_words_equal_at, records_for, report_text
 from oracles import StagedClosure, gs_bound, join_related, product_related, span_member
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -424,7 +424,7 @@ def test_09_relation_algebra_matches_definitions(capfd):
                 totality_bound=16,
             )
             report = verify_reduction(gen_map, table, target, bound=16, stage=final)
-            assert report.ok, f"trial {trial}: {report.summary()}"
+            assert report.ok, f"trial {trial}: {report_text(report)}"
             assert not report.positive_violations
             assert not report.unaligned_so_far
             assert _partition(pullback(gen_map, target, bound=16), final) == (

@@ -28,6 +28,7 @@ from helpers import (
     pairwise_darkness_probe,
     pairwise_lightness_witness_check,
     pairwise_verify_reduction,
+    report_text,
 )
 from oracles import (
     StagedClosure,
@@ -409,7 +410,7 @@ def test_verify_reduction_detects_violation():
     report = verify_reduction(fn, src, tgt, 4, 1)
     assert not report.ok
     assert (0, 1) in report.positive_violations
-    assert "positive violation" in report.summary()
+    assert "positive violation" in report_text(report)
 
 
 def test_verify_reduction_unaligned_is_inconclusive():
@@ -420,7 +421,7 @@ def test_verify_reduction_unaligned_is_inconclusive():
     report = verify_reduction(fn, src, tgt, 4, 3)
     assert report.ok
     assert (0, 1) in report.unaligned_so_far
-    assert "inconclusive" in report.summary()
+    assert "inconclusive" in report_text(report)
 
 
 # -- stubs and probes -------------------------------------------------------

@@ -234,6 +234,38 @@ def test_verify_of_sug_table_pair_out_of_stage_order_is_pinned(tmp_path,
                "ValueError('table slot pair at stage 8 after stage 9')\n")
 
 
+# a sug record whose kind is not its requirement's family, or whose action
+# that family never logs: malformed input, refused before it is applied.  A
+# C0 record of kind 1.5 once carried no inner records into g0, which then
+# passed `triangularity` with 7 of its 31 relators
+SUG_KIND_ACTION = {
+    "kind-not-a-family": (
+        6, 1.5,
+        "ValueError(\"'C0' logs no record of kind 1.5 and action "
+        "'advance-slot'\")"),
+    "advance-slot-of-kind-D": (
+        4, "D",
+        "ValueError(\"'C0' logs no record of kind 'D' and action "
+        "'advance-slot'\")"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUG_KIND_ACTION))
+def test_verify_of_sug_record_outside_its_family_is_pinned(case, tmp_path,
+                                                          capsys):
+    row, kind, error = SUG_KIND_ACTION[case]
+    lines = open(shipped("sug-basic.log.jsonl")).readlines()
+    record = json.loads(lines[row])
+    assert (record["action"], record["kind"]) == ("advance-slot", "C")
+    record["kind"] = kind
+    lines[row] = json.dumps(record) + "\n"
+    path = tmp_path / "sug.jsonl"
+    path.write_text("".join(lines))
+    rc = main(["verify", str(path), "triangularity"])
+    assert (rc, *capsys.readouterr()) == (
+        2, "", f"error: malformed log for suite triangularity: {error}\n")
+
+
 # `probe verify-reduction` from a left dump (0 ~ 1 from stage 3, bound 4) to a
 # right one (2 ~ 3 from stage 1, bound 4): (exit code, stdout, stderr)
 PINNED_VERIFY_REDUCTION = {

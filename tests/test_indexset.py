@@ -29,7 +29,7 @@ def run(v, u, coded_uni=None, stubs=None, stages=12):
     return run_sug_indexset(
         v_columns=v,
         u_columns=u,
-        coded_universal=coded_uni if coded_uni is not None else coded(),
+        coded=coded_uni if coded_uni is not None else coded(),
         sum_functionals=stubs or {},
         star_universal=star_uni(),
         star_phis=STAR_PHIS,
@@ -165,4 +165,4 @@ def test_header_params():
     assert params == {
         "stages": 3, "star_base": 6, "star_levels": 1, "coded_bound": 5,
     }
-    assert res.coded_universal.bound == 5
+    assert res.params["coded_bound"] == 5

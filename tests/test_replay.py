@@ -3,20 +3,21 @@ import ast
 import glob
 import inspect
 import os
+from dataclasses import fields
 
 import pytest
 
 import ceerlab
 from ceerlab import dark, replay, star
 from ceerlab.algebra import Poly
-from ceerlab.ceers import CeerTable, FunctionalStub, StageSet
+from ceerlab.ceers import INDEX_CEILING, CeerTable, FunctionalStub, StageSet
 from ceerlab.cli import _summarize
 from ceerlab.dark import run_dark_group, run_dark_ring
-from ceerlab.engine import RunLog
+from ceerlab.engine import ActionRecord, RunLog
 from ceerlab.indexset import SumFunctionalStub, run_sug_indexset
 from ceerlab.pairing import pair
-from ceerlab.scenario import CONSTRUCTIONS, load_scenario
-from ceerlab.sigma3 import run_sigma3_ceer
+from ceerlab.scenario import _RUNNERS, load_scenario
+from ceerlab.sigma3 import Sigma3Result, run_sigma3_ceer
 from ceerlab.star import PhiEntry, level_letters
 from helpers import written_state
 
@@ -147,7 +148,7 @@ def _table(bound, *pairs_at):
 
 def _sug(v, u, coded, stubs, stages):
     return run_sug_indexset(
-        v_columns=v, u_columns=u, coded_universal=coded,
+        v_columns=v, u_columns=u, coded=coded,
         sum_functionals=stubs, star_universal=_table(3, (0, 1, 4)),
         star_phis={0: {0: PhiEntry(0, ((6, 1),)), 1: PhiEntry(0, ())}},
         star_base=6, star_levels=1, stages=stages)
@@ -191,6 +192,60 @@ def test_sigma3_and_sug_replay_matches_live_run(name):
     result = replay.rebuild(RunLog.loads(live.log.dumps()))
     assert written_state(result) == written_state(live)
     assert _summarize(result) == _summarize(live)
+
+
+SHIPPED_RUNS = {
+    name: lambda name=name: load_scenario(scenario(f"{name}.txt")).run()
+    for name in ("dark-ring-basic", "dark-group-basic", "sigma3-basic",
+                 "star-universal-basic", "sug-basic")}
+ALL_RUNS = {**SHIPPED_RUNS, **DARK_RUNS, **INJURY_RUNS}
+
+
+def _tables(result, path=""):
+    """(path, table) for every CeerTable a result holds in its fields, its
+    table slots and the fields of its group slots."""
+    for f in fields(result):
+        value = getattr(result, f.name)
+        items = value.items() if isinstance(value, dict) else [(None, value)]
+        for key, item in items:
+            at = path + f.name + ("" if key is None else f"[{key}]")
+            if isinstance(item, CeerTable):
+                yield at, item
+            elif isinstance(item, star.StarResult):
+                yield from _tables(item, at + ".")
+
+
+@pytest.mark.parametrize("name", sorted(ALL_RUNS))
+def test_replayed_result_has_the_run_type_fields_and_tables(name):
+    """A replayed result is of the run's type, with its dataclass fields,
+    and every table it holds has the run's bound and pairs, except sigma3's
+    join table, whose pairs the log only counts."""
+    live = ALL_RUNS[name]()
+    result = replay.rebuild(RunLog.loads(live.log.dumps()))
+    assert type(result) is type(live)
+    assert [f.name for f in fields(result)] == [f.name for f in fields(live)]
+    tables = dict(_tables(result))
+    assert tables.keys() == dict(_tables(live)).keys()
+    for path, table in _tables(live):
+        if isinstance(live, Sigma3Result) and path == "table":
+            assert tables[path].bound == table.bound
+        else:
+            assert (tables[path].bound, tables[path].pairs) == (
+                table.bound, table.pairs), path
+
+
+def test_star_witness_pair_past_the_output_table_is_a_value_error():
+    """A relating record whose witnesses the output table cannot hold is
+    malformed input, as one out of stage order is: a pair is not a
+    relation."""
+    result = replay.start(RunLog.load(scenario(
+        "star-universal-basic.log.jsonl")))
+    record = ActionRecord(3, "R0", "R", "case-1", {
+        "witnesses": [INDEX_CEILING, INDEX_CEILING + 1]})
+    with pytest.raises(ValueError, match=(
+            f"output table index {INDEX_CEILING} out of bound "
+            f"{INDEX_CEILING}")):
+        star.apply_record(result, record)
 
 
 @pytest.mark.parametrize("name", [name for name in sorted(INJURY_RUNS)
@@ -313,9 +368,12 @@ def test_a_star_output_table_has_one_writer():
 
 def test_replay_has_a_builder_and_writer_for_every_construction():
     """A construction a scenario can run is one replay can rebuild, through
-    its module's `apply_record(result, record)`."""
-    assert set(replay.CONSTRUCTIONS) == set(CONSTRUCTIONS)
-    for name, (_, _, apply) in replay.CONSTRUCTIONS.items():
-        assert apply.__name__ == "apply_record", name
+    its module's `start(log)` and `apply_record(result, record)`."""
+    assert set(replay.CONSTRUCTIONS) == set(_RUNNERS)
+    for name, (begin, apply) in replay.CONSTRUCTIONS.items():
+        assert (begin.__name__, apply.__name__) == (
+            "start", "apply_record"), name
+        assert begin.__module__ == apply.__module__, name
+        assert list(inspect.signature(begin).parameters) == ["log"], name
         assert list(inspect.signature(apply).parameters) == [
             "result", "record"], name

@@ -8,14 +8,16 @@ from fractions import Fraction
 
 import pytest
 
+from ceerlab import scenario
+from ceerlab.replay import CONSTRUCTIONS
 from ceerlab.scenario import (
-    CONSTRUCTIONS,
     STAGE_CEILING,
     ScenarioError,
     _phi_stubs,
     load_scenario,
     parse_scenario,
 )
+from ceerlab.sigma3 import run_sigma3_ceer
 from ceerlab.star import PhiEntry
 from helpers import records_for
 
@@ -87,7 +89,20 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario("construction = sigma3\n[universal]\nbroken row !")
 
 
-def test_sigma3_rows_and_inferred_bound():
+def _passed_universal(monkeypatch):
+    """The universal tables a sigma3 scenario passes to `run_sigma3_ceer`."""
+    passed = []
+
+    def capture(triggers, universal, *args, **kwargs):
+        passed.append(universal)
+        return run_sigma3_ceer(triggers, universal, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "run_sigma3_ceer", capture)
+    return passed
+
+
+def test_sigma3_rows_and_inferred_bound(monkeypatch):
+    passed = _passed_universal(monkeypatch)
     scn = parse_scenario(
         """
         construction = sigma3
@@ -103,14 +118,16 @@ def test_sigma3_rows_and_inferred_bound():
     res = scn.run()
     # the universal bound is one past the largest mentioned index, and
     # rows are applied in stage order regardless of listing order
-    assert res.universal.bound == 3
-    assert res.universal.related(0, 1, 1)
-    assert res.universal.related(1, 2, 2)
-    assert not res.universal.related(1, 2, 1)
+    (universal,) = passed
+    assert universal.bound == 3
+    assert universal.related(0, 1, 1)
+    assert universal.related(1, 2, 2)
+    assert not universal.related(1, 2, 1)
     assert [r.stage for r in res.log.records] == [2, 3]
 
 
-def test_sigma3_explicit_bound_and_steady_stream():
+def test_sigma3_explicit_bound_and_steady_stream(monkeypatch):
+    passed = _passed_universal(monkeypatch)
     scn = parse_scenario(
         """
         construction = sigma3
@@ -126,7 +143,7 @@ def test_sigma3_explicit_bound_and_steady_stream():
         """
     )
     res = scn.run()
-    assert res.universal.bound == 9
+    assert [universal.bound for universal in passed] == [9]
     assert [r.stage for r in res.log.records] == [1, 3, 5]
 
 

@@ -21,7 +21,7 @@ def trigger(*stages):
 
 def column_pairs(res, j, stage):
     """Related pairs (a, b), a < b, inside join column j at a stage."""
-    bound = res.universal.bound
+    bound = res.log.header["params"]["universal_bound"]
     return {(a, b) for a in range(bound) for b in range(a + 1, bound)
             if res.table.related(pair(j, a), pair(j, b), stage)}
 
