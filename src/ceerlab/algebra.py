@@ -23,7 +23,6 @@ The Golod-Shafarevich audit is carried out in exact rational arithmetic.
 """
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,12 +38,8 @@ __all__ = [
     "HomogeneousIdeal",
     "GSAuditResult",
     "gs_audit",
-    "UNIT_LETTERS",
     "unit_word_to_poly",
     "unit_inverse_poly",
-    "PaddedRelator",
-    "pad_presentation",
-    "decode_padded",
 ]
 
 SUPPORTED_MODULI = (2, 3, 5, 7)
@@ -634,9 +629,6 @@ def gs_audit(counts: Mapping[int, int], epsilon: Fraction,
 # -- unit-group encoding ----------------------------------------------------
 
 
-UNIT_LETTERS = ("X", "Y", "X^-1", "Y^-1")
-
-
 def _letter_poly(base: str, p: int) -> Poly:
     return Poly.x(p) if base == "X" else Poly.y(p)
 
@@ -692,60 +684,3 @@ def unit_word_to_poly(
 def monomial_to_unit_word(m: Monomial) -> tuple[str, ...]:
     """The positive unit word whose top homogeneous component is m."""
     return tuple("Y" if ch == "y" else "X" for ch in m.word)
-
-
-# -- presentation padding ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PaddedRelator:
-    """One position of a padded relator stream: payload plus the +s-s blind."""
-
-    position: int
-    relator: Poly | None
-
-    def text(self) -> str:
-        body = "0" if self.relator is None else str(self.relator)
-        s = self.position
-        return f"{body} + {s}*1 - {s}*1"
-
-
-def pad_presentation(
-    relators: Sequence[tuple[Poly, int]], length: int | None = None
-) -> list[PaddedRelator]:
-    """Spread stage-tagged relators over a decidable-by-position stream.
-
-    The relator enumerated at stage s lands at position s (bumped past
-    any position already taken); every other position carries the
-    trivial padding 0 + s*1 - s*1.
-    """
-    placed: list[tuple[int, Poly]] = []
-    next_free = 0
-    for r, stage in relators:
-        if placed and stage < placed[-1][0]:
-            raise ValueError("relator stages must be nondecreasing")
-        pos = max(stage, next_free)
-        placed.append((pos, r))
-        next_free = pos + 1
-    total = next_free if length is None else length
-    if length is not None and placed and placed[-1][0] >= length:
-        raise ValueError("length too small for the placed relators")
-    by_pos = dict(placed)
-    return [PaddedRelator(s, by_pos.get(s)) for s in range(total)]
-
-
-_PADDED_RE = re.compile(r"^(?P<body>.*\S)\s+\+\s+(?P<s>\d+)\*1\s+-\s+(?P=s)\*1$")
-
-
-def decode_padded(lines: Iterable[str], p: int) -> list[tuple[Poly, int]]:
-    """Recover (relator, position) pairs from rendered padded text."""
-    out = []
-    for i, line in enumerate(lines):
-        m = _PADDED_RE.match(line.strip())
-        if not m:
-            raise EncodingError(f"line {i} is not a padded relator: {line!r}")
-        pos = int(m.group("s"))
-        body = m.group("body").strip()
-        if body != "0":
-            out.append((Poly.parse(body, p), pos))
-    return out

@@ -18,10 +18,9 @@ checked, never allocated, and its memory follows its pairs, up to the
 constant INDEX_CEILING on the indices pairs may name.  `product`
 walks pairs too, asserting each factor pair against every index of the
 other factor; `roots_at`, `classes_at` and `pullback` take time linear in
-a bound, as their output does.  The checks climb once per index they read
-and never ask `related` pair by pair: `verify_reduction` takes time linear
-in its bound plus the pairs its report lists, and `darkness_probe` and
-`lightness_witness_check` linear in the indices they are given.
+a bound, as their output does.  `verify_reduction` climbs once per index
+it reads and never asks `related` pair by pair, so it takes time linear in
+its bound plus the pairs its report lists.
 
 Equality of two indices is a positive, stage-monotone fact.  Inequality
 never is: a pair that is unrelated at stage s may become related later,
@@ -34,7 +33,6 @@ from __future__ import annotations
 import heapq
 import json
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
@@ -56,8 +54,6 @@ __all__ = [
     "product",
     "pullback",
     "verify_reduction",
-    "darkness_probe",
-    "lightness_witness_check",
 ]
 
 
@@ -594,48 +590,3 @@ def verify_reduction(
     return ReductionReport(bound, stage,
                            _split_pairs(roots, image_roots),
                            _split_pairs(image_roots, late_roots))
-
-
-def darkness_probe(
-    table: CeerTable, witness_set: StageSet, stage: int
-) -> tuple[int, int] | None:
-    """First pair of distinct witness-set members related by `stage`, if any.
-
-    Pairs are ordered by their positions in the witness set, first then
-    second: the answer is the earliest member whose class holds a later
-    one, with the next such member.  A None answer is not evidence of a
-    transversal: it only says the enumerated part has not collided yet.
-    """
-    values = [v for v in witness_set.at_stage(stage) if 0 <= v < table.bound]
-    roots = [table._top(v, stage) for v in values]
-    sizes = Counter(roots)
-    for i, r in enumerate(roots):
-        if sizes[r] > 1:
-            return values[i], values[roots.index(r, i + 1)]
-    return None
-
-
-def lightness_witness_check(
-    table: CeerTable, transversal: Sequence[int], stage: int
-) -> bool:
-    """True iff the listed indices are pairwise unrelated at the stage.
-
-    Entries are checked against the table's bound in order, as the pairs
-    (0, j) meet them, and the check stops at the first entry related to
-    the first one; a lone entry is not checked.
-    """
-    items = list(transversal)
-    if len(set(items)) != len(items):
-        raise ValueError("transversal entries must be distinct")
-    if len(items) < 2:
-        return True
-    table._check_index(items[0])
-    first = table._top(items[0], stage)
-    roots = {first}
-    for x in items[1:]:
-        table._check_index(x)
-        r = table._top(x, stage)
-        if r == first:
-            return False
-        roots.add(r)
-    return len(roots) == len(items)

@@ -39,7 +39,7 @@ from .indexset import SugResult
 from .pairing import pair
 from .scenario import load_scenario, parse_epsilon
 from .sigma3 import Sigma3Result
-from .star import StarResult, check_size, level_forms
+from .star import StarResult, level_forms
 
 __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
 
@@ -143,6 +143,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = args.out
     if out is None:
         out = os.path.splitext(args.scenario)[0] + ".log.jsonl"
+        # a rerun rewrites its own log; a log with another header is kept
+        header = RunLog(result.log.header).dumps().encode()
+        try:
+            with open(out, "rb") as fh:
+                foreign = fh.read(len(header)) != header
+        except FileNotFoundError:
+            foreign = False
+        if foreign:
+            print(f"error: {out} holds a log with another header; remove it "
+                  "or write this run's log elsewhere with --out",
+                  file=sys.stderr)
+            return 2
     result.log.dump(out)
     for line in _summarize(result):
         print(line)
@@ -171,17 +183,13 @@ def _want_constructions(log: RunLog, allowed: tuple[str, ...],
 
 def _star_suite(suite: str, vacuous: str):
     """Run a star suite's checks on a star log's replayed result.  The
-    header's shape is checked before any level's letters are listed, and
-    the whole header before any record is applied; an empty log passes
-    vacuously, and a record stream no run could write fails."""
+    whole header is checked before any record is applied, by `replay.start`,
+    which checks the shape before any level's letters are listed, so a
+    malformed header ends as it does in `triangularity`; an empty log
+    passes vacuously, and a record stream no run could write fails."""
     def wrap(checks):
         def run_suite(log: RunLog) -> tuple[bool, list[str]]:
             _want_constructions(log, _STAR_LOGS, suite)
-            params = log.header["params"]
-            try:
-                check_size(params["base"], params["levels"])
-            except ValueError as exc:
-                raise _NotForSuite(str(exc)) from None
             result = replay.start(log)
             if not log.records:
                 return True, [f"warning: empty log; {vacuous} passes "

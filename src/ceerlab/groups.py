@@ -1,13 +1,14 @@
 """Word problems for the concrete group families used by the constructions.
 
-Three kinds of factors ship with the free-product machinery: finite
-cyclic groups, staged abelian presentations (generators x_i plus a
-stage-enumerated triangular stream of relations x_j = w(x_{<j})), and
-involution modules over a ceer (commuting order-2 generators g_k with
-g_j = g_k whenever j and k are ceer-related).  Free-product words are
-alternating syllable sequences; reduction canonicalizes each syllable
-through its factor's decider, drops identities, and merges neighbours
-until the word is in normal form.
+Free products take any factor that brings its own decider; finite cyclic
+groups ship as one.  The module also decides two staged word problems:
+staged abelian presentations (generators x_i plus a stage-enumerated
+triangular stream of relations x_j = w(x_{<j})), and involution modules
+over a ceer (commuting order-2 generators g_k with g_j = g_k whenever j
+and k are ceer-related).  Free-product words are alternating syllable
+sequences; reduction canonicalizes each syllable through its factor's
+decider, drops identities, and merges neighbours until the word is in
+normal form.
 
 All stage-indexed answers are monotone views: a word that is trivial at
 stage s stays trivial later, and a nontrivial answer only means "not
@@ -20,12 +21,11 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .ceers import CeerTable, ReductionFn, StageRegressionError, StageSet
+from .ceers import CeerTable, StageRegressionError
 
 __all__ = [
     "TriangularityError",
     "CyclicFactor",
-    "StagedAbelianFactor",
     "FreeProduct",
     "FreeProductWord",
     "fp_reduce",
@@ -33,14 +33,12 @@ __all__ = [
     "star_z2_to_star_h",
     "CeerModuleGroup",
     "z2_module_wp",
-    "ga_wp",
     "Relation",
     "StagedPresentation",
     "validate_relation_stream",
     "staged_abelian_wp",
     "WordCoding",
     "word_problem_table",
-    "finite_genset_translate",
 ]
 
 
@@ -73,9 +71,6 @@ class CyclicFactor:
             raise ValueError("order must be positive")
         self.order = order
 
-    def identity(self) -> int:
-        return 0
-
     def canon(self, e: int) -> int:
         return e % self.order
 
@@ -87,40 +82,6 @@ class CyclicFactor:
 
     def is_identity(self, e: int) -> bool:
         return e % self.order == 0
-
-    def elements(self) -> range:
-        return range(self.order)
-
-
-class StagedAbelianFactor:
-    """A staged abelian presentation frozen at one stage, as a factor group.
-
-    Elements are sparse exponent vectors over the generators.
-    """
-
-    def __init__(self, presentation: "StagedPresentation", stage: int):
-        self.presentation = presentation
-        self.stage = stage
-
-    def identity(self) -> dict[int, int]:
-        return {}
-
-    def canon(self, elem) -> tuple[tuple[int, int], ...]:
-        return staged_abelian_wp(self.presentation, elem, self.stage)
-
-    def mul(self, a, b) -> dict[int, int]:
-        out = _to_vec(a)
-        for idx, exp in _to_vec(b).items():
-            out[idx] = out.get(idx, 0) + exp
-            if out[idx] == 0:
-                del out[idx]
-        return out
-
-    def inv(self, a) -> dict[int, int]:
-        return {idx: -exp for idx, exp in _to_vec(a).items()}
-
-    def is_identity(self, elem) -> bool:
-        return not self.canon(elem)
 
 
 # -- free products ------------------------------------------------------------
@@ -145,9 +106,6 @@ class FreeProduct:
         for tag, _ in sylls:
             self.factor(tag)
         return FreeProductWord(self, sylls)
-
-    def identity_word(self) -> "FreeProductWord":
-        return FreeProductWord(self, ())
 
 
 @dataclass(frozen=True)
@@ -269,18 +227,6 @@ def z2_module_wp(
         rep = roots[k] if k < len(roots) else k  # least member of k's class
         parity[rep] = parity.get(rep, 0) ^ (exp & 1)
     return frozenset(rep for rep, odd in parity.items() if odd)
-
-
-def ga_wp(
-    members: StageSet, word: Iterable[int | tuple[int, int]], stage: int
-) -> bool:
-    """Identity test in <g_i | g_i^2 = 1, g_i = 1 for i in A> at a stage."""
-    parity: dict[int, int] = {}
-    for item in word:
-        k, exp = item if isinstance(item, tuple) else (item, 1)
-        parity[k] = parity.get(k, 0) ^ (exp & 1)
-    killed = set(members.at_stage(stage))
-    return all(k in killed for k, odd in parity.items() if odd)
 
 
 # -- staged presentations ------------------------------------------------------
@@ -476,7 +422,7 @@ def staged_abelian_wp(
     return tuple(sorted(vec.items()))
 
 
-# -- word codings and translations ---------------------------------------------
+# -- word codings ---------------------------------------------------------------
 
 
 class WordCoding:
@@ -513,10 +459,6 @@ class WordCoding:
             n = n * self.base + 2 * idx + (0 if sign == 1 else 1) + 1
         return n
 
-    @staticmethod
-    def invert(word: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-        return tuple((idx, -sign) for idx, sign in reversed(word))
-
 
 def word_problem_table(
     equal_at: Callable[[int, int, int], bool],
@@ -541,28 +483,3 @@ def word_problem_table(
                 still.append((a, b))
         unrelated = still
     return table
-
-
-def finite_genset_translate(
-    reps: Mapping[int, Sequence[tuple[int, int]]],
-    new_coding: WordCoding,
-    old_coding: WordCoding,
-    bound: int,
-) -> ReductionFn:
-    """The word map induced by writing each new generator in old generators.
-
-    Sends the code of a word over the new generating set to the code of
-    its letterwise substitution; a reduction between the two word
-    problems whenever the representatives are correct.
-    """
-    if new_coding.ngens and set(range(new_coding.ngens)) - set(reps):
-        missing = sorted(set(range(new_coding.ngens)) - set(reps))
-        raise ValueError(f"no representative for generators {missing}")
-    table: dict[int, tuple[int, int]] = {}
-    for n in range(bound):
-        out: list[tuple[int, int]] = []
-        for idx, sign in new_coding.decode(n):
-            rep = tuple(reps[idx])
-            out.extend(rep if sign == 1 else WordCoding.invert(rep))
-        table[n] = (old_coding.encode(out), 0)
-    return ReductionFn(table=table, totality_bound=bound)

@@ -6,9 +6,9 @@ module's own `start` (`dark`, `sigma3`, `star` or `indexset`), the one the
 run calls once it has written its header, so each header check is made
 there, for the run and for replay alike.  `steps` applies each record
 through the construction's `apply_record`, the writer the engine calls on
-each record the run logs, and `rebuild` returns the finished result.  So
-a replayed log holds the run's own result in every field but one:
-sigma3's join-table pairs, which the log only counts.
+each record the run logs.  So a fully replayed log holds the run's own
+result in every field but one: sigma3's join-table pairs, which the log
+only counts.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Iterator
 from . import dark, indexset, sigma3, star
 from .engine import ActionRecord, ConstructionRun, RunLog
 
-__all__ = ["CONSTRUCTIONS", "start", "steps", "rebuild", "census_checkpoints"]
+__all__ = ["CONSTRUCTIONS", "start", "steps", "census_checkpoints"]
 
 # construction name -> (its module's `start`, which builds the empty result
 # a header describes, and its record writer `apply_record`)
@@ -45,14 +45,6 @@ def steps(log: RunLog, result: ConstructionRun
     for rec in log.records:
         apply(result, rec)
         yield rec, result
-
-
-def rebuild(log: RunLog) -> ConstructionRun:
-    """The result of the run that wrote the log."""
-    result = start(log)
-    for _ in steps(log, result):
-        pass
-    return result
 
 
 def census_checkpoints(log: RunLog) -> list[int]:

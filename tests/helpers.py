@@ -1,20 +1,32 @@
-"""Views of run state that only the tests read: a log's records filtered by
-requirement or action, a star run's free generators, the reference normal
-form of a level word and a comparison of two, the part of a sigma3 or sug
-result its writer owns, group slots included, the text of a reduction
-report, and the pairwise references for the `ceers` checks that read
-partition snapshots."""
+"""Views of run state that only the tests read: a log's replayed result, a
+log's records filtered by requirement or action, a star run's free
+generators, the staged-abelian factor and the reference normal form of a
+level word built on it, a comparison of two level words, the part of a
+sigma3 or sug result its writer owns, group slots included, the text of a
+reduction report, and the pairwise reference for `ceers.verify_reduction`,
+which reads partition snapshots."""
 import io
 
+from ceerlab import replay
 from ceerlab.ceers import PartialityError, ReductionReport
 from ceerlab.groups import (
     CyclicFactor,
     FreeProduct,
     FreeProductWord,
-    StagedAbelianFactor,
+    StagedPresentation,
+    _to_vec,
+    staged_abelian_wp,
 )
 from ceerlab.sigma3 import Sigma3Result
 from ceerlab.star import level_letters
+
+
+def rebuild(log):
+    """The result of the run that wrote the log, replayed record by record."""
+    result = replay.start(log)
+    for _ in replay.steps(log, result):
+        pass
+    return result
 
 
 def records_for(log, requirement=None, action=None):
@@ -27,6 +39,34 @@ def records_for(log, requirement=None, action=None):
 def free_generators(result):
     """The generators a star run has freed."""
     return {g for g, s in result.presentation.status.items() if s == "free"}
+
+
+class StagedAbelianFactor:
+    """A staged abelian presentation frozen at one stage, as a factor group.
+
+    Elements are sparse exponent vectors over the generators.
+    """
+
+    def __init__(self, presentation: StagedPresentation, stage: int):
+        self.presentation = presentation
+        self.stage = stage
+
+    def canon(self, elem) -> tuple[tuple[int, int], ...]:
+        return staged_abelian_wp(self.presentation, elem, self.stage)
+
+    def mul(self, a, b) -> dict[int, int]:
+        out = _to_vec(a)
+        for idx, exp in _to_vec(b).items():
+            out[idx] = out.get(idx, 0) + exp
+            if out[idx] == 0:
+                del out[idx]
+        return out
+
+    def inv(self, a) -> dict[int, int]:
+        return {idx: -exp for idx, exp in _to_vec(a).items()}
+
+    def is_identity(self, elem) -> bool:
+        return not self.canon(elem)
 
 
 def _ambient(pres, stage):
@@ -107,7 +147,7 @@ def report_text(report):
     return out.getvalue()
 
 
-# -- pairwise references for the ceers checks ----------------------------------
+# -- the pairwise reference for verify_reduction --------------------------------
 
 
 def pairwise_verify_reduction(f, source, target, bound, stage):
@@ -128,25 +168,3 @@ def pairwise_verify_reduction(f, source, target, bound, stage):
                 report.unaligned_so_far.append((i, j))
     return report
 
-
-def pairwise_darkness_probe(table, witness_set, stage):
-    """`ceers.darkness_probe` as a walk over every pair of witnesses."""
-    values = [v for v in witness_set.at_stage(stage) if 0 <= v < table.bound]
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            a, b = values[i], values[j]
-            if a != b and table.related(a, b, stage):
-                return (a, b)
-    return None
-
-
-def pairwise_lightness_witness_check(table, transversal, stage):
-    """`ceers.lightness_witness_check` as a walk over every pair of entries."""
-    items = list(transversal)
-    if len(set(items)) != len(items):
-        raise ValueError("transversal entries must be distinct")
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if table.related(items[i], items[j], stage):
-                return False
-    return True

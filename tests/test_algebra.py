@@ -9,10 +9,8 @@ from ceerlab.algebra import (
     HorizonError,
     Monomial,
     Poly,
-    decode_padded,
     gs_audit,
     monomial_to_unit_word,
-    pad_presentation,
     unit_inverse_poly,
     unit_word_to_poly,
 )
@@ -447,36 +445,3 @@ def test_unit_words_distinct_without_relators():
     words = [monomial_to_unit_word(Monomial(3, c)) for c in range(8)]
     images = [unit_word_to_poly(w, N, ideal) for w in words]
     assert len({str(f) for f in images}) == 8
-
-
-# -- presentation padding ----------------------------------------------------
-
-
-def test_pad_presentation_positions():
-    r1 = Poly.parse("xx", 2)
-    r2 = Poly.parse("xy", 2)
-    padded = pad_presentation([(r1, 2), (r2, 2)])
-    # second relator bumps past the occupied position
-    assert [(p.position, p.relator) for p in padded] == [
-        (0, None), (1, None), (2, r1), (3, r2),
-    ]
-    texts = [p.text() for p in padded]
-    assert texts[0] == "0 + 0*1 - 0*1"
-    assert texts[2].endswith("+ 2*1 - 2*1")
-
-
-def test_pad_decode_round_trip():
-    rels = [(Poly.parse("xx + xy", 3), 1), (Poly.parse("xxx", 3), 4)]
-    padded = pad_presentation(rels, length=8)
-    decoded = decode_padded([p.text() for p in padded], 3)
-    assert decoded == [(rels[0][0], 1), (rels[1][0], 4)]
-
-
-def test_pad_presentation_rejects_regression():
-    with pytest.raises(ValueError):
-        pad_presentation([(Poly.x(2), 5), (Poly.y(2), 3)])
-
-
-def test_pad_presentation_length_guard():
-    with pytest.raises(ValueError):
-        pad_presentation([(Poly.x(2), 9)], length=5)

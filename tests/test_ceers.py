@@ -15,8 +15,6 @@ from ceerlab.ceers import (
     ReductionFn,
     ReductionReport,
     StageSet,
-    darkness_probe,
-    lightness_witness_check,
     product,
     pullback,
     uniform_join,
@@ -25,8 +23,6 @@ from ceerlab.ceers import (
 from ceerlab.pairing import pair, unpair
 
 from helpers import (
-    pairwise_darkness_probe,
-    pairwise_lightness_witness_check,
     pairwise_verify_reduction,
     report_text,
 )
@@ -446,23 +442,6 @@ def test_functional_stub_use_covers_pairs():
                        required_pairs=((0, 7),))
 
 
-def test_darkness_probe():
-    t = CeerTable(bound=8)
-    t.assert_pair(2, 5, 6)
-    wits = StageSet([(2, 0), (5, 3), (7, 4)])
-    assert darkness_probe(t, wits, 5) is None
-    assert darkness_probe(t, wits, 6) == (2, 5)
-
-
-def test_lightness_witness_check():
-    t = CeerTable(bound=8)
-    t.assert_pair(1, 3, 2)
-    assert lightness_witness_check(t, [0, 1, 2], 5)
-    assert not lightness_witness_check(t, [1, 3], 2)
-    with pytest.raises(ValueError):
-        lightness_witness_check(t, [1, 1], 0)
-
-
 # -- snapshot checks vs their pairwise references ----------------------------
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None,
@@ -541,53 +520,15 @@ def test_verify_reduction_matches_pairwise_walk_and_oracle(case):
         (i, j) for i, j in images if not src.related(i, j, late)]
 
 
-@st.composite
-def witness_probes(draw):
-    table = draw(staged_tables())
-    rows = draw(st.lists(st.tuples(indices(draw, table), st.integers(0, 6)),
-                         max_size=10))
-    return table, StageSet.from_rows(rows), draw(query_stages(table))
-
-
-@DIFFERENTIAL
-@given(witness_probes())
-def test_darkness_probe_matches_pairwise_walk(case):
-    assert outcome(darkness_probe, *case) == outcome(pairwise_darkness_probe,
-                                                     *case)
-
-
-@st.composite
-def transversals(draw):
-    table = draw(staged_tables())
-    items = draw(st.lists(indices(draw, table), unique=True, max_size=7))
-    if items and draw(st.integers(0, 3)) == 0:  # a repeated entry
-        items.append(draw(st.sampled_from(items)))
-    return table, items, draw(query_stages(table))
-
-
-@DIFFERENTIAL
-@given(transversals())
-# related entries come before an out-of-bound one
-@example((CeerTable.from_pairs([(1, 3, 0)], 4), [1, 3, 99], 0))
-def test_lightness_witness_check_matches_pairwise_walk(case):
-    assert outcome(lightness_witness_check, *case) == outcome(
-        pairwise_lightness_witness_check, *case)
-
-
 def test_snapshot_checks_call_no_related(monkeypatch):
     rng = random.Random(31)
     source = random_table(rng, bound=40, n_pairs=30, max_stage=20)
     target = random_table(rng, bound=12, n_pairs=8, max_stage=20)
     fn = ReductionFn({n: (rng.randrange(12), 0) for n in range(40)}, 40)
-    wits = StageSet((n, n // 4) for n in range(40))
-    expected = (pairwise_verify_reduction(fn, source, target, 40, 10),
-                pairwise_darkness_probe(source, wits, 10),
-                pairwise_lightness_witness_check(source, range(40), 10))
-    assert expected[0].positive_violations and expected[0].unaligned_so_far
+    expected = pairwise_verify_reduction(fn, source, target, 40, 10)
+    assert expected.positive_violations and expected.unaligned_so_far
     calls = []
     monkeypatch.setattr(CeerTable, "related",
                         lambda *args: calls.append(args))
-    assert (verify_reduction(fn, source, target, 40, 10),
-            darkness_probe(source, wits, 10),
-            lightness_witness_check(source, range(40), 10)) == expected
+    assert verify_reduction(fn, source, target, 40, 10) == expected
     assert calls == []

@@ -1,5 +1,6 @@
 """Command-line surface: run, verify, probe, and their exit codes."""
 import argparse
+import hashlib
 import importlib
 import io
 import json
@@ -75,6 +76,22 @@ def test_run_default_log_sits_next_to_scenario(tiny_scenario, capsys):
     expected = tiny_scenario[: -len(".txt")] + ".log.jsonl"
     assert os.path.exists(expected)
     assert f"log: {expected}" in capsys.readouterr().out
+
+
+def test_run_keeps_a_default_log_with_another_header(tmp_path, capsys):
+    copy = tmp_path / "scenarios"
+    shutil.copytree(SCENARIOS, copy)
+    log = copy / "sigma3-basic.log.jsonl"
+    digest = hashlib.sha256(log.read_bytes()).hexdigest()
+    assert main(["run", str(copy / "sigma3-basic.txt"), "--stages", "3"]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == (f"error: {log} holds a log with another header; remove "
+                       "it or write this run's log elsewhere with --out\n")
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == digest
+    # a rerun with the log's own header rewrites it, byte for byte
+    assert main(["run", str(copy / "sigma3-basic.txt")]) == 0
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == digest
 
 
 def test_run_reruns_byte_identical(tiny_scenario, tmp_path, capsys):
@@ -201,7 +218,8 @@ def test_run_stages_above_ceiling(stages, route, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("route", ["flag", "scenario", "sug-template",
-                                   "level-census", "vi-vs-U"])
+                                   "level-census", "vi-vs-U",
+                                   "triangularity"])
 @pytest.mark.parametrize("levels", [6, 10 ** 9])
 def test_star_shape_above_ceiling(levels, route, tmp_path, capsys):
     out = tmp_path / "star.jsonl"
@@ -227,10 +245,15 @@ def test_star_shape_above_ceiling(levels, route, tmp_path, capsys):
         argv = ["verify", str(path), route]
     rc, peak = peak_of(argv)
     assert rc == 2
-    msg = (f"error: base {base} and levels {levels} need base ** (levels + 1) "
-           "generators, above the ceiling 100000\n")
+    msg = (f"base {base} and levels {levels} need base ** (levels + 1) "
+           "generators, above the ceiling 100000")
     got = capsys.readouterr()
-    assert (got.err if argv[0] == "run" else got.out) == msg
+    if argv[0] == "run":
+        assert got.err == f"error: {msg}\n"
+    else:  # verify reports a header it cannot replay as a malformed log
+        assert got.out == ""
+        assert got.err == (f"error: malformed log for suite {route}: "
+                           f"ValueError({msg!r})\n")
     assert peak < 2_000_000  # no level's letters were listed
     assert not out.exists()
 

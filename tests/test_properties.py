@@ -21,14 +21,13 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceerlab import replay
 from ceerlab.algebra import SUPPORTED_MODULI, Monomial, Poly
 from ceerlab.ceers import CeerTable
 from ceerlab.cli import _summarize, main
 from ceerlab.engine import RunLog
 from ceerlab.scenario import parse_scenario
 from ceerlab.star import check_size, level_letters
-from helpers import written_state
+from helpers import rebuild, written_state
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -337,7 +336,7 @@ def test_generated_star_runs_pass_the_star_suites(text):
         result.log.dump(path)
         for suite in ("triangularity", "level-census", "vi-vs-U"):
             assert _exit_code(["verify", path, suite]) == 0, suite
-        rebuilt = replay.rebuild(RunLog.load(path))
+        rebuilt = rebuild(RunLog.load(path))
     assert rebuilt.presentation.status == result.presentation.status
     assert _summarize(rebuilt) == _summarize(result)
 
@@ -391,7 +390,7 @@ def test_generated_sigma3_and_sug_logs_replay_to_the_run(text):
         result.log.dump(path)
         if result.construction == "sug-indexset":
             assert _exit_code(["verify", path, "triangularity"]) == 0
-        rebuilt = replay.rebuild(RunLog.load(path))
+        rebuilt = rebuild(RunLog.load(path))
     assert written_state(rebuilt) == written_state(result)
     assert _summarize(rebuilt) == _summarize(result)
 
@@ -447,5 +446,5 @@ def test_generated_dark_logs_replay_and_pass_membership(text):
         result.log.dump(path)
         failed = result.gs_failure is not None
         assert _exit_code(["verify", path, "membership"]) == int(failed)
-        rebuilt = replay.rebuild(RunLog.load(path))
+        rebuilt = rebuild(RunLog.load(path))
     assert _summarize(rebuilt) == _summarize(result)

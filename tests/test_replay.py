@@ -19,7 +19,7 @@ from ceerlab.pairing import pair
 from ceerlab.scenario import _RUNNERS, load_scenario
 from ceerlab.sigma3 import Sigma3Result, run_sigma3_ceer
 from ceerlab.star import PhiEntry, level_letters
-from helpers import written_state
+from helpers import rebuild, written_state
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -36,7 +36,7 @@ def test_shipped_log_rebuilds_to_the_run_summary(name):
     run's summary, a star run's output table pairs included."""
     log = RunLog.load(scenario(f"{name}.log.jsonl"))
     live = load_scenario(scenario(f"{name}.txt")).run()
-    assert _summarize(replay.rebuild(log)) == _summarize(live)
+    assert _summarize(rebuild(log)) == _summarize(live)
 
 
 @pytest.mark.parametrize(
@@ -49,7 +49,7 @@ def test_star_replay_matches_live_run(overrides):
         log = RunLog.load(scenario("star-universal-basic.log.jsonl"))
     else:
         log = RunLog.loads(live.log.dumps())
-    result = replay.rebuild(log)
+    result = rebuild(log)
     pres = result.presentation
     assert pres.relations == live.presentation.relations
     assert pres.levels == live.presentation.levels
@@ -70,7 +70,7 @@ def test_star_replay_keeps_only_the_letters_that_left_their_level():
     of them leave their level: `status` lists those alone."""
     scn = load_scenario(scenario("star-universal-basic.txt"))
     log = RunLog.loads(scn.run({"levels": 4, "base": 10}).log.dumps())
-    pres = replay.rebuild(log).presentation
+    pres = rebuild(log).presentation
     assert len(pres.status) == 100
     assert "level" not in pres.status.values()
     assert pres.levels == {j: level_letters(10, j) for j in range(5)}
@@ -189,7 +189,7 @@ def test_sigma3_and_sug_replay_matches_live_run(name):
     slot assignments, table-slot pairs and group-slot presentations and
     output tables, and the same summary."""
     live = INJURY_RUNS[name]()
-    result = replay.rebuild(RunLog.loads(live.log.dumps()))
+    result = rebuild(RunLog.loads(live.log.dumps()))
     assert written_state(result) == written_state(live)
     assert _summarize(result) == _summarize(live)
 
@@ -221,7 +221,7 @@ def test_replayed_result_has_the_run_type_fields_and_tables(name):
     and every table it holds has the run's bound and pairs, except sigma3's
     join table, whose pairs the log only counts."""
     live = ALL_RUNS[name]()
-    result = replay.rebuild(RunLog.loads(live.log.dumps()))
+    result = rebuild(RunLog.loads(live.log.dumps()))
     assert type(result) is type(live)
     assert [f.name for f in fields(result)] == [f.name for f in fields(live)]
     tables = dict(_tables(result))

@@ -14,7 +14,6 @@ from ceerlab.groups import (
     CyclicFactor,
     FreeProduct,
     FreeProductWord,
-    StagedAbelianFactor,
     StagedPresentation,
     fp_reduce,
 )
@@ -32,10 +31,12 @@ from ceerlab.star import (
     run_star_universal,
 )
 from helpers import (
+    StagedAbelianFactor,
     expand_form,
     free_generators,
     level_normal_form,
     level_words_equal_at,
+    rebuild,
     records_for,
 )
 
@@ -443,7 +444,7 @@ def test_level_words_equal_at_matches_the_joined_word(overrides):
         log = scn.run(overrides).log
     params = log.header["params"]
     base, levels = params["base"], params["levels"]
-    pres = replay.rebuild(log).presentation
+    pres = rebuild(log).presentation
     verdicts = set()
     for s in replay.census_checkpoints(log):
         for i in range(levels + 1):
@@ -568,7 +569,7 @@ def test_sparse_forms_match_the_reference_on_star_scale_logs(levels, base):
     scn = load_scenario(os.path.join(os.path.dirname(__file__), "..",
                                      "scenarios", "star-universal-basic.txt"))
     log = scn.run({"levels": levels, "base": base}).log
-    result = replay.rebuild(log)
+    result = rebuild(log)
     forms = forms_by_stage(result.presentation, base, levels,
                            replay.census_checkpoints(log))
     assert len(forms) == 6
