@@ -15,10 +15,12 @@ therefore climbs, not replays, and nothing is cached between calls.  The
 forest stores only the indices up to the largest one a pair names: any
 later index was never merged and is its own root, so a table's bound is
 checked, never allocated, and its memory follows its pairs, up to the
-constant INDEX_CEILING on the indices pairs may name.  `product`
-walks pairs too, asserting each factor pair against every index of the
-other factor; `roots_at`, `classes_at` and `pullback` take time linear in
-a bound, as their output does.  `verify_reduction` climbs once per index
+constant INDEX_CEILING on the indices pairs may name.  `product` and
+`pullback` walk pairs too, in union-finds of their own rooted at each
+class's least member: their work is the pairs they read plus the pairs
+they assert (plus the map's bound, for `pullback`), never pairs or stages
+times a bound.  `roots_at` and `classes_at` take time linear in a bound,
+as their output does.  `verify_reduction` climbs once per index
 it reads and never asks `related` pair by pair, so it takes time linear in
 its bound plus the pairs its report lists.
 
@@ -34,7 +36,8 @@ import heapq
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, groupby, islice
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .pairing import pair
@@ -484,33 +487,69 @@ def uniform_join(
     return joined
 
 
+def _least(parent: list[int], x: int) -> int:
+    """The root of x in a forest rooted at each class's least member,
+    halving the path it climbs."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join(parent: list[int], x: int, y: int) -> tuple[int, int]:
+    """Merge the classes of x and y in such a forest: the roots it keeps
+    and absorbs, one root twice if x and y were already one class."""
+    keep, gone = sorted((_least(parent, x), _least(parent, y)))
+    parent[gone] = keep
+    return keep, gone
+
+
 def product(left: CeerTable, right: CeerTable) -> CeerTable:
     """Product relation: <a1,b1> ~ <a2,b2> iff a1 ~ a2 on the left and b1 ~ b2 on the right.
 
     The product is generated by <a1,b> ~ <a2,b> for each left pair and each
     b below the right bound, and by <a,b1> ~ <a,b2> for each right pair and
     each a below the left bound.  The factors' pairs are walked merged by
-    stage, and a generator is asserted only when the output does not yet
-    relate it, so the result holds one pair per class merge.
+    stage, left first within a stage, each side in a union-find rooted at
+    each class's least member.  A pair inside one class of its side asserts
+    nothing; a pair that joins two asserts its generator at the least member
+    of each class of the other side, in ascending order, the generators the
+    output does not yet relate.  So the result holds one pair per class
+    merge, and the work is the pairs walked plus the pairs asserted.
     """
     bl, br = left.bound, right.bound
     if bl == 0 or br == 0:
         return CeerTable(0)
     out = CeerTable(pair(bl - 1, br - 1) + 1)
+    # per side, over the indices its pairs name: the forest, and its class
+    # leasts in ascending order, with those merged away since it was read
+    parents = [list(range(len(t._stamp))) for t in (left, right)]
+    leasts = [list(p) for p in parents]
     sides = heapq.merge(((s, 0, a, b) for a, b, s in left.pairs),
                         ((s, 1, a, b) for a, b, s in right.pairs))
     for s, side, x, y in sides:
-        for k in range(bl if side else br):
+        keep, gone = _join(parents[side], x, y)
+        if keep == gone:
+            continue
+        other = parents[1 - side]
+        live = leasts[1 - side] = [k for k in leasts[1 - side] if other[k] == k]
+        for k in chain(live, range(len(other), bl if side else br)):
             c, d = (pair(k, x), pair(k, y)) if side else (pair(x, k), pair(y, k))
-            if not out.related(c, d, s):
-                out.assert_pair(c, d, s)
+            out.assert_pair(c, d, s)
     return out
 
 
 def pullback(f: ReductionFn, target: CeerTable, bound: int | None = None) -> CeerTable:
     """Relation induced on [0, bound) by i ~ j iff f(i) ~ f(j) in target.
 
-    Like product, the result holds one pair per class merge.
+    Like product, the result holds one pair per class merge.  At the first
+    stage, min(0, the target's least stage), each index is paired with the
+    least one mapped into its target class.  Each later stage walks only
+    the target's pairs at that stage, in a union-find rooted at each class's
+    least member: the least index mapped into each class it absorbs is
+    paired with the least one mapped into the merged class, in ascending
+    order.  So the work is the bound plus the target's pairs plus the pairs
+    asserted.
     """
     if bound is None:
         bound = f.totality_bound
@@ -518,13 +557,31 @@ def pullback(f: ReductionFn, target: CeerTable, bound: int | None = None) -> Cee
     for fi in images:
         target._check_index(fi)
     out = CeerTable(bound)
-    for s in sorted(set(target.stages()) | {0}):
-        roots = target.roots_at(s)
-        first: dict[int, int] = {}
-        for i, fi in enumerate(images):
-            j = first.setdefault(roots[fi], i)
-            if not out.related(j, i, s):
-                out.assert_pair(j, i, s)
+    pairs = target.pairs
+    first = min(0, pairs[0][2]) if pairs else 0
+    start = bisect_right(pairs, first, key=itemgetter(2))
+    parent = list(range(len(target._stamp)))  # the indices pairs name
+    for a, b, _ in pairs[:start]:
+        _join(parent, a, b)
+    least: dict[int, int] = {}  # class root -> least index mapped into it
+    for i, fi in enumerate(images):
+        j = least.setdefault(_least(parent, fi) if fi < len(parent) else fi, i)
+        if j != i:
+            out.assert_pair(j, i, first)
+    for s, stage_pairs in groupby(pairs[start:], key=itemgetter(2)):
+        absorbed = []
+        for a, b, _ in stage_pairs:
+            keep, gone = _join(parent, a, b)
+            if keep == gone:
+                continue
+            lg = least.pop(gone, None)
+            if lg is not None:
+                lk = least.setdefault(keep, lg)
+                if lk != lg:
+                    least[keep] = min(lk, lg)
+                    absorbed.append(max(lk, lg))
+        for i in sorted(absorbed):
+            out.assert_pair(least[_least(parent, images[i])], i, s)
     return out
 
 

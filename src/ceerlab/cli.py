@@ -141,21 +141,25 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = args.out
-    if out is None:
-        out = os.path.splitext(args.scenario)[0] + ".log.jsonl"
-        # a rerun rewrites its own log; a log with another header is kept
-        header = RunLog(result.log.header).dumps().encode()
-        try:
-            with open(out, "rb") as fh:
-                foreign = fh.read(len(header)) != header
-        except FileNotFoundError:
-            foreign = False
-        if foreign:
-            print(f"error: {out} holds a log with another header; remove it "
-                  "or write this run's log elsewhere with --out",
-                  file=sys.stderr)
-            return 2
-    result.log.dump(out)
+    try:
+        if out is None:
+            out = os.path.splitext(args.scenario)[0] + ".log.jsonl"
+            # a rerun rewrites its own log; a log with another header is kept
+            header = RunLog(result.log.header).dumps().encode()
+            try:
+                with open(out, "rb") as fh:
+                    foreign = fh.read(len(header)) != header
+            except FileNotFoundError:
+                foreign = False
+            if foreign:
+                print(f"error: {out} holds a log with another header; remove "
+                      "it or write this run's log elsewhere with --out",
+                      file=sys.stderr)
+                return 2
+        result.log.dump(out)
+    except OSError as exc:  # the log path is a directory, say
+        print(f"error: cannot write log: {exc}", file=sys.stderr)
+        return 2
     for line in _summarize(result):
         print(line)
     print(f"log: {out}")

@@ -1,3 +1,4 @@
+import heapq
 import io
 import random
 import tracemalloc
@@ -311,6 +312,47 @@ def product_per_stage(left: CeerTable, right: CeerTable) -> CeerTable:
     return out
 
 
+def product_by_generators(left: CeerTable, right: CeerTable) -> CeerTable:
+    """The product built generator by generator: each factor pair, walked
+    merged by stage, is asserted against every index of the other factor
+    unless the output already relates the two codes.  The kernel asserts
+    the same pairs but reads the other factor's class leasts instead."""
+    bl, br = left.bound, right.bound
+    if bl == 0 or br == 0:
+        return CeerTable(0)
+    out = CeerTable(pair(bl - 1, br - 1) + 1)
+    sides = heapq.merge(((s, 0, a, b) for a, b, s in left.pairs),
+                        ((s, 1, a, b) for a, b, s in right.pairs))
+    for s, side, x, y in sides:
+        for k in range(bl if side else br):
+            c, d = (pair(k, x), pair(k, y)) if side else (pair(x, k), pair(y, k))
+            if not out.related(c, d, s):
+                out.assert_pair(c, d, s)
+    return out
+
+
+def pullback_per_stage(f: ReductionFn, target: CeerTable,
+                       bound: int | None = None) -> CeerTable:
+    """The pullback built index by index: at every stage, each index is
+    paired with the least one whose image shares its target class, unless
+    the two are already related.  The kernel asserts the same pairs but
+    walks the target's pairs instead."""
+    if bound is None:
+        bound = f.totality_bound
+    images = [f(n) for n in range(bound)]
+    for fi in images:
+        target._check_index(fi)
+    out = CeerTable(bound)
+    for s in sorted(set(target.stages()) | {0}):
+        roots = target.roots_at(s)
+        first: dict[int, int] = {}
+        for i, fi in enumerate(images):
+            j = first.setdefault(roots[fi], i)
+            if not out.related(j, i, s):
+                out.assert_pair(j, i, s)
+    return out
+
+
 def test_product_relates_what_the_per_stage_product_relates():
     rng = random.Random(43)
     for trial in range(40):
@@ -330,6 +372,113 @@ def test_product_relates_what_the_per_stage_product_relates():
         for s in sorted(set(left.stages()) | set(right.stages()) | {0, 99}):
             assert new_closure.classes(s) == old_closure.classes(s), (trial, s)
             assert new.classes_at(s) == old.classes_at(s), (trial, s)
+
+
+def walked_table(rng: random.Random, bound: int) -> CeerTable:
+    """Up to ten pairs among the table's first indices, from a stage in
+    -4..1 on, often several to a stage; small index ranges make redundant
+    pairs and self-pairs common."""
+    table = CeerTable(bound)
+    if bound:
+        named, stage = rng.randint(1, bound), rng.randint(-4, 1)
+        for _ in range(rng.randint(0, 10)):
+            stage += rng.choice((0, 0, 1, 2))
+            table.assert_pair(rng.randrange(named), rng.randrange(named),
+                              stage)
+    return table
+
+
+def built(op, *args):
+    """An operation's output as its bound and pairs, or what it raised."""
+    out = outcome(op, *args)
+    return (out.bound, out.pairs) if isinstance(out, CeerTable) else out
+
+
+def test_product_asserts_the_pairs_of_the_generator_walk():
+    rng = random.Random(47)
+    for trial in range(1200):
+        # zero and unequal bounds, and top indices no pair names
+        left = walked_table(rng, rng.randint(0, 7))
+        right = walked_table(rng, rng.randint(0, 7))
+        assert built(product, left, right) == built(
+            product_by_generators, left, right), (trial, left.pairs,
+                                                  right.pairs)
+
+
+def test_pullback_asserts_the_pairs_of_the_per_stage_walk():
+    rng = random.Random(53)
+    raised = negative = 0
+    for trial in range(1200):
+        target = walked_table(rng, rng.randint(1, 8))
+        # small targets give equal images; now and then an image out of
+        # the target's bound, an argument missing below the bound, or a
+        # bound other than the map's
+        top = target.bound + (rng.random() < 0.05)
+        n = rng.randint(0, 10)
+        table = {i: (rng.randrange(top), 0) for i in range(n)}
+        if table and rng.random() < 0.1:
+            del table[rng.choice(sorted(table))]
+        bound = None if rng.random() < 0.7 else rng.randint(0, n + 2)
+        args = (ReductionFn(table, n), target, bound)
+        got = built(pullback, *args)
+        assert got == built(pullback_per_stage, *args), (trial, target.pairs,
+                                                         table, bound)
+        raised += not isinstance(got[1], tuple)
+        negative += bool(target.pairs) and target.pairs[0][2] < 0
+    assert raised > 50 and negative > 200
+
+
+def test_pullback_starts_at_the_least_target_stage():
+    target = CeerTable.loads('{"a": 0, "b": 1, "s": -3}\n'
+                             '{"a": 1, "b": 2, "s": 2}\n')
+    fn = ReductionFn({0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (0, 0)}, 4)
+    expected = ((0, 1, -3), (0, 3, -3), (0, 2, 2))
+    assert pullback_per_stage(fn, target).pairs == expected
+    assert pullback(fn, target).pairs == expected
+
+
+def test_pullback_and_product_errors_are_the_walks_errors():
+    target = CeerTable(3)
+    cases = [
+        (ReductionFn({0: (0, 0), 2: (1, 0)}, 3), None),  # partial below bound
+        (ReductionFn({0: (0, 0)}, 1), 2),                # bound past the map
+        (ReductionFn({0: (1, 0), 1: (5, 0), 2: (7, 0)}, 3), None),
+    ]
+    for fn, bound in cases:
+        got = built(pullback, fn, target, bound)
+        assert got == built(pullback_per_stage, fn, target, bound)
+        assert got[0] in (PartialityError, IndexError)
+    assert built(pullback, cases[2][0], target) == (IndexError,
+                                                    "index 5 out of bound 3")
+    # an output code past the table index ceiling, met at the same pair
+    wide = CeerTable.loads('{"a": 0, "b": 1, "s": 0}\n'
+                           '{"a": 0, "b": 1500, "s": 1}\n')
+    got = built(product, wide, CeerTable(2))
+    assert got == built(product_by_generators, wide, CeerTable(2))
+    assert got[0] is IndexCeilingError
+
+
+def test_product_and_pullback_work_follows_their_pairs(monkeypatch):
+    rng = random.Random(59)
+    target = CeerTable.from_pairs(
+        [(rng.randrange(2000), rng.randrange(2000), s)
+         for s in range(1, 401) for _ in range(2)], 2000)
+    fn = ReductionFn({n: (rng.randrange(2000), 0) for n in range(600)}, 600)
+    left = random_table(rng, bound=30, n_pairs=300, max_stage=400)
+    right = random_table(rng, bound=40, n_pairs=8, max_stage=400)
+    pulled = pullback_per_stage(fn, target).pairs
+    multiplied = product_by_generators(left, right).pairs
+    calls: dict[str, int] = {}
+    for name in ("related", "roots_at"):
+        def counted(*args, real=getattr(CeerTable, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(CeerTable, name, counted)
+    assert pullback(fn, target).pairs == pulled
+    assert calls == {}
+    assert product(left, right).pairs == multiplied
+    assert calls.get("related", 0) <= len(left.pairs) + len(right.pairs)
+    assert "roots_at" not in calls
 
 
 def test_join_matches_oracle():

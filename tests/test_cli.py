@@ -94,6 +94,24 @@ def test_run_keeps_a_default_log_with_another_header(tmp_path, capsys):
     assert hashlib.sha256(log.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("route", ["--out", "default"])
+def test_run_log_path_that_is_a_directory(route, tmp_path, capsys):
+    scenario = tmp_path / "tiny.txt"
+    scenario.write_text(TINY_SIGMA3)
+    log = tmp_path / ("dir" if route == "--out" else "tiny.log.jsonl")
+    log.mkdir()
+    argv = ["run", str(scenario)] + (["--out", str(log)] if route == "--out"
+                                     else [])
+    assert main(argv) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == f"error: cannot write log: [Errno 21] Is a directory: " \
+                      f"'{log}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["tiny.txt", log.name])
+    assert list(log.iterdir()) == []
+
+
 def test_run_reruns_byte_identical(tiny_scenario, tmp_path, capsys):
     a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     assert main(["run", tiny_scenario, "--out", a]) == 0
