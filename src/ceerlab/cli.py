@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Any
 
 from . import replay
@@ -33,7 +32,7 @@ from .ceers import (
     verify_reduction,
 )
 from .dark import DarkRunResult, growth_audit
-from .engine import RunLog
+from .engine import ActionRecord, ConstructionRun, RunLog
 from .groups import TriangularityError
 from .indexset import SugResult
 from .pairing import pair
@@ -50,9 +49,6 @@ __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
 # 1,000 and 1,414 to list every pair (11 MB of text at 1,414, written
 # 4,096 pairs at a time).
 VERIFY_PAIR_CEILING = 1_000_000
-
-_STAR_LOGS = ("star-universal",)
-_DARK_LOGS = ("dark-ring", "dark-group")
 
 # what a malformed log's JSON values raise while a suite reads them
 _MALFORMED = (KeyError, ValueError, TypeError, IndexError, AttributeError,
@@ -171,56 +167,28 @@ def cmd_run(args: argparse.Namespace) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-class _NotForSuite(Exception):
-    """The log is not one the suite applies to; `verify` exits 2."""
-
-
-def _want_constructions(log: RunLog, allowed: tuple[str, ...],
-                        suite: str) -> None:
-    construction = log.header.get("construction", "<missing>")
-    if construction not in allowed:
-        raise _NotForSuite(
-            f"suite {suite!r} applies to {', '.join(allowed)} logs, "
-            f"got {construction!r}"
-        )
-
-
-def _star_suite(suite: str, vacuous: str):
-    """Run a star suite's checks on a star log's replayed result.  The
-    whole header is checked before any record is applied, by `replay.start`,
-    which checks the shape before any level's letters are listed, so a
-    malformed header ends as it does in `triangularity`; an empty log
-    passes vacuously, and a record stream no run could write fails."""
-    def wrap(checks):
-        def run_suite(log: RunLog) -> tuple[bool, list[str]]:
-            _want_constructions(log, _STAR_LOGS, suite)
-            result = replay.start(log)
-            if not log.records:
-                return True, [f"warning: empty log; {vacuous} passes "
-                              "vacuously"]
-            try:
-                for _ in replay.steps(log, result):
-                    pass
-            except (TriangularityError, StageRegressionError) as exc:
-                return False, [f"relation stream rejected: {exc}"]
-            return checks(log, result)
-        return run_suite
-    return wrap
-
-
-def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
-    """Replay the log: each relation added to the main presentation or to a
-    sug group slot's must be triangular and in stage order."""
-    _want_constructions(log, ("star-universal", "sug-indexset"),
-                        "triangularity")
-    result = replay.start(log)
-    sug = isinstance(result, SugResult)
+def _refused(log: RunLog,
+             result: ConstructionRun) -> tuple[ActionRecord, ValueError] | None:
+    """Apply each record of the log to `result`; the first record whose
+    relation or stage the presentation refuses, with its error, or None."""
     applied = 0
     try:
         for applied, _ in enumerate(replay.steps(log, result), start=1):
             pass
     except (TriangularityError, StageRegressionError) as exc:
-        name = log.records[applied].details["slot"] if sug else "main"
+        return log.records[applied], exc
+    return None
+
+
+def _suite_triangularity(log: RunLog,
+                         result: ConstructionRun) -> tuple[bool, list[str]]:
+    """Each relation added to the main presentation or to a sug group
+    slot's must be triangular and in stage order."""
+    sug = isinstance(result, SugResult)
+    refused = _refused(log, result)
+    if refused:
+        record, exc = refused
+        name = record.details["slot"] if sug else "main"
         return False, [f"{name}: FAIL: {exc}"]
     # a table slot is no presentation: it counts no relators
     counts = dict.fromkeys(result.table_slots if sug else (), 0)
@@ -234,9 +202,11 @@ def _suite_triangularity(log: RunLog) -> tuple[bool, list[str]]:
                   for name, count in sorted(counts.items())]
 
 
-@_star_suite("level-census", "census")
 def _suite_level_census(log: RunLog,
                         result: StarResult) -> tuple[bool, list[str]]:
+    refused = _refused(log, result)
+    if refused:
+        return False, [f"relation stream rejected: {refused[1]}"]
     base, levels = result.base, result.levels
     uni, pres = result.universal, result.presentation
     ok = True
@@ -261,8 +231,10 @@ def _suite_level_census(log: RunLog,
     return ok, lines
 
 
-@_star_suite("vi-vs-U", "equivalence suite")
 def _suite_vi_vs_u(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
+    refused = _refused(log, result)
+    if refused:
+        return False, [f"relation stream rejected: {refused[1]}"]
     levels, uni = result.levels, result.universal
     ok = True
     lines: list[str] = []
@@ -285,17 +257,12 @@ def _suite_vi_vs_u(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
-    _want_constructions(log, _DARK_LOGS, "membership")
-    params = log.header["params"]
-    p = params["modulus"]
-    epsilon = Fraction(params["epsilon"])
+def _suite_membership(log: RunLog,
+                      result: DarkRunResult) -> tuple[bool, list[str]]:
+    p = result.ideal.p
     ok = True
     lines: list[str] = []
-    if not log.records:
-        return True, ["warning: empty log; membership suite passes vacuously"]
-
-    for rec, result in replay.steps(log, replay.start(log)):
+    for rec, _ in replay.steps(log, result):
         obj = rec.details
         if rec.action == "enumerate-witness":
             poly = Poly.monomial(Monomial.from_word(obj["monomial"]), p)
@@ -325,13 +292,17 @@ def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
             ok = False
             lines.append(f"stage {rec.stage}: run itself recorded an audit "
                          "failure")
-        verdict = growth_audit(result.ideal, epsilon)
-        if not verdict.ok:
+        verdict = growth_audit(result.ideal, result.epsilon)
+        if verdict.failed_degree is not None:
             ok = False
             lines.append(
                 f"stage {rec.stage}: growth audit fails at degree "
                 f"{verdict.failed_degree} (count {verdict.count})"
             )
+        elif not verdict.ok:
+            ok = False
+            lines.append(f"stage {rec.stage}: growth audit fails: "
+                         f"{verdict.reason}")
 
     for w in result.witnesses.values():
         if not result.ideal.member(w["f"] - w["g"]):
@@ -347,11 +318,16 @@ def _suite_membership(log: RunLog) -> tuple[bool, list[str]]:
     return ok, lines
 
 
+# suite -> (the constructions whose logs it checks, what its empty-log
+# warning calls it, or None to run its checks on an empty log too, and its
+# checks on the result the log's header starts)
 SUITES = {
-    "triangularity": _suite_triangularity,
-    "level-census": _suite_level_census,
-    "vi-vs-U": _suite_vi_vs_u,
-    "membership": _suite_membership,
+    "triangularity": (("star-universal", "sug-indexset"), None,
+                      _suite_triangularity),
+    "level-census": (("star-universal",), "census", _suite_level_census),
+    "vi-vs-U": (("star-universal",), "equivalence suite", _suite_vi_vs_u),
+    "membership": (("dark-ring", "dark-group"), "membership suite",
+                   _suite_membership),
 }
 
 
@@ -368,11 +344,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot read log: {exc}", file=sys.stderr)
         return 2
-    try:
-        ok, lines = SUITES[args.suite](log)
-    except _NotForSuite as exc:
-        print(f"error: {exc}")
+    constructions, vacuous, checks = SUITES[args.suite]
+    construction = log.header.get("construction", "<missing>")
+    if construction not in constructions:
+        print(f"error: suite {args.suite!r} applies to "
+              f"{', '.join(constructions)} logs, got {construction!r}")
         return 2
+    try:
+        # the whole header is checked before an empty log passes
+        result = replay.start(log)
+        if vacuous and not log.records:
+            ok, lines = True, [f"warning: empty log; {vacuous} passes "
+                               "vacuously"]
+        else:
+            ok, lines = checks(log, result)
     except _MALFORMED as exc:
         print(f"error: malformed log for suite {args.suite}: {exc!r}",
               file=sys.stderr)

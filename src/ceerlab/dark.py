@@ -49,6 +49,7 @@ def collapse_floor(m: int) -> int:
 @dataclass
 class DarkRunResult(ConstructionRun):
     ideal: HomogeneousIdeal
+    epsilon: Fraction  # the relation budget's sparsity parameter
     transversals: dict[int, list[dict[str, Any]]] = field(default_factory=dict)
     protected: dict[int, list[int]] = field(default_factory=dict)
     witnesses: dict[int, dict[str, Any]] = field(default_factory=dict)
@@ -64,16 +65,18 @@ class DarkRunResult(ConstructionRun):
 
 
 def start(log: RunLog) -> DarkRunResult:
-    """The empty result a dark header describes: an ideal over its modulus,
-    with a `maxdeg` in [0, MAXDEG_CEILING]."""
+    """The empty result a dark header describes: its audit's `epsilon`, a
+    rational, and an ideal over its modulus, with a `maxdeg` in
+    [0, MAXDEG_CEILING]."""
     params = log.header["params"]
+    modulus, epsilon = params["modulus"], Fraction(params["epsilon"])
     maxdeg = params["maxdeg"]
     if not 0 <= maxdeg <= MAXDEG_CEILING:
         raise ValueError(f"bad maxdeg {maxdeg}: must lie in "
                          f"[0, {MAXDEG_CEILING}]")
-    ideal = HomogeneousIdeal(p=params["modulus"], maxdeg=maxdeg)
+    ideal = HomogeneousIdeal(p=modulus, maxdeg=maxdeg)
     return DarkRunResult(log.header["construction"], params, params["stages"],
-                         log, ideal=ideal)
+                         log, ideal=ideal, epsilon=epsilon)
 
 
 def apply_record(result: DarkRunResult, record: ActionRecord) -> None:

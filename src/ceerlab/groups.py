@@ -328,18 +328,6 @@ class StagedPresentation:
         """The laid-out level that holds x_gen, or None."""
         return next((j for j, gens in self.levels.items() if gen in gens), None)
 
-    def set_status(self, gen: int, status: str, stage: int) -> None:
-        """Give x_gen a status from `stage` on; a level's census counts
-        x_gen only once its level is laid out."""
-        self._check_index(gen)
-        self._check_stage("status", stage)
-        level = self.level_of(gen)
-        old, self.status[gen] = self.status.get(gen, "level"), status
-        if level is not None:
-            counts = self._counts_from(level, stage)
-            counts[old] -= 1
-            counts[status] += 1
-
     def set_statuses(self, level: int, gens: Iterable[int], status: str,
                      stage: int) -> None:
         """Give each of `gens`, letters of the laid-out `level`, a status
@@ -349,6 +337,7 @@ class StagedPresentation:
         counts = self._counts_from(level, stage)
         for gen in gens:
             if gen not in letters:
+                self._check_index(gen)  # an index no letter can have says so
                 raise ValueError(f"x{gen} is not a letter of level {level}")
             old, self.status[gen] = self.status.get(gen, "level"), status
             counts[old] -= 1

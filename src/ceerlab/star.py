@@ -93,7 +93,7 @@ def _lead_relator(side: Sequence[int]) -> dict[str, Any]:
     return {"lhs": side[-1], "rhs": [[g, -1] for g in side[:-1]]}
 
 
-# record keys naming generators whose status the record sets
+# record keys naming letters of the record's `level` whose status it sets
 _STATUS_KEYS = (("freed", "free"), ("collapsed", "collapsed"),
                 ("determined", "determined"))
 
@@ -104,9 +104,10 @@ def apply_record(result: "StarResult", record: ActionRecord) -> None:
     in the output table.  The run calls this on each record it logs and
     replay on each record it reads, so both build the same state.  Raises
     TriangularityError or StageRegressionError on a relation no run adds,
-    and ValueError on an index outside the presentation or on a witness
-    pair the output table cannot hold or that is out of stage order: a pair
-    is not a relation."""
+    and ValueError on an index outside the presentation, on a status letter
+    outside the level its record names, or on a witness pair the output
+    table cannot hold or that is out of stage order: a pair is not a
+    relation."""
     pres, base = result.presentation, result.base
     stage, details = record.stage, record.details
     init = record.action == "init-level"
@@ -119,11 +120,13 @@ def apply_record(result: "StarResult", record: ActionRecord) -> None:
                              f"the {pres.ngens}-generator presentation")
         pres.set_level(level, level_letters(base, level), stage)
     for key, status in _STATUS_KEYS:
-        for g in details.get(key, ()):
-            pres.set_status(g, status, stage)
+        gens = list(details.get(key, ()))
+        if gens:
+            pres.set_statuses(details["level"], gens, status, stage)
     if init:
-        for rel in details.get("relators", ()):
-            pres.set_status(rel["lhs"], "determined", stage)
+        gens = [rel["lhs"] for rel in details.get("relators", ())]
+        if gens:
+            pres.set_statuses(level, gens, "determined", stage)
     rels = list(details.get("relators", ()))  # then each collapse's
     for srv in details.get("served", ()):
         if "relators" in srv:

@@ -28,9 +28,10 @@ def test_census_matches_event_lists_on_random_streams(seed):
     for _ in range(rng.randint(0, 60)):
         stage += rng.choice((0, 0, 1, 3))
         gen = rng.randrange(pres.ngens)
-        if pres.level_of(gen) is not None:
+        level = pres.level_of(gen)
+        if level is not None:
             status = rng.choice(STATUSES)
-            pres.set_status(gen, status, stage)
+            pres.set_statuses(level, [gen], status, stage)
             oracle.set_status(gen, status, stage)
     for s in range(stage + 2):
         for j in range(levels + 1):
@@ -42,7 +43,6 @@ def test_census_matches_event_lists_on_random_streams(seed):
 def test_census_matches_event_lists_on_star_runs(overrides, monkeypatch):
     oracle = StatusEvents()
     set_level = StagedPresentation.set_level
-    set_status = StagedPresentation.set_status
     set_statuses = StagedPresentation.set_statuses
 
     def tee_level(pres, level, gens, stage):
@@ -50,17 +50,12 @@ def test_census_matches_event_lists_on_star_runs(overrides, monkeypatch):
         for g in gens:
             oracle.set_status(g, "level", stage)
 
-    def tee_status(pres, gen, status, stage):
-        set_status(pres, gen, status, stage)
-        oracle.set_status(gen, status, stage)
-
     def tee_statuses(pres, level, gens, status, stage):
         set_statuses(pres, level, gens, status, stage)
         for g in gens:
             oracle.set_status(g, status, stage)
 
     monkeypatch.setattr(StagedPresentation, "set_level", tee_level)
-    monkeypatch.setattr(StagedPresentation, "set_status", tee_status)
     monkeypatch.setattr(StagedPresentation, "set_statuses", tee_statuses)
     scn = load_scenario(os.path.join(SCENARIOS, "star-universal-basic.txt"))
     res = scn.run(overrides)
@@ -73,7 +68,7 @@ def test_census_matches_event_lists_on_star_runs(overrides, monkeypatch):
 @pytest.mark.parametrize("seed", range(10))
 def test_census_matches_event_lists_when_a_level_changes_at_once(seed):
     """`set_statuses` gives several letters of one level a status in one
-    call, as a collapse does, mixed with single-letter `set_status` calls."""
+    call, as a collapse does, mixed with single-letter calls."""
     rng = random.Random(seed)
     base, levels = rng.choice((2, 4, 6)), rng.randint(0, 2)
     pres = StagedPresentation(ngens=base ** (levels + 1))
@@ -93,7 +88,7 @@ def test_census_matches_event_lists_when_a_level_changes_at_once(seed):
             pres.set_statuses(j, gens, status, stage)
         else:
             gens = [rng.choice(level_letters(base, j))]
-            pres.set_status(gens[0], status, stage)
+            pres.set_statuses(j, gens, status, stage)
         for g in gens:
             oracle.set_status(g, status, stage)
     for s in range(stage + 2):
@@ -106,5 +101,10 @@ def test_set_statuses_names_letters_of_its_level():
     pres.set_level(1, level_letters(4, 1), 0)
     with pytest.raises(ValueError, match="x3 is not a letter of level 1"):
         pres.set_statuses(1, [4, 3], "collapsed", 1)
+    # an index no letter can have is named as such
+    with pytest.raises(ValueError, match="generator index -1 is negative"):
+        pres.set_statuses(1, [-1], "collapsed", 1)
+    with pytest.raises(ValueError, match=r"x16 is not materialized \(ngens=16\)"):
+        pres.set_statuses(1, [16], "collapsed", 1)
     with pytest.raises(KeyError):
         pres.set_statuses(0, [0], "collapsed", 1)

@@ -790,6 +790,66 @@ def test_verify_empty_log_passes_vacuously(tmp_path, capsys):
     assert "vacuously" in out
 
 
+# an empty log's header that `replay.start` refuses, under each suite that
+# applies to its construction: (suite, shipped log, header params to change,
+# with None to drop a key)
+EMPTY_LOG_HEADERS = {
+    "membership-maxdeg-1000": ("membership", "dark-ring-basic",
+                               {"maxdeg": 1000}),
+    "membership-modulus-4": ("membership", "dark-group-basic",
+                             {"modulus": 4}),
+    "membership-epsilon-abc": ("membership", "dark-ring-basic",
+                               {"epsilon": "abc"}),
+    "membership-no-epsilon": ("membership", "dark-group-basic",
+                              {"epsilon": None}),
+    "triangularity-star-levels-6": ("triangularity", "star-universal-basic",
+                                    {"levels": 6}),
+    "triangularity-sug-negative-bound": ("triangularity", "sug-basic",
+                                         {"coded_bound": -1}),
+    "level-census-levels-6": ("level-census", "star-universal-basic",
+                              {"levels": 6}),
+    "level-census-pair-outside-bound": ("level-census",
+                                        "star-universal-basic",
+                                        {"universal": [[0, 5, 6]]}),
+    "vi-vs-U-levels-6": ("vi-vs-U", "star-universal-basic", {"levels": 6}),
+    "vi-vs-U-no-universal": ("vi-vs-U", "star-universal-basic",
+                             {"universal": None}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_LOG_HEADERS))
+def test_verify_empty_log_checks_its_header(case, tmp_path, capsys):
+    suite, name, changes = EMPTY_LOG_HEADERS[case]
+    header = json.loads(open(shipped(f"{name}.log.jsonl")).readline())
+    params = header["params"]
+    for key, value in changes.items():
+        if value is None:
+            del params[key]
+        else:
+            params[key] = value
+    path = tmp_path / "empty.jsonl"
+    path.write_text(json.dumps(header) + "\n")
+    assert main(["verify", str(path), suite]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.count("\n") == 1
+    assert got.err.startswith(f"error: malformed log for suite {suite}: ")
+
+
+def test_verify_membership_names_the_audit_reason(tmp_path, capsys):
+    rows = open(shipped("dark-ring-basic.log.jsonl")).read().splitlines()
+    header = json.loads(rows[0])
+    header["params"]["epsilon"] = "3/2"
+    path = tmp_path / "eps.jsonl"
+    path.write_text("\n".join([json.dumps(header)] + rows[1:]) + "\n")
+    stages = [json.loads(row)["stage"] for row in rows[1:]]
+    assert main(["verify", str(path), "membership"]) == 1
+    assert capsys.readouterr() == ("".join(
+        f"stage {stage}: growth audit fails: epsilon must lie in (0, 1], "
+        "got 3/2\n" for stage in stages)
+        + f"replayed {len(stages)} records; 2 witness pairs checked; "
+        "FAILURES above\nsuite membership: FAIL\n", "")
+
+
 def test_verify_flags_nontriangular_relator(tmp_path, capsys):
     header = {"construction": "star-universal",
               "params": {"base": 6, "levels": 1, "stages": 2,

@@ -1,13 +1,16 @@
-"""Every name a `ceerlab` module exports is defined there and reached.
+"""Every name a `ceerlab` module exports is defined there and reached, and
+every private top-level name is read.
 
 A name in a module's ``__all__`` must be defined at the module's top level,
 and something outside its own definition must use it: another part of
 ``src/``, a benchmark script under ``bench/``, or the acceptance suite.  A
 module that looks a global up by a name built from a literal head, as
 ``globals()[f"cmd_{...}"]``, reaches every name of its own with that head.  A
-name that only its own unit tests call is surface nothing needs.  The
-sources are read as text with ``ast`` and ``re``; nothing is imported, the
-benchmark included.
+name that only its own unit tests call is surface nothing needs.  A
+top-level function, class or constant whose name starts with ``_`` (a
+dunder aside) must be read by code in ``src/`` outside its own definition;
+one nothing reads is a leftover.  The sources are read as text with ``ast``
+and ``re``; nothing is imported, the benchmark included.
 """
 import ast
 import glob
@@ -69,9 +72,27 @@ def _global_heads(tree):
             yield node.slice.values[0].value
 
 
-def test_every_export_is_defined_and_reached():
+def _sources():
+    """Each module's parsed source, and the (module, line) of every use of
+    each name."""
     modules = {os.path.basename(p)[:-3]: ast.parse(_read(p))
                for p in sorted(glob.glob(os.path.join(SRC, "*.py")))}
+    uses = {}
+    for module, tree in modules.items():
+        for name, line in _src_uses(tree):
+            uses.setdefault(name, []).append((module, line))
+    return modules, uses
+
+
+def _read_in_src(name, module, span, uses):
+    """Whether code in `src/` uses `name` outside its definition's lines."""
+    first, last = span
+    return any(not (other == module and first <= line <= last)
+               for other, line in uses.get(name, ()))
+
+
+def test_every_export_is_defined_and_reached():
+    modules, uses = _sources()
     outside = "\n".join(
         _read(p) for p in sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
         + [os.path.join(ROOT, "tests", "test_acceptance.py")])
@@ -83,12 +104,19 @@ def test_every_export_is_defined_and_reached():
             if name not in spans:
                 undefined.append(f"{module}.{name}")
                 continue
-            first, last = spans[name]
-            reached = name.startswith(heads) or any(
-                used == name and not (other == module and first <= line <= last)
-                for other, other_tree in modules.items()
-                for used, line in _src_uses(other_tree))
+            reached = (name.startswith(heads)
+                       or _read_in_src(name, module, spans[name], uses))
             if not (reached or re.search(rf"\b{re.escape(name)}\b", outside)):
                 unreached.append(f"{module}.{name}")
     assert not undefined, f"exported but not defined: {undefined}"
     assert not unreached, f"exported but reached by nothing: {unreached}"
+
+
+def test_every_private_name_is_read():
+    modules, uses = _sources()
+    unread = [f"{module}.{name}"
+              for module, tree in modules.items()
+              for name, span in _definitions(tree).items()
+              if name.startswith("_") and not name.startswith("__")
+              and not _read_in_src(name, module, span, uses)]
+    assert not unread, f"private names nothing reads: {unread}"

@@ -282,7 +282,7 @@ def test_staged_abelian_factor_in_free_product():
 def test_status_tracking():
     pres = StagedPresentation(ngens=4)
     pres.set_level(0, range(2, 3), 0)
-    pres.set_status(2, "free", 4)
+    pres.set_statuses(0, [2], "free", 4)
     assert pres.levels == {0: range(2, 3)}
     assert (pres.level_of(2), pres.level_of(3)) == (0, None)
     assert pres.status == {2: "free"}
@@ -296,13 +296,13 @@ def test_status_tracking():
     with pytest.raises(ValueError, match="x4 is not materialized"):
         pres.set_level(1, range(3, 5), 4)
     with pytest.raises(StageRegressionError):  # one check per presentation
-        pres.set_status(3, "collapsed", 1)
+        pres.set_statuses(0, [2], "collapsed", 1)
     with pytest.raises(StageRegressionError):
         pres.set_level(1, range(3, 4), 1)
     assert pres.levels == {0: range(2, 3)}
     pres.add_relation(1, (), 6)
     with pytest.raises(StageRegressionError):
-        pres.set_status(2, "collapsed", 5)
+        pres.set_statuses(0, [2], "collapsed", 5)
 
 
 # -- codings ------------------------------------------------------------------
