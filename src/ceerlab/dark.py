@@ -179,7 +179,6 @@ class _CollapseReq(Requirement):
     """Merge the first two listed words that agree in the bounded quotient."""
 
     kind = "D"
-    injures_lower = True
 
     def __init__(self, m: int, column: StageSet | None, state: _DarkState):
         super().__init__(f"D{m}")

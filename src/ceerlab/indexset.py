@@ -20,7 +20,9 @@ result's assignments, group and table slots and restraints, for the run as
 each record is logged and for replay of a finished log.  A group slot is
 the star result `star.empty_result` opens from the header's shape, with an
 empty universal table: `star.apply_record` applies each inner record to
-it, and the C requirement's star construction only decides them.
+it, and the C requirement's star construction only decides them.  That
+construction lays out its stage 0 when it is built, and the `open-slot`
+record carries those records; each `advance-slot` carries one inner stage.
 """
 from __future__ import annotations
 
@@ -65,9 +67,11 @@ class SugResult(ConstructionRun):
 
 def start(log: RunLog) -> SugResult:
     """The empty result a sug header describes, once its `coded_bound`, the
-    bound of every table slot, is checked."""
+    bound of every table slot, and the star shape of every group slot are
+    checked."""
     params = log.header["params"]
     check_bound(params["coded_bound"])
+    star.check_size(params["star_base"], params["star_levels"])
     return SugResult(log.header["construction"], params, params["stages"], log)
 
 
@@ -151,19 +155,17 @@ class _GroupBuilderReq(Requirement):
         if self.slot is None:
             self.slot = _fresh_slot(self.result, "g", self.k)
             # this record's writer applies the inner records it carries
-            self.instance = StarConstruction(
-                **self.template, name=f"star@{self.slot}",
-                apply=lambda record: None)
-            records = self.instance.initialize()
+            self.instance = StarConstruction(**self.template,
+                                             apply=lambda record: None)
             return {"action": "open-slot", "slot": self.slot,
-                    "inner": [r.to_obj() for r in records]}
+                    "inner": [r.to_obj() for r in self.instance.log.records]}
         self.instance.attach(self.result.group_slots[self.slot])
         record = self.instance.step()
         inner = [record.to_obj()] if record is not None else []
         return {"action": "advance-slot", "slot": self.slot,
                 "inner_stage": self.instance.stage, "inner": inner}
 
-    def reinitialize(self, stage: int, by: str) -> None:
+    def reinitialize(self) -> None:
         self.slot = None
 
 
@@ -211,7 +213,7 @@ class _PairCodingReq(Requirement):
             details["pair"] = None
         return details
 
-    def reinitialize(self, stage: int, by: str) -> None:
+    def reinitialize(self) -> None:
         self.slot = None
 
 

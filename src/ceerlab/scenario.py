@@ -38,11 +38,11 @@ from typing import Any, Callable
 from .algebra import MAXDEG_CEILING, Monomial, Poly
 from .ceers import CeerTable, FunctionalStub, StageSet
 from .dark import collapse_floor, run_dark_group, run_dark_ring
-from .engine import ConstructionRun
+from .engine import STAGE_CEILING, ConstructionRun
 from .indexset import SumFunctionalStub, run_sug_indexset
 from .replay import CONSTRUCTIONS
 from .sigma3 import run_sigma3_ceer
-from .star import GENERATOR_CEILING, PhiEntry, check_size, run_star_universal
+from .star import GENERATOR_CEILING, PhiEntry, run_star_universal
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
 
@@ -152,13 +152,6 @@ def load_scenario(path: str) -> Scenario:
 
 _INT_PARAMS = {"stages", "maxdeg", "modulus", "unit_exponent", "base",
                "levels", "ubound", "coded_bound"}
-
-
-# Ceiling on a run's stage count.  The engine visits every stage; run at
-# 100,000 stages in-process on a 2-vCPU x86-64 machine, the shipped
-# scenarios cost 0.8 us (dark-group) to 4.5 us (sigma3) a stage, so a run at
-# the ceiling takes under 0.5 s.
-STAGE_CEILING = 100_000
 
 
 # Ceiling on a section index.  Runners build one to three requirements per
@@ -476,7 +469,6 @@ def _run_star(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
     stages = params.get("stages", 500)
     base = params.get("base", 10)
     levels = params.get("levels", 2)
-    check_size(base, levels)
     universal = _pair_table(scn.section("universal"), None, "universal",
                             floor=levels + 1)
     phis = _phi_stubs(scn, "phi")
@@ -495,7 +487,6 @@ def _run_sug(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
     t_params = template.params if template is not None else {}
     star_base = int(t_params.get("base", 6))
     star_levels = int(t_params.get("levels", 1))
-    check_size(star_base, star_levels)
     star_universal = _pair_table(scn.section("star-universal"), None,
                                  "star-universal", floor=star_levels + 1)
     star_phis = _phi_stubs(scn, "star-phi")

@@ -115,7 +115,7 @@ class _CodingReq(Requirement):
         details["pairs_copied"] = copied
         return details
 
-    def reinitialize(self, stage: int, by: str) -> None:
+    def reinitialize(self) -> None:
         self.join_column = None
 
 

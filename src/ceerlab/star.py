@@ -256,7 +256,7 @@ class _CollapseCoding(Requirement):
             served.append({"pair": [i, j], "relators": relators})
             for req in st.diag:
                 if req.committed_level is not None and req.e >= j:
-                    req.reinitialize(stage, self.name)
+                    req.reinitialize()
                     restarted.add(req.name)
         self.queue = []
         details: dict[str, Any] = {"action": "collapse-level", "served": served}
@@ -395,7 +395,7 @@ class _DiagReq(Requirement):
         details = self._tie_break(top, gens)
         return {"action": "case-3c", "level": top, **details, **base_details}
 
-    def reinitialize(self, stage: int, by: str) -> None:
+    def reinitialize(self) -> None:
         self.witnesses = None
         self.done = False
         self.committed_level = None
@@ -550,13 +550,17 @@ GENERATOR_CEILING = 100_000
 
 
 def check_size(base: int, levels: int) -> None:
-    """Reject a shape whose base ** (levels + 1) generators pass the ceiling.
+    """Reject a shape no star run has: a base that is not an even integer
+    >= 2, a `levels` that is not a nonnegative integer (a bool is neither),
+    or base ** (levels + 1) generators above the ceiling.
 
     The count is multiplied up level by level and stops at the ceiling, so
     a huge `levels` costs a handful of steps.
     """
-    if base < 2:
+    if type(base) is not int or base < 2 or base % 2:
         raise ValueError("base must be an even integer >= 2")
+    if type(levels) is not int or levels < 0:
+        raise ValueError("levels must be a nonnegative integer")
     count = base
     for _ in range(levels):
         if count > GENERATOR_CEILING:
@@ -613,21 +617,20 @@ def start(log: RunLog) -> StarResult:
 
 class StarConstruction:
     """Steppable wrapper so the construction can be embedded or run solo.
+
+    Building it lays out stage 0: one `init-level` record per level, which
+    pins the level's two lead products; each `step` then runs one stage.
     Solo, it writes its own result through `apply_record`; embedded, its
     `apply` leaves each record to the run that carries it, which opens the
-    result the records go to, and `attach` hands that result over."""
+    result the records go to, and `attach` hands that result over before
+    the first step."""
 
     def __init__(self, universal: CeerTable,
                  phis: Mapping[int, Mapping[int, PhiEntry]],
                  base: int = 10, levels: int = 2, stages: int = 500,
-                 name: str = "star-universal",
                  apply: Callable[[ActionRecord], None] | None = None):
-        if base < 2 or base % 2:
-            raise ValueError("base must be an even integer >= 2")
-        check_size(base, levels)
+        check_size(base, levels)  # bounds check_budget's loop
         check_budget(base, levels)
-        self.base = base
-        self.levels = levels
         self.stages = stages
         ngens = base ** (levels + 1)
         for e, stub in phis.items():
@@ -649,7 +652,7 @@ class StarConstruction:
             "universal": [[a, b, s] for a, b, s in universal.pairs],
             "universal_bound": universal.bound,
         }
-        self.log = RunLog({"construction": name, "params": params})
+        self.log = RunLog({"construction": "star-universal", "params": params})
         # an R_e draws a pair when first asked and after each restart, at most
         # one a stage; the bound costs no memory, and take_witnesses guards it
         x_bound = 2 * (max(phis, default=-1) + 1) * (stages + 1) + 4
@@ -664,35 +667,23 @@ class StarConstruction:
             apply = partial(apply_record, self.result)
         self.engine = PriorityEngine(reqs, self.log, apply)
         self.stage = 0
+        for j in range(levels + 1):
+            gens = level_letters(base, j)  # starts even: base is even
+            relators = [_lead_relator(gens[parity::2]) for parity in (0, 1)]
+            apply(self.log.add(0, "init", "init", "init-level", level=j,
+                               generators=[gens[0], gens[-1]],
+                               relators=relators))
 
     def attach(self, result: StarResult) -> None:
         """Decide on `result`, the one the records are applied to."""
         self.result = result
         self.state.pres = result.presentation
 
-    def initialize(self) -> list[ActionRecord]:
-        """Stage 0: lay out levels and pin each level's two lead products;
-        the log holds records from here on."""
-        if self.log.records:
-            raise RuntimeError("already initialized")
-        records = []
-        for j in range(self.levels + 1):
-            gens = level_letters(self.base, j)  # starts even: base is even
-            relators = [_lead_relator(gens[parity::2]) for parity in (0, 1)]
-            records.append(self.log.add(
-                0, "init", "init", "init-level", level=j,
-                generators=[gens[0], gens[-1]], relators=relators))
-            self.engine.apply(records[-1])
-        return records
-
     def step(self) -> ActionRecord | None:
-        if not self.log.records:
-            raise RuntimeError("initialize() must run first")
         self.stage += 1
         return self.engine.run_stage(self.stage)
 
     def run(self) -> StarResult:
-        self.initialize()
         for _ in range(self.stages):
             self.step()
         return self.result

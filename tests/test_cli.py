@@ -15,8 +15,9 @@ import tracemalloc
 import pytest
 
 import ceerlab
+from ceerlab import replay
 from ceerlab.ceers import CeerTable
-from ceerlab.cli import main
+from ceerlab.cli import SUITES, main
 from ceerlab.engine import PriorityEngine, RunLog
 from ceerlab.pairing import pair
 
@@ -273,6 +274,54 @@ def test_star_shape_above_ceiling(levels, route, tmp_path, capsys):
         assert got.err == (f"error: malformed log for suite {route}: "
                            f"ValueError({msg!r})\n")
     assert peak < 2_000_000  # no level's letters were listed
+    assert not out.exists()
+
+
+NEGATIVE_LEVELS_STAR = """\
+construction = star-universal
+stages = 5
+base = 6
+levels = -2
+"""
+
+NEGATIVE_LEVELS_SUG = """\
+construction = sug-indexset
+stages = 5
+[star-template]
+base = 6
+levels = -1
+[vcolumn 0]
+1: 0
+"""
+
+
+@pytest.mark.parametrize("route", ["star-scenario", "sug-template", "flag",
+                                   "level-census", "vi-vs-U",
+                                   "triangularity"])
+def test_star_negative_levels(route, tmp_path, capsys):
+    """A negative `levels` is refused with one line wherever a star shape
+    is read: a scenario, a sug template, a flag and an empty log's header."""
+    out = tmp_path / "star.jsonl"
+    if route == "flag":
+        argv = ["run", shipped("star-universal-basic.txt"),
+                "--levels", "-3", "--out", str(out)]
+    elif route in ("star-scenario", "sug-template"):
+        path = tmp_path / "negative.txt"
+        path.write_text(NEGATIVE_LEVELS_STAR if route == "star-scenario"
+                        else NEGATIVE_LEVELS_SUG)
+        argv = ["run", str(path), "--out", str(out)]
+    else:
+        header = json.loads(
+            open(shipped("star-universal-basic.log.jsonl")).readline())
+        header["params"]["levels"] = -1
+        path = tmp_path / "empty.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        argv = ["verify", str(path), route]
+    assert main(argv) == 2
+    msg = "levels must be a nonnegative integer"
+    err = (f"error: {msg}\n" if argv[0] == "run" else
+           f"error: malformed log for suite {route}: ValueError({msg!r})\n")
+    assert capsys.readouterr() == ("", err)
     assert not out.exists()
 
 
@@ -833,6 +882,44 @@ def test_verify_empty_log_checks_its_header(case, tmp_path, capsys):
     got = capsys.readouterr()
     assert got.out == "" and got.err.count("\n") == 1
     assert got.err.startswith(f"error: malformed log for suite {suite}: ")
+
+
+STAGE_HEADER_LOGS = ["dark-group-basic", "dark-ring-basic", "sigma3-basic",
+                     "star-universal-basic", "sug-basic"]
+
+
+@pytest.mark.parametrize("records", [True, False],
+                         ids=["with-records", "no-records"])
+@pytest.mark.parametrize("stages", ["abc", -5, 100_001, True])
+@pytest.mark.parametrize("name,suite", [
+    (name, suite) for name in STAGE_HEADER_LOGS for suite, (kinds, _, _)
+    in sorted(SUITES.items())
+    if json.loads(open(shipped(f"{name}.log.jsonl")).readline())[
+        "construction"] in kinds])
+def test_verify_refuses_a_bad_header_stages(name, suite, stages, records,
+                                            tmp_path, capsys):
+    rows = open(shipped(f"{name}.log.jsonl")).readlines()
+    header = json.loads(rows[0])
+    header["params"]["stages"] = stages
+    path = tmp_path / "stages.jsonl"
+    path.write_text(json.dumps(header) + "\n"
+                    + ("".join(rows[1:]) if records else ""))
+    assert main(["verify", str(path), suite]) == 2
+    error = ValueError(f"bad stages {stages!r}: must be an integer in "
+                       "[0, 100000]")
+    assert capsys.readouterr() == (
+        "", f"error: malformed log for suite {suite}: {error!r}\n")
+
+
+@pytest.mark.parametrize("stages", ["abc", -5, 100_001, True])
+@pytest.mark.parametrize("name", STAGE_HEADER_LOGS)
+def test_replay_start_refuses_a_bad_header_stages(name, stages):
+    """Every construction's result refuses the stage count, sigma3's too,
+    which no suite reads."""
+    log = RunLog.load(shipped(f"{name}.log.jsonl"))
+    log.header["params"]["stages"] = stages
+    with pytest.raises(ValueError, match="^bad stages .*: must be an integer"):
+        replay.start(log)
 
 
 def test_verify_membership_names_the_audit_reason(tmp_path, capsys):

@@ -1,6 +1,11 @@
 """Engine behavior: priority order, injury discipline, log round trips."""
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import ceerlab
 from ceerlab.engine import (
     ActionRecord,
     ConstructionRun,
@@ -19,7 +24,7 @@ class Toy(Requirement):
         self.at = set(at)
         self.injures_lower = injures
         self.acted_at = []
-        self.reinits = []
+        self.injuries = 0
 
     def ready(self, stage):
         return stage in self.at
@@ -28,8 +33,8 @@ class Toy(Requirement):
         self.acted_at.append(stage)
         return {"action": "tick", "n": len(self.acted_at)}
 
-    def reinitialize(self, stage, by):
-        self.reinits.append((stage, by))
+    def reinitialize(self):
+        self.injuries += 1
 
 
 def build(*reqs, apply=lambda record: None):
@@ -47,15 +52,6 @@ def test_one_action_per_stage_highest_priority_wins():
     assert b.acted_at == [3]
 
 
-def test_ranks_assigned_in_list_order():
-    a = Toy("A", set())
-    b = Toy("B", set())
-    engine, _ = build(a, b)
-    assert (a.rank, b.rank) == (0, 1)
-    assert engine.lower_than(a) == [b]
-    assert engine.lower_than(b) == []
-
-
 def test_action_injures_all_lower_priority():
     a = Toy("A", {2})
     b = Toy("B", {1})
@@ -63,11 +59,9 @@ def test_action_injures_all_lower_priority():
     engine, log = build(a, b, c)
     engine.run(2)
     # B acting at stage 1 injures only C; A at stage 2 injures both
-    assert b.reinits == [(2, "A")]
-    assert c.reinits == [(1, "B"), (2, "A")]
-    assert a.reinits == []
-    rec = records_for(log, requirement="A")[0]
-    assert rec.details["reinitialized"] == ["B", "C"]
+    assert (a.injuries, b.injuries, c.injuries) == (0, 1, 2)
+    assert [(rec.requirement, rec.details["reinitialized"])
+            for rec in log.records] == [("B", ["C"]), ("A", ["B", "C"])]
 
 
 def test_non_injuring_requirement_leaves_lower_alone():
@@ -75,7 +69,7 @@ def test_non_injuring_requirement_leaves_lower_alone():
     b = Toy("B", set())
     engine, log = build(a, b)
     engine.run(1)
-    assert b.reinits == []
+    assert b.injuries == 0
     assert "reinitialized" not in log.records[0].details
 
 
@@ -177,3 +171,30 @@ def test_construction_run_shape():
     assert run.params == {"k": 1}
     assert run.stages == 10
     assert run.log is log
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_requirements_keep_the_base_signatures():
+    """Each `ready`, `act` and `reinitialize` a `ceerlab` requirement defines
+    takes the base class's parameters.  The engine calls `reinitialize` only
+    when a requirement is injured, so a wrong one would go unseen until a
+    run injures it."""
+    for info in pkgutil.iter_modules(ceerlab.__path__):
+        if info.name != "__main__":  # running it runs the command
+            importlib.import_module(f"ceerlab.{info.name}")
+    found = [cls for cls in _subclasses(Requirement)
+             if cls.__module__.startswith("ceerlab.")]
+    assert {cls.__module__ for cls in found} == {
+        "ceerlab.dark", "ceerlab.indexset", "ceerlab.sigma3", "ceerlab.star"}
+    for cls in found:
+        for method in ("ready", "act", "reinitialize"):
+            if method in vars(cls):
+                assert (list(inspect.signature(vars(cls)[method]).parameters)
+                        == list(inspect.signature(
+                            getattr(Requirement, method)).parameters)), (
+                    cls.__qualname__, method)

@@ -165,6 +165,53 @@ def test_verify_of_malformed_star_header_is_pinned(case, suite, records,
         2, "", f"error: malformed log for suite {suite}: {error}\n")
 
 
+# star shapes `star.check_size` refuses, in a star header or a sug header's
+# group-slot template: (shipped log, suites, header params to change, error)
+STAR_SHAPES = {
+    "star-odd-base": (
+        "star-universal-basic", ["level-census", "triangularity", "vi-vs-U"],
+        {"base": 7}, "ValueError('base must be an even integer >= 2')"),
+    "star-float-base": (
+        "star-universal-basic", ["level-census", "triangularity", "vi-vs-U"],
+        {"base": 10.0}, "ValueError('base must be an even integer >= 2')"),
+    "star-levels-true": (
+        "star-universal-basic", ["level-census", "triangularity", "vi-vs-U"],
+        {"levels": True},
+        "ValueError('levels must be a nonnegative integer')"),
+    "sug-odd-star-base": (
+        "sug-basic", ["triangularity"], {"star_base": 5},
+        "ValueError('base must be an even integer >= 2')"),
+    "sug-star-levels-above-ceiling": (
+        "sug-basic", ["triangularity"], {"star_levels": 6},
+        "ValueError('base 6 and levels 6 need base ** (levels + 1) "
+        "generators, above the ceiling 100000')"),
+    "sug-negative-star-levels": (
+        "sug-basic", ["triangularity"], {"star_levels": -1},
+        "ValueError('levels must be a nonnegative integer')"),
+}
+
+
+@pytest.mark.parametrize("case,suite", [
+    (case, suite) for case, (_, suites, _, _) in sorted(STAR_SHAPES.items())
+    for suite in suites])
+def test_verify_of_bad_star_shape_ignores_the_records(case, suite, tmp_path,
+                                                      capsys):
+    """A shape the run refuses is malformed input with the log's records and
+    without them, with the same one line."""
+    name, _, change, error = STAR_SHAPES[case]
+    header, *rest = open(shipped(f"{name}.log.jsonl")).readlines()
+    header = json.loads(header)
+    header["params"].update(change)
+    got = []
+    for records in (rest, []):
+        path = tmp_path / "shape.jsonl"
+        path.write_text(json.dumps(header) + "\n" + "".join(records))
+        got.append((main(["verify", str(path), suite]),
+                    *capsys.readouterr()))
+    expected = (2, "", f"error: malformed log for suite {suite}: {error}\n")
+    assert got == [expected, expected]
+
+
 # a relating record's output-table entry that no run writes: a stage below
 # the earlier relating record's, or witnesses that are not a pair.  The star
 # suites replay the table but check no pair of it, so both are malformed

@@ -53,7 +53,7 @@ def test_embedded_star_matches_standalone_run():
     assert all(r.details["slot"] == "g0" for r in recs)
 
     twin = StarConstruction(star_uni(), STAR_PHIS, base=6, levels=1, stages=5)
-    init_records = [r.to_obj() for r in twin.initialize()]
+    init_records = [r.to_obj() for r in twin.log.records]
     assert recs[0].details["inner"] == init_records
     for i, rec in enumerate(recs[1:], start=1):
         step = twin.step()

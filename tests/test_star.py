@@ -61,7 +61,7 @@ def test_level_letters_ranges():
 
 def test_initialization_pins_two_leads_per_level():
     con = StarConstruction(uni_table(), {}, base=10, levels=2, stages=1)
-    recs = con.initialize()
+    recs = con.log.records
     assert [r.details["level"] for r in recs] == [0, 1, 2]
     assert recs[0].details["generators"] == [0, 9]
     assert recs[2].details["generators"] == [100, 999]
@@ -75,16 +75,8 @@ def test_initialization_pins_two_leads_per_level():
     lead = recs[0].details["relators"][0]
     assert lead["lhs"] == 8
     assert lead["rhs"] == [[g, -1] for g in (0, 2, 4, 6)]
-
-
-def test_initialize_and_step_guards():
-    con = StarConstruction(uni_table(), {}, base=6, levels=1, stages=1)
-    with pytest.raises(RuntimeError):
-        con.step()
-    con.initialize()
-    with pytest.raises(RuntimeError):
-        con.initialize()
-    assert con.step() is None
+    assert con.step() is None  # nothing is ready: stage 1 logs nothing
+    assert len(con.log.records) == 3
 
 
 def test_generator_ceiling():
@@ -95,6 +87,10 @@ def test_generator_ceiling():
             check_size(base, levels)
     with pytest.raises(ValueError, match="base must be"):
         check_size(1, 10 ** 12)
+    with pytest.raises(ValueError, match="base must be"):
+        check_size(7, 1)
+    with pytest.raises(ValueError, match="^levels must be a nonnegative"):
+        check_size(6, -1)
 
 
 def test_parameter_validation():
@@ -381,7 +377,6 @@ def test_tie_break_strictly_shrinks_the_active_level():
     w0 = tuple((g, 1) for g in range(100, 998)) + ((10, 1),)
     phis = {0: {0: entry(w0), 1: entry([])}}
     con = StarConstruction(uni_table(), phis, base=10, levels=2, stages=3)
-    con.initialize()
     before = len(con.state.active(2))
     rec = con.step()
     assert rec.action == "case-3c"
