@@ -376,6 +376,15 @@ def _load_table(path: str, bound: int | None) -> CeerTable:
         return CeerTable.load(fh, bound)
 
 
+def _read_map(args: argparse.Namespace) -> ReductionFn:
+    """The finite map given inline (`--map`) or as the text of a file
+    (`--map-file`, for a map longer than one command-line argument may be)."""
+    if args.map is not None:
+        return _parse_map(args.map)
+    with open(args.map_file) as fh:
+        return _parse_map(fh.read())
+
+
 def _parse_map(text: str) -> ReductionFn:
     table: dict[int, tuple[int, int]] = {}
     for chunk in text.split(","):
@@ -434,11 +443,11 @@ def cmd_probe(args: argparse.Namespace) -> int:
             sys.stdout.write(uniform_join(columns).dumps())
             return 0
         if args.subcommand == "pullback":
-            fn = _parse_map(args.map)
+            fn = _read_map(args)
             sys.stdout.write(pullback(fn, table, bound=args.bound).dumps())
             return 0
         if args.subcommand == "verify-reduction":
-            fn = _parse_map(args.map)
+            fn = _read_map(args)
             target = _load_table(args.target, None)
             need = max(v for v, _ in fn.table.values()) + 1
             if target.bound < need:
@@ -516,15 +525,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("others", nargs="*")
 
+    def finite_map(sp):
+        given = sp.add_mutually_exclusive_group(required=True)
+        given.add_argument("--map", help='finite map "0:3,1:4,2:3"')
+        given.add_argument("--map-file", dest="map_file",
+                           help="file holding the map in --map's form")
+
     sp = psub.add_parser("pullback")
     common(sp)
-    sp.add_argument("--map", required=True,
-                    help='finite map "0:3,1:4,2:3"')
+    finite_map(sp)
 
     sp = psub.add_parser("verify-reduction")
     common(sp)
     sp.add_argument("target")
-    sp.add_argument("--map", required=True)
+    finite_map(sp)
 
     return parser
 

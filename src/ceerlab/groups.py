@@ -232,9 +232,12 @@ def z2_module_wp(
 # -- staged presentations ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Relation:
-    """One triangular relation x_lhs = prod x_i^e_i with all i < lhs."""
+    """One triangular relation x_lhs = prod x_i^e_i with all i < lhs, from
+    `stage` on.  Slotted and not frozen: replay builds one per logged
+    relator, and a frozen dataclass sets each field through
+    `object.__setattr__`, about three times the cost."""
 
     lhs: int
     rhs: tuple[tuple[int, int], ...]
@@ -250,9 +253,12 @@ class StagedPresentation:
     Each generator may be the left-hand side of at most one relation and
     right-hand sides mention strictly smaller indices, so substitution in
     descending index order terminates with a unique normal form.
-    `add_relation` holds the only copy of these rules, `_check_stage` the
-    one stage order; `validate_relation_stream` checks a raw stream by
-    feeding it to a throwaway presentation.
+    `add_relation` holds the only copy of these rules and `_check_stage` the
+    one stage order, which `add_relation` consults only when a relation
+    comes with a stage other than the last; `validate_relation_stream`
+    checks a raw stream by feeding it to a throwaway presentation.
+    `relations` lists the `Relation`s in the order they were added,
+    `_by_lhs` indexes them by left-hand side.
 
     Generator statuses (level / free / determined / collapsed) live here
     alone: `levels` holds each level's range, "level" until `status` names
@@ -290,8 +296,15 @@ class StagedPresentation:
         self, lhs: int, rhs: Iterable[tuple[int, int]], stage: int
     ) -> Relation:
         """Define x_lhs from `stage` on; every right-hand entry, even one
-        with exponent 0, must name a strictly smaller generator."""
-        self._check_index(lhs)
+        with exponent 0, must name a strictly smaller generator.
+
+        Replay calls this once per logged relator, so the common path calls
+        no helper: `_check_index` runs only to raise, and `_check_stage`
+        only for a stage object other than the last one, which it would
+        store unchanged."""
+        ngens = self.ngens
+        if lhs < 0 or ngens is not None and lhs >= ngens:
+            self._check_index(lhs)
         if lhs in self._by_lhs:
             raise TriangularityError(f"x{lhs} already has a defining relation")
         kept = []
@@ -303,7 +316,8 @@ class StagedPresentation:
                 )
             if e:
                 kept.append((i, e))
-        self._check_stage("relation", stage)
+        if stage is not self._last_stage:
+            self._check_stage("relation", stage)
         rel = Relation(lhs, tuple(kept), stage)
         self.relations.append(rel)
         self._by_lhs[lhs] = rel
@@ -378,21 +392,26 @@ def staged_abelian_wp(
     """Canonical exponent vector of w in the stage-s group.
 
     Substitutes defining relations highest index first, popping a max-heap
-    of the support's stage-s left-hand sides.  Right-hand sides mention
-    only smaller indices, so once x_j is popped nothing can bring it back:
-    each generator is substituted at most once.  The surviving support
-    contains no stage-s left-hand sides, so equal words have identical
-    canonical vectors.
+    of the support's stage-s left-hand sides; one loop over the summed
+    vector checks each index and seeds the heap, and a word with none is
+    already canonical.  Right-hand sides mention only smaller indices, so
+    once x_j is popped nothing can bring it back: each generator is
+    substituted at most once.  The surviving support contains no stage-s
+    left-hand sides, so equal words have identical canonical vectors.
     """
     vec = _to_vec(w)
+    ngens = pres.ngens
+    by_lhs = pres._by_lhs
+    heap = []
     for idx in vec:
-        if pres.ngens is not None and idx >= pres.ngens:
+        if ngens is not None and idx >= ngens:
             raise ValueError(f"word mentions unmaterialized generator x{idx}")
         if idx < 0:
             raise ValueError("generator index must be nonnegative")
-    by_lhs = pres._by_lhs
-    heap = [-j for j in vec
-            if (rel := by_lhs.get(j)) is not None and rel.stage <= stage]
+        if (rel := by_lhs.get(idx)) is not None and rel.stage <= stage:
+            heap.append(-idx)
+    if not heap:
+        return tuple(sorted(vec.items()))
     heapify(heap)
     while heap:
         j = -heappop(heap)

@@ -552,10 +552,15 @@ GENERATOR_CEILING = 100_000
 def check_size(base: int, levels: int) -> None:
     """Reject a shape no star run has: a base that is not an even integer
     >= 2, a `levels` that is not a nonnegative integer (a bool is neither),
-    or base ** (levels + 1) generators above the ceiling.
+    base ** (levels + 1) generators above the ceiling, or a per-level
+    reserve that could run dry.
 
     The count is multiplied up level by level and stops at the ceiling, so
-    a huge `levels` costs a handful of steps.
+    a huge `levels` costs a handful of steps before the budget loop, which
+    the ceiling then bounds.  Each level j must keep more than base**j
+    active generators after every possible diagonalization spend: levels
+    hold base**(j+1) - base**j generators (base for j = 0) and each of the
+    j higher-rank requirement slots can burn at most 4 * 2**j of them.
     """
     if type(base) is not int or base < 2 or base % 2:
         raise ValueError("base must be an even integer >= 2")
@@ -572,15 +577,6 @@ def check_size(base: int, levels: int) -> None:
             f"generators, above the ceiling {GENERATOR_CEILING}"
         )
 
-
-def check_budget(base: int, levels: int) -> None:
-    """Reject parameters whose per-level reserve could run dry.
-
-    Each level j must keep more than base**j active generators after
-    every possible diagonalization spend: levels hold base**(j+1) -
-    base**j generators (base for j = 0) and each of the j higher-rank
-    requirement slots can burn at most 4 * 2**j of them.
-    """
     for j in range(levels + 1):
         pool = base ** (j + 1) - base ** j
         spend = 4 * j * (2 ** j)
@@ -629,8 +625,7 @@ class StarConstruction:
                  phis: Mapping[int, Mapping[int, PhiEntry]],
                  base: int = 10, levels: int = 2, stages: int = 500,
                  apply: Callable[[ActionRecord], None] | None = None):
-        check_size(base, levels)  # bounds check_budget's loop
-        check_budget(base, levels)
+        check_size(base, levels)
         self.stages = stages
         ngens = base ** (levels + 1)
         for e, stub in phis.items():

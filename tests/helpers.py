@@ -3,9 +3,11 @@ log's records filtered by requirement or action, a star run's free
 generators, the staged-abelian factor and the reference normal form of a
 level word built on it, a comparison of two level words, the part of a
 sigma3 or sug result its writer owns, group slots included, the text of a
-reduction report, and the pairwise reference for `ceers.verify_reduction`,
-which reads partition snapshots."""
+reduction report, the pairwise reference for `ceers.verify_reduction`,
+which reads partition snapshots, and the helper-call references for
+`StagedPresentation.add_relation` and `staged_abelian_wp`."""
 import io
+from heapq import heapify, heappop, heappush
 
 from ceerlab import replay
 from ceerlab.ceers import PartialityError, ReductionReport
@@ -13,7 +15,9 @@ from ceerlab.groups import (
     CyclicFactor,
     FreeProduct,
     FreeProductWord,
+    Relation,
     StagedPresentation,
+    TriangularityError,
     _to_vec,
     staged_abelian_wp,
 )
@@ -168,3 +172,59 @@ def pairwise_verify_reduction(f, source, target, bound, stage):
                 report.unaligned_so_far.append((i, j))
     return report
 
+
+# -- helper-call references for the staged-abelian kernels -----------------------
+
+
+def reference_add_relation(pres, lhs, rhs, stage):
+    """`StagedPresentation.add_relation` with every check made through its
+    helpers: `_check_index` on the left-hand side and `_check_stage` on every
+    call.  The reference for the inlined common path."""
+    pres._check_index(lhs)
+    if lhs in pres._by_lhs:
+        raise TriangularityError(f"x{lhs} already has a defining relation")
+    kept = []
+    for i, e in rhs:
+        if not 0 <= i < lhs:
+            pres._check_index(i)
+            raise TriangularityError(
+                f"relation for x{lhs} mentions x{i}, not strictly smaller"
+            )
+        if e:
+            kept.append((i, e))
+    pres._check_stage("relation", stage)
+    rel = Relation(lhs, tuple(kept), stage)
+    pres.relations.append(rel)
+    pres._by_lhs[lhs] = rel
+    return rel
+
+
+def reference_staged_abelian_wp(pres, w, stage):
+    """`staged_abelian_wp` checking every index of the summed vector before
+    it seeds the heap from a second loop, with no early return.  The
+    reference for the one-loop version."""
+    vec = _to_vec(w)
+    for idx in vec:
+        if pres.ngens is not None and idx >= pres.ngens:
+            raise ValueError(f"word mentions unmaterialized generator x{idx}")
+        if idx < 0:
+            raise ValueError("generator index must be nonnegative")
+    by_lhs = pres._by_lhs
+    heap = [-j for j in vec
+            if (rel := by_lhs.get(j)) is not None and rel.stage <= stage]
+    heapify(heap)
+    while heap:
+        j = -heappop(heap)
+        exp = vec.pop(j, 0)
+        if not exp:
+            continue
+        for i, ri in by_lhs[j].rhs:
+            old = vec.get(i, 0)
+            vec[i] = old + exp * ri
+            if not vec[i]:
+                del vec[i]
+            elif not old:
+                rel = by_lhs.get(i)
+                if rel is not None and rel.stage <= stage:
+                    heappush(heap, -i)
+    return tuple(sorted(vec.items()))

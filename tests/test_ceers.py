@@ -78,6 +78,18 @@ def test_stageset_add_monotone():
         s.add(2, 3)
 
 
+def test_generated_stageset_index_bounds():
+    """A generated set of n entries answers indices 0..n-1 and refuses n,
+    even where its values go on; its stages answer -n..-1 too."""
+    s = StageSet.generated(range(100), 5, start=2, period=3, rate=2)
+    assert [s[i] for i in range(5)] == [(0, 2), (1, 2), (2, 5), (3, 5), (4, 8)]
+    assert s.entries() == tuple(s[i] for i in range(5))
+    assert [s[i][1] for i in range(-5, 0)] == [2, 2, 5, 5, 8]
+    for i in (5, 6, -6):
+        with pytest.raises(IndexError, match="StageSet index out of range"):
+            s[i]
+
+
 # -- CeerTable ------------------------------------------------------------
 
 
@@ -497,6 +509,26 @@ def test_join_matches_oracle():
                     ), (n, m, s)
 
 
+@pytest.mark.parametrize("hi_first", [True, False])
+@pytest.mark.parametrize("j", [0, 2])
+def test_uniform_join_explicit_bound_keeps_codes_below_it(j, hi_first):
+    """An explicit bound keeps a pair whose higher code is bound - 1 and
+    drops one whose higher code is bound, on either side of the pair."""
+    lo, hi = 1, 6
+    col = CeerTable(bound=8)
+    col.assert_pair(*((hi, lo) if hi_first else (lo, hi)), 3)
+    columns = [CeerTable(bound=8) for _ in range(j)] + [col]
+    top = pair(j, hi)
+    assert pair(j, lo) < top
+    kept = uniform_join(columns, bound=top + 1)
+    assert kept.bound == top + 1
+    assert kept.pairs == (((top, pair(j, lo)) if hi_first
+                           else (pair(j, lo), top)) + (3,),)
+    assert kept.related(pair(j, lo), top, 3)
+    dropped = uniform_join(columns, bound=top)
+    assert dropped.bound == top and dropped.pairs == ()
+
+
 def test_join_column_decode():
     assert unpair(pair(2, 7)) == (2, 7)
 
@@ -667,6 +699,29 @@ def test_verify_reduction_matches_pairwise_walk_and_oracle(case):
         if src.related(i, j, stage) and (i, j) not in images]
     assert got.unaligned_so_far == [
         (i, j) for i, j in images if not src.related(i, j, late)]
+
+
+@pytest.mark.parametrize("images,target_bound,bound,error", [
+    # images in the target: the source's 0 is met at j = 1, before its 1
+    ((0, 1, 2), 3, 3, "index 0 out of bound 0"),
+    ((0, 1), 2, 2, "index 0 out of bound 0"),
+    # f(1) out of the target: met before the source's 0
+    ((0, 1, 2), 1, 3, "index 1 out of bound 1"),
+    # f(0) out of the target: met first of all
+    ((5, 1, 2), 3, 3, "index 5 out of bound 3"),
+    # below bound 2 there is no pair and nothing is checked
+    ((7,), 3, 1, None),
+])
+def test_verify_reduction_error_order_on_a_source_of_bound_0(
+        images, target_bound, bound, error):
+    fn = ReductionFn({n: (v, 0) for n, v in enumerate(images)}, len(images))
+    case = (fn, CeerTable(bound=0), CeerTable(bound=target_bound), bound, 0)
+    got = outcome(verify_reduction, *case)
+    assert got == outcome(pairwise_verify_reduction, *case)
+    if error is None:
+        assert got == ReductionReport(bound=bound, stage=0)
+    else:
+        assert got == (IndexError, error)
 
 
 def test_snapshot_checks_call_no_related(monkeypatch):

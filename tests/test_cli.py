@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -1190,6 +1191,68 @@ def test_probe_empty_map(dumps, capsys):
     rc = main(["probe", "pullback", left, "--map", " "])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_probe_pullback_map_file_takes_a_map_too_long_for_one_argument(
+        tmp_path, capsys):
+    """A 20,000-entry map (about 180 KB, past the 128 KiB one argument may
+    hold on Linux) given as a file to a fresh process prints what the same
+    map given inline to `main` prints."""
+    rng = random.Random(27)
+    target = CeerTable(bound=2000)
+    for stage in range(1, 401):
+        for _ in range(2):
+            target.assert_pair(rng.randrange(2000), rng.randrange(2000), stage)
+    dump = tmp_path / "target.jsonl"
+    dump.write_text(target.dumps())
+    fmap = ",".join(f"{n}:{rng.randrange(2000)}" for n in range(20_000))
+    assert len(fmap) > 128 * 1024
+    map_file = tmp_path / "map.txt"
+    map_file.write_text(fmap + "\n")
+    assert main(["probe", "pullback", str(dump), "--map", fmap]) == 0
+    inline = capsys.readouterr().out
+    child = subprocess.run(
+        [sys.executable, "-m", "ceerlab", "probe", "pullback", str(dump),
+         "--map-file", str(map_file)],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert (hashlib.sha256(child.stdout.encode()).hexdigest()
+            == hashlib.sha256(inline.encode()).hexdigest())
+    assert inline.count("\n") > 10_000
+
+
+@pytest.mark.parametrize("fmap", ["0:2,1:3,2:0,3:1", "0:2,1:0,2:1,3:1"])
+def test_probe_verify_reduction_map_file_matches_inline(fmap, dumps, tmp_path,
+                                                       capsys):
+    left, right = dumps
+    map_file = tmp_path / "map.txt"
+    map_file.write_text(fmap)
+    got = [(main(["probe", "verify-reduction", left, right, *given]),
+            *capsys.readouterr())
+           for given in (["--map", fmap], ["--map-file", str(map_file)])]
+    assert got[0] == got[1]
+    assert got[0][0] in (0, 1) and got[0][1]
+
+
+@pytest.mark.parametrize("sub", ["pullback", "verify-reduction"])
+def test_probe_map_file_errors(sub, dumps, tmp_path, capsys):
+    left, right = dumps
+    argv = ["probe", sub, left] + ([right] if sub == "verify-reduction" else [])
+    missing = str(tmp_path / "no-map.txt")
+    assert main(argv + ["--map-file", missing]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: {missing!r}\n")
+    over = tmp_path / "over.txt"
+    over.write_text("0:0,2000000:1")
+    assert main(argv + ["--map-file", str(over)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --map value 2000000 implies a bound above the ceiling "
+        "1000000\n")
+    for given in ([], ["--map", "0:0", "--map-file", missing]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + given)
+        assert exc.value.code == 2
+        assert "--map" in capsys.readouterr().err
 
 
 # -- repeated calls ---------------------------------------------------------

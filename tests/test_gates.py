@@ -165,8 +165,9 @@ def test_verify_of_malformed_star_header_is_pinned(case, suite, records,
         2, "", f"error: malformed log for suite {suite}: {error}\n")
 
 
-# star shapes `star.check_size` refuses, in a star header or a sug header's
-# group-slot template: (shipped log, suites, header params to change, error)
+# star shapes `star.check_size` refuses, in a star
+# header or a sug header's group-slot template: (shipped log, suites, header
+# params to change, error)
 STAR_SHAPES = {
     "star-odd-base": (
         "star-universal-basic", ["level-census", "triangularity", "vi-vs-U"],
@@ -178,6 +179,20 @@ STAR_SHAPES = {
         "star-universal-basic", ["level-census", "triangularity", "vi-vs-U"],
         {"levels": True},
         "ValueError('levels must be a nonnegative integer')"),
+    "star-base-2-reserve": (
+        "star-universal-basic", ["level-census", "triangularity", "vi-vs-U"],
+        {"base": 2, "levels": 1},
+        "ValueError('reserve budget fails at level 0: 1 - 0 <= 1; raise base "
+        "or cut levels')"),
+    "star-level-1-reserve": (
+        "star-universal-basic", ["level-census", "triangularity", "vi-vs-U"],
+        {"base": 4, "levels": 2},
+        "ValueError('reserve budget fails at level 1: 12 - 8 <= 4; raise base "
+        "or cut levels')"),
+    "sug-star-base-2-reserve": (
+        "sug-basic", ["triangularity"], {"star_base": 2},
+        "ValueError('reserve budget fails at level 0: 1 - 0 <= 1; raise base "
+        "or cut levels')"),
     "sug-odd-star-base": (
         "sug-basic", ["triangularity"], {"star_base": 5},
         "ValueError('base must be an even integer >= 2')"),

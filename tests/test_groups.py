@@ -21,7 +21,11 @@ from ceerlab.groups import (
     z2_module_wp,
 )
 
-from helpers import StagedAbelianFactor
+from helpers import (
+    StagedAbelianFactor,
+    reference_add_relation,
+    reference_staged_abelian_wp,
+)
 from oracles import scan_reduce, staged_wp_dense
 
 
@@ -257,6 +261,121 @@ def test_staged_abelian_wp_matches_dense_oracle_randomized():
             for i, e in word:
                 vec[i] = vec.get(i, 0) + e
             assert staged_abelian_wp(pres, vec, s) == want
+
+
+def _outcome(f, *args):
+    """What a call gives: ("ok", repr of its value), or its exception's type
+    and message."""
+    try:
+        return "ok", repr(f(*args))
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return type(exc), str(exc)
+
+
+def _relation_entry(rng, top, stage, defined):
+    """One (lhs, rhs, stage) for a presentation of `top` letters at last
+    stage `stage`: triangular, or broken in one of the ways a log can be."""
+    lhs = rng.randrange(1, top)
+    rhs = [(i, rng.choice((-2, -1, 0, 1, 2)))
+           for i in rng.choices(range(lhs), k=rng.randint(0, 3))]
+    at = rng.randint(0, len(rhs))
+    new_stage = stage + rng.choice((0, 0, 0, 1, 300))
+    kind = rng.randrange(16)
+    if kind == 0:
+        lhs = -rng.randint(1, 3)
+    elif kind == 1:
+        lhs = top + rng.randint(0, 2)
+    elif kind == 2 and defined:
+        lhs = rng.choice(sorted(defined))
+    elif kind == 3:
+        rhs.insert(at, (lhs, rng.choice((0, 1))))
+    elif kind == 4:
+        rhs.insert(at, (lhs + rng.randint(1, 3), rng.choice((0, 1))))
+    elif kind == 5:
+        rhs.insert(at, (-1, rng.choice((0, 1))))
+    elif kind == 6:
+        new_stage = stage - rng.randint(1, 2)
+    elif kind == 7:
+        lhs = rng.choice((str(lhs), None, float(lhs), True, [lhs]))
+    elif kind == 8:
+        rhs.insert(at, rng.choice(((str(lhs - 1), 1), (0.5, 1), (0, "x"),
+                                   (0, 1.0), [0, 1], (0,), (0, 1, 2), None)))
+    elif kind == 9:
+        new_stage = rng.choice(("s", None, float(stage), stage + 0.5, True))
+    elif kind == 10:
+        rhs = rng.choice((5, None, "ab"))
+    return lhs, rhs, new_stage
+
+
+def test_add_relation_matches_the_helper_call_reference():
+    """Seeded triangular streams with malformed entries mixed in: the same
+    relation or the same refusal, and the same state after each entry."""
+    rng = random.Random(31)
+    for trial in range(250):
+        ngens = rng.choice((None, rng.randint(2, 30)))
+        top = 30 if ngens is None else ngens
+        new, ref = StagedPresentation(ngens), StagedPresentation(ngens)
+        stage = rng.choice((0, 1000))
+        for _ in range(rng.randint(0, 30)):
+            lhs, rhs, at = _relation_entry(rng, top, stage, ref._by_lhs)
+            got = _outcome(new.add_relation, lhs, rhs, at)
+            want = _outcome(reference_add_relation, ref, lhs, rhs, at)
+            assert got == want, (trial, lhs, rhs, at)
+            state = [(repr(p.relations), repr(p._by_lhs), repr(p._last_stage))
+                     for p in (new, ref)]
+            assert state[0] == state[1], (trial, lhs, rhs, at)
+            if got[0] == "ok":
+                assert type(new.relations[-1]) is type(ref.relations[-1])
+                if isinstance(at, int):
+                    stage = at
+
+
+def _word(rng, top):
+    """A word over `top` letters as pairs or a dict, sometimes with a bad
+    letter, a letter that cancels out, or a value no word holds."""
+    word = [(rng.randrange(top), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 12))]
+    at = rng.randint(0, len(word))
+    kind = rng.randrange(12)
+    if kind == 0:
+        word.insert(at, (rng.choice((-1, top, top + 5)), rng.choice((1, -2))))
+    elif kind == 1:  # a bad letter that cancels out
+        bad = rng.choice((-1, top))
+        word[at:at] = [(bad, 1), (rng.randrange(top), 1), (bad, -1)]
+    elif kind == 2:
+        word.insert(at, rng.choice(((str(0), 1), (2.0, 1), (True, 1),
+                                    (None, 1), ([0], 1), (0, None),
+                                    (0, 0.5), (0, "x"), (0, 1, 2), (0,))))
+    elif kind == 3:
+        word.insert(at, (rng.randrange(top), 0))
+    if rng.random() < 0.3:
+        try:
+            return dict(word)
+        except (TypeError, ValueError):
+            pass
+    return word
+
+
+def test_staged_abelian_wp_matches_the_two_loop_reference():
+    """Seeded presentations and words, malformed ones included: the same
+    canonical vector or the same refusal."""
+    rng = random.Random(32)
+    for trial in range(250):
+        ngens = rng.choice((None, rng.randint(1, 24)))
+        top = 24 if ngens is None else ngens
+        pres = StagedPresentation(ngens)
+        stage = 0
+        for lhs in rng.sample(range(top), rng.randint(0, top)):
+            rhs = [(i, rng.choice((-2, -1, 0, 1, 2)))
+                   for i in rng.choices(range(lhs), k=min(lhs, rng.randint(0, 3)))]
+            stage += rng.choice((0, 0, 1, 2))
+            pres.add_relation(lhs, rhs, stage)
+        for _ in range(12):
+            word = _word(rng, top)
+            s = rng.randint(0, stage + 1)
+            got = _outcome(staged_abelian_wp, pres, word, s)
+            assert got == _outcome(reference_staged_abelian_wp, pres, word, s), (
+                trial, word, s)
 
 
 def test_staged_abelian_factor_in_free_product():

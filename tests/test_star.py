@@ -81,7 +81,9 @@ def test_initialization_pins_two_leads_per_level():
 
 def test_generator_ceiling():
     check_size(10, 4)  # 100,000 generators: at the ceiling
-    check_size(2, 15)
+    check_size(6, 5)
+    with pytest.raises(ValueError, match="reserve budget fails at level 0"):
+        check_size(2, 15)  # under the ceiling, but its reserve runs dry
     for base, levels in [(10, 5), (2, 16), (100_002, 0), (10, 10 ** 12)]:
         with pytest.raises(ValueError, match="above the ceiling 100000"):
             check_size(base, levels)
