@@ -183,9 +183,6 @@ class Poly:
                 out[m] = out.get(m, 0) + cu * cv
         return Poly(self.p, out)
 
-    def truncate(self, horizon: int) -> "Poly":
-        return Poly(self.p, {m: c for m, c in self.coeffs.items() if m.deg <= horizon})
-
     # -- shape ----------------------------------------------------------
 
     def is_zero(self) -> bool:

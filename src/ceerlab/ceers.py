@@ -319,12 +319,20 @@ class CeerTable:
     # -- serialization -----------------------------------------------
 
     def dump(self, fp) -> None:
-        """Write one JSON record per asserted pair, in enumeration order."""
-        for a, b, s in self._pairs:
-            fp.write(json.dumps({"a": a, "b": b, "s": s}, sort_keys=True))
-            fp.write("\n")
+        """Write one JSON line per asserted pair, in enumeration order,
+        4,096 lines a write, so the text is never held whole.
+
+        Each line is ``{"a": A, "b": B, "s": S}``: the indices and the stage
+        are ints, as `assert_pair` takes them and `load` requires, and these
+        are the bytes ``json.dumps(..., sort_keys=True)`` gives for ints.
+        """
+        pairs = self._pairs
+        for lo in range(0, len(pairs), 4096):
+            fp.write("".join([f'{{"a": {a}, "b": {b}, "s": {s}}}\n'
+                              for a, b, s in pairs[lo:lo + 4096]]))
 
     def dumps(self) -> str:
+        """The text `dump` writes, as one string."""
         import io
 
         buf = io.StringIO()
@@ -335,7 +343,8 @@ class CeerTable:
     def load(cls, fp, bound: int | None = None) -> "CeerTable":
         """A dump as a table, by default bounded just past its largest index;
         that index must lie below the ceiling, checked before the table is
-        allocated."""
+        allocated.  Every `a`, `b` and `s` must be a JSON integer (not
+        true, 1.5, 2.0 or "3")."""
         rows, top = [], float("-inf")
         for n, line in enumerate(fp, start=1):
             if not line.strip():
@@ -344,8 +353,12 @@ class CeerTable:
                 rec = json.loads(line)
             except RecursionError:
                 raise ValueError(f"dump line {n} nests too deeply") from None
-            a, b = rec["a"], rec["b"]
-            rows.append((a, b, rec["s"]))
+            row = a, b, s = rec["a"], rec["b"], rec["s"]
+            if type(a) is not int or type(b) is not int or type(s) is not int:
+                key = next(k for k, v in zip("abs", row) if type(v) is not int)
+                raise ValueError(
+                    f'dump line {n}: field "{key}" is not an integer')
+            rows.append(row)
             if a > top:
                 top = a
             if b > top:

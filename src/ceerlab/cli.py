@@ -433,18 +433,18 @@ def cmd_probe(args: argparse.Namespace) -> int:
             other = _load_table(args.other, None)
             _check_output_bound("product", pair(max(table.bound - 1, 0),
                                                 max(other.bound - 1, 0)) + 1)
-            sys.stdout.write(product(table, other).dumps())
+            product(table, other).dump(sys.stdout)
             return 0
         if args.subcommand == "join":
             columns = [table] + [_load_table(p, None) for p in args.others]
             _check_output_bound("join", max(
                 pair(j, max(col.bound - 1, 0)) + 1
                 for j, col in enumerate(columns)))
-            sys.stdout.write(uniform_join(columns).dumps())
+            uniform_join(columns).dump(sys.stdout)
             return 0
         if args.subcommand == "pullback":
             fn = _read_map(args)
-            sys.stdout.write(pullback(fn, table, bound=args.bound).dumps())
+            pullback(fn, table, bound=args.bound).dump(sys.stdout)
             return 0
         if args.subcommand == "verify-reduction":
             fn = _read_map(args)

@@ -4,12 +4,16 @@ generators, the staged-abelian factor and the reference normal form of a
 level word built on it, a comparison of two level words, the part of a
 sigma3 or sug result its writer owns, group slots included, the text of a
 reduction report, the pairwise reference for `ceers.verify_reduction`,
-which reads partition snapshots, and the helper-call references for
-`StagedPresentation.add_relation` and `staged_abelian_wp`."""
+which reads partition snapshots, the helper-call references for
+`StagedPresentation.add_relation` and `staged_abelian_wp`, the per-pair
+reference for `CeerTable.dump`, and the truncation oracle for
+`Poly.mul_truncated`."""
 import io
+import json
 from heapq import heapify, heappop, heappush
 
 from ceerlab import replay
+from ceerlab.algebra import Poly
 from ceerlab.ceers import PartialityError, ReductionReport
 from ceerlab.groups import (
     CyclicFactor,
@@ -228,3 +232,22 @@ def reference_staged_abelian_wp(pres, w, stage):
                 if rel is not None and rel.stage <= stage:
                     heappush(heap, -i)
     return tuple(sorted(vec.items()))
+
+
+# -- the per-pair reference for CeerTable.dump -----------------------------------
+
+
+def reference_table_dump(table, fp):
+    """`CeerTable.dump` as one `json.dumps` call and two writes per pair: the
+    reference for the block writer."""
+    for a, b, s in table.pairs:
+        fp.write(json.dumps({"a": a, "b": b, "s": s}, sort_keys=True))
+        fp.write("\n")
+
+
+# -- the truncation oracle for Poly.mul_truncated --------------------------------
+
+
+def truncate(poly, horizon):
+    """`poly` with every term of degree above `horizon` dropped."""
+    return Poly(poly.p, {m: c for m, c in poly.coeffs.items() if m.deg <= horizon})

@@ -15,6 +15,7 @@ from ceerlab.algebra import (
     unit_word_to_poly,
 )
 
+from helpers import truncate
 from oracles import gs_bound, mono_mul, slice_echelon, span_member
 
 
@@ -115,7 +116,7 @@ def test_mul_truncated_matches_full():
     for _ in range(10):
         f = random_poly(rng, 4, 2, 4)
         g = random_poly(rng, 4, 2, 4)
-        assert f.mul_truncated(g, 5) == (f * g).truncate(5)
+        assert f.mul_truncated(g, 5) == truncate(f * g, 5)
 
 
 def test_homogeneous_components():

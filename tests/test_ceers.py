@@ -25,6 +25,7 @@ from ceerlab.pairing import pair, unpair
 
 from helpers import (
     pairwise_verify_reduction,
+    reference_table_dump,
     report_text,
 )
 from oracles import (
@@ -283,6 +284,54 @@ def test_load_refuses_a_line_nested_too_deeply():
     text = "[" * 100_000 + "]" * 100_000 + "\n"
     with pytest.raises(ValueError, match="^dump line 1 nests too deeply$"):
         CeerTable.loads(text)
+
+
+def _dump_case(kind: str, seed: int) -> CeerTable:
+    rng = random.Random(f"dump-{kind}-{seed}")
+    if kind == "empty":
+        return CeerTable(bound=5)
+    if kind == "ceiling":
+        # index 0 and the last one under the ceiling, stages 0 to 10**40
+        t = CeerTable(bound=INDEX_CEILING)
+        t.assert_pair(0, INDEX_CEILING - 1, 0)
+        for s in sorted(rng.randrange(10 ** rng.randint(1, 40))
+                        for _ in range(50)):
+            t.assert_pair(rng.choice((0, INDEX_CEILING - 1, rng.randrange(99))),
+                          rng.choice((0, INDEX_CEILING - 1)), s)
+        t.assert_pair(INDEX_CEILING - 1, 0, 10 ** 40)
+        return t
+    assert kind in ("block", "block+1")
+    n = 4096 if kind == "block" else 4097
+    return random_table(rng, bound=300, n_pairs=n, max_stage=10 * n)
+
+
+class _BlockWriter:
+    """A file that records what it is given and allows at most `limit`
+    writes of at most 4,096 lines each."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.parts: list[str] = []
+
+    def write(self, text: str) -> None:
+        assert len(self.parts) < self.limit, "more writes than blocks"
+        assert text.count("\n") <= 4096, "a block of more than 4,096 lines"
+        self.parts.append(text)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["empty", "ceiling", "block", "block+1"])
+def test_dump_matches_the_per_pair_reference(kind, seed):
+    t = _dump_case(kind, seed)
+    ref = io.StringIO()
+    reference_table_dump(t, ref)
+    # compared as lists of lines: a failure then names the first bad line
+    # instead of diffing whole texts
+    want = ref.getvalue().splitlines(keepends=True)
+    assert t.dumps().splitlines(keepends=True) == want
+    fp = _BlockWriter(-(-t.pair_count // 4096))
+    t.dump(fp)
+    assert "".join(fp.parts).splitlines(keepends=True) == want
 
 
 # -- operations vs definitional oracles ------------------------------------

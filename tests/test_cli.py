@@ -1080,6 +1080,23 @@ def test_probe_missing_dump(tmp_path, capsys):
     assert "cannot read dump" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["true", "1.5", "2.0", '"3"'])
+@pytest.mark.parametrize("field", "abs")
+def test_probe_refuses_a_dump_field_that_is_no_integer(field, value, tmp_path,
+                                                       capsys):
+    # line 2 has one field that is no JSON integer
+    row = {"a": "0", "b": "1", "s": "2"}
+    row[field] = value
+    dump = tmp_path / "bad.jsonl"
+    dump.write_text('{"a": 0, "b": 1, "s": 1}\n{'
+                    + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n")
+    assert main(["probe", "classes", str(dump)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot read dump: dump line 2: field "
+                            f'"{field}" is not an integer\n')
+
+
 @pytest.mark.parametrize("sub", [["related", "0", "1"], ["classes"],
                                  ["pullback", "--map", "0:0"]])
 def test_probe_bound_above_ceiling(sub, dumps, capsys):
