@@ -19,16 +19,19 @@ constant INDEX_CEILING on the indices pairs may name.  `product` and
 `pullback` walk pairs too, in union-finds of their own rooted at each
 class's least member: their work is the pairs they read plus the pairs
 they assert (plus the map's bound, for `pullback`), never pairs or stages
-times a bound.  `roots_at` and `classes_at` take time linear in a bound,
-as their output does.  `verify_reduction` climbs once per index
+times a bound.  A partition snapshot (`roots_at`, `classes_at`) is one
+read of the stamps: one pass over the named indices, each climbing inline
+while its edges are stamped at or before the stage, then the later
+indices as singletons, so it takes time linear in a bound, as its output
+does.  `verify_reduction` climbs once per index
 it reads and never asks `related` pair by pair, so it takes time linear in
 its bound plus the pairs its report lists.
 
 Equality of two indices is a positive, stage-monotone fact.  Inequality
 never is: a pair that is unrelated at stage s may become related later,
 so nothing in this module ever reports a negative fact as conclusive.
-Mutation is single-threaded; every snapshot handed out is an immutable
-tuple.
+Mutation is single-threaded.  A snapshot shares nothing with its table:
+`roots_at` returns a tuple and `classes_at` fresh lists.
 """
 from __future__ import annotations
 
@@ -269,13 +272,21 @@ class CeerTable:
         return x
 
     def roots_at(self, stage: int) -> tuple[int, ...]:
-        """Canonical partition snapshot: roots_at(s)[i] = min of i's class."""
+        """Canonical partition snapshot: roots_at(s)[i] = min of i's class.
+
+        One pass over the named indices, each climbing the forest as it
+        stood at `stage` inline; every later index is its own least member.
+        """
+        parent, stamp = self._parent, self._stamp
         least: dict[int, int] = {}
-        named = len(self._stamp)
-        return tuple(chain(
-            (least.setdefault(self._top(n, stage), n) for n in range(named)),
-            range(named, self.bound),
-        ))
+        out = []
+        for n in range(len(stamp)):
+            x = n
+            while stamp[x] <= stage:
+                x = parent[x]
+            out.append(least.setdefault(x, n))
+        out.extend(range(len(stamp), self.bound))
+        return tuple(out)
 
     def related(self, a: int, b: int, stage: int) -> bool:
         self._check_index(a)
@@ -310,11 +321,27 @@ class CeerTable:
         return max(last, above_a[x])
 
     def classes_at(self, stage: int) -> list[list[int]]:
-        """Partition at a stage as sorted class lists, sorted by least member."""
+        """Partition at a stage as sorted class lists, sorted by least member.
+
+        One pass over the named indices: each climbs the forest as it stood
+        at `stage` inline and joins the list of its tree's root, so a class
+        is met first at its least member and filled in ascending order.
+        Every later index follows as a singleton.  The lists are fresh.
+        """
+        parent, stamp = self._parent, self._stamp
         buckets: dict[int, list[int]] = {}
-        for n, r in enumerate(self.roots_at(stage)):
-            buckets.setdefault(r, []).append(n)
-        return list(buckets.values())
+        for n in range(len(stamp)):
+            x = n
+            while stamp[x] <= stage:
+                x = parent[x]
+            members = buckets.get(x)
+            if members is None:
+                buckets[x] = [n]
+            else:
+                members.append(n)
+        out = list(buckets.values())
+        out.extend([n] for n in range(len(stamp), self.bound))
+        return out
 
     # -- serialization -----------------------------------------------
 

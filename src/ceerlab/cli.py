@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Any
@@ -426,8 +425,12 @@ def cmd_probe(args: argparse.Namespace) -> int:
             print("true" if table.related(args.a, args.b, stage) else "false")
             return 0
         if args.subcommand == "classes":
-            for cls in table.classes_at(stage):
-                print(json.dumps(cls))
+            # the bytes json.dumps gives for a list of ints, 4,096 lines a write
+            classes = table.classes_at(stage)
+            for lo in range(0, len(classes), 4096):
+                sys.stdout.write("".join([
+                    "[" + ", ".join(map(str, cls)) + "]\n"
+                    for cls in classes[lo:lo + 4096]]))
             return 0
         if args.subcommand == "product":
             other = _load_table(args.other, None)

@@ -6,11 +6,13 @@ sigma3 or sug result its writer owns, group slots included, the text of a
 reduction report, the pairwise reference for `ceers.verify_reduction`,
 which reads partition snapshots, the helper-call references for
 `StagedPresentation.add_relation` and `staged_abelian_wp`, the per-pair
-reference for `CeerTable.dump`, and the truncation oracle for
-`Poly.mul_truncated`."""
+reference for `CeerTable.dump` and a file that counts the blocks written
+to it, the three-pass references for `CeerTable.roots_at` and
+`CeerTable.classes_at`, and the truncation oracle for `Poly.mul_truncated`."""
 import io
 import json
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from ceerlab import replay
 from ceerlab.algebra import Poly
@@ -243,6 +245,46 @@ def reference_table_dump(table, fp):
     for a, b, s in table.pairs:
         fp.write(json.dumps({"a": a, "b": b, "s": s}, sort_keys=True))
         fp.write("\n")
+
+
+class BlockWriter:
+    """A file that records what it is given and allows at most `limit`
+    writes of at most 4,096 lines each."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.parts: list[str] = []
+
+    def write(self, text: str) -> None:
+        assert len(self.parts) < self.limit, "more writes than blocks"
+        assert text.count("\n") <= 4096, "a block of more than 4,096 lines"
+        self.parts.append(text)
+
+    def flush(self) -> None:
+        pass
+
+
+# -- the three-pass references for CeerTable.roots_at and classes_at ---------------
+
+
+def reference_roots_at(table, stage):
+    """`CeerTable.roots_at` as one `_top` call per named index, kept least
+    members in a dict: the reference for the inline climb."""
+    least = {}
+    named = len(table._stamp)
+    return tuple(chain(
+        (least.setdefault(table._top(n, stage), n) for n in range(named)),
+        range(named, table.bound),
+    ))
+
+
+def reference_classes_at(table, stage):
+    """`CeerTable.classes_at` as a second pass over `reference_roots_at`:
+    the reference for the one-pass bucketing."""
+    buckets = {}
+    for n, r in enumerate(reference_roots_at(table, stage)):
+        buckets.setdefault(r, []).append(n)
+    return list(buckets.values())
 
 
 # -- the truncation oracle for Poly.mul_truncated --------------------------------

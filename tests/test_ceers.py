@@ -24,7 +24,10 @@ from ceerlab.ceers import (
 from ceerlab.pairing import pair, unpair
 
 from helpers import (
+    BlockWriter,
     pairwise_verify_reduction,
+    reference_classes_at,
+    reference_roots_at,
     reference_table_dump,
     report_text,
 )
@@ -258,6 +261,81 @@ def test_unnamed_top_indices_are_singletons_in_every_view():
             assert t.roots_at(s) == tuple(roots), (trial, s)
 
 
+def _snapshot_case(kind: str, seed: int) -> CeerTable:
+    rng = random.Random(f"snapshot-{kind}-{seed}")
+    if kind == "bound-0":
+        return CeerTable(bound=0)
+    if kind == "no-pairs":
+        return CeerTable(bound=rng.randint(1, 9))
+    if kind == "unnamed-tail":
+        # pairs name only the indices below 12 of a bound up to 40
+        return random_table(rng, rng.randint(12, 40), rng.randint(1, 20), 30,
+                            named=12)
+    if kind == "same-stage-path":
+        # 1 hangs under 0, then 0 under 2, all at stage 5: the path from 1
+        # climbs two edges stamped 5; the rest lands at stages 5 and 8
+        t = CeerTable(bound=rng.randint(6, 12))
+        for a, b, s in ((0, 1, 5), (2, 3, 5), (2, 0, 5), (4, 5, 5), (5, 1, 8)):
+            t.assert_pair(a, b, s)
+        return t
+    if kind == "random":
+        bound = rng.randint(1, 60)
+        return random_table(rng, bound, rng.randint(1, 80), 40,
+                            named=rng.randint(1, bound))
+    assert kind == "ceer-workload"
+    # the ceer benchmark's ingest shape: 12 pairs at each of stages 1-280
+    return CeerTable.from_pairs(
+        [(rng.randrange(4000), rng.randrange(4000), s)
+         for s in range(1, 281) for _ in range(12)], 4000)
+
+
+def _snapshot_stages(t: CeerTable) -> list:
+    """Stages below the first pair, at each pair's stage (as an int and as a
+    float), halfway to the next one and past the last."""
+    stages = t.stages()
+    if not stages:
+        return [-1, 0, 0.5, 3]
+    out = [stages[0] - 1, stages[0] - 0.5, stages[-1] + 1, stages[-1] + 0.5]
+    for lo, hi in zip(stages, stages[1:] + (stages[-1] + 2,)):
+        out += [lo, float(lo), (lo + hi) / 2]
+        if hi - lo > 1:
+            out.append(lo + 1)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["bound-0", "no-pairs", "unnamed-tail",
+                                  "same-stage-path", "random", "ceer-workload"])
+def test_snapshots_match_the_three_pass_reference(kind, seed):
+    t = _snapshot_case(kind, seed)
+    if kind == "same-stage-path":
+        assert t._parent[1] == 0 and t._parent[0] == 2
+        assert t._stamp[1] == t._stamp[0] == 5
+    stages = _snapshot_stages(t)
+    if kind == "ceer-workload":
+        stages = stages[:4] + stages[4::25]  # the ends and every 25th
+    for s in stages:
+        assert t.roots_at(s) == reference_roots_at(t, s), s
+        assert t.classes_at(s) == reference_classes_at(t, s), s
+
+
+def test_snapshots_climb_inline(monkeypatch):
+    rng = random.Random(67)
+    t = random_table(rng, bound=300, n_pairs=400, max_stage=100, named=250)
+    want_classes = reference_classes_at(t, 50)
+    want_roots = reference_roots_at(t, 50)
+    calls: dict[str, int] = {}
+    for name in ("_top", "roots_at"):
+        def counted(*args, real=getattr(CeerTable, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(CeerTable, name, counted)
+    assert t.classes_at(50) == want_classes
+    assert calls == {}
+    assert t.roots_at(50) == want_roots
+    assert calls == {"roots_at": 1}
+
+
 def test_dump_load_round_trip():
     rng = random.Random(3)
     t = random_table(rng, bound=10, n_pairs=8, max_stage=20)
@@ -305,20 +383,6 @@ def _dump_case(kind: str, seed: int) -> CeerTable:
     return random_table(rng, bound=300, n_pairs=n, max_stage=10 * n)
 
 
-class _BlockWriter:
-    """A file that records what it is given and allows at most `limit`
-    writes of at most 4,096 lines each."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.parts: list[str] = []
-
-    def write(self, text: str) -> None:
-        assert len(self.parts) < self.limit, "more writes than blocks"
-        assert text.count("\n") <= 4096, "a block of more than 4,096 lines"
-        self.parts.append(text)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["empty", "ceiling", "block", "block+1"])
 def test_dump_matches_the_per_pair_reference(kind, seed):
@@ -329,7 +393,7 @@ def test_dump_matches_the_per_pair_reference(kind, seed):
     # instead of diffing whole texts
     want = ref.getvalue().splitlines(keepends=True)
     assert t.dumps().splitlines(keepends=True) == want
-    fp = _BlockWriter(-(-t.pair_count // 4096))
+    fp = BlockWriter(-(-t.pair_count // 4096))
     t.dump(fp)
     assert "".join(fp.parts).splitlines(keepends=True) == want
 

@@ -22,6 +22,8 @@ from ceerlab.cli import SUITES, main
 from ceerlab.engine import PriorityEngine, RunLog
 from ceerlab.pairing import pair
 
+from helpers import BlockWriter, reference_classes_at
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCENARIOS = os.path.join(ROOT, "scenarios")
 
@@ -1033,6 +1035,34 @@ def test_probe_classes(dumps, capsys):
     assert [0, 1] in classes and [2] in classes and [3] in classes
 
 
+@pytest.mark.parametrize("kind,bound,classes", [
+    ("empty", 0, 0), ("block", 4097, 4096), ("block+1", 4098, 4097),
+    ("mixed", 9000, None)])
+def test_probe_classes_matches_the_per_class_reference(kind, bound, classes,
+                                                       tmp_path, monkeypatch):
+    if kind == "mixed":
+        rng = random.Random(35)
+        table = CeerTable.from_pairs(
+            [(rng.randrange(bound), rng.randrange(bound), s // 3)
+             for s in range(6000)], bound)
+    else:
+        table = CeerTable(bound=bound)
+        if bound:
+            table.assert_pair(0, 1, 0)
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(table.dumps())
+    stage = table.last_stage // 2
+    want = [json.dumps(cls) + "\n"
+            for cls in reference_classes_at(table, stage)]
+    assert classes is None or len(want) == classes
+    out = BlockWriter(-(-len(want) // 4096))
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["probe", "classes", str(dump), "--bound", str(bound),
+                 "--stage", str(stage)]) == 0
+    # compared as lists of lines: a failure names the first bad line
+    assert "".join(out.parts).splitlines(keepends=True) == want
+
+
 def test_probe_product(dumps, capsys):
     left, right = dumps
     assert main(["probe", "product", left, right]) == 0
@@ -1400,7 +1430,8 @@ def test_console_script_help():
 
 
 @pytest.mark.parametrize("buffered", [False, True])
-@pytest.mark.parametrize("command", ["run", "verify", "probe"])
+@pytest.mark.parametrize("command", ["run", "verify", "probe",
+                                     "probe-classes"])
 def test_closed_stdout_exits_2_with_one_line(command, buffered, tmp_path):
     """A reader that closed stdout before the command printed: one error
     line on stderr and exit 2, whether the failed write comes from a print
@@ -1413,6 +1444,8 @@ def test_closed_stdout_exits_2_with_one_line(command, buffered, tmp_path):
         "verify": ["verify", shipped("star-universal-basic.log.jsonl"),
                    "level-census"],
         "probe": ["probe", "related", str(dump), "0", "1"],
+        # 9,999 classes: three writes of up to 4,096 lines
+        "probe-classes": ["probe", "classes", str(dump), "--bound", "10000"],
     }[command]
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
