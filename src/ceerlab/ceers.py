@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
@@ -180,6 +181,10 @@ class _StageProgression:
 
 _ROOT = float("inf")  # the stamp of a root: no stage reaches it
 
+# the line `CeerTable.dump` writes, each int in JSON's grammar and ASCII digits
+_INT = r"(-?(?:0|[1-9][0-9]*))"
+_DUMP_LINE = re.compile(rf'\{{"a": {_INT}, "b": {_INT}, "s": {_INT}\}}\n?')
+
 
 def check_bound(bound: int) -> int:
     """`bound`, once checked to be one a table may take."""
@@ -216,31 +221,39 @@ class CeerTable:
 
     def assert_pair(self, a: int, b: int, stage: int) -> "CeerTable":
         """Record that a and b are related from `stage` onward."""
-        self._check_index(a)
-        self._check_index(b)
-        if self._pairs and stage < self._pairs[-1][2]:
+        bound = self.bound
+        if not (0 <= a < bound and 0 <= b < bound):
+            self._check_index(a)  # raises the first index's error
+            self._check_index(b)
+        pairs, parent, stamp = self._pairs, self._parent, self._stamp
+        if pairs and stage < pairs[-1][2]:
             raise StageRegressionError(
-                f"pair at stage {stage} after stage {self._pairs[-1][2]}"
+                f"pair at stage {stage} after stage {pairs[-1][2]}"
             )
-        named = len(self._stamp)
+        named = len(stamp)
         if a >= named or b >= named:
             if max(a, b) >= INDEX_CEILING:
                 raise IndexCeilingError(
                     f"pair ({a}, {b}) names index {max(a, b)}, not below "
                     f"the table index ceiling {INDEX_CEILING}")
             grow = max(a, b) + 1 - named
-            self._parent.extend([0] * grow)
+            parent.extend([0] * grow)
             self._size.extend([1] * grow)
-            self._stamp.extend([_ROOT] * grow)
-        self._pairs.append((a, b, stage))
-        # no stamp exceeds `stage`, so these climbs reach the current roots
-        ra, rb = self._top(a, stage), self._top(b, stage)
-        if ra != rb:
-            if self._size[ra] < self._size[rb]:
-                ra, rb = rb, ra
-            self._parent[rb] = ra
-            self._stamp[rb] = stage
-            self._size[ra] += self._size[rb]
+            stamp.extend([_ROOT] * grow)
+        pairs.append((a, b, stage))
+        # both indices are named now and no stamp exceeds `stage`, so these
+        # inline climbs (`_top`'s) reach the current roots
+        while stamp[a] <= stage:
+            a = parent[a]
+        while stamp[b] <= stage:
+            b = parent[b]
+        if a != b:
+            size = self._size
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            stamp[b] = stage
+            size[a] += size[b]
         return self
 
     # -- queries -----------------------------------------------------
@@ -371,20 +384,35 @@ class CeerTable:
         """A dump as a table, by default bounded just past its largest index;
         that index must lie below the ceiling, checked before the table is
         allocated.  Every `a`, `b` and `s` must be a JSON integer (not
-        true, 1.5, 2.0 or "3")."""
+        true, 1.5, 2.0 or "3").
+
+        A line exactly as `dump` writes it, with or without its final
+        newline, is read by one match of `_DUMP_LINE` and no JSON decoder.
+        Its three ints follow JSON's own integer grammar in ASCII digits, so
+        `int` of each gives what `json.loads` gives, the same ValueError
+        past 4,300 digits included.  Every other line (blank, another key
+        order or spacing, a CRLF ending, a non-integer, junk) takes the
+        `json.loads` branch, with its checks and messages."""
         rows, top = [], float("-inf")
+        match = _DUMP_LINE.fullmatch
         for n, line in enumerate(fp, start=1):
-            if not line.strip():
+            m = match(line)
+            if m is not None:
+                row = a, b, s = int(m[1]), int(m[2]), int(m[3])
+            elif not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except RecursionError:
-                raise ValueError(f"dump line {n} nests too deeply") from None
-            row = a, b, s = rec["a"], rec["b"], rec["s"]
-            if type(a) is not int or type(b) is not int or type(s) is not int:
-                key = next(k for k, v in zip("abs", row) if type(v) is not int)
-                raise ValueError(
-                    f'dump line {n}: field "{key}" is not an integer')
+            else:
+                try:
+                    rec = json.loads(line)
+                except RecursionError:
+                    raise ValueError(f"dump line {n} nests too deeply") from None
+                row = a, b, s = rec["a"], rec["b"], rec["s"]
+                if (type(a) is not int or type(b) is not int
+                        or type(s) is not int):
+                    key = next(k for k, v in zip("abs", row)
+                               if type(v) is not int)
+                    raise ValueError(
+                        f'dump line {n}: field "{key}" is not an integer')
             rows.append(row)
             if a > top:
                 top = a

@@ -99,8 +99,12 @@ class RunLog:
                 if not isinstance(objs[-1], dict):
                     raise ValueError(f"log line {n} is not a JSON object")
                 missing = [k for k in _RECORD_KEYS if k not in objs[-1]]
-                if len(objs) > 1 and missing:  # a record, not the header
-                    raise ValueError(f"log line {n} lacks {missing[0]!r}")
+                if len(objs) > 1:  # a record, not the header
+                    if missing:
+                        raise ValueError(f"log line {n} lacks {missing[0]!r}")
+                    if type(objs[-1]["stage"]) is not int:  # a bool is no stage
+                        raise ValueError(f"log line {n}: stage is not an "
+                                         "integer")
         if not objs:
             raise ValueError("empty log")
         log = cls(objs[0])

@@ -8,7 +8,9 @@ which reads partition snapshots, the helper-call references for
 `StagedPresentation.add_relation` and `staged_abelian_wp`, the per-pair
 reference for `CeerTable.dump` and a file that counts the blocks written
 to it, the three-pass references for `CeerTable.roots_at` and
-`CeerTable.classes_at`, and the truncation oracle for `Poly.mul_truncated`."""
+`CeerTable.classes_at`, the per-line JSON reference for `CeerTable.load`
+and the helper-call reference for `CeerTable.assert_pair`, and the
+truncation oracle for `Poly.mul_truncated`."""
 import io
 import json
 from heapq import heapify, heappop, heappush
@@ -16,7 +18,15 @@ from itertools import chain
 
 from ceerlab import replay
 from ceerlab.algebra import Poly
-from ceerlab.ceers import PartialityError, ReductionReport
+from ceerlab.ceers import (
+    INDEX_CEILING,
+    CeerTable,
+    IndexCeilingError,
+    PartialityError,
+    ReductionReport,
+    StageRegressionError,
+    _ROOT,
+)
 from ceerlab.groups import (
     CyclicFactor,
     FreeProduct,
@@ -285,6 +295,92 @@ def reference_classes_at(table, stage):
     for n, r in enumerate(reference_roots_at(table, stage)):
         buckets.setdefault(r, []).append(n)
     return list(buckets.values())
+
+
+# -- the per-line JSON reference for CeerTable.load and its assert_pair -----------
+
+
+def reference_assert_pair(table, a, b, stage):
+    """`CeerTable.assert_pair` with both index checks made through
+    `_check_index` and both roots found through `_top`: the reference for
+    the chained check and the inline climbs."""
+    table._check_index(a)
+    table._check_index(b)
+    if table._pairs and stage < table._pairs[-1][2]:
+        raise StageRegressionError(
+            f"pair at stage {stage} after stage {table._pairs[-1][2]}"
+        )
+    named = len(table._stamp)
+    if a >= named or b >= named:
+        if max(a, b) >= INDEX_CEILING:
+            raise IndexCeilingError(
+                f"pair ({a}, {b}) names index {max(a, b)}, not below "
+                f"the table index ceiling {INDEX_CEILING}")
+        grow = max(a, b) + 1 - named
+        table._parent.extend([0] * grow)
+        table._size.extend([1] * grow)
+        table._stamp.extend([_ROOT] * grow)
+    table._pairs.append((a, b, stage))
+    ra, rb = table._top(a, stage), table._top(b, stage)
+    if ra != rb:
+        if table._size[ra] < table._size[rb]:
+            ra, rb = rb, ra
+        table._parent[rb] = ra
+        table._stamp[rb] = stage
+        table._size[ra] += table._size[rb]
+    return table
+
+
+def reference_table_load(fp, bound=None):
+    """`CeerTable.load` with one `json.loads` call per line and every pair
+    asserted through `reference_assert_pair`: the reference for the
+    matched fast path."""
+    rows, top = [], float("-inf")
+    for n, line in enumerate(fp, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except RecursionError:
+            raise ValueError(f"dump line {n} nests too deeply") from None
+        row = a, b, s = rec["a"], rec["b"], rec["s"]
+        if type(a) is not int or type(b) is not int or type(s) is not int:
+            key = next(k for k, v in zip("abs", row) if type(v) is not int)
+            raise ValueError(
+                f'dump line {n}: field "{key}" is not an integer')
+        rows.append(row)
+        if a > top:
+            top = a
+        if b > top:
+            top = b
+    top = top if rows else 0
+    if top >= INDEX_CEILING:
+        raise ValueError(f"index {top} implies a bound above the ceiling "
+                         f"{INDEX_CEILING}")
+    rows.sort(key=lambda t: t[2])
+    table = CeerTable(top + 1 if bound is None else bound)
+    for a, b, s in rows:
+        reference_assert_pair(table, a, b, s)
+    return table
+
+
+def table_state(table):
+    """Everything a table holds, forest included, for exact comparison."""
+    return (table.bound, table._pairs, table._parent, table._size,
+            table._stamp)
+
+
+def table_outcome(build):
+    """What building a table gives: its whole state and its partition at
+    every stage it holds and one below the first, or the exception's type
+    and message."""
+    try:
+        t = build()
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    stages = sorted({s for _, _, s in t.pairs})
+    stages = [stages[0] - 1, *stages] if stages else [0]
+    return table_state(t), [t.classes_at(s) for s in stages]
 
 
 # -- the truncation oracle for Poly.mul_truncated --------------------------------

@@ -1,5 +1,6 @@
 import heapq
 import io
+import json
 import random
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ceerlab import ceers
 from ceerlab.ceers import (
     INDEX_CEILING,
     CeerTable,
@@ -26,10 +28,14 @@ from ceerlab.pairing import pair, unpair
 from helpers import (
     BlockWriter,
     pairwise_verify_reduction,
+    reference_assert_pair,
     reference_classes_at,
     reference_roots_at,
     reference_table_dump,
+    reference_table_load,
     report_text,
+    table_outcome,
+    table_state,
 )
 from oracles import (
     StagedClosure,
@@ -396,6 +402,201 @@ def test_dump_matches_the_per_pair_reference(kind, seed):
     fp = BlockWriter(-(-t.pair_count // 4096))
     t.dump(fp)
     assert "".join(fp.parts).splitlines(keepends=True) == want
+
+
+# -- CeerTable.load and assert_pair against their references ---------------
+
+
+def _written(pairs, bound=50):
+    t = CeerTable(bound)
+    for a, b, s in pairs:
+        t.assert_pair(a, b, s)
+    return t.dumps()
+
+
+_LINE = '{"a": %s, "b": %s, "s": %s}\n'
+LOAD_CASES = {
+    # dumps written by `dump`
+    "empty": "",
+    "one-line": _written([(3, 7, 2)]),
+    "no-final-newline": _written([(0, 1, 0), (2, 1, 4), (5, 6, 4)])[:-1],
+    "block": CeerTable.dumps(random_table(random.Random(36), 50, 4096, 800)),
+    "block+1": CeerTable.dumps(random_table(random.Random(37), 50, 4097,
+                                            800)),
+    "negative-stages": _written([(0, 1, -9), (1, 2, -9), (3, 2, -1)]),
+    # hand-made lines, each among writer lines
+    "reordered-keys": _LINE % (0, 1, 1) + '{"s": 2, "b": 3, "a": 1}\n',
+    "compact": '{"a":0,"b":1,"s":1}\n' + _LINE % (1, 2, 3),
+    "leading-space": " " + _LINE % (0, 1, 1),
+    "crlf": _LINE % (0, 1, 1) + _LINE[:-1] % (2, 1, 2) + "\r\n",
+    "trailing-spaces": _LINE[:-1] % (0, 1, 1) + "  \n" + _LINE % (1, 2, 2),
+    "trailing-space-no-newline": _LINE[:-1] % (0, 1, 1) + " ",
+    "two-newlines-in-a-row": _LINE % (0, 1, 1) + "\n" + _LINE % (1, 2, 2),
+    "blank-lines": "\n   \n" + _LINE % (0, 4, 1) + "\t\n",
+    "minus-zero": _LINE % ("-0", 1, "-0"),
+    "leading-zero-index": _LINE % ("01", 1, 1),
+    "leading-zero-stage": _LINE % (0, 1, "007"),
+    "arabic-indic-digit": _LINE % ("١", 1, 1),
+    "arabic-indic-stage": _LINE % (0, 1, "2٢"),
+    "plus-sign": _LINE % ("+1", 2, 1),
+    "huge-stage": _LINE % (0, 1, 10 ** 40) + _LINE % (1, 2, 10 ** 40 + 1),
+    "huge-index": _LINE % (10 ** 40, 1, 1),
+    "5000-digit-index": _LINE % ("7" * 5000, 1, 1),
+    "5000-digit-stage": _LINE % (0, 1, "7" * 5000),
+    "unsorted-stages": (_LINE % (0, 1, 5) + _LINE % (2, 3, 1)
+                        + _LINE % (1, 2, 3) + _LINE % (4, 0, 1)),
+    "negative-index": _LINE % (-1, 1, 1),
+    "index-at-ceiling": _LINE % (0, INDEX_CEILING, 1),
+    "float-stage": _LINE % (0, 1, 1) + _LINE % (1, 2, "1.5"),
+    "exponent-index": _LINE % ("1e2", 1, 1),
+    "true-index": _LINE % ("true", 1, 1),
+    "string-stage": _LINE % (0, 1, '"3"'),
+    "missing-key": '{"a": 0, "b": 1}\n',
+    "extra-key": '{"a": 0, "b": 1, "s": 1, "t": 2}\n',
+    "junk": _LINE % (0, 1, 1) + "{\n",
+    "list": "[]\n",
+    "null": "null\n",
+}
+
+
+@pytest.mark.parametrize("bound", [None, 4, 60])
+@pytest.mark.parametrize("case", sorted(LOAD_CASES))
+def test_load_matches_the_json_reference(case, bound):
+    text = LOAD_CASES[case]
+    want = table_outcome(
+        lambda: reference_table_load(io.StringIO(text), bound))
+    assert table_outcome(lambda: CeerTable.loads(text, bound)) == want
+
+
+def test_load_differential_cases_take_both_branches():
+    """The cases above reach the matched lines, the JSON ones and errors."""
+    assert CeerTable.loads(LOAD_CASES["minus-zero"]).pairs == ((0, 1, 0),)
+    assert CeerTable.loads(LOAD_CASES["crlf"]).pairs == ((0, 1, 1), (2, 1, 2))
+    for case in ("leading-zero-index", "arabic-indic-digit", "plus-sign"):
+        with pytest.raises(json.JSONDecodeError):
+            CeerTable.loads(LOAD_CASES[case])
+    with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300 digits"):
+        CeerTable.loads(LOAD_CASES["5000-digit-index"])
+
+
+def _raised(call):
+    """The exception's type and message, or None if `call` returns."""
+    try:
+        call()
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+def _fresh(pairs, bound):
+    t = CeerTable(bound)
+    for a, b, s in pairs:
+        reference_assert_pair(t, a, b, s)
+    return t
+
+
+# (pairs already asserted, bound, the call's arguments)
+ASSERT_CASES = {
+    "both-out-of-bound": ([], 5, (7, 9, 0)),
+    "second-out-of-bound": ([], 5, (1, 5, 0)),
+    "first-negative": ([], 5, (-1, 2, 0)),
+    "second-negative": ([(0, 1, 0)], 5, (2, -3, 0)),
+    "first-str": ([], 5, ("1", 2, 0)),
+    "second-str": ([], 5, (1, "2", 0)),
+    "first-out-second-str": ([], 5, (9, "x", 0)),
+    "first-str-second-out": ([], 5, ("x", 9, 0)),
+    "stage-regression": ([(0, 1, 5)], 5, (2, 3, 4)),
+    "ceiling": ([], INDEX_CEILING + 5, (0, INDEX_CEILING, 0)),
+    "ceiling-both": ([], INDEX_CEILING + 5,
+                     (INDEX_CEILING + 1, INDEX_CEILING, 0)),
+    "below-ceiling": ([(0, 1, 0)], INDEX_CEILING + 5,
+                      (INDEX_CEILING - 1, 1, 1)),
+    "grow-second": ([(0, 3, 0)], 20, (2, 9, 1)),
+    "grow-first": ([(0, 3, 0)], 20, (9, 2, 1)),
+    "grow-from-empty": ([], 20, (4, 4, 0)),
+    "same-index": ([(0, 3, 0)], 20, (3, 3, 0)),
+    "already-related": ([(0, 1, 0), (1, 2, 0)], 20, (2, 0, 0)),
+    "equal-stamps-path": ([(0, 1, 5), (2, 3, 5), (1, 3, 5), (4, 5, 5)], 20,
+                          (3, 5, 5)),
+    "equal-stamps-smaller-side": ([(0, 1, 5), (1, 2, 5), (3, 4, 5)], 20,
+                                  (4, 2, 5)),
+    "later-stage": ([(0, 1, 5), (2, 3, 5)], 20, (1, 3, 6)),
+    "float-index-named": ([(0, 3, 0)], 20, (1.5, 2, 0)),
+    "float-index-growing": ([(0, 3, 0)], 20, (1, 7.5, 0)),
+    "bool-index": ([(0, 3, 0)], 20, (True, 2, 1)),
+    "float-stage": ([(0, 3, 0)], 20, (1, 2, 2.5)),
+    "none-stage-first": ([], 20, (1, 2, None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASSERT_CASES))
+def test_assert_pair_matches_the_helper_call_reference(case):
+    pairs, bound, args = ASSERT_CASES[case]
+    got, want = _fresh(pairs, bound), _fresh(pairs, bound)
+    assert (_raised(lambda: got.assert_pair(*args)), table_state(got)) == (
+        _raised(lambda: reference_assert_pair(want, *args)),
+        table_state(want))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_assert_pair_streams_match_the_helper_call_reference(seed):
+    """Streams of calls with many equal stages, bad entries among them."""
+    rng = random.Random(f"assert-{seed}")
+    bound = rng.choice((8, 30, 200))
+    got, want = CeerTable(bound), CeerTable(bound)
+    stage = rng.randint(-5, 5)
+    for _ in range(300):
+        stage += rng.choice((0, 0, 0, 1, 2))
+        a, b, s = rng.randrange(bound), rng.randrange(bound), stage
+        roll = rng.random()
+        if roll < 0.03:
+            a = rng.choice((-1, bound, "0", 1.0))
+        elif roll < 0.06:
+            s = stage - rng.randint(1, 3)
+        got_out = _raised(lambda: got.assert_pair(a, b, s))
+        want_out = _raised(lambda: reference_assert_pair(want, a, b, s))
+        assert (got_out, table_state(got)) == (want_out, table_state(want))
+    assert table_outcome(lambda: got) == table_outcome(lambda: want)
+
+
+def test_load_decodes_writer_lines_without_json_or_top(monkeypatch):
+    """A dump as `dump` writes it costs no JSON decoder call and no `_top`
+    call; each hand-made line costs one decoder call."""
+    t = random_table(random.Random(38), bound=4000, n_pairs=3360,
+                     max_stage=3360)
+    negative = _written([(0, 1, -30), (1, 2, -7), (4, 3, -7), (2, 4, 0)])
+    text = t.dumps()
+    lines = text.splitlines(keepends=True)
+    lines[1700] = '{"s": %d, "a": %d, "b": %d}\n' % tuple(
+        t.pairs[1700][i] for i in (2, 0, 1))
+    calls: dict[str, int] = {}
+    real_loads, real_top = json.loads, CeerTable._top
+
+    def counted_loads(*args, **kwargs):
+        calls["json.loads"] = calls.get("json.loads", 0) + 1
+        return real_loads(*args, **kwargs)
+
+    def counted_top(*args):
+        calls["_top"] = calls.get("_top", 0) + 1
+        return real_top(*args)
+
+    monkeypatch.setattr(ceers.json, "loads", counted_loads)
+    monkeypatch.setattr(CeerTable, "_top", counted_top)
+    assert len(lines) == 3360
+    assert table_state(CeerTable.loads(text)) == table_state(
+        reference_table_load(io.StringIO(text)))
+    calls.clear()
+    assert CeerTable.loads(text).pairs == t.pairs
+    assert CeerTable.loads(negative).pairs == ((0, 1, -30), (1, 2, -7),
+                                              (4, 3, -7), (2, 4, 0))
+    assert calls == {}
+    assert CeerTable.loads("".join(lines)).pairs == t.pairs
+    assert calls == {"json.loads": 1}
+    calls.clear()
+    u = CeerTable(300)
+    for a, b, s in t.pairs:
+        u.assert_pair(a % 300, b % 300, s)
+    assert calls == {}
 
 
 # -- operations vs definitional oracles ------------------------------------

@@ -1467,3 +1467,43 @@ def test_closed_stdout_exits_2_with_one_line(command, buffered, tmp_path):
     if command == "run":
         with open(shipped("star-universal-basic.log.jsonl")) as fh:
             assert out.read_text() == fh.read()
+
+
+# a record's stage that JSON reads as no int: infinities, a NaN, a float, a
+# bool and a string.  Let through, an infinite stage makes `level-census`
+# and `vi-vs-U` climb a table's forest forever.
+NOT_INT_STAGES = ("Infinity", "-Infinity", "NaN", "1e309", "2.5", "true",
+                  '"3"')
+# the child arms a watchdog once ceerlab is imported: a verify still running
+# 1 s later dumps its stack and exits 1
+_WATCHED_VERIFY = """\
+import faulthandler, sys
+from ceerlab.cli import main
+faulthandler.dump_traceback_later(1, exit=True)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("token", NOT_INT_STAGES)
+@pytest.mark.parametrize("name,suite", [
+    ("star-universal-basic", "triangularity"),
+    ("star-universal-basic", "level-census"),
+    ("star-universal-basic", "vi-vs-U"),
+    ("dark-ring-basic", "membership"),
+])
+def test_verify_refuses_a_stage_that_is_no_integer_within_a_second(
+        name, suite, token, tmp_path):
+    with open(os.path.join(SCENARIOS, f"{name}.log.jsonl")) as fh:
+        lines = fh.read().splitlines()
+    last = json.loads(lines[-1])
+    last["stage"] = "@stage@"
+    lines[-1] = json.dumps(last, sort_keys=True, separators=(",", ":"))
+    lines[-1] = lines[-1].replace('"@stage@"', token)
+    path = tmp_path / "stage.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _WATCHED_VERIFY, "verify", str(path), suite],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: cannot read log: log line {len(lines)}: stage is "
+               "not an integer\n")

@@ -164,6 +164,18 @@ def test_loads_rejects_empty_and_accepts_header_only():
     assert log.records == []
 
 
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e309",
+                                   "2.5", "2.0", "true", "null", '"3"'])
+def test_loads_refuses_a_record_stage_that_is_no_integer(token):
+    record = ('{"action":"tick","kind":"toy","requirement":"R0","stage":%s}'
+              % token)
+    text = '{"construction":"toy"}\n' + record.replace(token, "1") + "\n"
+    assert RunLog.loads(text).records[0].stage == 1
+    with pytest.raises(ValueError,
+                       match="^log line 3: stage is not an integer$"):
+        RunLog.loads(text + record + "\n")
+
+
 def test_construction_run_shape():
     log = RunLog({"construction": "toy"})
     run = ConstructionRun("toy", {"k": 1}, 10, log)

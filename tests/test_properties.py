@@ -27,7 +27,12 @@ from ceerlab.cli import _summarize, main
 from ceerlab.engine import RunLog
 from ceerlab.scenario import parse_scenario
 from ceerlab.star import check_size, level_letters
-from helpers import rebuild, written_state
+from helpers import (
+    rebuild,
+    reference_table_load,
+    table_outcome,
+    written_state,
+)
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -241,6 +246,14 @@ def mutated_dumps(draw):
         lines[draw(st.integers(0, len(lines) - 1))] = draw(
             st.sampled_from(DUMP_JUNK))
     return "".join(line + "\n" for line in lines)
+
+
+@DETERMINISTIC
+@given(mutated_dumps(), st.sampled_from((None, 0, 4, 6)))
+def test_load_of_mutated_dumps_matches_the_json_reference(text, bound):
+    want = table_outcome(
+        lambda: reference_table_load(io.StringIO(text), bound))
+    assert table_outcome(lambda: CeerTable.loads(text, bound)) == want
 
 
 @st.composite
