@@ -8,14 +8,16 @@ produce fresh tables, and the construction runners enumerate into them.
 
 The closure lives in one union-by-size forest without path compression.
 Each node records the stage at which it was attached under another (a
-root's stamp is infinite); since pairs arrive in stage order, those stamps
-never decrease going up a path, and the forest at stage s is the current
-one cut at every edge stamped after s.  Queries at past stages are
-therefore climbs, not replays, and nothing is cached between calls.  The
-forest stores only the indices up to the largest one a pair names: any
-later index was never merged and is its own root, so a table's bound is
-checked, never allocated, and its memory follows its pairs, up to the
-constant INDEX_CEILING on the indices pairs may name.  `product` and
+root's stamp is NaN, which no stage reaches); since pairs arrive in stage
+order, those stamps never decrease going up a path, and the forest at
+stage s is the current one cut at every edge stamped after s.  Queries at
+past stages are therefore climbs, not replays, and nothing is cached
+between calls; a query at `inf` (or `1e309`) is answered as at the last
+stage and one at NaN as at a stage before every pair, with no test of the
+stage.  The forest stores only the indices up to the largest one a pair
+names: any later index was never merged and is its own root, so a table's
+bound is checked, never allocated, and its memory follows its pairs, up to
+the constant INDEX_CEILING on the indices pairs may name.  `product` and
 `pullback` walk pairs too, in union-finds of their own rooted at each
 class's least member: their work is the pairs they read plus the pairs
 they assert (plus the map's bound, for `pullback`), never pairs or stages
@@ -139,7 +141,8 @@ class StageSet:
         return out
 
     def count_at(self, stage: int) -> int:
-        """Number of raw entries (including repeats) visible by stage."""
+        """Number of raw entries (including repeats) visible by stage: every
+        entry at `inf` and, since no stage orders it, at NaN."""
         if isinstance(self._stages, list):
             return bisect_right(self._stages, stage)
         return self._stages.count_upto(stage)
@@ -170,8 +173,12 @@ class _StageProgression:
         return self.start + (i // self.rate) * self.period
 
     def count_upto(self, stage: int) -> int:
-        """The number of entries whose stage is at most stage."""
+        """The number of entries whose stage is at most stage, as a
+        bisection of the listed stages counts them: all of them at `inf`
+        and at NaN, none at `-inf`."""
         steps = (stage - self.start) // self.period + 1
+        if steps != steps:  # a float division of an infinity or a NaN
+            return 0 if stage < self.start else self.n
         return min(self.n, max(0, steps * self.rate))
 
     def __repr__(self) -> str:
@@ -179,7 +186,9 @@ class _StageProgression:
                 f"period={self.period}, rate={self.rate})")
 
 
-_ROOT = float("inf")  # the stamp of a root: no stage reaches it
+# the stamp of a root: NaN, which no stage reaches, `inf` included, and the
+# one object every root shares, so `is _ROOT` tells a root
+_ROOT = float("nan")
 
 # the line `CeerTable.dump` writes, each int in JSON's grammar and ASCII digits
 _INT = r"(-?(?:0|[1-9][0-9]*))"
@@ -289,6 +298,7 @@ class CeerTable:
 
         One pass over the named indices, each climbing the forest as it
         stood at `stage` inline; every later index is its own least member.
+        At `inf` this is the last stage's snapshot, at NaN the singletons.
         """
         parent, stamp = self._parent, self._stamp
         least: dict[int, int] = {}
@@ -302,6 +312,8 @@ class CeerTable:
         return tuple(out)
 
     def related(self, a: int, b: int, stage: int) -> bool:
+        """Whether a and b are related at `stage`: at `inf` as at the last
+        stage, at NaN only when a == b, as before every pair."""
         self._check_index(a)
         self._check_index(b)
         return a == b or self._top(a, stage) == self._top(b, stage)
@@ -323,12 +335,12 @@ class CeerTable:
         x, last = a, 0
         while True:
             above_a[x] = last
-            if stamp[x] == _ROOT:
+            if stamp[x] is _ROOT:
                 break
             x, last = parent[x], stamp[x]
         x, last = b, 0
         while x not in above_a:
-            if stamp[x] == _ROOT:
+            if stamp[x] is _ROOT:
                 return None
             x, last = parent[x], stamp[x]
         return max(last, above_a[x])
@@ -340,6 +352,7 @@ class CeerTable:
         at `stage` inline and joins the list of its tree's root, so a class
         is met first at its least member and filled in ascending order.
         Every later index follows as a singleton.  The lists are fresh.
+        At `inf` this is the last stage's partition, at NaN the singletons.
         """
         parent, stamp = self._parent, self._stamp
         buckets: dict[int, list[int]] = {}

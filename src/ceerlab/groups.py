@@ -368,7 +368,8 @@ class StagedPresentation:
 
     def census_at(self, level: int, stage: int) -> dict[str, int]:
         """Head-count of a level's generators by status at a stage; a
-        generator of no laid-out level is not counted."""
+        generator of no laid-out level is not counted.  At `inf`, and at
+        NaN, which bisection puts past every entry, it is the last count."""
         stages, history = self._census.get(level, ((), ()))
         i = bisect_right(stages, stage)
         return dict(history[i - 1]) if i else dict.fromkeys(_STATUSES, 0)
@@ -398,6 +399,7 @@ def staged_abelian_wp(
     once x_j is popped nothing can bring it back: each generator is
     substituted at most once.  The surviving support contains no stage-s
     left-hand sides, so equal words have identical canonical vectors.
+    Every relation holds at `inf` and none at NaN.
     """
     vec = _to_vec(w)
     ngens = pres.ngens

@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .ceers import INDEX_CEILING, CeerTable, StageRegressionError
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
@@ -495,13 +495,48 @@ def sparse_level_form(letters: range, canon: Mapping[int, Word]) -> tuple:
     return tuple(form)
 
 
-def _meets(vec: Word, gens: set[int]) -> bool:
-    """Whether the support of a sorted vector holds one of `gens`, walking
-    whichever of the two is shorter."""
+def _hits(vec: Word, gens: Collection[int]) -> list[int]:
+    """The ascending positions in a sorted vector of the letters that are
+    in `gens`, walking whichever of the two is shorter."""
     if len(vec) <= len(gens):
-        return any(i in gens for i, _ in vec)
-    return any((p := bisect_left(vec, (g,))) < len(vec) and vec[p][0] == g
-               for g in gens)
+        return [p for p, (i, _) in enumerate(vec) if i in gens]
+    return sorted(p for g in gens
+                  if (p := bisect_left(vec, (g,))) < len(vec) and vec[p][0] == g)
+
+
+def _carry(word: Word, carried: Mapping[int, Word]) -> Word:
+    """The canonical vector of `word` when the vector `carried` holds for
+    each left-hand side among its letters is final: its letters summed and
+    sorted, then each left-hand side replaced by its vector, which names
+    no left-hand side.  A canonical word (ascending distinct letters, none
+    of them in `carried`; `add_relation` keeps no zero exponent) is its own
+    vector."""
+    prev = -1
+    for i, _ in word:
+        if i <= prev:  # unsorted or repeated letters
+            acc: dict[int, int] = {}
+            for j, e in word:
+                acc[j] = acc.get(j, 0) + e
+            word = tuple(sorted(item for item in acc.items() if item[1]))
+            break
+        prev = i
+    hits = _hits(word, carried)
+    if not hits:
+        return word
+    out = list(word)
+    for p in reversed(hits):
+        del out[p]
+    for p in hits:
+        g, e = word[p]
+        for i, f in carried[g]:
+            q = bisect_left(out, (i,))
+            if q == len(out) or out[q][0] != i:
+                out.insert(q, (i, e * f))
+            elif exp := out[q][1] + e * f:
+                out[q] = (i, exp)
+            else:
+                del out[q]
+    return tuple(out)
 
 
 def level_forms(result: StarResult, checkpoints: Iterable[int]
@@ -510,32 +545,36 @@ def level_forms(result: StarResult, checkpoints: Iterable[int]
     every level word at it, for a replayed result.
 
     One pass over the presentation's relations, which are in stage order,
-    carries each letter's canonical vector from checkpoint to checkpoint:
-    a letter gets one when it becomes a left-hand side and is reduced
-    again only when a new left-hand side lies in its support.  A level's
-    form is rebuilt only when one of its vectors changed.
+    carries each left-hand side's canonical vector (`staged_abelian_wp` of
+    its right-hand side) from checkpoint to checkpoint.  At each one the
+    vectors due are the new right-hand sides and the carried vectors that
+    a new left-hand side enters; `_carry` settles them in ascending
+    left-hand-side order, replacing each left-hand side among a word's
+    letters by its vector.  Right-hand sides mention only smaller letters,
+    so every vector read is final, and a right-hand side that is already
+    canonical, as every lead and collapse relator is, costs one walk.  A
+    level's form is rebuilt only when one of its vectors changed.
     """
     pres = result.presentation
     letters = [level_letters(result.base, j) for j in range(result.levels + 1)]
     starts = [gens.start for gens in letters]  # ascending, from 0 up
     canon: list[dict[int, Word]] = [{} for _ in letters]
+    carried: dict[int, Word] = {}  # every level's vectors, by left-hand side
     forms: list[tuple] = [()] * len(letters)
     stale = set(range(len(letters)))
     rels, done = pres.relations, 0
     for point in checkpoints:
-        added = []
+        due: dict[int, Word] = {}
         while done < len(rels) and rels[done].stage <= point:
-            added.append(rels[done])
+            due[rels[done].lhs] = rels[done].rhs
             done += 1
-        new = {rel.lhs for rel in added}
-        for j, vecs in enumerate(canon if new else ()):
-            for k, vec in vecs.items():
-                if vec and _meets(vec, new):
-                    vecs[k] = staged_abelian_wp(pres, vec, point)
-                    stale.add(j)
-        for rel in added:
-            j = bisect_right(starts, rel.lhs) - 1
-            canon[j][rel.lhs] = staged_abelian_wp(pres, rel.rhs, point)
+        if due:
+            due.update([(k, vec) for k, vec in carried.items()
+                        if vec and _hits(vec, due)])
+        for k in sorted(due):
+            j = bisect_right(starts, k) - 1
+            vec = due[k]
+            carried[k] = canon[j][k] = _carry(vec, carried) if vec else vec
             stale.add(j)
         for j in stale:
             forms[j] = sparse_level_form(letters[j], canon[j])

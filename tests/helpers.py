@@ -1,11 +1,13 @@
-"""Views of run state that only the tests read: a log's replayed result, a
+"""Views of run state that only the tests read: the environment of a
+child process that imports this checkout, a log's replayed result, a
 log's records filtered by requirement or action, a star run's free
 generators, the staged-abelian factor and the reference normal form of a
 level word built on it, a comparison of two level words, the part of a
 sigma3 or sug result its writer owns, group slots included, the text of a
 reduction report, the pairwise reference for `ceers.verify_reduction`,
 which reads partition snapshots, the helper-call references for
-`StagedPresentation.add_relation` and `staged_abelian_wp`, the per-pair
+`StagedPresentation.add_relation` and `staged_abelian_wp`, the
+re-reducing reference for `star.level_forms`, the per-pair
 reference for `CeerTable.dump` and a file that counts the blocks written
 to it, the three-pass references for `CeerTable.roots_at` and
 `CeerTable.classes_at`, the per-line JSON reference for `CeerTable.load`
@@ -13,9 +15,12 @@ and the helper-call reference for `CeerTable.assert_pair`, and the
 truncation oracle for `Poly.mul_truncated`."""
 import io
 import json
+import os
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
+import ceerlab
 from ceerlab import replay
 from ceerlab.algebra import Poly
 from ceerlab.ceers import (
@@ -38,7 +43,17 @@ from ceerlab.groups import (
     staged_abelian_wp,
 )
 from ceerlab.sigma3 import Sigma3Result
-from ceerlab.star import level_letters
+from ceerlab.star import level_letters, sparse_level_form
+
+
+def child_env():
+    """The environment of a fresh process that imports this checkout's
+    ceerlab."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ceerlab.__file__)))
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return env
 
 
 def rebuild(log):
@@ -244,6 +259,49 @@ def reference_staged_abelian_wp(pres, w, stage):
                 if rel is not None and rel.stage <= stage:
                     heappush(heap, -i)
     return tuple(sorted(vec.items()))
+
+
+# -- the re-reducing reference for star.level_forms --------------------------------
+
+
+def _meets(vec, gens):
+    """Whether the support of a sorted vector holds one of `gens`."""
+    if len(vec) <= len(gens):
+        return any(i in gens for i, _ in vec)
+    return any((p := bisect_left(vec, (g,))) < len(vec) and vec[p][0] == g
+               for g in gens)
+
+
+def reference_level_forms(result, checkpoints):
+    """`star.level_forms` giving each new left-hand side, and each carried
+    vector a new left-hand side enters, one `staged_abelian_wp` call: the
+    reference for the walk that carries vectors by substitution."""
+    pres = result.presentation
+    letters = [level_letters(result.base, j) for j in range(result.levels + 1)]
+    starts = [gens.start for gens in letters]
+    canon = [{} for _ in letters]
+    forms = [()] * len(letters)
+    stale = set(range(len(letters)))
+    rels, done = pres.relations, 0
+    for point in checkpoints:
+        added = []
+        while done < len(rels) and rels[done].stage <= point:
+            added.append(rels[done])
+            done += 1
+        new = {rel.lhs for rel in added}
+        for j, vecs in enumerate(canon if new else ()):
+            for k, vec in vecs.items():
+                if vec and _meets(vec, new):
+                    vecs[k] = staged_abelian_wp(pres, vec, point)
+                    stale.add(j)
+        for rel in added:
+            j = bisect_right(starts, rel.lhs) - 1
+            canon[j][rel.lhs] = staged_abelian_wp(pres, rel.rhs, point)
+            stale.add(j)
+        for j in stale:
+            forms[j] = sparse_level_form(letters[j], canon[j])
+        stale.clear()
+        yield point, tuple(forms)
 
 
 # -- the per-pair reference for CeerTable.dump -----------------------------------

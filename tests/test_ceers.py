@@ -1,7 +1,10 @@
+import ast
 import heapq
 import io
 import json
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -27,6 +30,7 @@ from ceerlab.pairing import pair, unpair
 
 from helpers import (
     BlockWriter,
+    child_env,
     pairwise_verify_reduction,
     reference_assert_pair,
     reference_classes_at,
@@ -597,6 +601,68 @@ def test_load_decodes_writer_lines_without_json_or_top(monkeypatch):
     for a, b, s in t.pairs:
         u.assert_pair(a % 300, b % 300, s)
     assert calls == {}
+
+
+# -- stages no int reaches ---------------------------------------------------
+
+# the stage views of a table, two stage sets, a census and a canonical
+# vector; the table's last pair is at stage 5 and every other last entry is
+# at or before stage 14
+_STAGE_VIEWS = """\
+from ceerlab.ceers import CeerTable, StageSet
+from ceerlab.groups import StagedPresentation, staged_abelian_wp
+
+
+def views(stage):
+    small = CeerTable(4).assert_pair(0, 1, 1)
+    table = CeerTable(7).assert_pair(0, 1, 1).assert_pair(3, 4, 3)
+    table.assert_pair(1, 3, 5)
+    pres = StagedPresentation(8)
+    pres.set_level(0, range(8), 0)
+    pres.add_relation(3, [(1, 1)], 2)
+    pres.set_statuses(0, [5], "free", 4)
+    pres.add_relation(6, [(3, 2), (0, -1)], 4)
+    return {
+        "related": (small.related(0, 1, stage),
+                    [table.related(a, b, stage)
+                     for a in range(7) for b in range(7)]),
+        "roots_at": (small.roots_at(stage), table.roots_at(stage)),
+        "classes_at": (small.classes_at(stage), table.classes_at(stage)),
+        "count_at": (
+            StageSet([("a", 0), ("b", 2), ("a", 2), ("c", 7)]).count_at(stage),
+            StageSet.generated(range(10), 10, 2, 3, 2).count_at(stage)),
+        "census_at": pres.census_at(0, stage),
+        "staged_abelian_wp": staged_abelian_wp(
+            pres, [(6, 1), (3, 1), (7, 1)], stage),
+    }
+"""
+# the child arms a watchdog once ceerlab is imported: a query still running
+# 1 s later dumps its stack and exits 1
+_WATCHED_VIEWS = _STAGE_VIEWS + """
+import faulthandler, sys
+faulthandler.dump_traceback_later(1, exit=True)
+print(repr(views(float(sys.argv[1]))))
+"""
+# a NaN stage, which no stage orders: the table and the canonical vector
+# answer it as a stage before every pair, a bisection of stages as one past
+# every entry
+_BEFORE_AT_NAN = ("related", "roots_at", "classes_at", "staged_abelian_wp")
+
+
+@pytest.mark.parametrize("token", ["inf", "1e309", "-inf", "nan"])
+def test_stages_no_int_reaches_are_answered_within_a_second(token):
+    space = {}
+    exec(_STAGE_VIEWS, space)
+    first, last = space["views"](-1), space["views"](10 ** 6)
+    assert first != last and last == space["views"](14)
+    expected = {"inf": last, "1e309": last, "-inf": first,
+                "nan": {k: (first if k in _BEFORE_AT_NAN else last)[k]
+                        for k in last}}[token]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WATCHED_VIEWS, token],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert ast.literal_eval(proc.stdout) == expected
 
 
 # -- operations vs definitional oracles ------------------------------------

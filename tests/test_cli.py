@@ -15,14 +15,13 @@ import tracemalloc
 
 import pytest
 
-import ceerlab
 from ceerlab import replay
 from ceerlab.ceers import CeerTable
 from ceerlab.cli import SUITES, main
 from ceerlab.engine import PriorityEngine, RunLog
 from ceerlab.pairing import pair
 
-from helpers import BlockWriter, reference_classes_at
+from helpers import BlockWriter, child_env, reference_classes_at
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCENARIOS = os.path.join(ROOT, "scenarios")
@@ -1389,16 +1388,6 @@ def declared_scripts():
                 name, _, target = line.partition("=")
                 scripts[name.strip().strip('"')] = target.strip().strip('"')
     return scripts
-
-
-def child_env():
-    """The environment of a fresh process that imports this checkout's
-    ceerlab."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ceerlab.__file__)))
-    env = dict(os.environ, COLUMNS="80")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return env
 
 
 def run_child(argv):

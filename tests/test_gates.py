@@ -1,6 +1,7 @@
 """The gates every change must keep: `run` logs at scale and under any hash
-seed, the `verify` output of each shipped log under each suite, and the
-`probe verify-reduction` output of a few small dumps, byte for byte.
+seed, the `verify` output of each shipped log under each suite and of the
+scale star logs under `vi-vs-U`, and the `probe verify-reduction` output of
+a few small dumps, byte for byte.
 
 The log digests and the verify outputs were captured from a commit whose
 logs and verdicts were checked by hand; a change that moves one of them
@@ -132,6 +133,29 @@ def test_pinned_verify_covers_every_shipped_log_and_suite():
 def test_verify_of_shipped_log_is_pinned(log, suite, capsys):
     rc = main(["verify", shipped(f"{log}.log.jsonl"), suite])
     assert (rc, *capsys.readouterr()) == (*PINNED_VERIFY[log, suite], "")
+
+
+# (exit code, stdout, stderr) of `verify … vi-vs-U` on the pinned star logs
+# at scale, by the flags that write them
+PINNED_SCALE_VI_VS_U = {
+    ("--levels", "3", "--base", "6"):
+        (0, "36 word/table comparisons\nsuite vi-vs-U: PASS\n", ""),
+    ("--levels", "3", "--base", "10"):
+        (0, "36 word/table comparisons\nsuite vi-vs-U: PASS\n", ""),
+    ("--levels", "4", "--base", "10"):
+        (0, "60 word/table comparisons\nsuite vi-vs-U: PASS\n", ""),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(PINNED_SCALE_VI_VS_U),
+                         ids=" ".join)
+def test_verify_vi_vs_u_of_scale_star_log_is_pinned(flags, tmp_path, capsys):
+    out = tmp_path / "star.jsonl"
+    assert main(["run", shipped("star-universal-basic.txt"), "--out",
+                 str(out), *flags]) == 0
+    capsys.readouterr()
+    rc = main(["verify", str(out), "vi-vs-U"])
+    assert (rc, *capsys.readouterr()) == PINNED_SCALE_VI_VS_U[flags]
 
 
 # malformed star headers, with the shipped records and with none: a header

@@ -21,14 +21,16 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ceerlab import replay
 from ceerlab.algebra import SUPPORTED_MODULI, Monomial, Poly
 from ceerlab.ceers import CeerTable
 from ceerlab.cli import _summarize, main
 from ceerlab.engine import RunLog
 from ceerlab.scenario import parse_scenario
-from ceerlab.star import check_size, level_letters
+from ceerlab.star import check_size, level_forms, level_letters
 from helpers import (
     rebuild,
+    reference_level_forms,
     reference_table_load,
     table_outcome,
     written_state,
@@ -349,9 +351,13 @@ def test_generated_star_runs_pass_the_star_suites(text):
         result.log.dump(path)
         for suite in ("triangularity", "level-census", "vi-vs-U"):
             assert _exit_code(["verify", path, suite]) == 0, suite
-        rebuilt = rebuild(RunLog.load(path))
+        log = RunLog.load(path)
+    rebuilt = rebuild(log)
     assert rebuilt.presentation.status == result.presentation.status
     assert _summarize(rebuilt) == _summarize(result)
+    points = replay.census_checkpoints(log)
+    assert (list(level_forms(rebuilt, points))
+            == list(reference_level_forms(rebuilt, points)))
 
 
 # -- generated sigma3 and sug scenarios ------------------------------------

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ceerlab import groups as groups_module
 from ceerlab import indexset, replay
+from ceerlab import star as star_module
 from ceerlab.ceers import CeerTable, StageSet
 from ceerlab.engine import ActionRecord, RunLog
 from ceerlab.groups import (
@@ -15,7 +17,9 @@ from ceerlab.groups import (
     FreeProduct,
     FreeProductWord,
     StagedPresentation,
+    _to_vec,
     fp_reduce,
+    staged_abelian_wp,
 )
 from ceerlab.indexset import run_sug_indexset
 from ceerlab.scenario import load_scenario, parse_scenario
@@ -38,6 +42,7 @@ from helpers import (
     level_words_equal_at,
     rebuild,
     records_for,
+    reference_level_forms,
 )
 
 
@@ -570,6 +575,108 @@ def test_sparse_forms_match_the_reference_on_star_scale_logs(levels, base):
     forms = forms_by_stage(result.presentation, base, levels,
                            replay.census_checkpoints(log))
     assert len(forms) == 6
+
+
+# -- level forms by substitution against the re-reducing reference --------
+
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+def star_log(levels=None, base=None):
+    """The shipped star log, or the star scenario's log at a scale, with
+    its replayed result and census checkpoints."""
+    if levels is None:
+        log = RunLog.load(os.path.join(SCENARIOS,
+                                       "star-universal-basic.log.jsonl"))
+    else:
+        scn = load_scenario(os.path.join(SCENARIOS, "star-universal-basic.txt"))
+        log = scn.run({"levels": levels, "base": base}).log
+    return rebuild(log), replay.census_checkpoints(log)
+
+
+STAR_LOGS = {"shipped": (), "levels-3-base-6": (3, 6),
+             "levels-3-base-10": (3, 10), "levels-4-base-10": (4, 10)}
+
+
+@pytest.mark.parametrize("name", sorted(STAR_LOGS))
+def test_level_forms_match_the_re_reducing_reference_on_star_logs(name):
+    result, points = star_log(*STAR_LOGS[name])
+    got = list(level_forms(result, points))
+    assert got == list(reference_level_forms(result, points))
+    assert [point for point, _ in got] == list(points)
+
+
+@pytest.mark.parametrize("name", sorted(STAR_LOGS))
+def test_level_forms_make_no_staged_abelian_wp_call_on_star_logs(
+        name, monkeypatch):
+    """Every relator a star run logs has a canonical right-hand side, so
+    carrying vectors by substitution never asks for a normal form."""
+    result, points = star_log(*STAR_LOGS[name])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return staged_abelian_wp(*args)
+
+    monkeypatch.setattr(star_module, "staged_abelian_wp", counted)
+    monkeypatch.setattr(groups_module, "staged_abelian_wp", counted)
+    assert len(list(level_forms(result, points))) == len(points)
+    assert calls == []
+    star_module.staged_abelian_wp(result.presentation, (), 0)
+    assert len(calls) == 1  # the counter is live where `star` looks
+
+
+def seeded_relation_stream(rng, ngens):
+    """Triangular relations on half of `ngens` letters in a shuffled order,
+    in stage order: right-hand sides of up to four letters below the
+    left-hand side, shuffled, with exponents from -2 to 2 and repeats, and
+    a quarter of them x_k times the inverse of x_k's own right-hand side,
+    which cancels to empty."""
+    relations, stage, defined = [], 0, {}
+    for lhs in rng.sample(range(1, ngens), ngens // 2):
+        stage += rng.randrange(2)
+        older = [k for k in defined if k < lhs]
+        if older and rng.random() < 0.25:
+            k = rng.choice(older)
+            rhs = [(k, 1)] + [(i, -e) for i, e in defined[k]]
+        else:
+            rhs = [(rng.randrange(lhs), rng.choice((-2, -1, 0, 1, 2)))
+                   for _ in range(rng.randint(0, 4))]
+            rhs += rhs[:rng.randrange(2)]
+        rng.shuffle(rhs)
+        defined[lhs] = rhs
+        relations.append((lhs, tuple(rhs), stage))
+    return relations
+
+
+def test_level_forms_match_the_reference_on_seeded_streams():
+    seen = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        base, levels = rng.choice(((2, 2), (4, 1), (4, 2)))
+        relations = seeded_relation_stream(rng, base ** (levels + 1))
+        pres = presentation(base ** (levels + 1), relations)
+        points = range(relations[-1][2] + 2)
+        forms_by_stage(pres, base, levels, points)
+        result = SimpleNamespace(presentation=pres, base=base, levels=levels)
+        assert (list(level_forms(result, points))
+                == list(reference_level_forms(result, points))), seed
+        later = {lhs: stage for lhs, _, stage in relations}
+        for _, rhs, stage in relations:
+            letters = [i for i, _ in rhs]
+            seen.update(
+                case for case, hit in [
+                    ("unsorted", letters != sorted(letters)),
+                    ("repeated", len(set(letters)) < len(letters)),
+                    ("zero exponent", any(e == 0 for _, e in rhs)),
+                    ("left-hand side later",
+                     any(later.get(i, -1) > stage for i in letters)),
+                    ("cancels to empty", bool(_to_vec(rhs))
+                     and not staged_abelian_wp(pres, rhs, stage)),
+                ] if hit)
+    assert seen == {"unsorted", "repeated", "zero exponent",
+                    "left-hand side later", "cancels to empty"}
 
 
 LONG_PHI = """\
