@@ -118,10 +118,16 @@ class StageSet:
         return out
 
     def add(self, value: Any, stage: int) -> None:
-        if self._stages and stage < self._stages[-1]:
-            raise StageRegressionError(
-                f"entry at stage {stage} after stage {self._stages[-1]}"
-            )
+        """Append an entry; a stage below the last one, or NaN, which no
+        stage orders, is refused."""
+        stages = self._stages
+        if stages:
+            if not stage >= stages[-1]:
+                raise StageRegressionError(
+                    f"entry at stage {stage} after stage {stages[-1]}")
+        elif stage != stage:
+            raise StageRegressionError(f"entry at stage {stage}, which no "
+                                       "stage orders")
         self._values.append(value)
         self._stages.append(stage)
 
@@ -190,9 +196,45 @@ class _StageProgression:
 # one object every root shares, so `is _ROOT` tells a root
 _ROOT = float("nan")
 
-# the line `CeerTable.dump` writes, each int in JSON's grammar and ASCII digits
-_INT = r"(-?(?:0|[1-9][0-9]*))"
-_DUMP_LINE = re.compile(rf'\{{"a": {_INT}, "b": {_INT}, "s": {_INT}\}}\n?')
+# the line `CeerTable.dump` writes, each int in JSON's grammar and ASCII
+# digits, so `int` of each gives what `json.loads` does; `load` matches a
+# whole block of such lines, newlines included, at once, and leaves only
+# their ints by deleting every other character but the blanks and newlines
+# between them
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_DUMP_LINE = re.compile(
+    rf'\{{"a": ({_INT}), "b": ({_INT}), "s": ({_INT})\}}\n?')
+_DUMP_BLOCK = re.compile(
+    rf'(?:\{{"a": {_INT}, "b": {_INT}, "s": {_INT}\}}\n)*')
+_DUMP_KEYS = str.maketrans("", "", '{"abs:,}')
+# the characters `load` asks `readlines` for at a time: a block of whole
+# lines, about 2,000 of them as `dump` writes a bound-4,000 table
+_LOAD_BLOCK = 1 << 16
+
+
+def _decoded(lines: list[str], n: int) -> list[int]:
+    """The ints a0, b0, s0, a1, ... of the pairs on `lines`, numbered from
+    n + 1, read one line at a time: a line as `dump` writes it, with or
+    without its newline, by one `_DUMP_LINE` match, a blank one skipped, and
+    any other by `json.loads`, with its checks and messages."""
+    ints: list[int] = []
+    match = _DUMP_LINE.fullmatch
+    for n, line in enumerate(lines, start=n + 1):
+        m = match(line)
+        if m is not None:
+            ints += int(m[1]), int(m[2]), int(m[3])
+        elif line.strip():
+            try:
+                rec = json.loads(line)
+            except RecursionError:
+                raise ValueError(f"dump line {n} nests too deeply") from None
+            row = a, b, s = rec["a"], rec["b"], rec["s"]
+            if type(a) is not int or type(b) is not int or type(s) is not int:
+                key = next(k for k, v in zip("abs", row) if type(v) is not int)
+                raise ValueError(
+                    f'dump line {n}: field "{key}" is not an integer')
+            ints += row
+    return ints
 
 
 def check_bound(bound: int) -> int:
@@ -219,10 +261,53 @@ class CeerTable:
     def from_pairs(
         cls, pairs: Iterable[tuple[int, int, int]], bound: int
     ) -> "CeerTable":
+        """The table `assert_pair` builds from the pairs one by one, with
+        the same error on the first bad one.  Pairs that are tuples or lists
+        of three ints go through `load`'s merge loop instead."""
         table = cls(bound)
-        for a, b, s in pairs:
+        rows = list(pairs)
+        if set(map(type, rows)) <= {tuple, list} and set(map(len, rows)) <= {3}:
+            ints = list(chain.from_iterable(rows))
+            if ints and set(map(type, ints)) <= {int}:
+                a, b = ints[0::3], ints[1::3]
+                return table._fill(a, b, ints[2::3], max(max(a), max(b)))
+        for a, b, s in rows:
             table.assert_pair(a, b, s)
         return table
+
+    def _fill(self, a: list[int], b: list[int], s: list[int],
+              top: int) -> "CeerTable":
+        """This new table holding the pairs zip(a, b, s), at least one, whose
+        largest index is `top`, as `assert_pair` builds it from them one by
+        one.
+
+        Checks over whole columns come first: every index named below the
+        bound and the ceiling, and the stages in order (ints only reach
+        here, so no NaN).  If they hold, one inline merge loop builds the
+        forest, with `assert_pair`'s climbs and union by size, and the pairs
+        it walks become `_pairs`; if not, `assert_pair` takes the pairs one
+        by one, to raise the first bad one's error."""
+        if not (min(min(a), min(b)) >= 0 and top < self.bound
+                and top < INDEX_CEILING and s == sorted(s)):
+            for row in zip(a, b, s):
+                self.assert_pair(*row)
+            return self
+        named = top + 1
+        parent, size, stamp = [0] * named, [1] * named, [_ROOT] * named
+        self._pairs = pairs = list(zip(a, b, s))
+        for a, b, s in pairs:
+            while stamp[a] <= s:
+                a = parent[a]
+            while stamp[b] <= s:
+                b = parent[b]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                stamp[b] = s
+                size[a] += size[b]
+        self._parent, self._size, self._stamp = parent, size, stamp
+        return self
 
     def _check_index(self, n: int) -> None:
         if not (0 <= n < self.bound):
@@ -235,10 +320,13 @@ class CeerTable:
             self._check_index(a)  # raises the first index's error
             self._check_index(b)
         pairs, parent, stamp = self._pairs, self._parent, self._stamp
-        if pairs and stage < pairs[-1][2]:
-            raise StageRegressionError(
-                f"pair at stage {stage} after stage {pairs[-1][2]}"
-            )
+        if pairs:
+            if not stage >= pairs[-1][2]:  # NaN included
+                raise StageRegressionError(
+                    f"pair at stage {stage} after stage {pairs[-1][2]}")
+        elif stage != stage:
+            raise StageRegressionError(f"pair at stage {stage}, which no "
+                                       "stage orders")
         named = len(stamp)
         if a >= named or b >= named:
             if max(a, b) >= INDEX_CEILING:
@@ -313,10 +401,29 @@ class CeerTable:
 
     def related(self, a: int, b: int, stage: int) -> bool:
         """Whether a and b are related at `stage`: at `inf` as at the last
-        stage, at NaN only when a == b, as before every pair."""
-        self._check_index(a)
-        self._check_index(b)
-        return a == b or self._top(a, stage) == self._top(b, stage)
+        stage, at NaN only when a == b, as before every pair.
+
+        Both indices are checked in one comparison, and each root is found
+        by `_top`'s climb written inline; an index past every named one is
+        its own root."""
+        bound = self.bound
+        if not (0 <= a < bound and 0 <= b < bound):
+            self._check_index(a)  # raises the first index's error
+            self._check_index(b)
+        if a == b:
+            return True
+        parent, stamp = self._parent, self._stamp
+        try:
+            while stamp[a] <= stage:
+                a = parent[a]
+        except IndexError:
+            pass
+        try:
+            while stamp[b] <= stage:
+                b = parent[b]
+        except IndexError:
+            pass
+        return a == b
 
     def first_related_stage(self, a: int, b: int) -> int | None:
         """Least recorded stage at which a and b are related, None if never.
@@ -399,44 +506,41 @@ class CeerTable:
         allocated.  Every `a`, `b` and `s` must be a JSON integer (not
         true, 1.5, 2.0 or "3").
 
-        A line exactly as `dump` writes it, with or without its final
-        newline, is read by one match of `_DUMP_LINE` and no JSON decoder.
-        Its three ints follow JSON's own integer grammar in ASCII digits, so
-        `int` of each gives what `json.loads` gives, the same ValueError
-        past 4,300 digits included.  Every other line (blank, another key
-        order or spacing, a CRLF ending, a non-integer, junk) takes the
-        `json.loads` branch, with its checks and messages."""
-        rows, top = [], float("-inf")
-        match = _DUMP_LINE.fullmatch
-        for n, line in enumerate(fp, start=1):
-            m = match(line)
-            if m is not None:
-                row = a, b, s = int(m[1]), int(m[2]), int(m[3])
-            elif not line.strip():
-                continue
+        The file is read in blocks of whole lines, `_LOAD_BLOCK` characters
+        a `readlines` call, so its text is never held whole.  A block whose
+        every line is exactly what `dump` writes, newline included, is
+        accepted by one match of `_DUMP_BLOCK`, and its ints are read in
+        one pass: `translate` leaves them, `split` and `int` convert them.
+        Any other block is read line by line (`_decoded`), with the line
+        numbers, `json.loads` calls, checks and messages of a line-by-line
+        reader.  Both follow JSON's own integer grammar in ASCII digits, so
+        `int` of each field gives what `json.loads` gives, the same
+        ValueError past 4,300 digits at the same line included.  The pairs
+        are sorted by stage, stably, only when a hand-made file lists them
+        out of order; `_fill` then builds the forest, as `from_pairs` does."""
+        a, b, s = [], [], []
+        n = 0  # the lines read so far
+        while lines := fp.readlines(_LOAD_BLOCK):
+            block = "".join(lines)
+            if _DUMP_BLOCK.fullmatch(block):
+                ints = list(map(int, block.translate(_DUMP_KEYS).split()))
             else:
-                try:
-                    rec = json.loads(line)
-                except RecursionError:
-                    raise ValueError(f"dump line {n} nests too deeply") from None
-                row = a, b, s = rec["a"], rec["b"], rec["s"]
-                if (type(a) is not int or type(b) is not int
-                        or type(s) is not int):
-                    key = next(k for k, v in zip("abs", row)
-                               if type(v) is not int)
-                    raise ValueError(
-                        f'dump line {n}: field "{key}" is not an integer')
-            rows.append(row)
-            if a > top:
-                top = a
-            if b > top:
-                top = b
-        top = top if rows else 0
+                ints = _decoded(lines, n)
+            n += len(lines)
+            a += ints[0::3]
+            b += ints[1::3]
+            s += ints[2::3]
+        top = max(max(a), max(b)) if a else 0
         if top >= INDEX_CEILING:
             raise ValueError(f"index {top} implies a bound above the ceiling "
                              f"{INDEX_CEILING}")
-        rows.sort(key=lambda t: t[2])  # stable; tolerates hand-made files
-        return cls.from_pairs(rows, top + 1 if bound is None else bound)
+        table = cls(top + 1 if bound is None else bound)
+        if not a:
+            return table
+        if s != sorted(s):
+            order = sorted(range(len(s)), key=s.__getitem__)  # stable
+            a, b, s = ([col[i] for i in order] for col in (a, b, s))
+        return table._fill(a, b, s, top)
 
     @classmethod
     def loads(cls, text: str, bound: int | None = None) -> "CeerTable":

@@ -287,7 +287,9 @@ class StagedPresentation:
             raise ValueError(f"generator x{j} is not materialized (ngens={self.ngens})")
 
     def _check_stage(self, kind: str, stage: int) -> None:
-        if stage < self._last_stage:
+        """Store `stage` as the last one, refusing one below it or NaN,
+        which no stage orders."""
+        if not stage >= self._last_stage:
             raise StageRegressionError(
                 f"{kind} stage {stage} below last stage {self._last_stage}")
         self._last_stage = stage

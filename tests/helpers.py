@@ -11,8 +11,8 @@ re-reducing reference for `star.level_forms`, the per-pair
 reference for `CeerTable.dump` and a file that counts the blocks written
 to it, the three-pass references for `CeerTable.roots_at` and
 `CeerTable.classes_at`, the per-line JSON reference for `CeerTable.load`
-and the helper-call reference for `CeerTable.assert_pair`, and the
-truncation oracle for `Poly.mul_truncated`."""
+and the helper-call references for `CeerTable.assert_pair` and
+`CeerTable.related`, and the truncation oracle for `Poly.mul_truncated`."""
 import io
 import json
 import os
@@ -364,10 +364,13 @@ def reference_assert_pair(table, a, b, stage):
     the chained check and the inline climbs."""
     table._check_index(a)
     table._check_index(b)
-    if table._pairs and stage < table._pairs[-1][2]:
-        raise StageRegressionError(
-            f"pair at stage {stage} after stage {table._pairs[-1][2]}"
-        )
+    if table._pairs:
+        if not stage >= table._pairs[-1][2]:
+            raise StageRegressionError(
+                f"pair at stage {stage} after stage {table._pairs[-1][2]}")
+    elif stage != stage:
+        raise StageRegressionError(f"pair at stage {stage}, which no stage "
+                                   "orders")
     named = len(table._stamp)
     if a >= named or b >= named:
         if max(a, b) >= INDEX_CEILING:
@@ -389,10 +392,19 @@ def reference_assert_pair(table, a, b, stage):
     return table
 
 
+def reference_related(table, a, b, stage):
+    """`CeerTable.related` with both index checks made through
+    `_check_index` and both roots found through `_top`: the reference for
+    the chained check and the inline climbs."""
+    table._check_index(a)
+    table._check_index(b)
+    return a == b or table._top(a, stage) == table._top(b, stage)
+
+
 def reference_table_load(fp, bound=None):
     """`CeerTable.load` with one `json.loads` call per line and every pair
-    asserted through `reference_assert_pair`: the reference for the
-    matched fast path."""
+    asserted through `reference_assert_pair`: the reference for the block
+    reader, its per-line pass and its merge loop."""
     rows, top = [], float("-inf")
     for n, line in enumerate(fp, start=1):
         if not line.strip():

@@ -20,6 +20,7 @@ from ceerlab.ceers import (
     PartialityError,
     ReductionFn,
     ReductionReport,
+    StageRegressionError,
     StageSet,
     product,
     pullback,
@@ -34,6 +35,7 @@ from helpers import (
     pairwise_verify_reduction,
     reference_assert_pair,
     reference_classes_at,
+    reference_related,
     reference_roots_at,
     reference_table_dump,
     reference_table_load,
@@ -463,6 +465,83 @@ LOAD_CASES = {
 }
 
 
+def _blocks(text):
+    """The blocks of lines `CeerTable.load` reads from the text."""
+    fp, out = io.StringIO(text), []
+    while lines := fp.readlines(ceers._LOAD_BLOCK):
+        out.append(lines)
+    return out
+
+
+# writer lines past one full block: the first block is every line the first
+# `readlines` call gives, and the lines after it are at stage `_AFTER`
+_WRITER = CeerTable.dumps(random_table(random.Random(39), 50, 4000, 800))
+_BLOCK = "".join(_blocks(_WRITER)[0])
+_AFTER = int(_BLOCK.splitlines()[-1].split()[-1][:-1])
+_MORE = "".join(_LINE % (n % 7, n % 5, _AFTER) for n in range(6))
+# (text, the line each block after the first starts with, or None for a
+# writer line): a full block, then hand-made lines in the second one
+BLOCK_CASES = {
+    "one-block": _BLOCK,
+    "block+1": _BLOCK + _LINE % (3, 4, _AFTER),
+    "block+last-line-no-newline": _BLOCK + _MORE + _LINE[:-1] % (3, 4, _AFTER),
+    "block+crlf": _BLOCK + _MORE + _LINE[:-1] % (2, 1, _AFTER) + "\r\n"
+                  + _MORE,
+    "block+reordered-keys": (_BLOCK + _MORE + '{"s": %d, "b": 3, "a": 1}\n'
+                             % _AFTER + _MORE),
+    "block+junk": _BLOCK + _MORE + "{\n" + _MORE,
+    "block+float-stage": _BLOCK + _MORE + _LINE % (0, 1, "1.5"),
+    "block+5000-digit-index": _BLOCK + _MORE + _LINE % ("7" * 5000, 1, _AFTER),
+    # the digit limit is met before the junk after it, line by line too
+    "block+5000-digit-index-then-junk": (
+        _BLOCK + _LINE % ("7" * 5000, 1, _AFTER) + "{\n"),
+    "block+index-past-bound-60": _BLOCK + _MORE + _LINE % (70, 1, _AFTER),
+    "block+unsorted-stages": _BLOCK + _LINE % (1, 2, 3) + _MORE
+                             + _LINE % (4, 0, -2),
+    "block+negative-stages": "".join(
+        _LINE % (a, b, s - 10 ** 6) for a, b, s in
+        CeerTable.loads(_BLOCK + _MORE).pairs),
+    "block+index-at-ceiling": _BLOCK + _MORE + _LINE % (INDEX_CEILING, 1,
+                                                        _AFTER),
+}
+
+
+def test_block_cases_cross_a_block_boundary():
+    """Every block case but the first fills a block and goes on into a
+    second; a hand-made line sits in the second block, and the writer lines
+    of the first take the block path."""
+    assert len(_blocks(BLOCK_CASES["one-block"])) == 1
+    for case, text in BLOCK_CASES.items():
+        blocks = _blocks(text)
+        assert len(blocks) == (1 if case == "one-block" else 2), case
+        assert ceers._DUMP_BLOCK.fullmatch("".join(blocks[0])), case
+    assert _blocks(BLOCK_CASES["block+1"])[1] == [_LINE % (3, 4, _AFTER)]
+    for case in ("block+crlf", "block+reordered-keys", "block+junk",
+                 "block+float-stage", "block+last-line-no-newline",
+                 "block+5000-digit-index-then-junk"):
+        assert not ceers._DUMP_BLOCK.fullmatch(
+            "".join(_blocks(BLOCK_CASES[case])[1])), case
+
+
+@pytest.mark.parametrize("bound", [None, 4, 60])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_load_across_blocks_matches_the_json_reference(case, bound):
+    text = BLOCK_CASES[case]
+    want = table_outcome(
+        lambda: reference_table_load(io.StringIO(text), bound))
+    assert table_outcome(lambda: CeerTable.loads(text, bound)) == want
+
+
+def test_load_of_a_dump_that_names_the_last_index_below_the_ceiling():
+    """A second block that names INDEX_CEILING - 1 loads to the state of
+    the reference, forest and all (compared without the partitions)."""
+    text = _BLOCK + _LINE % (INDEX_CEILING - 1, 2, _AFTER)
+    got = CeerTable.loads(text)
+    assert got.bound == INDEX_CEILING
+    assert table_state(got) == table_state(
+        reference_table_load(io.StringIO(text)))
+
+
 @pytest.mark.parametrize("bound", [None, 4, 60])
 @pytest.mark.parametrize("case", sorted(LOAD_CASES))
 def test_load_matches_the_json_reference(case, bound):
@@ -542,13 +621,14 @@ def test_assert_pair_matches_the_helper_call_reference(case):
         table_state(want))
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_assert_pair_streams_match_the_helper_call_reference(seed):
-    """Streams of calls with many equal stages, bad entries among them."""
+def _assert_stream(seed):
+    """A bound and 300 calls' arguments with many equal stages, and whether
+    each call's are bad: an index out of bound or no int, or a stage below
+    the one before."""
     rng = random.Random(f"assert-{seed}")
     bound = rng.choice((8, 30, 200))
-    got, want = CeerTable(bound), CeerTable(bound)
     stage = rng.randint(-5, 5)
+    calls = []
     for _ in range(300):
         stage += rng.choice((0, 0, 0, 1, 2))
         a, b, s = rng.randrange(bound), rng.randrange(bound), stage
@@ -557,15 +637,79 @@ def test_assert_pair_streams_match_the_helper_call_reference(seed):
             a = rng.choice((-1, bound, "0", 1.0))
         elif roll < 0.06:
             s = stage - rng.randint(1, 3)
+        calls.append(((a, b, s), roll < 0.06))
+    return bound, calls
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_assert_pair_streams_match_the_helper_call_reference(seed):
+    """Streams of calls with many equal stages, bad entries among them."""
+    bound, calls = _assert_stream(seed)
+    got, want = CeerTable(bound), CeerTable(bound)
+    for (a, b, s), _ in calls:
         got_out = _raised(lambda: got.assert_pair(a, b, s))
         want_out = _raised(lambda: reference_assert_pair(want, a, b, s))
         assert (got_out, table_state(got)) == (want_out, table_state(want))
     assert table_outcome(lambda: got) == table_outcome(lambda: want)
 
 
+def _chained(rows, bound):
+    """The table a chain of `reference_assert_pair` calls builds."""
+    t = CeerTable(bound)
+    for a, b, s in rows:
+        reference_assert_pair(t, a, b, s)
+    return t
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_from_pairs_matches_the_helper_call_chain(seed):
+    """`from_pairs` of the streams above, bad entries and all, and of their
+    good pairs alone, as tuples and as lists: the whole forest, or the first
+    bad pair's error, as a chain of reference calls gives it."""
+    bound, calls = _assert_stream(seed)
+    rows = [args for args, _ in calls]
+    good = [args for args, bad in calls if not bad]
+    assert any(bad for _, bad in calls) or seed not in (0, 1)
+    for pairs in (rows, good, [list(p) for p in good]):
+        want = table_outcome(lambda: _chained(pairs, bound))
+        assert table_outcome(lambda: CeerTable.from_pairs(pairs, bound)) == want
+    assert isinstance(table_outcome(lambda: CeerTable.from_pairs(good, bound))[0],
+                      tuple)
+
+
+# (pairs, bound): entries the merge loop must leave to `assert_pair`
+FROM_PAIRS_CASES = {
+    "empty": ([], 5),
+    "negative-index": ([(0, 1, 0), (-1, 2, 1)], 5),
+    "index-at-bound": ([(0, 1, 0), (2, 5, 1)], 5),
+    "ceiling": ([(0, 1, 0), (0, INDEX_CEILING, 1)], INDEX_CEILING + 5),
+    "stage-regression": ([(0, 1, 5), (1, 2, 4)], 5),
+    "negative-bound": ([(0, 1, 0)], -1),
+    "bool-index": ([(0, 1, 0), (True, 2, 1)], 5),
+    "float-stage": ([(0, 1, 0), (1, 2, 2.5), (2, 3, 3)], 5),
+    "str-stage": ([(0, 1, 0), (1, 2, "3")], 5),
+    "short-row": ([(0, 1, 0), (1, 2)], 5),
+    "long-row": ([(0, 1, 0), [1, 2, 3, 4]], 5),
+    "int-row": ([(0, 1, 0), 7], 5),
+    "str-row": ([(0, 1, 0), "012"], 5),
+    "dict-rows": ([{0: "a", 1: "b", 2: "c"}], 5),
+    "mixed-tuples-and-lists": ([(0, 1, 0), [1, 2, 1], (3, 4, 1)], 5),
+    "generator": ((p for p in [(0, 1, 0), (2, 1, 3)]), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROM_PAIRS_CASES))
+def test_from_pairs_cases_match_the_helper_call_chain(case):
+    pairs, bound = FROM_PAIRS_CASES[case]
+    pairs = list(pairs)
+    want = table_outcome(lambda: _chained(pairs, bound))
+    assert table_outcome(lambda: CeerTable.from_pairs(iter(pairs), bound)) == want
+
+
 def test_load_decodes_writer_lines_without_json_or_top(monkeypatch):
-    """A dump as `dump` writes it costs no JSON decoder call and no `_top`
-    call; each hand-made line costs one decoder call."""
+    """A dump as `dump` writes it costs no JSON decoder call, no per-line
+    `_DUMP_LINE` match and no `_top` call; a hand-made line costs one
+    decoder call and one match per line of its block."""
     t = random_table(random.Random(38), bound=4000, n_pairs=3360,
                      max_stage=3360)
     negative = _written([(0, 1, -30), (1, 2, -7), (4, 3, -7), (2, 4, 0)])
@@ -574,7 +718,7 @@ def test_load_decodes_writer_lines_without_json_or_top(monkeypatch):
     lines[1700] = '{"s": %d, "a": %d, "b": %d}\n' % tuple(
         t.pairs[1700][i] for i in (2, 0, 1))
     calls: dict[str, int] = {}
-    real_loads, real_top = json.loads, CeerTable._top
+    real_loads, real_top, real_line = json.loads, CeerTable._top, ceers._DUMP_LINE
 
     def counted_loads(*args, **kwargs):
         calls["json.loads"] = calls.get("json.loads", 0) + 1
@@ -584,8 +728,14 @@ def test_load_decodes_writer_lines_without_json_or_top(monkeypatch):
         calls["_top"] = calls.get("_top", 0) + 1
         return real_top(*args)
 
+    class CountedLine:
+        def fullmatch(self, line):
+            calls["_DUMP_LINE"] = calls.get("_DUMP_LINE", 0) + 1
+            return real_line.fullmatch(line)
+
     monkeypatch.setattr(ceers.json, "loads", counted_loads)
     monkeypatch.setattr(CeerTable, "_top", counted_top)
+    monkeypatch.setattr(ceers, "_DUMP_LINE", CountedLine())
     assert len(lines) == 3360
     assert table_state(CeerTable.loads(text)) == table_state(
         reference_table_load(io.StringIO(text)))
@@ -594,13 +744,106 @@ def test_load_decodes_writer_lines_without_json_or_top(monkeypatch):
     assert CeerTable.loads(negative).pairs == ((0, 1, -30), (1, 2, -7),
                                               (4, 3, -7), (2, 4, 0))
     assert calls == {}
+    # the block that holds line 1700 is read line by line, and only it
+    blocks = _blocks("".join(lines))
+    assert len(blocks) == 2
     assert CeerTable.loads("".join(lines)).pairs == t.pairs
-    assert calls == {"json.loads": 1}
+    assert calls == {"json.loads": 1, "_DUMP_LINE": len(
+        next(block for block in blocks if lines[1700] in block))}
     calls.clear()
     u = CeerTable(300)
     for a, b, s in t.pairs:
         u.assert_pair(a % 300, b % 300, s)
     assert calls == {}
+
+
+def test_related_climbs_inline(monkeypatch):
+    """`related` answers as the `_top`-based reference does, with no `_top`
+    call."""
+    rng = random.Random(40)
+    t = random_table(rng, bound=300, n_pairs=500, max_stage=100, named=200)
+    queries = [(rng.randrange(300), rng.randrange(300), rng.randrange(-1, 102))
+               for _ in range(2000)]
+    want = [reference_related(t, *q) for q in queries]
+    calls = []
+    monkeypatch.setattr(CeerTable, "_top", lambda *args: calls.append(args))
+    assert [t.related(*q) for q in queries] == want
+    assert calls == [] and any(want) and not all(want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_related_matches_the_helper_call_reference(seed):
+    """Seeded tables, each naming about half its bound, queried at equal
+    indices, indices past the named ones and stages -1, `inf` and NaN among
+    others; and the same error on an index out of bound or of another
+    type."""
+    rng = random.Random(f"related-{seed}")
+    bound = rng.choice((3, 9, 60, 400))
+    t = random_table(rng, bound, rng.randint(0, 2 * bound), 50,
+                     named=bound // 2 + 1)
+    stages = [-1, 0, t.last_stage, float("inf"), float("nan"),
+              *(rng.randrange(51) for _ in range(4))]
+    kinds = set()
+    for _ in range(300):
+        a = rng.randrange(bound)
+        b = a if rng.random() < 0.1 else rng.randrange(bound)
+        s = rng.choice(stages)
+        kinds.add("equal" if a == b else
+                  "past" if max(a, b) >= len(t._stamp) else "named")
+        assert t.related(a, b, s) == reference_related(t, a, b, s)
+    assert kinds >= {"equal", "past"}
+    for a, b in ((-1, 0), (0, bound), (bound, -1), (0, -3), ("1", 0),
+                 (0, "x"), (1.5, 0), (None, bound)):
+        assert _raised(lambda: t.related(a, b, 0)) == _raised(
+            lambda: reference_related(t, a, b, 0))
+
+
+NAN = float("nan")
+
+
+def test_stage_writers_refuse_nan():
+    """A NaN stage, which no stage orders, is refused first or later by
+    `assert_pair`, `from_pairs` and `StageSet.add`, naming the stage; a
+    later stage below the last one kept is still refused after it, and the
+    reads at NaN keep their answers."""
+    t = CeerTable(5)
+    with pytest.raises(StageRegressionError,
+                       match="^pair at stage nan, which no stage orders$"):
+        t.assert_pair(0, 1, NAN)
+    assert table_state(t) == table_state(CeerTable(5))
+    t.assert_pair(0, 1, 4)
+    with pytest.raises(StageRegressionError,
+                       match="^pair at stage nan after stage 4$"):
+        t.assert_pair(1, 2, NAN)
+    with pytest.raises(StageRegressionError,
+                       match="^pair at stage 1 after stage 4$"):
+        t.assert_pair(1, 2, 1)
+    t.assert_pair(1, 2, 5)
+    assert table_state(t) == table_state(_chained([(0, 1, 4), (1, 2, 5)], 5))
+    with pytest.raises(StageRegressionError, match="nan"):
+        CeerTable(5).assert_pair(0, 1, NAN).assert_pair(1, 2, 5)
+    for rows in ([(0, 1, NAN), (1, 2, 5)], [(0, 1, 4), (1, 2, NAN), (2, 3, 1)],
+                 [[0, 1, 4], [1, 2, NAN]]):
+        with pytest.raises(StageRegressionError, match="stage nan"):
+            CeerTable.from_pairs(rows, 5)
+    s = StageSet()
+    with pytest.raises(StageRegressionError,
+                       match="^entry at stage nan, which no stage orders$"):
+        s.add("x", NAN)
+    s.add("a", 4)
+    with pytest.raises(StageRegressionError,
+                       match="^entry at stage nan after stage 4$"):
+        s.add("b", NAN)
+    with pytest.raises(StageRegressionError,
+                       match="^entry at stage 1 after stage 4$"):
+        s.add("c", 1)
+    s.add("d", 5)
+    assert s.entries() == (("a", 4), ("d", 5))
+    with pytest.raises(StageRegressionError, match="stage nan"):
+        StageSet([("a", 4), ("b", NAN), ("c", 1)])
+    assert (t.related(0, 1, NAN), t.related(2, 2, NAN)) == (False, True)
+    assert t.classes_at(NAN) == [[n] for n in range(5)]
+    assert s.count_at(NAN) == 2
 
 
 # -- stages no int reaches ---------------------------------------------------

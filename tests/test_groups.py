@@ -186,6 +186,35 @@ def test_presentation_triangularity_guards():
         pres.add_relation(11, [], 3)          # beyond ngens
 
 
+def test_presentation_stage_writers_refuse_nan():
+    """A NaN stage, which no stage orders, is refused by `add_relation`,
+    `set_level` and `set_statuses`, naming the stage, and nothing is
+    stored: a later relation below the last kept stage is still refused."""
+    nan = float("nan")
+    pres = StagedPresentation(ngens=10)
+    with pytest.raises(StageRegressionError,
+                       match="^relation stage nan below last stage 0$"):
+        pres.add_relation(1, [], nan)
+    pres.add_relation(1, [], 4)
+    with pytest.raises(StageRegressionError,
+                       match="^relation stage nan below last stage 4$"):
+        pres.add_relation(2, [(1, 1)], nan)
+    with pytest.raises(StageRegressionError,
+                       match="^relation stage 1 below last stage 4$"):
+        pres.add_relation(3, [], 1)
+    with pytest.raises(StageRegressionError, match="^level stage nan "):
+        pres.set_level(0, range(0, 4), nan)
+    pres.set_level(0, range(0, 4), 5)
+    with pytest.raises(StageRegressionError, match="^status stage nan "):
+        pres.set_statuses(0, [2], "free", nan)
+    pres.add_relation(2, [(1, 1)], 6)
+    assert [(r.lhs, r.stage) for r in pres.relations] == [(1, 4), (2, 6)]
+    assert pres.status == {} and pres._last_stage == 6
+    with pytest.raises(StageRegressionError):
+        validate_relation_stream([(3, (), 4), (4, (), nan), (5, (), 1)])
+    assert pres.census_at(0, nan) == pres.census_at(0, 6)
+
+
 def test_validate_relation_stream():
     good = [(3, ((1, 1),), 0), (5, ((3, -1),), 2)]
     validate_relation_stream(good)

@@ -217,8 +217,10 @@ def test_verify_on_mutated_logs_exits_cleanly(text, suite):
 
 
 # stand-ins for a dump's index or stage: at and past the table index
-# ceiling, negative, and not an integer at all
-DUMP_VALUES = (-1, 10 ** 6, 10 ** 40, 1.5, True, None, "x", [], {})
+# ceiling, negative, and not an integer at all, the floats `json.dumps`
+# writes as NaN, Infinity and -Infinity among them
+DUMP_VALUES = (-1, 10 ** 6, 10 ** 40, 1.5, True, None, "x", [], {},
+               float("nan"), float("inf"), float("-inf"), "3")
 # stand-ins for a dump line that is no pair object
 DUMP_JUNK = ("{", "[]", "null", "1", '"a"')
 # --stage, --bound and related's indices; none lies between the small
