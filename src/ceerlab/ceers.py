@@ -238,7 +238,10 @@ def _decoded(lines: list[str], n: int) -> list[int]:
 
 
 def check_bound(bound: int) -> int:
-    """`bound`, once checked to be one a table may take."""
+    """`bound`, once checked to be one a table may take: a nonnegative int
+    (a bool is none)."""
+    if type(bound) is not int:
+        raise ValueError(f"bound {bound!r} is not an integer")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     return bound

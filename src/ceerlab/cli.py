@@ -33,10 +33,8 @@ from .ceers import (
 from .dark import DarkRunResult, growth_audit
 from .engine import ActionRecord, ConstructionRun, RunLog
 from .groups import TriangularityError
-from .indexset import SugResult
 from .pairing import pair
 from .scenario import load_scenario, parse_epsilon
-from .sigma3 import Sigma3Result
 from .star import StarResult, level_forms
 
 __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
@@ -57,7 +55,7 @@ _MALFORMED = (KeyError, ValueError, TypeError, IndexError, AttributeError,
 # -- run ---------------------------------------------------------------------
 
 
-def _summarize(result) -> list[str]:
+def _summarize(result: ConstructionRun) -> list[str]:
     lines = [
         f"construction: {result.construction}",
         f"stages: {result.stages}",
@@ -72,49 +70,7 @@ def _summarize(result) -> list[str]:
             lines.append(f"  {req}: {shown} ... ({len(actions)} actions)")
         else:
             lines.append(f"  {req}: {' '.join(actions)}")
-    if isinstance(result, DarkRunResult):
-        for n in sorted(result.transversals):
-            entries = result.transversals[n]
-            degs = " ".join(str(e["degree"]) for e in entries)
-            lines.append(f"transversal T{n}: {len(entries)} entries, degrees {degs}")
-        for m in sorted(result.witnesses):
-            w = result.witnesses[m]
-            degs = " ".join(str(c.degree()) for c in w["added"])
-            lines.append(
-                f"witness D{m}: stage {w['stage']}, floor {w['degree_floor']}, "
-                f"relator degrees [{degs}]"
-            )
-        if result.gs_failure is None:
-            lines.append("gs audit: pass at every stage")
-        else:
-            gf = result.gs_failure
-            lines.append(
-                f"gs audit: FAILED at stage {gf['stage']} degree {gf['degree']}"
-            )
-    elif isinstance(result, Sigma3Result):
-        for k in sorted(result.columns):
-            lines.append(f"column C{k} -> {result.columns[k]}")
-        for m in sorted(result.restraints):
-            lines.append(f"restraint L{m}: use={result.restraints[m]}")
-    elif isinstance(result, StarResult):
-        lines.append(
-            "collapsed levels: "
-            + (" ".join(map(str, sorted(result.collapsed_levels))) or "none")
-        )
-        xp = " ".join(f"({a},{b})@{s}" for a, b, s in result.table.pairs)
-        lines.append(f"output table pairs: {xp or 'none'}")
-        for j in range(result.levels + 1):
-            census = result.census(j, result.stages)
-            cs = " ".join(f"{k}={v}" for k, v in sorted(census.items()))
-            lines.append(f"census level {j}: {cs}")
-    elif isinstance(result, SugResult):
-        for req in sorted(result.assignments):
-            lines.append(f"slot {req} -> {result.assignments[req]}")
-        for m in sorted(result.restraints):
-            r = result.restraints[m]
-            lines.append(
-                f"restraint L{m}: " + (",".join(r) if r else "none")
-            )
+    lines.extend(replay.CONSTRUCTIONS[result.construction].summary(result))
     return lines
 
 
@@ -158,9 +114,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     for line in _summarize(result):
         print(line)
     print(f"log: {out}")
-    if isinstance(result, DarkRunResult) and result.gs_failure is not None:
-        return 1
-    return 0
+    # a logged audit failure fails the run, as it fails `membership`
+    failed = any(rec.action == "gs-failure" for rec in result.log.records)
+    return 1 if failed else 0
 
 
 # -- verify ------------------------------------------------------------------
@@ -183,7 +139,7 @@ def _suite_triangularity(log: RunLog,
                          result: ConstructionRun) -> tuple[bool, list[str]]:
     """Each relation added to the main presentation or to a sug group
     slot's must be triangular and in stage order."""
-    sug = isinstance(result, SugResult)
+    sug = result.construction == "sug-indexset"
     refused = _refused(log, result)
     if refused:
         record, exc = refused

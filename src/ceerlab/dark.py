@@ -36,8 +36,8 @@ from .algebra import (
 from .ceers import StageSet
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 
-__all__ = ["DarkRunResult", "run_dark_ring", "run_dark_group", "growth_audit",
-           "start", "apply_record", "collapse_floor"]
+__all__ = ["DarkRunResult", "run_dark", "growth_audit", "start",
+           "apply_record", "run_scenario", "summary", "collapse_floor"]
 
 
 def collapse_floor(m: int) -> int:
@@ -246,16 +246,26 @@ def growth_audit(ideal: HomogeneousIdeal, epsilon: Fraction):
     return gs_audit(counts, epsilon, max([ideal.maxdeg, 2] + list(counts)))
 
 
-def _run_dark(
+def run_dark(
     mode: str,
     u_columns: Mapping[int, StageSet],
     w_columns: Mapping[int, StageSet],
-    stages: int,
-    maxdeg: int,
-    p: int,
-    epsilon: Fraction,
-    unit_exponent: int,
+    stages: int = 300,
+    maxdeg: int = 16,
+    p: int = 2,
+    epsilon: Fraction = Fraction(1, 4),
+    unit_exponent: int = 13,
 ) -> DarkRunResult:
+    """Grow a quotient of the free algebra whose word problem resists listing.
+
+    Trigger columns feed the monomial-banking strategies; the word
+    columns feed the collapse strategies.  Returns the finished ideal,
+    the banked transversal candidates, the collapse witnesses, and the
+    full action log.  Mode "group" (not "ring") builds the unit-group
+    presentation: the ideal is seeded with x^N and y^N, N = `unit_exponent`,
+    so that 1+x and 1+y are invertible, and banked witnesses are recorded as
+    words over the unit generators instead of bare monomials.
+    """
     epsilon = Fraction(epsilon)
     params = {
         "mode": mode,
@@ -309,37 +319,34 @@ def _run_dark(
     return result
 
 
-def run_dark_ring(
-    u_columns: Mapping[int, StageSet],
-    w_columns: Mapping[int, StageSet],
-    stages: int = 300,
-    maxdeg: int = 16,
-    p: int = 2,
-    epsilon: Fraction = Fraction(1, 4),
-) -> DarkRunResult:
-    """Grow a quotient of the free algebra whose word problem resists listing.
-
-    Trigger columns feed the monomial-banking strategies; the word
-    columns feed the collapse strategies.  Returns the finished ideal,
-    the banked transversal candidates, the collapse witnesses, and the
-    full action log.
-    """
-    return _run_dark("ring", u_columns, w_columns, stages, maxdeg, p, epsilon, 0)
+def run_scenario(scn, params: dict[str, Any]) -> DarkRunResult:
+    """The run a dark scenario's sections and merged `params` describe."""
+    stages = params.get("stages", 300)
+    maxdeg = params.get("maxdeg", 16)
+    p = params.get("modulus", 2)
+    return run_dark(scn.construction.removeprefix("dark-"),
+                    scn.int_columns("ucolumn", stages),
+                    scn.poly_columns("wcolumn", stages, maxdeg, p,
+                                     collapse_floor),
+                    stages=stages, maxdeg=maxdeg, p=p,
+                    epsilon=params.get("epsilon", Fraction(1, 4)),
+                    unit_exponent=params.get("unit_exponent", 13))
 
 
-def run_dark_group(
-    u_columns: Mapping[int, StageSet],
-    w_columns: Mapping[int, StageSet],
-    stages: int = 300,
-    maxdeg: int = 16,
-    p: int = 2,
-    epsilon: Fraction = Fraction(1, 4),
-    unit_exponent: int = 13,
-) -> DarkRunResult:
-    """Variant building the unit-group presentation: the ideal is seeded with
-    x^N and y^N so that 1+x and 1+y are invertible, and banked witnesses are
-    recorded as words over the unit generators instead of bare monomials.
-    """
-    return _run_dark(
-        "group", u_columns, w_columns, stages, maxdeg, p, epsilon, unit_exponent
-    )
+def summary(result: DarkRunResult) -> list[str]:
+    """The run summary's lines on transversals, witnesses and the audit."""
+    lines = []
+    for n in sorted(result.transversals):
+        entries = result.transversals[n]
+        degs = " ".join(str(e["degree"]) for e in entries)
+        lines.append(f"transversal T{n}: {len(entries)} entries, degrees {degs}")
+    for m in sorted(result.witnesses):
+        w = result.witnesses[m]
+        degs = " ".join(str(c.degree()) for c in w["added"])
+        lines.append(f"witness D{m}: stage {w['stage']}, floor "
+                     f"{w['degree_floor']}, relator degrees [{degs}]")
+    gf = result.gs_failure
+    lines.append("gs audit: pass at every stage" if gf is None else
+                 f"gs audit: FAILED at stage {gf['stage']} degree "
+                 f"{gf['degree']}")
+    return lines

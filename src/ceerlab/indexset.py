@@ -37,7 +37,7 @@ from .pairing import unpair
 from .star import PhiEntry, StarConstruction, StarResult
 
 __all__ = ["SumFunctionalStub", "SugResult", "run_sug_indexset", "start",
-           "apply_record"]
+           "apply_record", "run_scenario", "summary"]
 
 
 @dataclass(frozen=True)
@@ -277,3 +277,31 @@ def run_sug_indexset(
         note="all group and table slots carry abelian word problems"))
     PriorityEngine(reqs, log, partial(apply_record, result)).run(stages)
     return result
+
+
+def run_scenario(scn, params: dict[str, Any]) -> SugResult:
+    """The run a sug scenario's sections and merged `params` describe."""
+    stages = params.get("stages", 120)
+    v_columns = scn.int_columns("vcolumn", stages)
+    u_columns = scn.int_columns("ucolumn", stages)
+    coded = scn.table("coded-universal", params.get("coded_bound"))
+    functionals = scn.sum_functionals()
+    template = scn.section("star-template")
+    t_params = template.params if template is not None else {}
+    star_base = int(t_params.get("base", 6))
+    star_levels = int(t_params.get("levels", 1))
+    star_universal = scn.table("star-universal", floor=star_levels + 1)
+    return run_sug_indexset(
+        v_columns, u_columns, coded, functionals,
+        star_universal, scn.phis("star-phi"),
+        star_base=star_base, star_levels=star_levels, stages=stages,
+    )
+
+
+def summary(result: SugResult) -> list[str]:
+    """The run summary's lines on slot assignments and restraints."""
+    lines = [f"slot {req} -> {result.assignments[req]}"
+             for req in sorted(result.assignments)]
+    lines.extend(f"restraint L{m}: " + (",".join(r) if r else "none")
+                 for m, r in sorted(result.restraints.items()))
+    return lines

@@ -1,14 +1,18 @@
-"""Rebuild construction state from a run log.
+"""The construction table, and log replay through it.
 
-This is the one place a `RunLog` turns back into state.  `start` builds
-the empty result a log's header describes through its construction
-module's own `start` (`dark`, `sigma3`, `star` or `indexset`), the one the
-run calls once it has written its header, so each header check is made
-there, for the run and for replay alike.  `steps` applies each record
-through the construction's `apply_record`, the writer the engine calls on
-each record the run logs.  So a fully replayed log holds the run's own
-result in every field but one: sigma3's join-table pairs, which the log
-only counts.
+`CONSTRUCTIONS` maps each construction name to its module (`dark`,
+`sigma3`, `star` or `indexset`), and each module exports the same four
+functions: `start(log)`, the empty result a log's header describes, with
+every header check; `apply_record(result, record)`, the writer the engine
+calls on each record a run logs; `summary(result)`, the lines `ceerlab run`
+prints after its shared head; and `run_scenario(scn, params)`, the run a
+parsed scenario describes.  Adding a construction takes one module and one
+line here.
+
+This is the one place a `RunLog` turns back into state: `start` and `steps`
+replay a log through its construction's `start` and `apply_record`, as the
+run built it.  So a fully replayed log holds the run's own result in every
+field but one: sigma3's join-table pairs, which the log only counts.
 """
 from __future__ import annotations
 
@@ -19,29 +23,26 @@ from .engine import ActionRecord, ConstructionRun, RunLog
 
 __all__ = ["CONSTRUCTIONS", "start", "steps", "census_checkpoints"]
 
-# construction name -> (its module's `start`, which builds the empty result
-# a header describes, and its record writer `apply_record`)
 CONSTRUCTIONS = {
-    "dark-ring": (dark.start, dark.apply_record),
-    "dark-group": (dark.start, dark.apply_record),
-    "sigma3": (sigma3.start, sigma3.apply_record),
-    "star-universal": (star.start, star.apply_record),
-    "sug-indexset": (indexset.start, indexset.apply_record),
+    "dark-ring": dark,
+    "dark-group": dark,
+    "sigma3": sigma3,
+    "star-universal": star,
+    "sug-indexset": indexset,
 }
 
 
 def start(log: RunLog) -> ConstructionRun:
     """The empty result the log's header describes; a malformed header
     raises here, before any record is applied."""
-    begin, _ = CONSTRUCTIONS[log.header["construction"]]
-    return begin(log)
+    return CONSTRUCTIONS[log.header["construction"]].start(log)
 
 
 def steps(log: RunLog, result: ConstructionRun
           ) -> Iterator[tuple[ActionRecord, ConstructionRun]]:
     """Each record of the log with `result` once the construction's writer
     has applied it; the same result object is yielded every time."""
-    _, apply = CONSTRUCTIONS[result.construction]
+    apply = CONSTRUCTIONS[result.construction].apply_record
     for rec in log.records:
         apply(result, rec)
         yield rec, result

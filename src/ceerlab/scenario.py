@@ -3,7 +3,7 @@
 Format (see scenarios/ for complete shipped examples):
 
     # comment
-    construction = dark-ring      # which runner to invoke
+    construction = dark-ring      # which construction module runs it
     stages = 300                  # top-level key = value parameters
 
     [ucolumn 0]                   # a section; the argument is an index
@@ -27,6 +27,11 @@ Stream sections support three modes: explicit rows, `steady`
 `monomials` (all monomials in index order at a fixed per-stage rate).
 The last two are generated: entry i is computed when it is read, so such
 a column holds O(1) state however many entries it has.
+
+The grammar lives here alone.  A construction module's `run_scenario`
+reads its inputs through `Scenario` methods (`int_columns`, `poly_columns`,
+`table`, `phis`, `functionals`, `sum_functionals`) and imports nothing
+from this module.
 """
 from __future__ import annotations
 
@@ -37,12 +42,10 @@ from typing import Any, Callable
 
 from .algebra import MAXDEG_CEILING, Monomial, Poly
 from .ceers import CeerTable, FunctionalStub, StageSet
-from .dark import collapse_floor, run_dark_group, run_dark_ring
 from .engine import STAGE_CEILING, ConstructionRun
-from .indexset import SumFunctionalStub, run_sug_indexset
+from .indexset import SumFunctionalStub
 from .replay import CONSTRUCTIONS
-from .sigma3 import run_sigma3_ceer
-from .star import GENERATOR_CEILING, PhiEntry, run_star_universal
+from .star import GENERATOR_CEILING, PhiEntry
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
 
@@ -91,7 +94,94 @@ class Scenario:
             if key in params and not 0 <= params[key] <= top:
                 raise ScenarioError(
                     f"bad {key} {params[key]}: must lie in [0, {top}]")
-        return _RUNNERS[self.construction](self, params)
+        return CONSTRUCTIONS[self.construction].run_scenario(self, params)
+
+    # -- a construction's inputs, as its `run_scenario` reads them ----------
+
+    def int_columns(self, name: str, stages: int) -> dict[int, StageSet]:
+        """The [name k] number columns by index."""
+        return self._indexed(name, lambda sec: _int_stream(sec, stages))
+
+    def poly_columns(self, name: str, stages: int, maxdeg: int, p: int,
+                     floor: Callable[[int], int]) -> dict[int, StageSet]:
+        """The [name k] polynomial columns by index.  Column k is compared
+        from degree `floor(k)` up, so one that lists an entry by the last
+        stage is refused if that floor is above `maxdeg`."""
+        columns = self._indexed(
+            name, lambda sec: _poly_stream(sec, stages, maxdeg, p))
+        for sec in self.sections_named(name):
+            low = floor(sec.arg)
+            if low > maxdeg and columns[sec.arg].count_at(stages):
+                raise ScenarioError(f"[{name} {sec.arg}] collapse floor {low} "
+                                    f"is above maxdeg {maxdeg}", sec.line)
+        return columns
+
+    def table(self, name: str, bound: int | None = None,
+              floor: int = 0) -> CeerTable:
+        """The [name] section's pairs as a table.  With no `bound` given,
+        the bound is one past the largest index the rows name, and at least
+        `floor`."""
+        sec = self.section(name)
+        # a given bound is refused, if negative, before any row is read
+        table = None if bound is None else CeerTable(bound=bound)
+        rows = []
+        top = 0
+        for lineno, lhs, rhs in sec.rows if sec is not None else ():
+            stage = _row_stage(lhs, lineno)
+            parts = rhs.split()
+            if len(parts) != 2:
+                raise ScenarioError(f"{name} row needs 'a b', got {rhs!r}",
+                                    lineno)
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ScenarioError(f"bad pair {rhs!r}", lineno) from None
+            top = max(top, a, b)
+            rows.append((lineno, a, b, stage))
+        if table is None:
+            table = CeerTable(bound=max(floor, top + 1))
+        rows.sort(key=lambda r: (r[3], r[0]))
+        for lineno, a, b, stage in rows:
+            if not (0 <= a < table.bound and 0 <= b < table.bound):
+                raise ScenarioError(
+                    f"pair ({a}, {b}) outside bound {table.bound}", lineno)
+            table.assert_pair(a, b, stage)
+        return table
+
+    def phis(self, name: str) -> dict[int, dict[int, PhiEntry]]:
+        """The [name e] stubs.  The arguments of all their rows together may
+        not pass GENERATOR_CEILING, counted before any row is expanded."""
+        total = 0
+        for sec in self.sections_named(name):
+            for lineno, lhs, _ in sec.rows:
+                total += len(_parse_args(lhs, lineno))
+                if total > GENERATOR_CEILING:
+                    raise ScenarioError(
+                        f"[{name}] rows up to here hold {total} arguments, "
+                        f"above the generator ceiling {GENERATOR_CEILING}",
+                        lineno)
+        return self._indexed(name, _phi_stub)
+
+    def functionals(self) -> dict[int, FunctionalStub]:
+        """The [functional m] stubs by index."""
+        return self._indexed("functional", _functional)
+
+    def sum_functionals(self) -> dict[int, SumFunctionalStub]:
+        """The [sumfunctional m] stubs by index."""
+        return self._indexed("sumfunctional", _sum_functional)
+
+    def _indexed(self, name: str,
+                 build: Callable[[_Section], Any]) -> dict[int, Any]:
+        out: dict[int, Any] = {}
+        for sec in self.sections_named(name):
+            if sec.arg is None:
+                raise ScenarioError(f"[{name}] needs an index", sec.line)
+            if sec.arg > SECTION_INDEX_CEILING:
+                raise ScenarioError(
+                    f"[{name} {sec.arg}] has an index above the section "
+                    f"index ceiling {SECTION_INDEX_CEILING}", sec.line)
+            out[sec.arg] = build(sec)
+        return out
 
 
 _KV_RE = re.compile(r"^([A-Za-z_][\w-]*)\s*=\s*(.*)$")
@@ -268,36 +358,6 @@ def _poly_stream(sec: _Section, stages: int, maxdeg: int, p: int) -> StageSet:
     raise ScenarioError(f"unknown stream mode {mode!r}", sec.line)
 
 
-def _pair_table(sec: _Section | None, bound: int | None, where: str,
-                floor: int = 0) -> CeerTable:
-    """The section's pairs as a table.  With no `bound` given, the bound is
-    one past the largest index the rows name, and at least `floor`."""
-    # a given bound is refused, if negative, before any row is read
-    table = None if bound is None else CeerTable(bound=bound)
-    rows = []
-    top = 0
-    for lineno, lhs, rhs in sec.rows if sec is not None else ():
-        stage = _row_stage(lhs, lineno)
-        parts = rhs.split()
-        if len(parts) != 2:
-            raise ScenarioError(f"{where} row needs 'a b', got {rhs!r}", lineno)
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ScenarioError(f"bad pair {rhs!r}", lineno) from None
-        top = max(top, a, b)
-        rows.append((lineno, a, b, stage))
-    if table is None:
-        table = CeerTable(bound=max(floor, top + 1))
-    rows.sort(key=lambda r: (r[3], r[0]))
-    for lineno, a, b, stage in rows:
-        if not (0 <= a < table.bound and 0 <= b < table.bound):
-            raise ScenarioError(
-                f"pair ({a}, {b}) outside bound {table.bound}", lineno)
-        table.assert_pair(a, b, stage)
-    return table
-
-
 _TOKEN_X = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 _TOKEN_RANGE = re.compile(r"^xrange:(\d+):(\d+)(?:\^(-?\d+))?$")
 _ARGSPEC = re.compile(r"^(\d+)(?:\.\.(\d+))?(?:/(even|odd))?$")
@@ -352,21 +412,6 @@ def _parse_args(spec: str, lineno: int) -> range:
     return args
 
 
-def _phi_stubs(scn: Scenario, name: str) -> dict[int, dict[int, PhiEntry]]:
-    """The [name e] stubs.  The arguments of all their rows together may
-    not pass GENERATOR_CEILING, counted before any row is expanded."""
-    total = 0
-    for sec in scn.sections_named(name):
-        for lineno, lhs, _ in sec.rows:
-            total += len(_parse_args(lhs, lineno))
-            if total > GENERATOR_CEILING:
-                raise ScenarioError(
-                    f"[{name}] rows up to here hold {total} arguments, "
-                    f"above the generator ceiling {GENERATOR_CEILING}",
-                    lineno)
-    return _indexed(scn, name, _phi_stub)
-
-
 def _phi_stub(sec: _Section) -> dict[int, PhiEntry]:
     stub: dict[int, PhiEntry] = {}
     for lineno, lhs, rhs in sec.rows:
@@ -419,88 +464,3 @@ def _sum_functional(sec: _Section) -> SumFunctionalStub:
                             sec.line) from None
     return SumFunctionalStub(ident=sec.arg or 0, converge_stage=converge,
                              use=use, slots=slots)
-
-
-def _indexed(scn: Scenario, name: str,
-             build: Callable[[_Section], Any]) -> dict[int, Any]:
-    out: dict[int, Any] = {}
-    for sec in scn.sections_named(name):
-        if sec.arg is None:
-            raise ScenarioError(f"[{name}] needs an index", sec.line)
-        if sec.arg > SECTION_INDEX_CEILING:
-            raise ScenarioError(
-                f"[{name} {sec.arg}] has an index above the section index "
-                f"ceiling {SECTION_INDEX_CEILING}", sec.line)
-        out[sec.arg] = build(sec)
-    return out
-
-
-def _run_dark(scn: Scenario, params: dict[str, Any], mode: str) -> ConstructionRun:
-    stages = params.get("stages", 300)
-    maxdeg = params.get("maxdeg", 16)
-    p = params.get("modulus", 2)
-    epsilon = params.get("epsilon", Fraction(1, 4))
-    u_columns = _indexed(scn, "ucolumn", lambda s: _int_stream(s, stages))
-    w_columns = _indexed(scn, "wcolumn",
-                         lambda s: _poly_stream(s, stages, maxdeg, p))
-    for sec in scn.sections_named("wcolumn"):
-        floor = collapse_floor(sec.arg)
-        if floor > maxdeg and w_columns[sec.arg].count_at(stages) > 0:
-            raise ScenarioError(f"[wcolumn {sec.arg}] collapse floor {floor} "
-                                f"is above maxdeg {maxdeg}", sec.line)
-    if mode == "ring":
-        return run_dark_ring(u_columns, w_columns, stages=stages,
-                             maxdeg=maxdeg, p=p, epsilon=epsilon)
-    return run_dark_group(u_columns, w_columns, stages=stages, maxdeg=maxdeg,
-                          p=p, epsilon=epsilon,
-                          unit_exponent=params.get("unit_exponent", 13))
-
-
-def _run_sigma3(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
-    stages = params.get("stages", 100)
-    universal = _pair_table(scn.section("universal"), params.get("ubound"),
-                            "universal")
-    triggers = _indexed(scn, "wcolumn", lambda s: _int_stream(s, stages))
-    functionals = _indexed(scn, "functional", _functional)
-    return run_sigma3_ceer(triggers, universal, functionals, stages=stages)
-
-
-def _run_star(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
-    stages = params.get("stages", 500)
-    base = params.get("base", 10)
-    levels = params.get("levels", 2)
-    universal = _pair_table(scn.section("universal"), None, "universal",
-                            floor=levels + 1)
-    phis = _phi_stubs(scn, "phi")
-    return run_star_universal(universal, phis, base=base, levels=levels,
-                              stages=stages)
-
-
-def _run_sug(scn: Scenario, params: dict[str, Any]) -> ConstructionRun:
-    stages = params.get("stages", 120)
-    v_columns = _indexed(scn, "vcolumn", lambda s: _int_stream(s, stages))
-    u_columns = _indexed(scn, "ucolumn", lambda s: _int_stream(s, stages))
-    coded = _pair_table(scn.section("coded-universal"),
-                        params.get("coded_bound"), "coded-universal")
-    functionals = _indexed(scn, "sumfunctional", _sum_functional)
-    template = scn.section("star-template")
-    t_params = template.params if template is not None else {}
-    star_base = int(t_params.get("base", 6))
-    star_levels = int(t_params.get("levels", 1))
-    star_universal = _pair_table(scn.section("star-universal"), None,
-                                 "star-universal", floor=star_levels + 1)
-    star_phis = _phi_stubs(scn, "star-phi")
-    return run_sug_indexset(
-        v_columns, u_columns, coded, functionals,
-        star_universal, star_phis,
-        star_base=star_base, star_levels=star_levels, stages=stages,
-    )
-
-
-_RUNNERS: dict[str, Callable[[Scenario, dict[str, Any]], ConstructionRun]] = {
-    "dark-ring": lambda s, p: _run_dark(s, p, "ring"),
-    "dark-group": lambda s, p: _run_dark(s, p, "group"),
-    "sigma3": _run_sigma3,
-    "star-universal": _run_star,
-    "sug-indexset": _run_sug,
-}

@@ -25,7 +25,8 @@ from .ceers import CeerTable, FunctionalStub, StageSet, check_bound
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 from .pairing import pair
 
-__all__ = ["Sigma3Result", "run_sigma3_ceer", "start", "apply_record"]
+__all__ = ["Sigma3Result", "run_sigma3_ceer", "start", "apply_record",
+           "run_scenario", "summary"]
 
 
 @dataclass
@@ -176,3 +177,21 @@ def run_sigma3_ceer(
         reqs.append(_RestraintReq(idx, functionals.get(idx), result))
     PriorityEngine(reqs, log, partial(apply_record, result)).run(stages)
     return result
+
+
+def run_scenario(scn, params: dict[str, Any]) -> Sigma3Result:
+    """The run a sigma3 scenario's sections and merged `params` describe."""
+    stages = params.get("stages", 100)
+    universal = scn.table("universal", params.get("ubound"))
+    triggers = scn.int_columns("wcolumn", stages)
+    return run_sigma3_ceer(triggers, universal, scn.functionals(),
+                           stages=stages)
+
+
+def summary(result: Sigma3Result) -> list[str]:
+    """The run summary's lines on the chosen columns and the restraints."""
+    lines = [f"column C{k} -> {result.columns[k]}"
+             for k in sorted(result.columns)]
+    lines.extend(f"restraint L{m}: use={result.restraints[m]}"
+                 for m in sorted(result.restraints))
+    return lines

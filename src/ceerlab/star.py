@@ -47,6 +47,8 @@ __all__ = [
     "empty_result",
     "start",
     "apply_record",
+    "run_scenario",
+    "summary",
 ]
 
 Word = tuple[tuple[int, int], ...]
@@ -733,3 +735,26 @@ def run_star_universal(
     """Run the construction to completion and return its result bundle."""
     return StarConstruction(universal, phis, base=base, levels=levels,
                             stages=stages).run()
+
+
+def run_scenario(scn, params: dict[str, Any]) -> StarResult:
+    """The run a star scenario's sections and merged `params` describe; the
+    universal table's bound passes every level index."""
+    levels = params.get("levels", 2)
+    universal = scn.table("universal", floor=levels + 1)
+    return run_star_universal(universal, scn.phis("phi"),
+                              base=params.get("base", 10), levels=levels,
+                              stages=params.get("stages", 500))
+
+
+def summary(result: StarResult) -> list[str]:
+    """The run summary's lines on collapsed levels, output table and census."""
+    xp = " ".join(f"({a},{b})@{s}" for a, b, s in result.table.pairs)
+    lines = ["collapsed levels: "
+             + (" ".join(map(str, sorted(result.collapsed_levels))) or "none"),
+             f"output table pairs: {xp or 'none'}"]
+    for j in range(result.levels + 1):
+        census = result.census(j, result.stages)
+        cs = " ".join(f"{k}={v}" for k, v in sorted(census.items()))
+        lines.append(f"census level {j}: {cs}")
+    return lines

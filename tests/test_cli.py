@@ -578,6 +578,33 @@ def test_run_reports_audit_failure_with_exit_one(tmp_path, capsys):
     assert "gs audit: FAILED" in capsys.readouterr().out
 
 
+# two degree-10 seeds fail the growth audit at stage 0, before any stage runs
+DARK_AUDIT_FAILS = """\
+construction = dark-group
+stages = 10
+maxdeg = 14
+unit_exponent = 10
+[ucolumn 0]
+1: 0
+"""
+
+
+def test_run_output_on_a_failed_audit_is_pinned(tmp_path, capsys):
+    scenario, out = tmp_path / "dark.txt", tmp_path / "dark.jsonl"
+    scenario.write_text(DARK_AUDIT_FAILS)
+    rc = main(["run", str(scenario), "--out", str(out)])
+    assert (rc, *capsys.readouterr()) == (
+        1,
+        "construction: dark-group\n"
+        "stages: 10\n"
+        "records: 2\n"
+        "  init: seed-ideal@0\n"
+        "  audit: gs-failure@0\n"
+        "gs audit: FAILED at stage 0 degree 10\n"
+        f"log: {out}\n",
+        "")
+
+
 SIGMA3_RUN = (
     "construction: sigma3\n"
     "stages: {stages}\n"
@@ -922,6 +949,20 @@ def test_replay_start_refuses_a_bad_header_stages(name, stages):
     log.header["params"]["stages"] = stages
     with pytest.raises(ValueError, match="^bad stages .*: must be an integer"):
         replay.start(log)
+
+
+@pytest.mark.parametrize("bound", [float("inf"), float("nan"), 2.5, True,
+                                   "3"])
+@pytest.mark.parametrize("key", ["join_bound", "universal_bound"])
+def test_replay_start_refuses_a_sigma3_bound_that_is_not_an_integer(key,
+                                                                    bound):
+    """Both of sigma3's table bounds are checked, though no suite reads a
+    sigma3 log."""
+    log = RunLog.load(shipped("sigma3-basic.log.jsonl"))
+    log.header["params"][key] = bound
+    with pytest.raises(ValueError) as caught:
+        replay.start(log)
+    assert str(caught.value) == f"bound {bound!r} is not an integer"
 
 
 def test_verify_membership_names_the_audit_reason(tmp_path, capsys):

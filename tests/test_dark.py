@@ -7,7 +7,7 @@ import pytest
 from ceerlab.algebra import HorizonError, Monomial, Poly
 from ceerlab.ceers import StageSet
 from ceerlab.cli import main
-from ceerlab.dark import run_dark_group, run_dark_ring
+from ceerlab.dark import run_dark
 from helpers import records_for
 
 
@@ -29,7 +29,8 @@ def trigger(*stages):
 
 @pytest.fixture(scope="module")
 def ring_result():
-    return run_dark_ring(
+    return run_dark(
+        "ring",
         u_columns={0: trigger(1, 2)},
         w_columns={0: monomial_stream(2240, 32), 1: monomial_stream(2240, 32)},
         stages=70,
@@ -41,7 +42,8 @@ def ring_result():
 def group_result():
     m = Poly.monomial(Monomial(14, 0b01011), 2)  # x^10 y x y y
     f = Poly.parse("xx", 2)
-    return run_dark_group(
+    return run_dark(
+        "group",
         u_columns={0: trigger(1, 2, 5)},
         w_columns={0: StageSet([(f, 3), (f + m, 3)])},
         stages=6,
@@ -111,7 +113,8 @@ class TestRingTimeline:
         assert min(rec.details["relator_degrees"]) > max(result.protected[0])
 
     def test_deterministic_log(self, result):
-        again = run_dark_ring(
+        again = run_dark(
+            "ring",
             u_columns={0: trigger(1, 2)},
             w_columns={0: monomial_stream(2240, 32), 1: monomial_stream(2240, 32)},
             stages=70,
@@ -173,7 +176,8 @@ class TestGroupTimeline:
 
 def test_audit_aborts_run_before_any_action():
     # two seeds of degree 10 against epsilon 1/4: budget 6561/4096 < 2
-    res = run_dark_group(
+    res = run_dark(
+        "group",
         u_columns={0: trigger(1)},
         w_columns={},
         stages=10,
@@ -193,11 +197,11 @@ def test_audit_aborts_run_before_any_action():
 
 def test_unit_exponent_must_be_at_least_two():
     with pytest.raises(ValueError):
-        run_dark_group({}, {}, stages=1, unit_exponent=1)
+        run_dark("group", {}, {}, stages=1, unit_exponent=1)
 
 
 def test_bad_epsilon_reported_as_audit_failure():
-    res = run_dark_ring({0: trigger(1)}, {}, stages=1, epsilon=Fraction(0))
+    res = run_dark("ring", {0: trigger(1)}, {}, stages=1, epsilon=Fraction(0))
     assert res.gs_failure is not None
     assert res.gs_failure["stage"] == 0
     assert "epsilon" in res.gs_failure["reason"]
@@ -206,7 +210,8 @@ def test_bad_epsilon_reported_as_audit_failure():
 
 def test_banking_beyond_horizon_raises():
     with pytest.raises(HorizonError):
-        run_dark_ring(
+        run_dark(
+            "ring",
             u_columns={0: trigger(1, 2, 3, 4)},
             w_columns={},
             stages=4,
@@ -216,7 +221,8 @@ def test_banking_beyond_horizon_raises():
 
 def test_collapse_injury_discards_banked_witnesses():
     y = Poly.y(2)
-    res = run_dark_ring(
+    res = run_dark(
+        "ring",
         u_columns={1: trigger(1, 3)},
         w_columns={0: StageSet([(y, 2), (y, 2)])},
         stages=4,
@@ -239,7 +245,7 @@ def test_collapse_injury_discards_banked_witnesses():
 def test_collapse_strategy_acts_exactly_once():
     y = Poly.y(2)
     col = StageSet([(y, 1), (y, 1), (y, 2), (y, 3)])
-    res = run_dark_ring({}, {0: col}, stages=5, maxdeg=16)
+    res = run_dark("ring", {}, {0: col}, stages=5, maxdeg=16)
     assert len(records_for(res.log, requirement="D0")) == 1
 
 

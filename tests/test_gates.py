@@ -10,6 +10,7 @@ changes a log or a verdict.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -158,35 +159,63 @@ def test_verify_vi_vs_u_of_scale_star_log_is_pinned(flags, tmp_path, capsys):
     assert (rc, *capsys.readouterr()) == PINNED_SCALE_VI_VS_U[flags]
 
 
+# JSON texts of a header's table bound that no table takes, each with the
+# repr of the value JSON reads from it
+NOT_INT_BOUNDS = [("Infinity", "inf"), ("-Infinity", "-inf"), ("NaN", "nan"),
+                  ("1e309", "inf"), ("2.5", "2.5"), ("true", "True"),
+                  ('"3"', "'3'")]
+
 # malformed star headers, with the shipped records and with none: a header
 # fails as malformed input before any record is applied, never as a
-# rejected relation stream
+# rejected relation stream.  Each change is the JSON text of a header key,
+# written as it stands, so `1e309` is tried as well as `Infinity`
 MALFORMED_HEADERS = {
     "universal-out-of-stage-order": (
-        {"universal": [[0, 1, 5], [0, 2, 1]]},
+        {"universal": "[[0, 1, 5], [0, 2, 1]]"},
         "StageRegressionError('pair at stage 1 after stage 5')"),
     "negative-universal-bound": (
-        {"universal_bound": -1}, "ValueError('bound must be nonnegative')"),
+        {"universal_bound": "-1"}, "ValueError('bound must be nonnegative')"),
+    **{f"universal-bound-{token}": (
+        {"universal_bound": token},
+        repr(ValueError(f"bound {value} is not an integer")))
+       for token, value in NOT_INT_BOUNDS},
 }
 
 
 @pytest.mark.parametrize("records", [True, False],
                          ids=["with-records", "no-records"])
-@pytest.mark.parametrize("suite", ["level-census", "vi-vs-U"])
+@pytest.mark.parametrize("suite", ["level-census", "vi-vs-U", "triangularity"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
 def test_verify_of_malformed_star_header_is_pinned(case, suite, records,
                                                    tmp_path, capsys):
     change, error = MALFORMED_HEADERS[case]
     header, *rest = open(shipped("star-universal-basic.log.jsonl")).readlines()
-    params = json.loads(header)["params"]
+    params = {key: json.dumps(value)
+              for key, value in json.loads(header)["params"].items()}
     params.update(change)
     path = tmp_path / "star.jsonl"
-    path.write_text(json.dumps({"construction": "star-universal",
-                                "params": params}) + "\n"
+    path.write_text('{"construction": "star-universal", "params": {'
+                    + ", ".join(f'"{key}": {text}'
+                                for key, text in params.items()) + "}}\n"
                     + ("".join(rest) if records else ""))
     rc = main(["verify", str(path), suite])
     assert (rc, *capsys.readouterr()) == (
         2, "", f"error: malformed log for suite {suite}: {error}\n")
+
+
+@pytest.mark.parametrize("token,value", NOT_INT_BOUNDS)
+def test_verify_of_sug_coded_bound_not_an_integer_is_pinned(token, value,
+                                                           tmp_path, capsys):
+    header, *rest = open(shipped("sug-basic.log.jsonl")).readlines()
+    header, count = re.subn(r'"coded_bound":\d+', f'"coded_bound":{token}',
+                            header)
+    assert count == 1
+    path = tmp_path / "sug.jsonl"
+    path.write_text(header + "".join(rest))
+    rc = main(["verify", str(path), "triangularity"])
+    error = ValueError(f"bound {value} is not an integer")
+    assert (rc, *capsys.readouterr()) == (
+        2, "", f"error: malformed log for suite triangularity: {error!r}\n")
 
 
 # star shapes `star.check_size` refuses, in a star

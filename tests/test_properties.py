@@ -16,8 +16,12 @@ import io
 import json
 import os
 import re
+import signal
+import sys
 import tempfile
+import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,17 +147,49 @@ SUITES = ("triangularity", "level-census", "vi-vs-U", "membership")
 # large, negative and malformed stand-ins for a number; none lies between
 # the shipped values and the ceilings, where a run is merely slow
 NUMBERS = ("0", "-1", "-30", str(10 ** 6), str(10 ** 12), str(10 ** 40),
-           "9" * 5000, "1x", "1.5", "", "+", "x")
+           "9" * 5000, "1x", "1.5", "", "+", "x", "Infinity", "-Infinity",
+           "NaN", "1e309", "2.5", "true", '"3"')
 # stand-ins for a JSON value of a log
 VALUES = (0, -1, -30, 10 ** 6, 10 ** 12, 10 ** 40, 1.5, 1e308, True, None,
-          "", "x", "error: x", [], [0], [[0, 1]], {}, {"lhs": 0})
+          "", "x", "error: x", [], [0], [[0, 1]], {}, {"lhs": 0},
+          float("inf"), float("-inf"), float("nan"), 2.5, "3")
+
+# seconds one `main` call of an example may take: each test that calls
+# `_exit_code` takes 0.6-2.5 s for all of its examples together
+EXAMPLE_SECONDS = 10
 
 
 def _exit_code(argv):
-    """main's exit code, its output swallowed; any exception escapes."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    """main's exit code, its output swallowed; any exception escapes, and a
+    call still running after EXAMPLE_SECONDS fails, naming its argv."""
+    def expired(signum, frame):
+        raise AssertionError(
+            f"main({argv!r}) still running after {EXAMPLE_SECONDS} s")
+
+    handler = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def test_exit_code_fails_an_example_past_its_budget(monkeypatch):
+    handler = signal.getsignal(signal.SIGALRM)
+    monkeypatch.setattr(sys.modules[__name__], "EXAMPLE_SECONDS", 0.05)
+    monkeypatch.setattr(sys.modules[__name__], "main",
+                        lambda argv: time.sleep(5))
+    start = time.monotonic()
+    with pytest.raises(AssertionError,
+                       match=r"^main\(\['run', 'slow.txt'\]\) still running "
+                             r"after 0\.05 s$"):
+        _exit_code(["run", "slow.txt"])
+    assert time.monotonic() - start < 2
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is handler
 
 
 @st.composite

@@ -12,11 +12,11 @@ from ceerlab import dark, replay, star
 from ceerlab.algebra import Poly
 from ceerlab.ceers import INDEX_CEILING, CeerTable, FunctionalStub, StageSet
 from ceerlab.cli import _summarize
-from ceerlab.dark import run_dark_group, run_dark_ring
+from ceerlab.dark import run_dark
 from ceerlab.engine import ActionRecord, RunLog
 from ceerlab.indexset import SumFunctionalStub, run_sug_indexset
 from ceerlab.pairing import pair
-from ceerlab.scenario import _RUNNERS, load_scenario
+from ceerlab.scenario import load_scenario
 from ceerlab.sigma3 import Sigma3Result, run_sigma3_ceer
 from ceerlab.star import PhiEntry, level_letters
 from helpers import rebuild, written_state
@@ -86,12 +86,14 @@ DARK_RUNS = {
     "dark-group-basic": lambda: load_scenario(
         scenario("dark-group-basic.txt")).run(),
     # D0 collapses at stage 2 and injures L1, whose stage-1 banking goes
-    "injury": lambda: run_dark_ring(
+    "injury": lambda: run_dark(
+        "ring",
         u_columns={1: _trigger(1, 3)},
         w_columns={0: StageSet([(Poly.y(2), 2), (Poly.y(2), 2)])},
         stages=4, maxdeg=16),
     # two degree-10 seeds fail the audit before any stage runs
-    "gs-failure-at-stage-0": lambda: run_dark_group(
+    "gs-failure-at-stage-0": lambda: run_dark(
+        "group",
         u_columns={0: _trigger(1)}, w_columns={}, stages=10, maxdeg=14,
         unit_exponent=10),
 }
@@ -367,13 +369,18 @@ def test_a_star_output_table_has_one_writer():
 
 
 def test_replay_has_a_builder_and_writer_for_every_construction():
-    """A construction a scenario can run is one replay can rebuild, through
-    its module's `start(log)` and `apply_record(result, record)`."""
-    assert set(replay.CONSTRUCTIONS) == set(_RUNNERS)
-    for name, (begin, apply) in replay.CONSTRUCTIONS.items():
-        assert (begin.__name__, apply.__name__) == (
-            "start", "apply_record"), name
-        assert begin.__module__ == apply.__module__, name
-        assert list(inspect.signature(begin).parameters) == ["log"], name
-        assert list(inspect.signature(apply).parameters) == [
-            "result", "record"], name
+    """Every construction a scenario can name maps to its module, which
+    builds a header's empty result with `start(log)`, writes each record
+    with `apply_record(result, record)`, gives the run summary's own lines
+    with `summary(result)` and runs a scenario with `run_scenario(scn,
+    params)`."""
+    signatures = {"start": ["log"], "apply_record": ["result", "record"],
+                  "summary": ["result"], "run_scenario": ["scn", "params"]}
+    assert set(replay.CONSTRUCTIONS) == {
+        "dark-ring", "dark-group", "sigma3", "star-universal", "sug-indexset"}
+    for name, module in replay.CONSTRUCTIONS.items():
+        for fn, params in signatures.items():
+            function = getattr(module, fn)
+            assert function.__module__ == module.__name__, (name, fn)
+            assert list(inspect.signature(function).parameters) == params, (
+                name, fn)

@@ -8,16 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from ceerlab import scenario
+from ceerlab import sigma3
 from ceerlab.replay import CONSTRUCTIONS
 from ceerlab.scenario import (
     STAGE_CEILING,
     ScenarioError,
-    _phi_stubs,
     load_scenario,
     parse_scenario,
 )
-from ceerlab.sigma3 import run_sigma3_ceer
 from ceerlab.star import PhiEntry
 from helpers import records_for
 
@@ -92,12 +90,13 @@ def test_parse_errors_carry_line_numbers():
 def _passed_universal(monkeypatch):
     """The universal tables a sigma3 scenario passes to `run_sigma3_ceer`."""
     passed = []
+    run = sigma3.run_sigma3_ceer
 
     def capture(triggers, universal, *args, **kwargs):
         passed.append(universal)
-        return run_sigma3_ceer(triggers, universal, *args, **kwargs)
+        return run(triggers, universal, *args, **kwargs)
 
-    monkeypatch.setattr(scenario, "run_sigma3_ceer", capture)
+    monkeypatch.setattr(sigma3, "run_sigma3_ceer", capture)
     return passed
 
 
@@ -406,7 +405,7 @@ def test_phi_row_is_one_entry_shared_by_its_arguments():
     scn = parse_scenario(
         "construction = star-universal\n[phi 0]\n"
         "0..10/even: 3 x7 x8^-1\n1..9/odd: 2\n")
-    stub = _phi_stubs(scn, "phi")[0]
+    stub = scn.phis("phi")[0]
     evens, odds = stub[0], stub[1]
     assert evens == PhiEntry(3, ((7, 1), (8, -1)))
     assert odds == PhiEntry(2, ())
