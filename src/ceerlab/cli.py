@@ -18,24 +18,19 @@ import sys
 from typing import Any
 
 from . import replay
-from .algebra import Monomial, Poly
 from .ceers import (
     INDEX_CEILING,
     CeerTable,
     PartialityError,
     ReductionFn,
-    StageRegressionError,
     product,
     pullback,
     uniform_join,
     verify_reduction,
 )
-from .dark import DarkRunResult, growth_audit
-from .engine import ActionRecord, ConstructionRun, RunLog
-from .groups import TriangularityError
+from .engine import RunLog
 from .pairing import pair
 from .scenario import load_scenario, parse_epsilon
-from .star import StarResult, level_forms
 
 __all__ = ["main", "cmd_run", "cmd_verify", "cmd_probe"]
 
@@ -53,25 +48,6 @@ _MALFORMED = (KeyError, ValueError, TypeError, IndexError, AttributeError,
 
 
 # -- run ---------------------------------------------------------------------
-
-
-def _summarize(result: ConstructionRun) -> list[str]:
-    lines = [
-        f"construction: {result.construction}",
-        f"stages: {result.stages}",
-        f"records: {len(result.log.records)}",
-    ]
-    by_req: dict[str, list[str]] = {}
-    for rec in result.log.records:
-        by_req.setdefault(rec.requirement, []).append(f"{rec.action}@{rec.stage}")
-    for req, actions in by_req.items():
-        if len(actions) > 8:
-            shown = " ".join(actions[:3])
-            lines.append(f"  {req}: {shown} ... ({len(actions)} actions)")
-        else:
-            lines.append(f"  {req}: {' '.join(actions)}")
-    lines.extend(replay.CONSTRUCTIONS[result.construction].summary(result))
-    return lines
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -111,7 +87,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:  # the log path is a directory, say
         print(f"error: cannot write log: {exc}", file=sys.stderr)
         return 2
-    for line in _summarize(result):
+    for line in replay.summarize(result):
         print(line)
     print(f"log: {out}")
     # a logged audit failure fails the run, as it fails `membership`
@@ -122,189 +98,31 @@ def cmd_run(args: argparse.Namespace) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _refused(log: RunLog,
-             result: ConstructionRun) -> tuple[ActionRecord, ValueError] | None:
-    """Apply each record of the log to `result`; the first record whose
-    relation or stage the presentation refuses, with its error, or None."""
-    applied = 0
-    try:
-        for applied, _ in enumerate(replay.steps(log, result), start=1):
-            pass
-    except (TriangularityError, StageRegressionError) as exc:
-        return log.records[applied], exc
-    return None
-
-
-def _suite_triangularity(log: RunLog,
-                         result: ConstructionRun) -> tuple[bool, list[str]]:
-    """Each relation added to the main presentation or to a sug group
-    slot's must be triangular and in stage order."""
-    sug = result.construction == "sug-indexset"
-    refused = _refused(log, result)
-    if refused:
-        record, exc = refused
-        name = record.details["slot"] if sug else "main"
-        return False, [f"{name}: FAIL: {exc}"]
-    # a table slot is no presentation: it counts no relators
-    counts = dict.fromkeys(result.table_slots if sug else (), 0)
-    results = result.group_slots if sug else {"main": result}
-    counts.update((name, len(res.presentation.relations))
-                  for name, res in results.items())
-    if not any(counts.values()):
-        return True, ["warning: no relators in log; triangularity passes "
-                      "vacuously"]
-    return True, [f"{name}: {count} relators triangular, stages nondecreasing"
-                  for name, count in sorted(counts.items())]
-
-
-def _suite_level_census(log: RunLog,
-                        result: StarResult) -> tuple[bool, list[str]]:
-    refused = _refused(log, result)
-    if refused:
-        return False, [f"relation stream rejected: {refused[1]}"]
-    base, levels = result.base, result.levels
-    uni, pres = result.universal, result.presentation
-    ok = True
-    lines: list[str] = []
-    checks = 0
-    points = replay.census_checkpoints(log)
-    for point in points:
-        for j in range(levels + 1):
-            if j < uni.bound and any(uni.related(i, j, point)
-                                     for i in range(j)):
-                continue  # a lower level heads j's class
-            count = pres.census_at(j, point)["level"]
-            checks += 1
-            if count <= base ** j:
-                ok = False
-                lines.append(
-                    f"stage {point}: level {j} holds {count} active "
-                    f"generators, needs > {base ** j}"
-                )
-    lines.append(f"{checks} census checks at {len(points)} checkpoints"
-                 + ("" if ok else "; FAILURES above"))
-    return ok, lines
-
-
-def _suite_vi_vs_u(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
-    refused = _refused(log, result)
-    if refused:
-        return False, [f"relation stream rejected: {refused[1]}"]
-    levels, uni = result.levels, result.universal
-    ok = True
-    lines: list[str] = []
-    checks = 0
-    for point, forms in level_forms(result, replay.census_checkpoints(log)):
-        for i in range(levels + 1):
-            for j in range(i + 1, levels + 1):
-                eq = forms[i] == forms[j]
-                rel = (max(i, j) < uni.bound) and uni.related(i, j, point)
-                checks += 1
-                if eq != rel:
-                    ok = False
-                    lines.append(
-                        f"stage {point}: level words {i},{j} "
-                        f"{'equal' if eq else 'differ'} but universal table "
-                        f"says {'related' if rel else 'unrelated'}"
-                    )
-    lines.append(f"{checks} word/table comparisons"
-                 + ("" if ok else "; FAILURES above"))
-    return ok, lines
-
-
-def _suite_membership(log: RunLog,
-                      result: DarkRunResult) -> tuple[bool, list[str]]:
-    p = result.ideal.p
-    ok = True
-    lines: list[str] = []
-    for rec, _ in replay.steps(log, result):
-        obj = rec.details
-        if rec.action == "enumerate-witness":
-            poly = Poly.monomial(Monomial.from_word(obj["monomial"]), p)
-            if result.ideal.member(poly):
-                ok = False
-                lines.append(
-                    f"stage {rec.stage}: banked monomial {obj['monomial']} "
-                    "already lies in the ideal"
-                )
-        elif rec.action == "collapse-pair":
-            floor = obj["degree_floor"]
-            ceiling = result.protected_upto(int(rec.requirement[1:]))
-            if floor < ceiling:
-                ok = False
-                lines.append(
-                    f"stage {rec.stage}: {rec.requirement} floor {floor} "
-                    f"below protected degree {ceiling}"
-                )
-            for deg in obj["relator_degrees"]:
-                if deg <= floor or (ceiling and deg <= ceiling):
-                    ok = False
-                    lines.append(
-                        f"stage {rec.stage}: relator of degree {deg} violates "
-                        f"floor {floor} / protections {ceiling}"
-                    )
-        elif rec.action == "gs-failure":
-            ok = False
-            lines.append(f"stage {rec.stage}: run itself recorded an audit "
-                         "failure")
-        verdict = growth_audit(result.ideal, result.epsilon)
-        if verdict.failed_degree is not None:
-            ok = False
-            lines.append(
-                f"stage {rec.stage}: growth audit fails at degree "
-                f"{verdict.failed_degree} (count {verdict.count})"
-            )
-        elif not verdict.ok:
-            ok = False
-            lines.append(f"stage {rec.stage}: growth audit fails: "
-                         f"{verdict.reason}")
-
-    for w in result.witnesses.values():
-        if not result.ideal.member(w["f"] - w["g"]):
-            ok = False
-            lines.append(
-                f"witness difference ({w['f']}) - ({w['g']}) is not in the "
-                "final ideal"
-            )
-    lines.append(
-        f"replayed {len(log.records)} records; {len(result.witnesses)} witness "
-        "pairs checked" + ("" if ok else "; FAILURES above")
-    )
-    return ok, lines
-
-
-# suite -> (the constructions whose logs it checks, what its empty-log
-# warning calls it, or None to run its checks on an empty log too, and its
-# checks on the result the log's header starts)
-SUITES = {
-    "triangularity": (("star-universal", "sug-indexset"), None,
-                      _suite_triangularity),
-    "level-census": (("star-universal",), "census", _suite_level_census),
-    "vi-vs-U": (("star-universal",), "equivalence suite", _suite_vi_vs_u),
-    "membership": (("dark-ring", "dark-group"), "membership suite",
-                   _suite_membership),
-}
+# suite -> the constructions whose modules list it in their `SUITES`, in
+# table order; suites come last module first: star's and sug's before dark's
+SUITES = {suite: [name for name, module in replay.CONSTRUCTIONS.items()
+                  if suite in module.SUITES]
+          for last in reversed(replay.CONSTRUCTIONS.values())
+          for suite in last.SUITES}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite not in SUITES:
-        print(
-            f"error: unknown suite {args.suite!r}; choose from "
-            f"{', '.join(SUITES)}",
-            file=sys.stderr,
-        )
+        print(f"error: unknown suite {args.suite!r}; choose from "
+              f"{', '.join(SUITES)}", file=sys.stderr)
         return 2
     try:
         log = RunLog.load(args.log)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot read log: {exc}", file=sys.stderr)
         return 2
-    constructions, vacuous, checks = SUITES[args.suite]
+    kinds = SUITES[args.suite]
     construction = log.header.get("construction", "<missing>")
-    if construction not in constructions:
-        print(f"error: suite {args.suite!r} applies to "
-              f"{', '.join(constructions)} logs, got {construction!r}")
+    if construction not in kinds:
+        print(f"error: suite {args.suite!r} applies to {', '.join(kinds)} "
+              f"logs, got {construction!r}", file=sys.stderr)
         return 2
+    vacuous, checks = replay.CONSTRUCTIONS[construction].SUITES[args.suite]
     try:
         # the whole header is checked before an empty log passes
         result = replay.start(log)

@@ -36,8 +36,8 @@ from .algebra import (
 from .ceers import StageSet
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 
-__all__ = ["DarkRunResult", "run_dark", "growth_audit", "start",
-           "apply_record", "run_scenario", "summary", "collapse_floor"]
+__all__ = ["run_dark", "start", "apply_record", "run_scenario", "summary",
+           "collapse_floor", "SUITES"]
 
 
 def collapse_floor(m: int) -> int:
@@ -350,3 +350,49 @@ def summary(result: DarkRunResult) -> list[str]:
                  f"gs audit: FAILED at stage {gf['stage']} degree "
                  f"{gf['degree']}")
     return lines
+
+
+def _membership(log: RunLog, result: DarkRunResult) -> tuple[bool, list[str]]:
+    """Banked words are fresh, floors kept, audits pass, witnesses hold."""
+    from . import replay  # replay imports this module
+    ideal = result.ideal
+    lines: list[str] = []  # one a failure
+    for rec, _ in replay.steps(log, result):
+        obj = rec.details
+        if rec.action == "enumerate-witness":
+            if ideal.member(Poly.monomial(Monomial.from_word(obj["monomial"]),
+                                          ideal.p)):
+                lines.append(f"stage {rec.stage}: banked monomial "
+                             f"{obj['monomial']} already lies in the ideal")
+        elif rec.action == "collapse-pair":
+            floor = obj["degree_floor"]
+            ceiling = result.protected_upto(int(rec.requirement[1:]))
+            if floor < ceiling:
+                lines.append(f"stage {rec.stage}: {rec.requirement} floor "
+                             f"{floor} below protected degree {ceiling}")
+            lines.extend(f"stage {rec.stage}: relator of degree {deg} violates "
+                         f"floor {floor} / protections {ceiling}"
+                         for deg in obj["relator_degrees"]
+                         if deg <= floor or (ceiling and deg <= ceiling))
+        elif rec.action == "gs-failure":
+            lines.append(f"stage {rec.stage}: run itself recorded an audit "
+                         "failure")
+        verdict = growth_audit(ideal, result.epsilon)
+        if verdict.failed_degree is not None:
+            lines.append(f"stage {rec.stage}: growth audit fails at degree "
+                         f"{verdict.failed_degree} (count {verdict.count})")
+        elif not verdict.ok:
+            lines.append(f"stage {rec.stage}: growth audit fails: "
+                         f"{verdict.reason}")
+    lines.extend(f"witness difference ({w['f']}) - ({w['g']}) is not in the "
+                 "final ideal" for w in result.witnesses.values()
+                 if not ideal.member(w["f"] - w["g"]))
+    ok = not lines
+    lines.append(f"replayed {len(log.records)} records; "
+                 f"{len(result.witnesses)} witness pairs checked"
+                 + ("" if ok else "; FAILURES above"))
+    return ok, lines
+
+
+# the `verify` suites of dark logs, as `replay` describes
+SUITES = {"membership": ("membership suite", _membership)}

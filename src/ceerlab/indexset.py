@@ -37,7 +37,7 @@ from .pairing import unpair
 from .star import PhiEntry, StarConstruction, StarResult
 
 __all__ = ["SumFunctionalStub", "SugResult", "run_sug_indexset", "start",
-           "apply_record", "run_scenario", "summary"]
+           "apply_record", "run_scenario", "summary", "SUITES"]
 
 
 @dataclass(frozen=True)
@@ -305,3 +305,17 @@ def summary(result: SugResult) -> list[str]:
     lines.extend(f"restraint L{m}: " + (",".join(r) if r else "none")
                  for m, r in sorted(result.restraints.items()))
     return lines
+
+
+def _triangularity(log: RunLog, result: SugResult) -> tuple[bool, list[str]]:
+    """Each group slot's relations are triangular and in stage order."""
+    from . import replay  # replay imports this module
+    return replay.triangularity(
+        log, result, lambda record: record.details["slot"],
+        lambda run: dict.fromkeys(run.table_slots, 0) | {
+            name: len(group.presentation.relations)
+            for name, group in run.group_slots.items()})
+
+
+# the `verify` suites of sug logs, as `replay` describes
+SUITES = {"triangularity": (None, _triangularity)}

@@ -5,9 +5,13 @@
 functions: `start(log)`, the empty result a log's header describes, with
 every header check; `apply_record(result, record)`, the writer the engine
 calls on each record a run logs; `summary(result)`, the lines `ceerlab run`
-prints after its shared head; and `run_scenario(scn, params)`, the run a
-parsed scenario describes.  Adding a construction takes one module and one
-line here.
+prints after the shared head `summarize` adds; and `run_scenario(scn,
+params)`, the run a parsed scenario describes.  Each module also exports
+`SUITES`, the `verify` suites that check its logs: suite name -> (what the
+empty-log warning calls the suite, or None to run its checks on an empty
+log too, and its `checks(log, result)` on the result `start` opens).
+Adding a construction takes one module and one line here; adding a suite
+takes one function in one module.
 
 This is the one place a `RunLog` turns back into state: `start` and `steps`
 replay a log through its construction's `start` and `apply_record`, as the
@@ -16,12 +20,15 @@ field but one: sigma3's join-table pairs, which the log only counts.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import dark, indexset, sigma3, star
+from .ceers import StageRegressionError
 from .engine import ActionRecord, ConstructionRun, RunLog
+from .groups import TriangularityError
 
-__all__ = ["CONSTRUCTIONS", "start", "steps", "census_checkpoints"]
+__all__ = ["CONSTRUCTIONS", "start", "steps", "census_checkpoints",
+           "refused", "triangularity", "summarize"]
 
 CONSTRUCTIONS = {
     "dark-ring": dark,
@@ -53,3 +60,50 @@ def census_checkpoints(log: RunLog) -> list[int]:
     pts = {0, log.header["params"]["stages"]}
     pts.update(rec.stage for rec in log.records)
     return sorted(pts)
+
+
+def refused(log: RunLog,
+            result: ConstructionRun) -> tuple[ActionRecord, ValueError] | None:
+    """Apply each record of the log to `result`; the first record whose
+    relation or stage the presentation refuses, with its error, or None."""
+    applied = 0
+    try:
+        for applied, _ in enumerate(steps(log, result), start=1):
+            pass
+    except (TriangularityError, StageRegressionError) as exc:
+        return log.records[applied], exc
+    return None
+
+
+def triangularity(log: RunLog, result: ConstructionRun,
+                  slot: Callable[[ActionRecord], str],
+                  relators: Callable[[ConstructionRun], dict[str, int]]
+                  ) -> tuple[bool, list[str]]:
+    """The `triangularity` suite: each relation the log adds to a
+    presentation must be triangular and in stage order.  `slot` names the
+    presentation a refused record adds to; `relators` counts each
+    presentation's relators, by name, on the fully replayed result."""
+    failure = refused(log, result)
+    if failure:
+        return False, [f"{slot(failure[0])}: FAIL: {failure[1]}"]
+    counts = relators(result)
+    if not any(counts.values()):
+        return True, ["warning: no relators in log; triangularity passes "
+                      "vacuously"]
+    return True, [f"{name}: {count} relators triangular, stages nondecreasing"
+                  for name, count in sorted(counts.items())]
+
+
+def summarize(result: ConstructionRun) -> list[str]:
+    """The lines `ceerlab run` prints for a result: construction, stages,
+    records and each requirement's actions, then its module's `summary`."""
+    by_req: dict[str, list[str]] = {}
+    for rec in result.log.records:
+        by_req.setdefault(rec.requirement, []).append(f"{rec.action}@{rec.stage}")
+    return [f"construction: {result.construction}",
+            f"stages: {result.stages}",
+            f"records: {len(result.log.records)}",
+            *(f"  {req}: {' '.join(acts[:3])} ... ({len(acts)} actions)"
+              if len(acts) > 8 else f"  {req}: {' '.join(acts)}"
+              for req, acts in by_req.items()),
+            *CONSTRUCTIONS[result.construction].summary(result)]

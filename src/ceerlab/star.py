@@ -49,6 +49,7 @@ __all__ = [
     "apply_record",
     "run_scenario",
     "summary",
+    "SUITES",
 ]
 
 Word = tuple[tuple[int, int], ...]
@@ -758,3 +759,69 @@ def summary(result: StarResult) -> list[str]:
         cs = " ".join(f"{k}={v}" for k, v in sorted(census.items()))
         lines.append(f"census level {j}: {cs}")
     return lines
+
+
+def _triangularity(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
+    """Each relation added to the presentation is triangular, in order."""
+    from . import replay  # replay imports this module
+    return replay.triangularity(
+        log, result, lambda record: "main",
+        lambda run: {"main": len(run.presentation.relations)})
+
+
+def _level_census(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
+    """Each level j no lower level heads keeps > base**j active generators."""
+    from . import replay  # replay imports this module
+    refused = replay.refused(log, result)
+    if refused:
+        return False, [f"relation stream rejected: {refused[1]}"]
+    base, uni, pres = result.base, result.universal, result.presentation
+    lines: list[str] = []  # one a failure
+    checks = 0
+    points = replay.census_checkpoints(log)
+    for point in points:
+        for j in range(result.levels + 1):
+            if j < uni.bound and any(uni.related(i, j, point)
+                                     for i in range(j)):
+                continue  # a lower level heads j's class
+            count = pres.census_at(j, point)["level"]
+            checks += 1
+            if count <= base ** j:
+                lines.append(f"stage {point}: level {j} holds {count} active "
+                             f"generators, needs > {base ** j}")
+    ok = not lines
+    lines.append(f"{checks} census checks at {len(points)} checkpoints"
+                 + ("" if ok else "; FAILURES above"))
+    return ok, lines
+
+
+def _vi_vs_u(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
+    """Level words are equal exactly when the universal table relates them."""
+    from . import replay  # replay imports this module
+    refused = replay.refused(log, result)
+    if refused:
+        return False, [f"relation stream rejected: {refused[1]}"]
+    levels, uni = result.levels, result.universal
+    lines: list[str] = []  # one a failure
+    checks = 0
+    for point, forms in level_forms(result, replay.census_checkpoints(log)):
+        for i in range(levels + 1):
+            for j in range(i + 1, levels + 1):
+                eq = forms[i] == forms[j]
+                rel = (max(i, j) < uni.bound) and uni.related(i, j, point)
+                checks += 1
+                if eq != rel:
+                    lines.append(
+                        f"stage {point}: level words {i},{j} "
+                        f"{'equal' if eq else 'differ'} but universal table "
+                        f"says {'related' if rel else 'unrelated'}")
+    ok = not lines
+    lines.append(f"{checks} word/table comparisons"
+                 + ("" if ok else "; FAILURES above"))
+    return ok, lines
+
+
+# the `verify` suites of star logs, as `replay` describes
+SUITES = {"triangularity": (None, _triangularity),
+          "level-census": ("census", _level_census),
+          "vi-vs-U": ("equivalence suite", _vi_vs_u)}

@@ -67,13 +67,14 @@ def test_run_log_is_pinned(scenario, flags, digest, tmp_path, capsys):
 
 
 def _wrong_kind(suite, kinds, got):
-    return (2, f"error: suite {suite!r} applies to {kinds} logs, got {got!r}\n")
+    return (2, "",
+            f"error: suite {suite!r} applies to {kinds} logs, got {got!r}\n")
 
 
 _STAR_SUG = "star-universal, sug-indexset"
 _DARK = "dark-ring, dark-group"
 
-# (exit code, stdout) per shipped log and suite; stderr is empty throughout
+# (exit code, stdout, stderr) per shipped log and suite
 PINNED_VERIFY = {
     ("dark-group-basic", "triangularity"):
         _wrong_kind("triangularity", _STAR_SUG, "dark-group"),
@@ -83,7 +84,7 @@ PINNED_VERIFY = {
         _wrong_kind("vi-vs-U", "star-universal", "dark-group"),
     ("dark-group-basic", "membership"):
         (0, "replayed 14 records; 1 witness pairs checked\n"
-            "suite membership: PASS\n"),
+            "suite membership: PASS\n", ""),
     ("dark-ring-basic", "triangularity"):
         _wrong_kind("triangularity", _STAR_SUG, "dark-ring"),
     ("dark-ring-basic", "level-census"):
@@ -92,7 +93,7 @@ PINNED_VERIFY = {
         _wrong_kind("vi-vs-U", "star-universal", "dark-ring"),
     ("dark-ring-basic", "membership"):
         (0, "replayed 4 records; 2 witness pairs checked\n"
-            "suite membership: PASS\n"),
+            "suite membership: PASS\n", ""),
     ("sigma3-basic", "triangularity"):
         _wrong_kind("triangularity", _STAR_SUG, "sigma3"),
     ("sigma3-basic", "level-census"):
@@ -103,17 +104,17 @@ PINNED_VERIFY = {
         _wrong_kind("membership", _DARK, "sigma3"),
     ("star-universal-basic", "triangularity"):
         (0, "main: 95 relators triangular, stages nondecreasing\n"
-            "suite triangularity: PASS\n"),
+            "suite triangularity: PASS\n", ""),
     ("star-universal-basic", "level-census"):
-        (0, "16 census checks at 6 checkpoints\nsuite level-census: PASS\n"),
+        (0, "16 census checks at 6 checkpoints\nsuite level-census: PASS\n", ""),
     ("star-universal-basic", "vi-vs-U"):
-        (0, "18 word/table comparisons\nsuite vi-vs-U: PASS\n"),
+        (0, "18 word/table comparisons\nsuite vi-vs-U: PASS\n", ""),
     ("star-universal-basic", "membership"):
         _wrong_kind("membership", _DARK, "star-universal"),
     ("sug-basic", "triangularity"):
         (0, "g0: 31 relators triangular, stages nondecreasing\n"
             "h0: 0 relators triangular, stages nondecreasing\n"
-            "suite triangularity: PASS\n"),
+            "suite triangularity: PASS\n", ""),
     ("sug-basic", "level-census"):
         _wrong_kind("level-census", "star-universal", "sug-indexset"),
     ("sug-basic", "vi-vs-U"):
@@ -133,7 +134,7 @@ def test_pinned_verify_covers_every_shipped_log_and_suite():
 @pytest.mark.parametrize("log,suite", sorted(PINNED_VERIFY))
 def test_verify_of_shipped_log_is_pinned(log, suite, capsys):
     rc = main(["verify", shipped(f"{log}.log.jsonl"), suite])
-    assert (rc, *capsys.readouterr()) == (*PINNED_VERIFY[log, suite], "")
+    assert (rc, *capsys.readouterr()) == PINNED_VERIFY[log, suite]
 
 
 # (exit code, stdout, stderr) of `verify … vi-vs-U` on the pinned star logs

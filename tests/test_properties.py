@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from ceerlab import replay
 from ceerlab.algebra import SUPPORTED_MODULI, Monomial, Poly
 from ceerlab.ceers import CeerTable
-from ceerlab.cli import _summarize, main
+from ceerlab.cli import main
 from ceerlab.engine import RunLog
 from ceerlab.scenario import parse_scenario
 from ceerlab.star import check_size, level_forms, level_letters
@@ -161,13 +161,16 @@ EXAMPLE_SECONDS = 10
 
 def _exit_code(argv):
     """main's exit code, its output swallowed; any exception escapes, and a
-    call still running after EXAMPLE_SECONDS fails, naming its argv."""
+    call still running after EXAMPLE_SECONDS fails, naming its argv.  The
+    test's own budget (conftest.py) resumes with the time it had left, or
+    expires at once if that ran out meanwhile."""
     def expired(signum, frame):
         raise AssertionError(
             f"main({argv!r}) still running after {EXAMPLE_SECONDS} s")
 
     handler = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
+    start = time.monotonic()
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -175,10 +178,15 @@ def _exit_code(argv):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
+        if outer:
+            left = outer - (time.monotonic() - start)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6))
 
 
 def test_exit_code_fails_an_example_past_its_budget(monkeypatch):
     handler = signal.getsignal(signal.SIGALRM)
+    outer = signal.getitimer(signal.ITIMER_REAL)[0]
+    assert outer > 0  # the test's own budget is running
     monkeypatch.setattr(sys.modules[__name__], "EXAMPLE_SECONDS", 0.05)
     monkeypatch.setattr(sys.modules[__name__], "main",
                         lambda argv: time.sleep(5))
@@ -188,7 +196,9 @@ def test_exit_code_fails_an_example_past_its_budget(monkeypatch):
                              r"after 0\.05 s$"):
         _exit_code(["run", "slow.txt"])
     assert time.monotonic() - start < 2
-    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    # the outer budget survives, less the time the example took
+    left, interval = signal.getitimer(signal.ITIMER_REAL)
+    assert outer - 2 < left < outer and interval == 0
     assert signal.getsignal(signal.SIGALRM) is handler
 
 
@@ -392,7 +402,7 @@ def test_generated_star_runs_pass_the_star_suites(text):
         log = RunLog.load(path)
     rebuilt = rebuild(log)
     assert rebuilt.presentation.status == result.presentation.status
-    assert _summarize(rebuilt) == _summarize(result)
+    assert replay.summarize(rebuilt) == replay.summarize(result)
     points = replay.census_checkpoints(log)
     assert (list(level_forms(rebuilt, points))
             == list(reference_level_forms(rebuilt, points)))
@@ -449,7 +459,7 @@ def test_generated_sigma3_and_sug_logs_replay_to_the_run(text):
             assert _exit_code(["verify", path, "triangularity"]) == 0
         rebuilt = rebuild(RunLog.load(path))
     assert written_state(rebuilt) == written_state(result)
-    assert _summarize(rebuilt) == _summarize(result)
+    assert replay.summarize(rebuilt) == replay.summarize(result)
 
 
 # -- generated dark scenarios ----------------------------------------------
@@ -504,4 +514,4 @@ def test_generated_dark_logs_replay_and_pass_membership(text):
         failed = result.gs_failure is not None
         assert _exit_code(["verify", path, "membership"]) == int(failed)
         rebuilt = rebuild(RunLog.load(path))
-    assert _summarize(rebuilt) == _summarize(result)
+    assert replay.summarize(rebuilt) == replay.summarize(result)

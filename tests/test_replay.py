@@ -8,10 +8,9 @@ from dataclasses import fields
 import pytest
 
 import ceerlab
-from ceerlab import dark, replay, star
+from ceerlab import cli, dark, replay, star
 from ceerlab.algebra import Poly
 from ceerlab.ceers import INDEX_CEILING, CeerTable, FunctionalStub, StageSet
-from ceerlab.cli import _summarize
 from ceerlab.dark import run_dark
 from ceerlab.engine import ActionRecord, RunLog
 from ceerlab.indexset import SumFunctionalStub, run_sug_indexset
@@ -36,7 +35,7 @@ def test_shipped_log_rebuilds_to_the_run_summary(name):
     run's summary, a star run's output table pairs included."""
     log = RunLog.load(scenario(f"{name}.log.jsonl"))
     live = load_scenario(scenario(f"{name}.txt")).run()
-    assert _summarize(rebuild(log)) == _summarize(live)
+    assert replay.summarize(rebuild(log)) == replay.summarize(live)
 
 
 @pytest.mark.parametrize(
@@ -62,7 +61,7 @@ def test_star_replay_matches_live_run(overrides):
     uni = result.universal
     assert (uni.bound, uni.pairs) == (live.universal.bound, live.universal.pairs)
     assert result.table.pairs == live.table.pairs
-    assert _summarize(result) == _summarize(live)
+    assert replay.summarize(result) == replay.summarize(live)
 
 
 def test_star_replay_keeps_only_the_letters_that_left_their_level():
@@ -138,7 +137,7 @@ def test_dark_replay_matches_live_run(name):
     assert result.protected == live.protected
     assert result.witnesses == live.witnesses
     assert result.gs_failure == live.gs_failure
-    assert _summarize(result) == _summarize(live)
+    assert replay.summarize(result) == replay.summarize(live)
 
 
 def _table(bound, *pairs_at):
@@ -193,7 +192,7 @@ def test_sigma3_and_sug_replay_matches_live_run(name):
     live = INJURY_RUNS[name]()
     result = rebuild(RunLog.loads(live.log.dumps()))
     assert written_state(result) == written_state(live)
-    assert _summarize(result) == _summarize(live)
+    assert replay.summarize(result) == replay.summarize(live)
 
 
 SHIPPED_RUNS = {
@@ -373,7 +372,9 @@ def test_replay_has_a_builder_and_writer_for_every_construction():
     builds a header's empty result with `start(log)`, writes each record
     with `apply_record(result, record)`, gives the run summary's own lines
     with `summary(result)` and runs a scenario with `run_scenario(scn,
-    params)`."""
+    params)`.  Its `SUITES` maps each `verify` suite that checks its logs to
+    the suite's empty-log wording, text or None, and its `checks(log,
+    result)`; `cli` lists the suites of them all, in their order."""
     signatures = {"start": ["log"], "apply_record": ["result", "record"],
                   "summary": ["result"], "run_scenario": ["scn", "params"]}
     assert set(replay.CONSTRUCTIONS) == {
@@ -384,3 +385,16 @@ def test_replay_has_a_builder_and_writer_for_every_construction():
             assert function.__module__ == module.__name__, (name, fn)
             assert list(inspect.signature(function).parameters) == params, (
                 name, fn)
+        for suite, (wording, checks) in module.SUITES.items():
+            assert wording is None or isinstance(wording, str), (name, suite)
+            assert checks.__module__ == module.__name__, (name, suite)
+            assert list(inspect.signature(checks).parameters) == [
+                "log", "result"], (name, suite)
+            assert name in cli.SUITES[suite]
+    assert list(cli.SUITES) == [
+        "triangularity", "level-census", "vi-vs-U", "membership"]
+    assert {suite: set(kinds) for suite, kinds in cli.SUITES.items()} == {
+        "triangularity": {"star-universal", "sug-indexset"},
+        "level-census": {"star-universal"},
+        "vi-vs-U": {"star-universal"},
+        "membership": {"dark-ring", "dark-group"}}
