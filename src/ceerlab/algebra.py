@@ -268,7 +268,7 @@ class Poly:
                 factor = factor.strip()
                 if not factor:
                     raise EncodingError(f"empty factor in {text!r}")
-                if factor.isdigit():
+                if factor.isascii() and factor.isdigit():
                     coeff *= int(factor)
                 elif all(ch in "xy" for ch in factor):
                     letters.append(factor)

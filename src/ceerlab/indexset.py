@@ -288,13 +288,12 @@ def run_scenario(scn, params: dict[str, Any]) -> SugResult:
     functionals = scn.sum_functionals()
     template = scn.section("star-template")
     t_params = template.params if template is not None else {}
-    star_base = int(t_params.get("base", 6))
-    star_levels = int(t_params.get("levels", 1))
+    star_levels = t_params.get("levels", 1)
     star_universal = scn.table("star-universal", floor=star_levels + 1)
     return run_sug_indexset(
         v_columns, u_columns, coded, functionals,
-        star_universal, scn.phis("star-phi"),
-        star_base=star_base, star_levels=star_levels, stages=stages,
+        star_universal, scn.phis("star-phi"), star_levels=star_levels,
+        star_base=t_params.get("base", 6), stages=stages,
     )
 
 

@@ -1,6 +1,7 @@
 """Text scenarios: reproducible input scripts for the constructions.
 
-Format (see scenarios/ for complete shipped examples):
+Format (scenarios/ holds complete examples; README's "Scenario format"
+lists every key):
 
     # comment
     construction = dark-ring      # which construction module runs it
@@ -8,25 +9,19 @@ Format (see scenarios/ for complete shipped examples):
 
     [ucolumn 0]                   # a section; the argument is an index
     1: 0                          # rows are "stage: payload"
-    2: 1
 
     [wcolumn 0]
-    mode = monomials              # sections may carry their own params
+    mode = monomials              # sections may carry their own keys
     rate = 32
 
-Row payloads are construction-specific: integers for number columns,
-polynomial text for ring columns, "a b" pairs for tables, and
-"converge tokens..." for function stubs keyed by argument specs such as
-`7`, `0..40`, or `0..40/even` (at most star.GENERATOR_CEILING arguments
-over all of a run's stub sections).
-Word tokens are `x12`, `x12^-3`, and `xrange:100:998` (half-open index
-range, exponent 1, ending at most at star.GENERATOR_CEILING).
-
-Stream sections support three modes: explicit rows, `steady`
-(arithmetic stage progression of the values 0,1,2,...), and
-`monomials` (all monomials in index order at a fixed per-stage rate).
-The last two are generated: entry i is computed when it is read, so such
-a column holds O(1) state however many entries it has.
+`_KEYS` declares each key of the top level and of each section with the
+reader of its value, and `parse_scenario` reads each value as it reads
+its line; an unknown section or key is refused.  Every integer, in keys,
+rows, section indices, word tokens and argument specs, is read by `_int`.
+Rows are read where a construction asks for them: integers, polynomial
+text, "a b" pairs, or "converge tokens..." keyed by argument specs such
+as `7`, `0..40` or `0..40/even`.  A refusal is a ScenarioError naming
+its line.
 
 The grammar lives here alone.  A construction module's `run_scenario`
 reads its inputs through `Scenario` methods (`int_columns`, `poly_columns`,
@@ -36,8 +31,10 @@ from this module.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable
 
 from .algebra import MAXDEG_CEILING, Monomial, Poly
@@ -63,7 +60,7 @@ class _Section:
     name: str
     arg: int | None
     line: int
-    params: dict[str, str] = field(default_factory=dict)
+    params: dict[str, Any] = field(default_factory=dict)
     rows: list[tuple[int, str, str]] = field(default_factory=list)  # (line, lhs, rhs)
 
 
@@ -127,15 +124,12 @@ class Scenario:
         rows = []
         top = 0
         for lineno, lhs, rhs in sec.rows if sec is not None else ():
-            stage = _row_stage(lhs, lineno)
+            stage = _read(_stage, lhs, lineno, "bad stage: ")
             parts = rhs.split()
             if len(parts) != 2:
                 raise ScenarioError(f"{name} row needs 'a b', got {rhs!r}",
                                     lineno)
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ScenarioError(f"bad pair {rhs!r}", lineno) from None
+            a, b = (_read(_int, part, lineno, "bad pair: ") for part in parts)
             top = max(top, a, b)
             rows.append((lineno, a, b, stage))
         if table is None:
@@ -154,7 +148,7 @@ class Scenario:
         total = 0
         for sec in self.sections_named(name):
             for lineno, lhs, _ in sec.rows:
-                total += len(_parse_args(lhs, lineno))
+                total += len(_read(_parse_args, lhs, lineno))
                 if total > GENERATOR_CEILING:
                     raise ScenarioError(
                         f"[{name}] rows up to here hold {total} arguments, "
@@ -164,11 +158,15 @@ class Scenario:
 
     def functionals(self) -> dict[int, FunctionalStub]:
         """The [functional m] stubs by index."""
-        return self._indexed("functional", _functional)
+        return self._indexed("functional", lambda sec: FunctionalStub(
+            sec.arg, _need(sec, "converge"), _need(sec, "use"),
+            sec.params.get("pairs", ())))
 
     def sum_functionals(self) -> dict[int, SumFunctionalStub]:
         """The [sumfunctional m] stubs by index."""
-        return self._indexed("sumfunctional", _sum_functional)
+        return self._indexed("sumfunctional", lambda sec: SumFunctionalStub(
+            sec.arg, _need(sec, "converge"), _need(sec, "use"),
+            _need(sec, "slots")))
 
     def _indexed(self, name: str,
                  build: Callable[[_Section], Any]) -> dict[int, Any]:
@@ -185,13 +183,15 @@ class Scenario:
 
 
 _KV_RE = re.compile(r"^([A-Za-z_][\w-]*)\s*=\s*(.*)$")
-_SECTION_RE = re.compile(r"^\[([a-z-]+)(?:\s+(\d+))?\]$")
+_SECTION_RE = re.compile(r"^\[([a-z-]+)(?:\s+([0-9]+))?\]$")
 
 
 def parse_scenario(text: str) -> Scenario:
     params: dict[str, Any] = {}
     sections: list[_Section] = []
     current: _Section | None = None
+    readers = _KEYS[None]
+    unknown: ScenarioError | None = None  # raised once every line is read
     seen: set[tuple[str, int | None]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -201,20 +201,29 @@ def parse_scenario(text: str) -> Scenario:
             m = _SECTION_RE.match(line)
             if not m:
                 raise ScenarioError(f"bad section header {line!r}", lineno)
-            name, arg = m.group(1), m.group(2)
-            key = (name, int(arg) if arg is not None else None)
-            if key in seen:
+            name, arg = m.groups()
+            readers = _KEYS.get(name)
+            if readers is None:
+                raise ScenarioError(f"unknown section [{name}]", lineno)
+            if arg is not None:
+                arg = _read(_int, arg, lineno, f"[{name}] index ")
+            if (name, arg) in seen:
                 raise ScenarioError(f"duplicate section {line}", lineno)
-            seen.add(key)
-            current = _Section(name=key[0], arg=key[1], line=lineno)
+            seen.add((name, arg))
+            current = _Section(name=name, arg=arg, line=lineno)
             sections.append(current)
             continue
         kv = _KV_RE.match(line)
         if kv:
+            key = kv.group(1)
             target = params if current is None else current.params
-            if kv.group(1) in target:
-                raise ScenarioError(f"duplicate key {kv.group(1)!r}", lineno)
-            target[kv.group(1)] = kv.group(2).strip()
+            if key in target:
+                raise ScenarioError(f"duplicate key {key!r}", lineno)
+            if key not in readers:
+                unknown = unknown or ScenarioError(f"unknown key {key!r}",
+                                                   lineno)
+            target[key] = _read(readers.get(key, str), kv.group(2).strip(),
+                                lineno, f"{key} ")
             continue
         if ":" in line:
             if current is None:
@@ -223,25 +232,20 @@ def parse_scenario(text: str) -> Scenario:
             current.rows.append((lineno, lhs.strip(), rhs.strip()))
             continue
         raise ScenarioError(f"cannot parse {line!r}", lineno)
-
+    if unknown is not None:
+        raise unknown
     construction = params.pop("construction", None)
     if construction is None:
         raise ScenarioError("missing top-level 'construction = ...' parameter")
     if construction not in CONSTRUCTIONS:
-        raise ScenarioError(
-            f"unknown construction {construction!r}; "
-            f"expected one of {', '.join(CONSTRUCTIONS)}"
-        )
-    return Scenario(construction, _coerce_params(params), sections)
+        raise ScenarioError(f"unknown construction {construction!r}; "
+                            f"expected one of {', '.join(CONSTRUCTIONS)}")
+    return Scenario(construction, params, sections)
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fp:
         return parse_scenario(fp.read())
-
-
-_INT_PARAMS = {"stages", "maxdeg", "modulus", "unit_exponent", "base",
-               "levels", "ubound", "coded_bound"}
 
 
 # Ceiling on a section index.  Runners build one to three requirements per
@@ -263,48 +267,90 @@ def parse_epsilon(text: str) -> Fraction:
     return epsilon
 
 
-def _coerce_params(params: dict[str, str]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for key, value in params.items():
-        if key in _INT_PARAMS:
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise ScenarioError(f"parameter {key} must be an integer, "
-                                    f"got {value!r}") from None
-        elif key == "epsilon":
-            out[key] = parse_epsilon(value)
-        else:
-            out[key] = value
-    return out
-
-
-def _row_stage(lhs: str, lineno: int) -> int:
+def _int(text: str, least: int | None = None) -> int:
+    """The one reader of a scenario's integers: ASCII `-?[0-9]+` within
+    int()'s digit limit, and at least `least` when that is given."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"must be an integer, got {text!r}")
     try:
-        return int(lhs)
-    except ValueError:
-        raise ScenarioError(f"bad stage {lhs!r}", lineno) from None
+        value = int(text)
+    except ValueError:  # past int()'s digit limit
+        raise ValueError(f"must have at most {sys.get_int_max_str_digits()} "
+                         f"digits, got {len(digits)}") from None
+    if least is not None and value < least:
+        raise ValueError(f"must be >= {least}, got {text!r}")
+    return value
+
+
+_stage = partial(_int, least=0)  # a stage, a count or a use
+_positive = partial(_int, least=1)  # a period or a rate
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """A comma list, blank items dropped."""
+    return tuple(item for item in map(str.strip, text.split(",")) if item)
+
+
+def _pairs(text: str) -> tuple[tuple[int, int], ...]:
+    """A comma list of unordered index pairs `a-b`."""
+    pairs = []
+    for chunk in _names(text):
+        a, _, b = chunk.partition("-")
+        try:
+            pairs.append((_int(a.strip()), _int(b.strip())))
+        except ValueError:
+            raise ValueError(f"holds bad pair {chunk!r}, want a-b") from None
+    return tuple(pairs)
+
+
+_STREAM = {"mode": str, "period": _positive, "start": _stage,
+           "count": _stage, "rate": _positive}
+# The keys of the top level (under None) and of each section, with the
+# reader of each key's value.  A key or section not named here is refused.
+_KEYS: dict[str | None, dict[str, Callable[[str], Any]]] = {
+    None: dict.fromkeys(("stages", "maxdeg", "modulus", "unit_exponent",
+                         "base", "levels", "ubound", "coded_bound"), _int)
+    | {"construction": str, "epsilon": parse_epsilon},
+    "ucolumn": _STREAM, "vcolumn": _STREAM, "wcolumn": _STREAM,
+    "functional": {"converge": _stage, "use": _stage, "pairs": _pairs},
+    "sumfunctional": {"converge": _stage, "use": _stage, "slots": _names},
+    "star-template": {"base": _int, "levels": _int},
+    "universal": {}, "coded-universal": {}, "star-universal": {},
+    "phi": {}, "star-phi": {},
+}
+
+
+def _read(reader: Callable[[Any], Any], text: Any, line: int,
+          what: str = "") -> Any:
+    """`reader(text)`; a refusal names the line and, but for
+    parse_epsilon's, starts with `what`."""
+    try:
+        return reader(text)
+    except ScenarioError as exc:
+        raise ScenarioError(str(exc), line) from None
+    except ValueError as exc:
+        raise ScenarioError(f"{what}{exc}", line) from None
+
+
+def _rows(sec: _Section, reader: Callable[[str], Any], what: str) -> StageSet:
+    """The column of a section's `stage: value` rows, values by `reader`."""
+    rows = []
+    for lineno, lhs, rhs in sec.rows:
+        stage = _read(_stage, lhs, lineno, "bad stage: ")
+        rows.append((_read(reader, rhs, lineno, what), stage))
+    return StageSet.from_rows(rows)
 
 
 def _int_stream(sec: _Section, stages: int) -> StageSet:
     mode = sec.params.get("mode", "rows")
     if mode == "rows":
-        rows = []
-        for lineno, lhs, rhs in sec.rows:
-            stage = _row_stage(lhs, lineno)
-            try:
-                rows.append((int(rhs), stage))
-            except ValueError:
-                raise ScenarioError(f"bad integer payload {rhs!r}",
-                                    lineno) from None
-        return StageSet.from_rows(rows)
+        return _rows(sec, _int, "bad integer payload: ")
     if mode == "steady":
-        period = int(sec.params.get("period", 1))
-        start = int(sec.params.get("start", 1))
-        count = int(sec.params.get("count", stages))
-        if period < 1:
-            raise ScenarioError("steady period must be >= 1", sec.line)
-        return StageSet.generated(range(count), count, start, period)
+        count = sec.params.get("count", stages)
+        return StageSet.generated(range(count), count,
+                                  sec.params.get("start", 1),
+                                  sec.params.get("period", 1))
     raise ScenarioError(f"unknown stream mode {mode!r}", sec.line)
 
 
@@ -338,19 +384,9 @@ class _MonomialColumn:
 def _poly_stream(sec: _Section, stages: int, maxdeg: int, p: int) -> StageSet:
     mode = sec.params.get("mode", "rows")
     if mode == "rows":
-        rows = []
-        for lineno, lhs, rhs in sec.rows:
-            stage = _row_stage(lhs, lineno)
-            try:
-                rows.append((Poly.parse(rhs, p), stage))
-            except ValueError as exc:
-                raise ScenarioError(f"bad polynomial {rhs!r}: {exc}",
-                                    lineno) from None
-        return StageSet.from_rows(rows)
+        return _rows(sec, partial(Poly.parse, p=p), "bad polynomial: ")
     if mode == "monomials":
-        rate = int(sec.params.get("rate", 1))
-        if rate < 1:
-            raise ScenarioError("monomial rate must be >= 1", sec.line)
+        rate = sec.params.get("rate", 1)
         # entry i sits at stage i // rate; the stage budget and the degree
         # horizon (2 ** (maxdeg + 1) - 1 monomials) both cut the column
         n = max(0, min((stages + 1) * rate, (1 << (maxdeg + 1)) - 1))
@@ -358,46 +394,44 @@ def _poly_stream(sec: _Section, stages: int, maxdeg: int, p: int) -> StageSet:
     raise ScenarioError(f"unknown stream mode {mode!r}", sec.line)
 
 
-_TOKEN_X = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
-_TOKEN_RANGE = re.compile(r"^xrange:(\d+):(\d+)(?:\^(-?\d+))?$")
-_ARGSPEC = re.compile(r"^(\d+)(?:\.\.(\d+))?(?:/(even|odd))?$")
+# `xEND` or `xrange:START:END`, with an optional `^EXP`
+_TOKEN = re.compile(r"^x(?:range:([0-9]+):)?([0-9]+)(?:\^(-?[0-9]+))?$")
+_ARGSPEC = re.compile(r"^([0-9]+)(?:\.\.([0-9]+))?(?:/(even|odd))?$")
 
 
-def _parse_word(tokens: list[str], lineno: int) -> tuple[tuple[int, int], ...]:
+def _parse_word(tokens: list[str]) -> tuple[tuple[int, int], ...]:
     word: list[tuple[int, int]] = []
     for tok in tokens:
-        m = _TOKEN_X.match(tok)
-        if m:
-            word.append((int(m.group(1)), int(m.group(2) or 1)))
+        m = _TOKEN.match(tok)
+        if not m:
+            raise ValueError(f"bad word token {tok!r}")
+        start, end, exp = m.groups()
+        exp = _int(exp) if exp else 1
+        if start is None:  # the one letter END
+            word.append((_int(end), exp))
             continue
-        m = _TOKEN_RANGE.match(tok)
-        if m:
-            lo, hi = int(m.group(1)), int(m.group(2))
-            exp = int(m.group(3) or 1)
-            if hi < lo:
-                raise ScenarioError(f"empty range in {tok!r}", lineno)
-            if hi > GENERATOR_CEILING:
-                raise ScenarioError(
-                    f"range end {hi} in {tok!r} is above the generator "
-                    f"ceiling {GENERATOR_CEILING}", lineno)
-            word.extend((k, exp) for k in range(lo, hi))
-            continue
-        raise ScenarioError(f"bad word token {tok!r}", lineno)
+        lo, hi = _int(start), _int(end)
+        if hi < lo:
+            raise ValueError(f"empty range in {tok!r}")
+        if hi > GENERATOR_CEILING:
+            raise ValueError(f"range end {hi} in {tok!r} is above the "
+                             f"generator ceiling {GENERATOR_CEILING}")
+        word.extend((k, exp) for k in range(lo, hi))
     return tuple(word)
 
 
-def _parse_args(spec: str, lineno: int) -> range:
+def _parse_args(spec: str) -> range:
     m = _ARGSPEC.match(spec)
     if not m:
-        raise ScenarioError(f"bad argument spec {spec!r}", lineno)
-    lo = int(m.group(1))
+        raise ValueError(f"bad argument spec {spec!r}")
+    lo = _int(m.group(1))
     if m.group(2) is None:
         if m.group(3) is not None:
-            raise ScenarioError("parity filter needs a range", lineno)
+            raise ValueError("parity filter needs a range")
         return range(lo, lo + 1)
-    hi = int(m.group(2))
+    hi = _int(m.group(2))
     if hi < lo:
-        raise ScenarioError(f"empty argument range {spec!r}", lineno)
+        raise ValueError(f"empty argument range {spec!r}")
     parity = {"even": 0, "odd": 1}.get(m.group(3))
     if parity is None:
         args = range(lo, hi + 1)
@@ -406,61 +440,28 @@ def _parse_args(spec: str, lineno: int) -> range:
     # counted by arithmetic: len() overflows on a range past sys.maxsize
     count = (args.stop - args.start + args.step - 1) // args.step
     if count > GENERATOR_CEILING:
-        raise ScenarioError(
+        raise ValueError(
             f"argument range {spec!r} holds {count} arguments, above "
-            f"the generator ceiling {GENERATOR_CEILING}", lineno)
+            f"the generator ceiling {GENERATOR_CEILING}")
     return args
 
 
 def _phi_stub(sec: _Section) -> dict[int, PhiEntry]:
     stub: dict[int, PhiEntry] = {}
     for lineno, lhs, rhs in sec.rows:
-        parts = rhs.split()
-        if not parts:
-            raise ScenarioError("stub row needs a converge stage", lineno)
-        try:
-            converge = int(parts[0])
-        except ValueError:
-            raise ScenarioError(f"bad converge stage {parts[0]!r}",
-                                lineno) from None
-        entry = PhiEntry(converge, _parse_word(parts[1:], lineno))
-        for arg in _parse_args(lhs, lineno):
+        converge, *tokens = rhs.split() or [""]
+        entry = PhiEntry(
+            _read(_stage, converge, lineno, "bad converge stage: "),
+            _read(_parse_word, tokens, lineno))
+        for arg in _read(_parse_args, lhs, lineno):
             if arg in stub:
                 raise ScenarioError(f"argument {arg} defined twice", lineno)
             stub[arg] = entry
     return stub
 
 
-def _functional(sec: _Section) -> FunctionalStub:
-    try:
-        converge = int(sec.params["converge"])
-        use = int(sec.params["use"])
-    except KeyError as exc:
-        raise ScenarioError(f"functional needs {exc.args[0]}",
-                            sec.line) from None
-    pairs: list[tuple[int, int]] = []
-    for chunk in sec.params.get("pairs", "").split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            a, b = chunk.split("-")
-            pairs.append((int(a), int(b)))
-        except ValueError:
-            raise ScenarioError(f"bad pair {chunk!r} in pairs",
-                                sec.line) from None
-    return FunctionalStub(ident=sec.arg or 0, converge_stage=converge,
-                          use=use, required_pairs=tuple(pairs))
-
-
-def _sum_functional(sec: _Section) -> SumFunctionalStub:
-    try:
-        converge = int(sec.params["converge"])
-        use = int(sec.params["use"])
-        slots = tuple(s.strip() for s in sec.params["slots"].split(",")
-                      if s.strip())
-    except KeyError as exc:
-        raise ScenarioError(f"sumfunctional needs {exc.args[0]}",
-                            sec.line) from None
-    return SumFunctionalStub(ident=sec.arg or 0, converge_stage=converge,
-                             use=use, slots=slots)
+def _need(sec: _Section, key: str) -> Any:
+    """The value of a key the section cannot do without."""
+    if key not in sec.params:
+        raise ScenarioError(f"{sec.name} needs {key}", sec.line)
+    return sec.params[key]

@@ -85,6 +85,15 @@ def test_poly_parse_compact_runs():
     assert Poly.parse("x - y", 3) == Poly.parse("x + 2*y", 3)
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript 2, Arabic-Indic 3
+def test_poly_parse_reads_ascii_digits_only(digit):
+    # str.isdigit accepts both: int() then failed on one and read the
+    # other as the coefficient 3
+    for text in (f"{digit}*x", f"x*{digit}", digit):
+        with pytest.raises(EncodingError, match=f"^bad factor '{digit}' in "):
+            Poly.parse(text, 5)
+
+
 def test_poly_mod_p():
     f = Poly.parse("x + x", 2)
     assert f.is_zero()

@@ -159,8 +159,9 @@ VALUES = (0, -1, -30, 10 ** 6, 10 ** 12, 10 ** 40, 1.5, 1e308, True, None,
 EXAMPLE_SECONDS = 10
 
 
-def _exit_code(argv):
-    """main's exit code, its output swallowed; any exception escapes, and a
+def _exit_code(argv, err=None):
+    """main's exit code, its output swallowed (stderr into `err` if that
+    is given); any exception escapes, and a
     call still running after EXAMPLE_SECONDS fails, naming its argv.  The
     test's own budget (conftest.py) resumes with the time it had left, or
     expires at once if that ran out meanwhile."""
@@ -173,7 +174,8 @@ def _exit_code(argv):
     start = time.monotonic()
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(io.StringIO() if err is None
+                                           else err):
             return main(argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -216,15 +218,81 @@ def mutated_scenarios(draw):
     return text
 
 
+KEY_LINE = re.compile(r"^([a-z_]+) = ", re.M)
+SECTION_LINE = re.compile(r"^\[([a-z-]+)[^\]\n]*\]$", re.M)
+# digits that str.isdigit and a `\d` pattern accept, and int() reads or not
+FOREIGN_DIGITS = ("\u0663", "\u0669", "\u00b2", "\u096f")
+
+
+@st.composite
+def key_mutated_scenarios(draw):
+    """A shipped scenario with one key or section mutated: a key
+    misspelled or moved to another section, a section renamed, one digit
+    made non-ASCII, or a section given a 5,000-digit index."""
+    with open(os.path.join(SCENARIOS, draw(st.sampled_from(SHIPPED))
+                           + ".txt"), encoding="utf-8") as fh:
+        text = fh.read()
+    keys = list(KEY_LINE.finditer(text))
+    heads = list(SECTION_LINE.finditer(text))
+    kind = draw(st.sampled_from(("misspell", "move", "rename", "digit",
+                                 "index")))
+    if kind == "misspell":
+        key = draw(st.sampled_from(keys))
+        at = draw(st.integers(key.start(1), key.end(1) - 1))
+        return text[:at] + draw(st.sampled_from(("", "q", "-"))) \
+            + text[at + 1:]
+    if kind == "move":
+        key = draw(st.sampled_from(keys))
+        line = text[key.start():text.index("\n", key.start()) + 1]
+        text = text[:key.start()] + text[key.start() + len(line):]
+        at = draw(st.sampled_from([0] + [m.end() + 1 for m in
+                                         SECTION_LINE.finditer(text)]))
+        return text[:at] + line + text[at:]
+    if kind == "digit":
+        at = draw(st.sampled_from([m.start() for m in
+                                   re.finditer("[0-9]", text)]))
+        return text[:at] + draw(st.sampled_from(FOREIGN_DIGITS)) \
+            + text[at + 1:]
+    head = draw(st.sampled_from(heads))
+    name = head.group(1)
+    new = (f"[{name} {'9' * 5000}]" if kind == "index" else
+           f"[{draw(st.sampled_from(('universe', 'column', name + 's')))}]")
+    return text[:head.start()] + new + text[head.end():]
+
+
+# what only Python's own error text holds: int()'s two refusals, a
+# traceback, or an exception class name
+FOREIGN_ERROR = re.compile(r"invalid literal|Exceeds the limit|Traceback"
+                           r"|\b[A-Za-z]*(Error|Exception)\b")
+
+
+def _run_scenario_text(text):
+    """`run` on the text: exit 0, 1 or 2, an exit 2 with one `error: `
+    line on stderr that is the program's own."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        code = _exit_code(["run", path, "--out",
+                           os.path.join(tmp, "out.jsonl")], err)
+    assert code in (0, 1, 2)
+    if code == 2:
+        line = err.getvalue()
+        assert line.startswith("error: ") and line.count("\n") == 1, line
+        assert line.endswith("\n") and not FOREIGN_ERROR.search(line), line
+
+
 @DETERMINISTIC
 @given(mutated_scenarios())
 def test_run_on_mutated_scenarios_exits_cleanly(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "mutated.txt")
-        with open(path, "w") as fh:
-            fh.write(text)
-        argv = ["run", path, "--out", os.path.join(tmp, "out.jsonl")]
-        assert _exit_code(argv) in (0, 1, 2)
+    _run_scenario_text(text)
+
+
+@DETERMINISTIC
+@given(key_mutated_scenarios())
+def test_run_on_key_mutated_scenarios_exits_cleanly(text):
+    _run_scenario_text(text)
 
 
 def _leaves(obj, path=()):

@@ -3,12 +3,15 @@ import bisect
 import glob
 import os
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from ceerlab import sigma3
+from ceerlab.ceers import StageSet
+from ceerlab.cli import main
 from ceerlab.replay import CONSTRUCTIONS
 from ceerlab.scenario import (
     STAGE_CEILING,
@@ -31,15 +34,16 @@ def test_top_level_parameters_coerced():
         stages = 5
         modulus = 3
         epsilon = 1/3
-        note = keep me verbatim
         """
     )
     assert scn.construction == "dark-ring"
-    assert scn.params["stages"] == 5
-    assert scn.params["modulus"] == 3
-    assert scn.params["epsilon"] == Fraction(1, 3)
-    assert scn.params["note"] == "keep me verbatim"
+    assert scn.params == {"stages": 5, "modulus": 3,
+                          "epsilon": Fraction(1, 3)}
     assert scn.sections == []
+    with pytest.raises(ScenarioError,
+                       match="^line 3: unknown key 'note'$"):
+        parse_scenario("construction = dark-ring\nstages = 5\n"
+                       "note = keep me verbatim\n")
 
 
 def test_sections_collect_params_and_rows():
@@ -56,7 +60,7 @@ def test_sections_collect_params_and_rows():
     uni = scn.section("universal")
     assert uni.rows == [(4, "1", "0 1")]
     col = scn.section("wcolumn", 2)
-    assert col.params == {"mode": "steady", "start": "3"}
+    assert col.params == {"mode": "steady", "start": 3}
     assert scn.section("wcolumn", 0) is None
     assert [s.name for s in scn.sections_named("wcolumn")] == ["wcolumn"]
 
@@ -213,9 +217,8 @@ def test_functional_section_wiring():
     ],
 )
 def test_functional_section_errors(body, fragment):
-    scn = parse_scenario(f"construction = sigma3\n{body}\n")
     with pytest.raises(ScenarioError, match=fragment):
-        scn.run()
+        parse_scenario(f"construction = sigma3\n{body}\n").run()
 
 
 def test_dark_ring_poly_rows_run():
@@ -247,9 +250,9 @@ def test_dark_ring_poly_rows_run():
     ],
 )
 def test_stream_errors(body, fragment):
-    scn = parse_scenario(f"construction = dark-ring\nstages = 2\n{body}\n")
     with pytest.raises(ScenarioError, match=fragment):
-        scn.run()
+        parse_scenario(f"construction = dark-ring\nstages = 2\n{body}\n"
+                       ).run()
 
 
 def test_monomial_stream_respects_maxdeg_and_rate():
@@ -328,12 +331,17 @@ def test_monomial_column_matches_eager_builder(rate, maxdeg, stages):
 def test_steady_column_matches_eager_builder(start, period, count, stages):
     from ceerlab.scenario import _int_stream
 
-    body = f"mode = steady\nperiod = {period}\nstart = {start}\n"
-    if count is not None:
-        body += f"count = {count}\n"
-    scn = parse_scenario(f"construction = sigma3\n[wcolumn 0]\n{body}")
-    col = _int_stream(scn.section("wcolumn", 0), stages)
     n = stages if count is None else count
+    if start < 0 or n < 0:
+        # a scenario refuses a negative start or count; the column that
+        # `_int_stream` would build from them is still the eager one
+        col = StageSet.generated(range(n), n, start, period)
+    else:
+        body = f"mode = steady\nperiod = {period}\nstart = {start}\n"
+        if count is not None:
+            body += f"count = {count}\n"
+        scn = parse_scenario(f"construction = sigma3\n[wcolumn 0]\n{body}")
+        col = _int_stream(scn.section("wcolumn", 0), stages)
     _assert_column_is(col, _eager_steady(start, period, n),
                       start + max(n, 0) * period)
 
@@ -521,9 +529,72 @@ def test_readme_example_parses_and_runs():
     scn = parse_scenario(blocks[0])
     assert scn.construction == "dark-ring"
     assert [s.params for s in scn.sections_named("wcolumn")] == [
-        {"mode": "monomials", "rate": "32"}]
+        {"mode": "monomials", "rate": 32}]
     result = scn.run()
     assert result.gs_failure is None
     actions = [r.action for r in result.log.records]
     assert actions.count("enumerate-witness") == 2
     assert "collapse-pair" in actions
+
+
+# a value past int()'s digit limit
+HUGE = "9" * 5000
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("name,old,new,line", [
+    ("sug-basic", "base = 6", "base = x",
+     "line 33: base must be an integer, got 'x'"),
+    ("sigma3-basic", "period = 3", "period = 1.5",
+     "line 15: period must be an integer, got '1.5'"),
+    ("sigma3-basic", "converge = 4", "converge = x",
+     "line 26: converge must be an integer, got 'x'"),
+    ("sigma3-basic", "converge = 4", "converge = -1",
+     "line 26: converge must be >= 0, got '-1'"),
+    ("sigma3-basic", "count = 12", "count = -3",
+     "line 17: count must be >= 0, got '-3'"),
+    ("sigma3-basic", "start = 1", "start = -5",
+     "line 16: start must be >= 0, got '-5'"),
+    ("sigma3-basic", "period = 3", "perod = 3",
+     "line 15: unknown key 'perod'"),
+    ("sigma3-basic", "stages = 60", "stages = 60\ncolour = blue",
+     "line 6: unknown key 'colour'"),
+    ("sigma3-basic", "[universal]", "[universe]",
+     "line 7: unknown section [universe]"),
+    ("sigma3-basic", "count = 12", "count = 1_2",
+     "line 17: count must be an integer, got '1_2'"),
+    ("sigma3-basic", "use = 9", "use = ٩",
+     "line 27: use must be an integer, got '٩'"),
+    ("sigma3-basic", "[wcolumn 2]", "[wcolumn ٣]",
+     "line 19: bad section header '[wcolumn ٣]'"),
+    ("sug-basic", "0: 0 x6", "0: 0 x٣",
+     "line 40: bad word token 'x٣'"),
+    ("sigma3-basic", "1: 0 1", "-1: 0 1",
+     "line 8: bad stage: must be >= 0, got '-1'"),
+    ("sigma3-basic", "stages = 60", f"stages = {HUGE}",
+     f"line 5: stages must have at most {LIMIT} digits, got 5000"),
+    ("sigma3-basic", "[wcolumn 2]", f"[wcolumn {HUGE}]",
+     f"line 19: [wcolumn] index must have at most {LIMIT} digits, got 5000"),
+    ("sug-basic", "0: 0 x6", f"0: 0 x{HUGE}",
+     f"line 40: must have at most {LIMIT} digits, got 5000"),
+], ids=lambda v: v[:24] if isinstance(v, str) else v)
+def test_run_refuses_a_bad_scenario_value_by_line(name, old, new, line,
+                                                   tmp_path, capsys):
+    text = open(os.path.join(SCENARIO_DIR, name + ".txt")).read()
+    assert text.count(old) == 1
+    scenario, out = tmp_path / "s.txt", tmp_path / "s.jsonl"
+    scenario.write_text(text.replace(old, new), encoding="utf-8")
+    rc = main(["run", str(scenario), "--out", str(out)])
+    assert (rc, *capsys.readouterr()) == (2, "", f"error: {line}\n")
+    assert not out.exists()
+
+
+def test_functional_pairs_are_unordered(tmp_path):
+    text = open(os.path.join(SCENARIO_DIR, "sigma3-basic.txt")).read()
+    logs = []
+    for pairs in ("0-2", "2-0"):
+        scenario, out = tmp_path / f"{pairs}.txt", tmp_path / f"{pairs}.jsonl"
+        scenario.write_text(text.replace("pairs = 0-2", f"pairs = {pairs}"))
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        logs.append(out.read_bytes())
+    assert logs[0] == logs[1]
