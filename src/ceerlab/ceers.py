@@ -14,9 +14,12 @@ stage s is the current one cut at every edge stamped after s.  Queries at
 past stages are therefore climbs, not replays, and nothing is cached
 between calls; a query at `inf` (or `1e309`) is answered as at the last
 stage and one at NaN as at a stage before every pair, with no test of the
-stage.  The forest stores only the indices up to the largest one a pair
-names: any later index was never merged and is its own root, so a table's
-bound is checked, never allocated, and its memory follows its pairs, up to
+stage.  Every other stage view reads NaN so too, as a stage before every
+entry: `StageSet.count_at` and `StagedPresentation.census_at` count
+nothing there, and `staged_abelian_wp` applies no relation.  The forest
+stores only the indices up to the largest one a pair names: any later
+index was never merged and is its own root, so a table's bound is
+checked, never allocated, and its memory follows its pairs, up to
 the constant INDEX_CEILING on the indices pairs may name.  `product` and
 `pullback` walk pairs too, in union-finds of their own rooted at each
 class's least member: their work is the pairs they read plus the pairs
@@ -148,9 +151,11 @@ class StageSet:
 
     def count_at(self, stage: int) -> int:
         """Number of raw entries (including repeats) visible by stage: every
-        entry at `inf` and, since no stage orders it, at NaN."""
+        entry at `inf` and, as at a stage before every entry, none at NaN,
+        which no stage orders."""
         if isinstance(self._stages, list):
-            return bisect_right(self._stages, stage)
+            # bisection puts NaN past every entry
+            return bisect_right(self._stages, stage) if stage == stage else 0
         return self._stages.count_upto(stage)
 
     def __len__(self) -> int:
@@ -179,12 +184,12 @@ class _StageProgression:
         return self.start + (i // self.rate) * self.period
 
     def count_upto(self, stage: int) -> int:
-        """The number of entries whose stage is at most stage, as a
-        bisection of the listed stages counts them: all of them at `inf`
-        and at NaN, none at `-inf`."""
+        """The number of entries whose stage is at most stage: all of them
+        at `inf`, none at `-inf` and none at NaN, as at a stage before
+        every entry."""
         steps = (stage - self.start) // self.period + 1
         if steps != steps:  # a float division of an infinity or a NaN
-            return 0 if stage < self.start else self.n
+            return self.n if stage > self.start else 0
         return min(self.n, max(0, steps * self.rate))
 
     def __repr__(self) -> str:

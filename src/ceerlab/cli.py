@@ -98,25 +98,28 @@ def cmd_run(args: argparse.Namespace) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-# suite -> the constructions whose modules list it in their `SUITES`, in
-# table order; suites come last module first: star's and sug's before dark's
-SUITES = {suite: [name for name, module in replay.CONSTRUCTIONS.items()
-                  if suite in module.SUITES]
-          for last in reversed(replay.CONSTRUCTIONS.values())
-          for suite in last.SUITES}
+@functools.cache
+def suites() -> dict[str, list[str]]:
+    """Suite -> the constructions whose modules list it in their `SUITES`,
+    in table order; suites come last module first: star's and sug's before
+    dark's.  Built on the first call, which imports every construction."""
+    modules = dict(replay.CONSTRUCTIONS.items())
+    return {suite: [name for name, module in modules.items()
+                    if suite in module.SUITES]
+            for last in reversed(modules.values()) for suite in last.SUITES}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite not in SUITES:
+    if args.suite not in suites():
         print(f"error: unknown suite {args.suite!r}; choose from "
-              f"{', '.join(SUITES)}", file=sys.stderr)
+              f"{', '.join(suites())}", file=sys.stderr)
         return 2
     try:
         log = RunLog.load(args.log)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot read log: {exc}", file=sys.stderr)
         return 2
-    kinds = SUITES[args.suite]
+    kinds = suites()[args.suite]
     construction = log.header.get("construction", "<missing>")
     if construction not in kinds:
         print(f"error: suite {args.suite!r} applies to {', '.join(kinds)} "
@@ -276,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verp = sub.add_parser("verify", help="check an invariant suite on a log")
     verp.add_argument("log")
-    verp.add_argument("suite", help=", ".join(SUITES))
+    verp.add_argument("suite", help="the suite to check; an unknown name "
+                                    "lists them all")
 
     probep = sub.add_parser("probe", help="query ceer dump files")
     psub = probep.add_subparsers(dest="subcommand", required=True)

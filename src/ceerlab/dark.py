@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, Mapping
 
+from . import replay
 from .algebra import (
     MAXDEG_CEILING,
     HomogeneousIdeal,
@@ -354,7 +355,6 @@ def summary(result: DarkRunResult) -> list[str]:
 
 def _membership(log: RunLog, result: DarkRunResult) -> tuple[bool, list[str]]:
     """Banked words are fresh, floors kept, audits pass, witnesses hold."""
-    from . import replay  # replay imports this module
     ideal = result.ideal
     lines: list[str] = []  # one a failure
     for rec, _ in replay.steps(log, result):

@@ -34,6 +34,7 @@ __all__ = [
     "CeerModuleGroup",
     "z2_module_wp",
     "Relation",
+    "GENERATOR_CEILING",
     "StagedPresentation",
     "validate_relation_stream",
     "staged_abelian_wp",
@@ -247,6 +248,13 @@ class Relation:
 _STATUSES = ("level", "free", "determined", "collapsed")
 
 
+# Ceiling on the base ** (levels + 1) generators of a star presentation,
+# and on the letters and arguments a scenario's phi rows name.  Laying out
+# the levels and the level words each take time and memory linear in that
+# count; levels 3 at base 10 hold 10,000 generators.
+GENERATOR_CEILING = 100_000
+
+
 class StagedPresentation:
     """Generators x_0, x_1, ... with a stage-enumerated triangular stream.
 
@@ -370,10 +378,11 @@ class StagedPresentation:
 
     def census_at(self, level: int, stage: int) -> dict[str, int]:
         """Head-count of a level's generators by status at a stage; a
-        generator of no laid-out level is not counted.  At `inf`, and at
-        NaN, which bisection puts past every entry, it is the last count."""
+        generator of no laid-out level is not counted.  At `inf` it is the
+        last count, and at NaN, which no stage orders, the count before
+        every entry: all zero."""
         stages, history = self._census.get(level, ((), ()))
-        i = bisect_right(stages, stage)
+        i = bisect_right(stages, stage) if stage == stage else 0
         return dict(history[i - 1]) if i else dict.fromkeys(_STATUSES, 0)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Mapping
 
-from . import star
+from . import replay, star
 from .ceers import CeerTable, StageRegressionError, StageSet, check_bound
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 from .pairing import unpair
@@ -285,14 +285,14 @@ def run_scenario(scn, params: dict[str, Any]) -> SugResult:
     v_columns = scn.int_columns("vcolumn", stages)
     u_columns = scn.int_columns("ucolumn", stages)
     coded = scn.table("coded-universal", params.get("coded_bound"))
-    functionals = scn.sum_functionals()
+    functionals = scn.sum_functionals(SumFunctionalStub)
     template = scn.section("star-template")
     t_params = template.params if template is not None else {}
     star_levels = t_params.get("levels", 1)
     star_universal = scn.table("star-universal", floor=star_levels + 1)
     return run_sug_indexset(
-        v_columns, u_columns, coded, functionals,
-        star_universal, scn.phis("star-phi"), star_levels=star_levels,
+        v_columns, u_columns, coded, functionals, star_universal,
+        scn.phis("star-phi", PhiEntry), star_levels=star_levels,
         star_base=t_params.get("base", 6), stages=stages,
     )
 
@@ -308,7 +308,6 @@ def summary(result: SugResult) -> list[str]:
 
 def _triangularity(log: RunLog, result: SugResult) -> tuple[bool, list[str]]:
     """Each group slot's relations are triangular and in stage order."""
-    from . import replay  # replay imports this module
     return replay.triangularity(
         log, result, lambda record: record.details["slot"],
         lambda run: dict.fromkeys(run.table_slots, 0) | {

@@ -1,9 +1,13 @@
 """The construction table, and log replay through it.
 
 `CONSTRUCTIONS` maps each construction name to its module (`dark`,
-`sigma3`, `star` or `indexset`), and each module exports the same four
-functions: `start(log)`, the empty result a log's header describes, with
-every header check; `apply_record(result, record)`, the writer the engine
+`sigma3`, `star` or `indexset`), imported the first time its name is
+looked up: `name in CONSTRUCTIONS` and iterating over the names import
+none, so a command loads only the constructions it runs (`run` its
+scenario's, `probe` none, `verify` all four, as its unknown-suite message
+lists every suite).  Each module exports the same four functions:
+`start(log)`, the empty result a log's header describes, with every
+header check; `apply_record(result, record)`, the writer the engine
 calls on each record a run logs; `summary(result)`, the lines `ceerlab run`
 prints after the shared head `summarize` adds; and `run_scenario(scn,
 params)`, the run a parsed scenario describes.  Each module also exports
@@ -20,9 +24,10 @@ field but one: sigma3's join-table pairs, which the log only counts.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from importlib import import_module
+from types import ModuleType
+from typing import Callable, Iterator, Mapping
 
-from . import dark, indexset, sigma3, star
 from .ceers import StageRegressionError
 from .engine import ActionRecord, ConstructionRun, RunLog
 from .groups import TriangularityError
@@ -30,13 +35,38 @@ from .groups import TriangularityError
 __all__ = ["CONSTRUCTIONS", "start", "steps", "census_checkpoints",
            "refused", "triangularity", "summarize"]
 
-CONSTRUCTIONS = {
-    "dark-ring": dark,
-    "dark-group": dark,
-    "sigma3": sigma3,
-    "star-universal": star,
-    "sug-indexset": indexset,
-}
+
+class _Modules(Mapping[str, ModuleType]):
+    """Construction name -> its module, imported on first lookup, when the
+    module's name in the table is replaced by the module."""
+
+    def __init__(self, modules: dict[str, str | ModuleType]):
+        self._modules = modules
+
+    def __getitem__(self, name: str) -> ModuleType:
+        module = self._modules[name]
+        if isinstance(module, str):
+            module = self._modules[name] = import_module(f".{module}",
+                                                         __package__)
+        return module
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._modules  # Mapping's own would import the module
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._modules)
+
+    def __len__(self) -> int:
+        return len(self._modules)
+
+
+CONSTRUCTIONS = _Modules({
+    "dark-ring": "dark",
+    "dark-group": "dark",
+    "sigma3": "sigma3",
+    "star-universal": "star",
+    "sug-indexset": "indexset",
+})
 
 
 def start(log: RunLog) -> ConstructionRun:

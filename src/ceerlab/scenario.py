@@ -15,8 +15,10 @@ lists every key):
     rate = 32
 
 `_KEYS` declares each key of the top level and of each section with the
-reader of its value, and `parse_scenario` reads each value as it reads
-its line; an unknown section or key is refused.  Every integer, in keys,
+reader of its value, and `_INDEXED` the sections that take an index;
+`parse_scenario` reads each value as it reads its line.  An unknown
+section or key is refused, and so is a section header that lacks the
+index its section takes or gives one it does not.  Every integer, in keys,
 rows, section indices, word tokens and argument specs, is read by `_int`.
 Rows are read where a construction asks for them: integers, polynomial
 text, "a b" pairs, or "converge tokens..." keyed by argument specs such
@@ -26,7 +28,11 @@ its line.
 The grammar lives here alone.  A construction module's `run_scenario`
 reads its inputs through `Scenario` methods (`int_columns`, `poly_columns`,
 `table`, `phis`, `functionals`, `sum_functionals`) and imports nothing
-from this module.
+from this module; nor does this module import a construction module.  A
+stub type a construction defines (star's `PhiEntry`, indexset's
+`SumFunctionalStub`) comes in from the caller's `run_scenario`, and
+`replay.CONSTRUCTIONS` names the constructions without loading one, so
+parsing a scenario loads none and running it loads its own.
 """
 from __future__ import annotations
 
@@ -40,9 +46,8 @@ from typing import Any, Callable
 from .algebra import MAXDEG_CEILING, Monomial, Poly
 from .ceers import CeerTable, FunctionalStub, StageSet
 from .engine import STAGE_CEILING, ConstructionRun
-from .indexset import SumFunctionalStub
+from .groups import GENERATOR_CEILING
 from .replay import CONSTRUCTIONS
-from .star import GENERATOR_CEILING, PhiEntry
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
 
@@ -142,9 +147,12 @@ class Scenario:
             table.assert_pair(a, b, stage)
         return table
 
-    def phis(self, name: str) -> dict[int, dict[int, PhiEntry]]:
-        """The [name e] stubs.  The arguments of all their rows together may
-        not pass GENERATOR_CEILING, counted before any row is expanded."""
+    def phis(self, name: str,
+             entry: Callable[..., Any]) -> dict[int, dict[int, Any]]:
+        """The [name e] stubs: argument -> `entry(converge, word)`, one
+        entry shared by a row's arguments.  The arguments of all their rows
+        together may not pass GENERATOR_CEILING, counted before any row is
+        expanded."""
         total = 0
         for sec in self.sections_named(name):
             for lineno, lhs, _ in sec.rows:
@@ -154,17 +162,22 @@ class Scenario:
                         f"[{name}] rows up to here hold {total} arguments, "
                         f"above the generator ceiling {GENERATOR_CEILING}",
                         lineno)
-        return self._indexed(name, _phi_stub)
+        return self._indexed(name, partial(_phi_stub, entry=entry))
 
     def functionals(self) -> dict[int, FunctionalStub]:
-        """The [functional m] stubs by index."""
-        return self._indexed("functional", lambda sec: FunctionalStub(
-            sec.arg, _need(sec, "converge"), _need(sec, "use"),
-            sec.params.get("pairs", ())))
+        """The [functional m] stubs by index; a required pair past the
+        declared use is refused at the section's line."""
+        def stub(sec: _Section) -> FunctionalStub:
+            converge, use = _need(sec, "converge"), _need(sec, "use")
+            return _read(partial(FunctionalStub, sec.arg, converge, use),
+                         sec.params.get("pairs", ()), sec.line,
+                         f"[functional {sec.arg}] ")
+        return self._indexed("functional", stub)
 
-    def sum_functionals(self) -> dict[int, SumFunctionalStub]:
-        """The [sumfunctional m] stubs by index."""
-        return self._indexed("sumfunctional", lambda sec: SumFunctionalStub(
+    def sum_functionals(self, stub: Callable[..., Any]) -> dict[int, Any]:
+        """The [sumfunctional m] stubs by index, each
+        `stub(m, converge, use, slots)`."""
+        return self._indexed("sumfunctional", lambda sec: stub(
             sec.arg, _need(sec, "converge"), _need(sec, "use"),
             _need(sec, "slots")))
 
@@ -172,8 +185,6 @@ class Scenario:
                  build: Callable[[_Section], Any]) -> dict[int, Any]:
         out: dict[int, Any] = {}
         for sec in self.sections_named(name):
-            if sec.arg is None:
-                raise ScenarioError(f"[{name}] needs an index", sec.line)
             if sec.arg > SECTION_INDEX_CEILING:
                 raise ScenarioError(
                     f"[{name} {sec.arg}] has an index above the section "
@@ -205,6 +216,9 @@ def parse_scenario(text: str) -> Scenario:
             readers = _KEYS.get(name)
             if readers is None:
                 raise ScenarioError(f"unknown section [{name}]", lineno)
+            if (arg is None) == (name in _INDEXED):
+                raise ScenarioError(f"[{name}] needs an index" if arg is None
+                                    else f"[{name}] takes no index", lineno)
             if arg is not None:
                 arg = _read(_int, arg, lineno, f"[{name}] index ")
             if (name, arg) in seen:
@@ -319,6 +333,9 @@ _KEYS: dict[str | None, dict[str, Callable[[str], Any]]] = {
     "universal": {}, "coded-universal": {}, "star-universal": {},
     "phi": {}, "star-phi": {},
 }
+# the sections that take an index, `[name k]`; the others take none
+_INDEXED = {"ucolumn", "vcolumn", "wcolumn", "functional", "sumfunctional",
+            "phi", "star-phi"}
 
 
 def _read(reader: Callable[[Any], Any], text: Any, line: int,
@@ -446,17 +463,16 @@ def _parse_args(spec: str) -> range:
     return args
 
 
-def _phi_stub(sec: _Section) -> dict[int, PhiEntry]:
-    stub: dict[int, PhiEntry] = {}
+def _phi_stub(sec: _Section, entry: Callable[..., Any]) -> dict[int, Any]:
+    stub: dict[int, Any] = {}
     for lineno, lhs, rhs in sec.rows:
         converge, *tokens = rhs.split() or [""]
-        entry = PhiEntry(
-            _read(_stage, converge, lineno, "bad converge stage: "),
-            _read(_parse_word, tokens, lineno))
+        value = entry(_read(_stage, converge, lineno, "bad converge stage: "),
+                      _read(_parse_word, tokens, lineno))
         for arg in _read(_parse_args, lhs, lineno):
             if arg in stub:
                 raise ScenarioError(f"argument {arg} defined twice", lineno)
-            stub[arg] = entry
+            stub[arg] = value
     return stub
 
 

@@ -33,9 +33,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
+from . import replay
 from .ceers import INDEX_CEILING, CeerTable, StageRegressionError
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
-from .groups import StagedPresentation, staged_abelian_wp
+from .groups import GENERATOR_CEILING, StagedPresentation, staged_abelian_wp
 
 __all__ = [
     "BudgetError",
@@ -585,12 +586,6 @@ def level_forms(result: StarResult, checkpoints: Iterable[int]
         yield point, tuple(forms)
 
 
-# Ceiling on a presentation's base ** (levels + 1) generators.  Laying out
-# the levels and the level words each take time and memory linear in that
-# count; levels 3 at base 10 hold 10,000 generators.
-GENERATOR_CEILING = 100_000
-
-
 def check_size(base: int, levels: int) -> None:
     """Reject a shape no star run has: a base that is not an even integer
     >= 2, a `levels` that is not a nonnegative integer (a bool is neither),
@@ -743,7 +738,7 @@ def run_scenario(scn, params: dict[str, Any]) -> StarResult:
     universal table's bound passes every level index."""
     levels = params.get("levels", 2)
     universal = scn.table("universal", floor=levels + 1)
-    return run_star_universal(universal, scn.phis("phi"),
+    return run_star_universal(universal, scn.phis("phi", PhiEntry),
                               base=params.get("base", 10), levels=levels,
                               stages=params.get("stages", 500))
 
@@ -763,7 +758,6 @@ def summary(result: StarResult) -> list[str]:
 
 def _triangularity(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
     """Each relation added to the presentation is triangular, in order."""
-    from . import replay  # replay imports this module
     return replay.triangularity(
         log, result, lambda record: "main",
         lambda run: {"main": len(run.presentation.relations)})
@@ -771,7 +765,6 @@ def _triangularity(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
 
 def _level_census(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
     """Each level j no lower level heads keeps > base**j active generators."""
-    from . import replay  # replay imports this module
     refused = replay.refused(log, result)
     if refused:
         return False, [f"relation stream rejected: {refused[1]}"]
@@ -797,7 +790,6 @@ def _level_census(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
 
 def _vi_vs_u(log: RunLog, result: StarResult) -> tuple[bool, list[str]]:
     """Level words are equal exactly when the universal table relates them."""
-    from . import replay  # replay imports this module
     refused = replay.refused(log, result)
     if refused:
         return False, [f"relation stream rejected: {refused[1]}"]

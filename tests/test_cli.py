@@ -17,7 +17,7 @@ import pytest
 
 from ceerlab import replay
 from ceerlab.ceers import CeerTable
-from ceerlab.cli import SUITES, main
+from ceerlab.cli import main, suites
 from ceerlab.engine import PriorityEngine, RunLog
 from ceerlab.pairing import pair
 
@@ -924,7 +924,7 @@ STAGE_HEADER_LOGS = ["dark-group-basic", "dark-ring-basic", "sigma3-basic",
 @pytest.mark.parametrize("stages", ["abc", -5, 100_001, True])
 @pytest.mark.parametrize("name,suite", [
     (name, suite) for name in STAGE_HEADER_LOGS for suite, kinds
-    in sorted(SUITES.items())
+    in sorted(suites().items())
     if json.loads(open(shipped(f"{name}.log.jsonl")).readline())[
         "construction"] in kinds])
 def test_verify_refuses_a_bad_header_stages(name, suite, stages, records,

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from ceerlab.cli import SUITES, main
+from ceerlab.cli import main, suites
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -128,7 +128,7 @@ def test_pinned_verify_covers_every_shipped_log_and_suite():
     logs = {name[:-len(".log.jsonl")] for name in os.listdir(SCENARIOS)
             if name.endswith(".log.jsonl")}
     assert set(PINNED_VERIFY) == {(log, suite) for log in logs
-                                  for suite in SUITES}
+                                  for suite in suites()}
 
 
 @pytest.mark.parametrize("log,suite", sorted(PINNED_VERIFY))

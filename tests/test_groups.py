@@ -212,7 +212,10 @@ def test_presentation_stage_writers_refuse_nan():
     assert pres.status == {} and pres._last_stage == 6
     with pytest.raises(StageRegressionError):
         validate_relation_stream([(3, (), 4), (4, (), nan), (5, (), 1)])
-    assert pres.census_at(0, nan) == pres.census_at(0, 6)
+    assert pres.census_at(0, 6)["level"] == 4
+    # NaN reads as a stage before every entry
+    assert pres.census_at(0, nan) == pres.census_at(0, -1) != pres.census_at(
+        0, 6)
 
 
 def test_validate_relation_stream():

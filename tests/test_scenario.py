@@ -413,7 +413,7 @@ def test_phi_row_is_one_entry_shared_by_its_arguments():
     scn = parse_scenario(
         "construction = star-universal\n[phi 0]\n"
         "0..10/even: 3 x7 x8^-1\n1..9/odd: 2\n")
-    stub = scn.phis("phi")[0]
+    stub = scn.phis("phi", PhiEntry)[0]
     evens, odds = stub[0], stub[1]
     assert evens == PhiEntry(3, ((7, 1), (8, -1)))
     assert odds == PhiEntry(2, ())
@@ -449,9 +449,8 @@ def test_phi_grammar_errors(rows, fragment):
 
 
 def test_indexed_sections_need_indices():
-    scn = parse_scenario("construction = sigma3\n[wcolumn]\n1: 0\n")
     with pytest.raises(ScenarioError, match="needs an index"):
-        scn.run()
+        parse_scenario("construction = sigma3\n[wcolumn]\n1: 0\n").run()
 
 
 @pytest.mark.parametrize("name", ["ucolumn", "wcolumn", "vcolumn", "phi",
@@ -577,6 +576,21 @@ LIMIT = sys.get_int_max_str_digits()
      f"line 19: [wcolumn] index must have at most {LIMIT} digits, got 5000"),
     ("sug-basic", "0: 0 x6", f"0: 0 x{HUGE}",
      f"line 40: must have at most {LIMIT} digits, got 5000"),
+    ("sigma3-basic", "[universal]", "[universal 0]",
+     "line 7: [universal] takes no index"),
+    ("sug-basic", "[coded-universal]", "[coded-universal 3]",
+     "line 19: [coded-universal] takes no index"),
+    ("sug-basic", "[star-universal]", "[star-universal 0]",
+     "line 36: [star-universal] takes no index"),
+    ("sug-basic", "[star-template]", "[star-template 1]",
+     "line 32: [star-template] takes no index"),
+    ("sigma3-basic", "[wcolumn 0]", "[wcolumn]",
+     "line 13: [wcolumn] needs an index"),
+    # a section the construction does not read still needs its index
+    ("sigma3-basic", "[universal]", "[phi]\n[universal]",
+     "line 7: [phi] needs an index"),
+    ("sigma3-basic", "use = 9", "use = 1",
+     "line 25: [functional 1] required pair (0,2) exceeds declared use 1"),
 ], ids=lambda v: v[:24] if isinstance(v, str) else v)
 def test_run_refuses_a_bad_scenario_value_by_line(name, old, new, line,
                                                    tmp_path, capsys):
