@@ -54,6 +54,7 @@ from .pairing import pair
 __all__ = [
     "INDEX_CEILING",
     "IndexCeilingError",
+    "BoundError",
     "StageRegressionError",
     "PartialityError",
     "StageSet",
@@ -84,6 +85,12 @@ INDEX_CEILING = 1_000_000
 
 class IndexCeilingError(ValueError):
     """A pair named an index at or above INDEX_CEILING."""
+
+
+class BoundError(IndexError, ValueError):
+    """An index outside a table's bound: an IndexError to code that indexes
+    a table, and a ValueError, as every refusal of input is, to a command
+    that read the index from a file or from its arguments."""
 
 
 class StageSet:
@@ -233,6 +240,11 @@ def _decoded(lines: list[str], n: int) -> list[int]:
                 rec = json.loads(line)
             except RecursionError:
                 raise ValueError(f"dump line {n} nests too deeply") from None
+            if type(rec) is not dict:
+                raise ValueError(f"dump line {n}: not a JSON object")
+            if missing := [key for key in "abs" if key not in rec]:
+                raise ValueError(f'dump line {n}: field "{missing[0]}" is '
+                                 "missing")
             row = a, b, s = rec["a"], rec["b"], rec["s"]
             if type(a) is not int or type(b) is not int or type(s) is not int:
                 key = next(k for k, v in zip("abs", row) if type(v) is not int)
@@ -319,7 +331,7 @@ class CeerTable:
 
     def _check_index(self, n: int) -> None:
         if not (0 <= n < self.bound):
-            raise IndexError(f"index {n} out of bound {self.bound}")
+            raise BoundError(f"index {n} out of bound {self.bound}")
 
     def assert_pair(self, a: int, b: int, stage: int) -> "CeerTable":
         """Record that a and b are related from `stage` onward."""

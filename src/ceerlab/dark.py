@@ -38,7 +38,7 @@ from .ceers import StageSet
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 
 __all__ = ["run_dark", "start", "apply_record", "run_scenario", "summary",
-           "collapse_floor", "SUITES"]
+           "collapse_floor", "RECORDS", "HEADER", "SUITES"]
 
 
 def collapse_floor(m: int) -> int:
@@ -65,6 +65,22 @@ class DarkRunResult(ConstructionRun):
                     if i <= n and degs), default=0)
 
 
+def _rational(value: Any, entries: bool = False) -> None:
+    """The text of a rational, such as "1/4"."""
+    if type(value) is str:
+        try:
+            Fraction(value)
+            return
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise replay.expected("a rational such as '1/4'", value)
+
+
+# the header params `start` reads, as `replay` describes
+HEADER = {"stages": replay.as_is, "maxdeg": replay.integer,
+          "modulus": replay.integer, "epsilon": _rational}
+
+
 def start(log: RunLog) -> DarkRunResult:
     """The empty result a dark header describes: its audit's `epsilon`, a
     rational, and an ideal over its modulus, with a `maxdeg` in
@@ -80,12 +96,32 @@ def start(log: RunLog) -> DarkRunResult:
                          log, ideal=ideal, epsilon=epsilon)
 
 
+_TEXTS = replay.each(replay.text)
+# the records `apply_record` and `membership` read, by kind and action, as
+# `replay` describes
+RECORDS = {
+    ("init", "seed-ideal"): {"relators": _TEXTS},
+    ("L", "enumerate-witness"): {
+        "requirement": replay.requirement, "degree": replay.nonnegative,
+        "monomial": replay.text, "word": replay.text,
+        "protected": replay.each(replay.nonnegative)},
+    ("D", "collapse-pair"): {
+        "requirement": replay.requirement, "relators": _TEXTS,
+        "f": replay.text, "g": replay.text,
+        "degree_floor": replay.nonnegative,
+        "relator_degrees": replay.each(replay.nonnegative),
+        "reinitialized": replay.optional(replay.each(replay.requirement))},
+    ("audit", "gs-failure"): {},
+}
+
+
 def apply_record(result: DarkRunResult, record: ActionRecord) -> None:
     """Apply one logged dark record to its result: the relators it adds to
     the ideal, the witness it banks or the collapse it records, the audit
     failure it reports, and the light strategies it injures.  The run calls
-    this on each record it logs and replay on each record it reads, so both
-    build the same state."""
+    this on each record it logs and replay on each record it reads, once
+    `replay.decode` has checked it against `RECORDS`, so both build the
+    same state."""
     details, p = record.details, result.ideal.p
     if record.action in ("seed-ideal", "collapse-pair"):
         added = [Poly.parse(text, p) for text in details["relators"]]
@@ -99,6 +135,11 @@ def apply_record(result: DarkRunResult, record: ActionRecord) -> None:
                 "degree_floor": details["degree_floor"],
                 "added": added,
             }
+            for name in details.get("reinitialized", ()):
+                if name.startswith("L"):
+                    # the banked set is discarded wholesale
+                    result.transversals[int(name[1:])] = []
+                    result.protected[int(name[1:])] = []
     elif record.action == "enumerate-witness":
         n = int(record.requirement[1:])
         result.transversals.setdefault(n, []).append({
@@ -110,11 +151,6 @@ def apply_record(result: DarkRunResult, record: ActionRecord) -> None:
         result.protected[n] = list(details["protected"])
     elif record.action == "gs-failure":
         result.gs_failure = {"stage": record.stage, **details}
-    for name in details.get("reinitialized", ()):
-        if name.startswith("L"):
-            # the banked set is discarded wholesale
-            result.transversals[int(name[1:])] = []
-            result.protected[int(name[1:])] = []
 
 
 class _DarkState:

@@ -60,11 +60,14 @@ def _dump_json(obj: Any) -> str:
 
 
 class RunLog:
-    """Header plus an append-only list of action records."""
+    """Header plus an append-only list of action records.  A loaded log also
+    keeps `lines`: the line number of its header and of each record, as
+    `loads` counts them, blank lines included."""
 
     def __init__(self, header: dict[str, Any]):
         self.header = dict(header)
         self.records: list[ActionRecord] = []
+        self.lines: list[int] = []
 
     def add(
         self,
@@ -89,9 +92,10 @@ class RunLog:
 
     @classmethod
     def loads(cls, text: str) -> "RunLog":
-        objs = []
+        objs, lines = [], []
         for n, ln in enumerate(text.splitlines(), start=1):
             if ln.strip():
+                lines.append(n)
                 try:
                     objs.append(json.loads(ln))
                 except RecursionError:
@@ -109,6 +113,7 @@ class RunLog:
             raise ValueError("empty log")
         log = cls(objs[0])
         log.records.extend(ActionRecord.from_obj(obj) for obj in objs[1:])
+        log.lines = lines
         return log
 
     @classmethod

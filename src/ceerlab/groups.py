@@ -248,6 +248,8 @@ class Relation:
 _STATUSES = ("level", "free", "determined", "collapsed")
 
 
+_MINUS, _PLUS = -1, 1  # the exponents a run writes, as cached small ints
+
 # Ceiling on the base ** (levels + 1) generators of a star presentation,
 # and on the letters and arguments a scenario's phi rows name.  Laying out
 # the levels and the level words each take time and memory linear in that
@@ -303,29 +305,55 @@ class StagedPresentation:
         self._last_stage = stage
 
     def add_relation(
-        self, lhs: int, rhs: Iterable[tuple[int, int]], stage: int
+        self, lhs: int, rhs: Sequence[Sequence[int]], stage: int
     ) -> Relation:
-        """Define x_lhs from `stage` on; every right-hand entry, even one
-        with exponent 0, must name a strictly smaller generator.
+        """Define x_lhs from `stage` on.  The left-hand side must be an int
+        and the right-hand side a list or tuple of pairs of ints (a bool is
+        none; TypeError otherwise), and every entry, even one with exponent
+        0, must name a strictly smaller generator.
 
-        Replay calls this once per logged relator, so the common path calls
-        no helper: `_check_index` runs only to raise, and `_check_stage`
-        only for a stage object other than the last one, which it would
-        store unchanged."""
+        Replay calls this once per logged relator, and a star log is mostly
+        right-hand entries, so the common path reads each entry once, in one
+        comprehension, and calls no helper: the loop below runs only for a
+        right-hand side that has an entry to refuse or to drop, and
+        `_check_stage` only for a stage object other than the last one,
+        which it would store unchanged.  An exponent of -1 or 1, the only
+        ones a run writes, is told from True and 1.0 by identity with the
+        cached small ints, which spares it a type lookup."""
+        if type(lhs) is not int:
+            raise TypeError(f"left-hand side {lhs!r} is not an int")
         ngens = self.ngens
         if lhs < 0 or ngens is not None and lhs >= ngens:
             self._check_index(lhs)
         if lhs in self._by_lhs:
             raise TriangularityError(f"x{lhs} already has a defining relation")
-        kept = []
-        for i, e in rhs:
-            if not 0 <= i < lhs:  # 0 <= i < lhs < ngens needs no other check
-                self._check_index(i)
-                raise TriangularityError(
-                    f"relation for x{lhs} mentions x{i}, not strictly smaller"
-                )
-            if e:
-                kept.append((i, e))
+        side = type(rhs)
+        if side is not list and side is not tuple:
+            raise TypeError(f"relation for x{lhs} has right-hand side "
+                            f"{rhs!r}, not a list of pairs")
+        try:  # an empty side, as most of a collapse's are, makes no call
+            kept = [(i, e) for i, e in rhs
+                    if i.__class__ is int and 0 <= i < lhs  # lhs < ngens
+                    and (e is _MINUS or e is _PLUS or e.__class__ is int and e)
+                    ] if rhs else rhs
+        except (TypeError, ValueError):  # an entry that is no pair
+            kept = None
+        if kept is not rhs and (kept is None or len(kept) != len(rhs)):
+            kept = []
+            for entry in rhs:
+                if (type(entry) not in (list, tuple) or len(entry) != 2
+                        or type(entry[0]) is not int
+                        or type(entry[1]) is not int):
+                    raise TypeError(f"relation for x{lhs} has right-hand "
+                                    f"entry {entry!r}, not a pair of ints")
+                i, e = entry
+                if not 0 <= i < lhs:
+                    self._check_index(i)
+                    raise TriangularityError(
+                        f"relation for x{lhs} mentions x{i}, not strictly "
+                        "smaller")
+                if e:
+                    kept.append((i, e))
         if stage is not self._last_stage:
             self._check_stage("relation", stage)
         rel = Relation(lhs, tuple(kept), stage)
@@ -354,12 +382,17 @@ class StagedPresentation:
 
     def set_statuses(self, level: int, gens: Iterable[int], status: str,
                      stage: int) -> None:
-        """Give each of `gens`, letters of the laid-out `level`, a status
-        from `stage` on, as one census entry."""
-        letters = self.levels[level]
+        """Give each of `gens`, int letters of the laid-out `level` (a bool
+        is none; TypeError otherwise), a status from `stage` on, as one
+        census entry."""
+        letters = self.levels.get(level)
+        if letters is None:
+            raise ValueError(f"level {level} is not laid out")
         self._check_stage("status", stage)
         counts = self._counts_from(level, stage)
         for gen in gens:
+            if type(gen) is not int:
+                raise TypeError(f"letter {gen!r} is not an int")
             if gen not in letters:
                 self._check_index(gen)  # an index no letter can have says so
                 raise ValueError(f"x{gen} is not a letter of level {level}")

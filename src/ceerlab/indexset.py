@@ -37,7 +37,8 @@ from .pairing import unpair
 from .star import PhiEntry, StarConstruction, StarResult
 
 __all__ = ["SumFunctionalStub", "SugResult", "run_sug_indexset", "start",
-           "apply_record", "run_scenario", "summary", "SUITES"]
+           "apply_record", "run_scenario", "summary", "RECORDS", "HEADER",
+           "SUITES"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,11 @@ class SugResult(ConstructionRun):
     restraints: dict[int, tuple[str, ...] | None] = field(default_factory=dict)
 
 
+# the header params `start` reads, as `replay` describes
+HEADER = dict.fromkeys(("stages", "star_base", "star_levels", "coded_bound"),
+                       replay.as_is)
+
+
 def start(log: RunLog) -> SugResult:
     """The empty result a sug header describes, once its `coded_bound`, the
     bound of every table slot, and the star shape of every group slot are
@@ -75,25 +81,39 @@ def start(log: RunLog) -> SugResult:
     return SugResult(log.header["construction"], params, params["stages"], log)
 
 
-# the actions each requirement family logs, by the kind its records carry
-_ACTIONS = {"init": ("declare-abelian",), "C": ("open-slot", "advance-slot"),
-            "D": ("open-slot", "code-pair"), "L": ("place-restraint",)}
+def _coded_pair(value: Any, entries: bool = False) -> None:
+    """The coded pair a D record copies, or None once they are all copied."""
+    if value is not None:
+        replay.pair(value)
+
+
+_INJURED = {"reinitialized": replay.optional(replay.each(replay.requirement))}
+_C_FIELDS = {"slot": replay.text, "inner": replay.records(star.RECORDS),
+             **_INJURED}
+_D_FIELDS = {"slot": replay.text, "pair": _coded_pair, **_INJURED}
+# the records `apply_record` reads, by kind and action, as `replay` describes
+RECORDS = {
+    ("init", "declare-abelian"): {},
+    ("C", "open-slot"): _C_FIELDS,
+    ("C", "advance-slot"): _C_FIELDS,
+    ("D", "open-slot"): _D_FIELDS,
+    ("D", "code-pair"): _D_FIELDS,
+    ("L", "place-restraint"): {"requirement": replay.requirement,
+                               "slots": replay.each(replay.text), **_INJURED},
+}
 
 
 def apply_record(result: SugResult, record: ActionRecord) -> None:
     """Apply one logged sug record to its result: the slot it opens, the
     inner star records it applies to a group slot, the coded pair it copies
-    into a table slot (ValueError out of stage order: a pair is not a
-    relation), the restraint it places and the restraints of the L_m it
-    injures.  The run and replay call this on each record, alike.  Raises
-    ValueError on a record whose kind is not its requirement's family or
-    whose action that family never logs."""
+    into a table slot, the restraint it places and the restraints of the L_m
+    it injures.  The run and replay call this on each record alike, replay
+    once `replay.decode` has checked it against `RECORDS`.  Raises
+    ValueError on a record that names a slot its family has not opened, or
+    whose pair the table slot cannot hold or holds out of stage order: a
+    pair is not a relation."""
     details, kind, action = record.details, record.kind, record.action
     req = record.requirement
-    family = req[:1] if isinstance(req, str) and req != "init" else req
-    if kind != family or action not in _ACTIONS.get(family, ()):
-        raise ValueError(f"{req!r} logs no record of kind {kind!r} and "
-                         f"action {action!r}")
     if action == "open-slot":
         result.assignments[req] = details["slot"]
         if kind == "D":
@@ -106,14 +126,18 @@ def apply_record(result: SugResult, record: ActionRecord) -> None:
     elif action == "place-restraint":
         result.restraints[int(req[1:])] = tuple(details["slots"])
     if kind == "C":
-        group = result.group_slots[details["slot"]]
+        group = result.group_slots.get(details["slot"])
+        if group is None:
+            raise ValueError(f"group slot {details['slot']!r} is not open")
         for inner in details["inner"]:
             star.apply_record(group, ActionRecord.from_obj(inner))
     if kind == "D" and details["pair"] is not None:
-        a, b = details["pair"]
+        table = result.table_slots.get(details["slot"])
+        if table is None:
+            raise ValueError(f"table slot {details['slot']!r} is not open")
         try:
-            result.table_slots[details["slot"]].assert_pair(a, b, record.stage)
-        except StageRegressionError as exc:
+            table.assert_pair(*details["pair"], record.stage)
+        except (StageRegressionError, IndexError) as exc:
             raise ValueError(f"table slot {exc}") from None
     for name in details.get("reinitialized", ()):
         if name.startswith("L"):

@@ -21,12 +21,13 @@ from functools import partial
 from math import isqrt
 from typing import Any, Mapping
 
+from . import replay
 from .ceers import CeerTable, FunctionalStub, StageSet, check_bound
 from .engine import ActionRecord, ConstructionRun, PriorityEngine, Requirement, RunLog
 from .pairing import pair
 
 __all__ = ["Sigma3Result", "run_sigma3_ceer", "start", "apply_record",
-           "run_scenario", "summary", "SUITES"]
+           "run_scenario", "summary", "RECORDS", "HEADER", "SUITES"]
 
 
 @dataclass
@@ -43,6 +44,11 @@ class Sigma3Result(ConstructionRun):
                     if m < k and use is not None), default=-1)
 
 
+# the header params `start` reads, as `replay` describes
+HEADER = dict.fromkeys(("stages", "universal_bound", "join_bound"),
+                       replay.as_is)
+
+
 def start(log: RunLog) -> Sigma3Result:
     """The empty result a sigma3 header describes: its join table, once both
     bounds are checked (the universal table is the coding requirements')."""
@@ -53,11 +59,22 @@ def start(log: RunLog) -> Sigma3Result:
                         log, table=table)
 
 
+# what `apply_record` reads of every record: its requirement's index and
+# the requirements it injures
+_EVERY = {"requirement": replay.requirement,
+          "reinitialized": replay.optional(replay.each(replay.requirement))}
+_COLUMN = {"column": replay.nonnegative, **_EVERY}
+# the records `apply_record` reads, by kind and action, as `replay` describes
+RECORDS = {("C", "choose-column"): _COLUMN, ("C", "copy-column"): _COLUMN,
+           ("L", "place-restraint"): {"use": replay.nonnegative, **_EVERY}}
+
+
 def apply_record(result: Sigma3Result, record: ActionRecord) -> None:
     """Apply one logged sigma3 record to its result: the column it chooses
     (now used for good) or copies into, the restraint it places, and the
     restraints of the L_m it injures.  The run calls this on each record it
-    logs and replay on each record it reads, so both build the same state."""
+    logs and replay on each record it reads, once `replay.decode` has
+    checked it against `RECORDS`, so both build the same state."""
     details = record.details
     if record.action in ("choose-column", "copy-column"):
         result.columns[int(record.requirement[1:])] = details["column"]

@@ -50,6 +50,8 @@ __all__ = [
     "apply_record",
     "run_scenario",
     "summary",
+    "RECORDS",
+    "HEADER",
     "SUITES",
 ]
 
@@ -100,13 +102,15 @@ def _lead_relator(side: Sequence[int]) -> dict[str, Any]:
 # record keys naming letters of the record's `level` whose status it sets
 _STATUS_KEYS = (("freed", "free"), ("collapsed", "collapsed"),
                 ("determined", "determined"))
+_RELATING = ("case-1", "case-2", "case-3a", "case-3b")  # relate witnesses
 
 
 def apply_record(result: "StarResult", record: ActionRecord) -> None:
     """Apply one logged star record to its result: the level it lays out,
     the statuses it sets, the relations it adds and the witnesses it relates
     in the output table.  The run calls this on each record it logs and
-    replay on each record it reads, so both build the same state.  Raises
+    replay on each record it reads, once `replay.decode` has checked it
+    against `RECORDS`, so both build the same state.  Raises
     TriangularityError or StageRegressionError on a relation no run adds,
     and ValueError on an index outside the presentation, on a status letter
     outside the level its record names, or on a witness pair the output
@@ -124,9 +128,9 @@ def apply_record(result: "StarResult", record: ActionRecord) -> None:
                              f"the {pres.ngens}-generator presentation")
         pres.set_level(level, level_letters(base, level), stage)
     for key, status in _STATUS_KEYS:
-        gens = list(details.get(key, ()))
+        gens = details.get(key, ())
         if gens:
-            pres.set_statuses(details["level"], gens, status, stage)
+            pres.set_statuses(details.get("level"), gens, status, stage)
     if init:
         gens = [rel["lhs"] for rel in details.get("relators", ())]
         if gens:
@@ -137,14 +141,31 @@ def apply_record(result: "StarResult", record: ActionRecord) -> None:
             pres.set_statuses(srv["pair"][1],
                               [rel["lhs"] for rel in srv["relators"]],
                               "collapsed", stage)
-        rels.extend(srv.get("relators", ()))
+            rels.extend(srv["relators"])
     for rel in rels:
         pres.add_relation(rel["lhs"], rel["rhs"], stage)
-    if record.action in ("case-1", "case-2", "case-3a", "case-3b"):
+    if record.action in _RELATING:
         try:
             result.table.assert_pair(*details["witnesses"], stage)
         except (StageRegressionError, IndexError) as exc:
             raise ValueError(f"output table {exc}") from None
+
+
+_LETTERS = replay.optional(replay.each(replay.integer))
+# what `apply_record` reads of any star record, each field left out by some
+_READ = {"level": replay.optional(replay.nonnegative), "freed": _LETTERS,
+         "collapsed": _LETTERS, "determined": _LETTERS,
+         "relators": replay.optional(replay.relators),
+         "served": replay.optional(replay.each(replay.fields({
+             "pair": replay.pair,
+             "relators": replay.optional(replay.relators)})))}
+# the records `apply_record` reads, by kind and action, as `replay` describes
+RECORDS = {
+    ("init", "init-level"): {**_READ, "level": replay.nonnegative},
+    ("U", "collapse-level"): _READ,
+    **{("R", case): _READ for case in ("case-0", "case-3c")},
+    **{("R", case): {**_READ, "witnesses": replay.pair} for case in _RELATING},
+}
 
 
 class _StarState:
@@ -638,6 +659,12 @@ def empty_result(name: str, params: dict[str, Any], log: RunLog, base: int,
         table=CeerTable(bound=INDEX_CEILING),
         universal=CeerTable.from_pairs(universal, universal_bound),
         base=base, levels=levels)
+
+
+# the header params `start` reads, as `replay` describes
+HEADER = {"base": replay.as_is, "levels": replay.as_is, "stages": replay.as_is,
+          "universal": replay.each(replay.triple),
+          "universal_bound": replay.as_is}
 
 
 def start(log: RunLog) -> StarResult:

@@ -211,11 +211,21 @@ def reference_add_relation(pres, lhs, rhs, stage):
     """`StagedPresentation.add_relation` with every check made through its
     helpers: `_check_index` on the left-hand side and `_check_stage` on every
     call.  The reference for the inlined common path."""
+    if type(lhs) is not int:
+        raise TypeError(f"left-hand side {lhs!r} is not an int")
     pres._check_index(lhs)
     if lhs in pres._by_lhs:
         raise TriangularityError(f"x{lhs} already has a defining relation")
+    if type(rhs) not in (list, tuple):
+        raise TypeError(f"relation for x{lhs} has right-hand side {rhs!r}, "
+                        "not a list of pairs")
     kept = []
-    for i, e in rhs:
+    for entry in rhs:
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                or not all(type(x) is int for x in entry)):
+            raise TypeError(f"relation for x{lhs} has right-hand entry "
+                            f"{entry!r}, not a pair of ints")
+        i, e = entry
         if not 0 <= i < lhs:
             pres._check_index(i)
             raise TriangularityError(
@@ -413,6 +423,11 @@ def reference_table_load(fp, bound=None):
             rec = json.loads(line)
         except RecursionError:
             raise ValueError(f"dump line {n} nests too deeply") from None
+        if type(rec) is not dict:
+            raise ValueError(f"dump line {n}: not a JSON object")
+        for key in "abs":
+            if key not in rec:
+                raise ValueError(f'dump line {n}: field "{key}" is missing')
         row = a, b, s = rec["a"], rec["b"], rec["s"]
         if type(a) is not int or type(b) is not int or type(s) is not int:
             key = next(k for k, v in zip("abs", row) if type(v) is not int)

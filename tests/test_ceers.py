@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ceerlab import ceers
 from ceerlab.ceers import (
     INDEX_CEILING,
+    BoundError,
     CeerTable,
     IndexCeilingError,
     FunctionalStub,
@@ -133,11 +134,15 @@ def test_table_stage_regression_rejected():
 
 
 def test_table_index_bounds():
+    """An index outside the bound is a BoundError: an IndexError, and a
+    ValueError as the command line's refusals of input are."""
     t = CeerTable(bound=4)
     with pytest.raises(IndexError):
         t.assert_pair(0, 4, 1)
     with pytest.raises(IndexError):
         t.related(-1, 0, 0)
+    with pytest.raises(ValueError, match="^index 4 out of bound 4$"):
+        t.assert_pair(0, 4, 1)
 
 
 def test_classes_at():
@@ -1079,8 +1084,8 @@ def test_pullback_and_product_errors_are_the_walks_errors():
     for fn, bound in cases:
         got = built(pullback, fn, target, bound)
         assert got == built(pullback_per_stage, fn, target, bound)
-        assert got[0] in (PartialityError, IndexError)
-    assert built(pullback, cases[2][0], target) == (IndexError,
+        assert got[0] in (PartialityError, BoundError)
+    assert built(pullback, cases[2][0], target) == (BoundError,
                                                     "index 5 out of bound 3")
     # an output code past the table index ceiling, met at the same pair
     wide = CeerTable.loads('{"a": 0, "b": 1, "s": 0}\n'
@@ -1341,7 +1346,7 @@ def test_verify_reduction_error_order_on_a_source_of_bound_0(
     if error is None:
         assert got == ReductionReport(bound=bound, stage=0)
     else:
-        assert got == (IndexError, error)
+        assert got == (BoundError, error)
 
 
 def test_snapshot_checks_call_no_related(monkeypatch):

@@ -106,5 +106,5 @@ def test_set_statuses_names_letters_of_its_level():
         pres.set_statuses(1, [-1], "collapsed", 1)
     with pytest.raises(ValueError, match=r"x16 is not materialized \(ngens=16\)"):
         pres.set_statuses(1, [16], "collapsed", 1)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^level 0 is not laid out$"):
         pres.set_statuses(0, [0], "collapsed", 1)

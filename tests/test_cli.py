@@ -1257,7 +1257,8 @@ def test_probe_verify_reduction_above_pair_ceiling(bound, flags, dumps,
      "error: cannot read dump: index 1 out of bound 1"),
     ('{"a": "x", "b": 3, "s": 1}', ["related", "{bad}", "0", "1"],
      "error: cannot read dump: "),
-    ('{"a": 0, "s": 1}', ["product", "{left}", "{bad}"], "error: 'b'"),
+    ('{"a": 0, "s": 1}', ["product", "{left}", "{bad}"],
+     'error: dump line 1: field "b" is missing\n'),
     ("[" * 100_000 + "]" * 100_000, ["related", "{bad}", "0", "1"],
      "error: cannot read dump: dump line 1 nests too deeply\n"),
     ("[" * 100_000 + "]" * 100_000, ["product", "{left}", "{bad}"],

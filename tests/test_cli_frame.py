@@ -3,8 +3,9 @@ suite from the `SUITES` of the construction modules, through
 `replay.CONSTRUCTIONS`, so adding a suite adds no line to `cli.py`.
 
 `cli.py` is read as text with `ast`: it imports no construction module and
-no kernel a construction builds on, and no string literal in it names a
-construction.
+no kernel a construction builds on, no string literal in it names a
+construction, and no `except` in it names an exception that only a fault of
+the program raises, so such a fault is a crash, not a refusal of input.
 """
 import ast
 import os
@@ -48,3 +49,22 @@ def test_cli_names_no_construction():
     named = [(name, text) for text in texts
              for name in replay.CONSTRUCTIONS if name in text]
     assert not named
+
+
+# what Python raises on a value of the wrong type or shape: input reaches
+# `cli` only as a ValueError or an OSError, so catching one of these would
+# report a bug as malformed input
+PROGRAM_FAULTS = {"KeyError", "TypeError", "IndexError", "AttributeError",
+                  "ArithmeticError"}
+
+
+def test_cli_catches_no_program_fault():
+    caught = set()
+    for node in ast.walk(_tree()):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            caught.update(name.id for name in names
+                          if isinstance(name, ast.Name))
+    assert "ValueError" in caught
+    assert not caught & PROGRAM_FAULTS

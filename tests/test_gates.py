@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from ceerlab import star
 from ceerlab.cli import main, suites
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -291,8 +292,8 @@ BAD_TABLE_ENTRIES = {
         "ValueError('output table pair at stage 0 after stage 2')"),
     "witnesses-not-a-pair": (
         {"witnesses": [0]},
-        "TypeError(\"CeerTable.assert_pair() missing 1 required positional "
-        "argument: 'stage'\")"),
+        "ValueError('line 7: witnesses: expected a pair of integers, got "
+        "[0]')"),
 }
 
 
@@ -311,6 +312,71 @@ def test_verify_of_bad_output_table_entry_is_pinned(case, suite, tmp_path,
     rc = main(["verify", str(path), suite])
     assert (rc, *capsys.readouterr()) == (
         2, "", f"error: malformed log for suite {suite}: {error}\n")
+
+
+# a right-hand entry of the first relator of a level's lead products that no
+# run writes: an index or an exponent that is not an int.  Each was once
+# read as a number: `triangularity` and `level-census` passed the index 1.5,
+# 2.0 or true and the exponent 0.5, `vi-vs-U` failed them, and the exponent
+# "x" escaped as a TypeError
+BAD_RHS_ENTRIES = {
+    "index-1.5": [1.5, -1],
+    "index-2.0": [2.0, -1],
+    "index-true": [True, -1],
+    "exponent-0.5": [0, 0.5],
+    "exponent-true": [0, True],
+    "exponent-x": [0, "x"],
+}
+
+
+def _bad_rhs_entry(name, row, entry, tmp_path):
+    """The shipped log with `entry` for the first right-hand entry of the
+    first relator on its line `row + 1`, inside the first inner record of
+    a sug log; the path that names the entry."""
+    lines = open(shipped(f"{name}.log.jsonl")).readlines()
+    record = json.loads(lines[row])
+    target, field = record, "relators[0].rhs[0]"
+    if "inner" in record:
+        target, field = record["inner"][0], f"inner[0].{field}"
+    assert target["action"] == "init-level"
+    assert target["relators"][0]["rhs"][0] == [0, -1]
+    target["relators"][0]["rhs"][0] = entry
+    lines[row] = json.dumps(record) + "\n"
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text("".join(lines))
+    return path, f"line {row + 1}: {field}"
+
+
+@pytest.mark.parametrize("log,row,suite", [
+    ("star-universal-basic", 1, "triangularity"),
+    ("star-universal-basic", 1, "level-census"),
+    ("star-universal-basic", 1, "vi-vs-U"),
+    ("sug-basic", 2, "triangularity")])
+@pytest.mark.parametrize("case", sorted(BAD_RHS_ENTRIES))
+def test_verify_of_bad_right_hand_entry_is_pinned(case, log, row, suite,
+                                                  tmp_path, capsys):
+    """A right-hand entry that is no pair of ints is malformed input, named
+    by its line and its field, under every suite that reads the log."""
+    entry = BAD_RHS_ENTRIES[case]
+    path, where = _bad_rhs_entry(log, row, entry, tmp_path)
+    rc = main(["verify", str(path), suite])
+    error = ValueError(f"{where}: expected an [index, exponent] pair of "
+                       f"integers, got {entry!r}")
+    assert (rc, *capsys.readouterr()) == (
+        2, "", f"error: malformed log for suite {suite}: {error!r}\n")
+
+
+def test_a_suite_error_on_a_valid_log_escapes(monkeypatch):
+    """A suite that fails on a log that decodes is a fault of the program:
+    `verify` lets its exception out, and does not call the log malformed."""
+    def broken(log, result):
+        raise TypeError("a bug in the suite")
+
+    wording, _ = star.SUITES["level-census"]
+    monkeypatch.setitem(star.SUITES, "level-census", (wording, broken))
+    with pytest.raises(TypeError, match="^a bug in the suite$"):
+        main(["verify", shipped("star-universal-basic.log.jsonl"),
+              "level-census"])
 
 
 def test_verify_of_nontriangular_sug_slot_relator_is_pinned(tmp_path, capsys):

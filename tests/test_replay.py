@@ -235,6 +235,24 @@ def test_replayed_result_has_the_run_type_fields_and_tables(name):
                 table.bound, table.pairs), path
 
 
+def test_a_decoding_fault_names_the_line_that_loads_counts():
+    """Blank lines count: the record after them is named by its own line,
+    and a fault in a header param by the header's."""
+    header, *records = open(scenario("star-universal-basic.log.jsonl"))
+    records[1] = records[1].replace('"level":1,', '"level":1.5,')
+    log = RunLog.loads(header + "\n\n" + "".join(records))
+    result = replay.start(log)
+    with pytest.raises(ValueError, match=r"^line 5: level: expected a "
+                                         r"nonnegative integer, got 1\.5$"):
+        for _ in replay.steps(log, result):
+            pass
+    log = RunLog.loads("\n" + header.replace('"universal":[', '"universal":'
+                                              '[[0, 1], '))
+    with pytest.raises(ValueError, match=r"^line 2: params\.universal\[0\]: "
+                                         r"expected a triple of integers"):
+        replay.start(log)
+
+
 def test_star_witness_pair_past_the_output_table_is_a_value_error():
     """A relating record whose witnesses the output table cannot hold is
     malformed input, as one out of stage order is: a pair is not a
